@@ -24,8 +24,8 @@ from .fields import (
     velocity_inner,
     w1q_norm,
 )
-from .grid import MacGrid, build_grid, graded_axis, midpoint_refined, uniform_axis, uniform_grid
-from .linalg import GroundedDirectSolver, SolveResult, SolverError, solve_nonsymmetric, solve_spd
+from .grid import MacGrid, graded_axis, midpoint_refined, uniform_axis, uniform_grid
+from .linalg import SolveResult, SolverError, solve_nonsymmetric
 from .mms import PROBLEM_NAMES, ManufacturedProblem, mms_problem
 from .operators import Operators
 from .projection import Projector, dense_divfree_basis, seminorm_by_basis
@@ -60,16 +60,13 @@ __all__ = [
     "velocity_inner",
     "w1q_norm",
     "MacGrid",
-    "build_grid",
     "graded_axis",
     "midpoint_refined",
     "uniform_axis",
     "uniform_grid",
-    "GroundedDirectSolver",
     "SolveResult",
     "SolverError",
     "solve_nonsymmetric",
-    "solve_spd",
     "PROBLEM_NAMES",
     "ManufacturedProblem",
     "mms_problem",

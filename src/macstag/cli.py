@@ -5,7 +5,8 @@ property suite plus a short integration check), convergence (refinement
 ladder on a manufactured solution), operators-check (operator identities
 and matrix export), translate (time-translate compactness table).
 
-Exit codes: 0 success, 1 a verdict failed, 2 usage or configuration errors.
+Exit codes: 0 success, 1 a verdict failed or a solve or step failed
+(reported as "error: ..." on stderr), 2 usage or configuration errors.
 """
 
 from __future__ import annotations
@@ -17,9 +18,10 @@ import sys
 from . import output
 from .config import ConfigError, parse_config
 from .grid import midpoint_refined, uniform_grid
+from .linalg import SolverError
 from .mms import mms_problem
 from .operators import Operators
-from .scheme import ProjectionScheme
+from .scheme import ProjectionScheme, SchemeError
 from .verify import (
     convergence_study,
     property_suite,
@@ -230,6 +232,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return 2
+    except (SolverError, SchemeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

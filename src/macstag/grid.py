@@ -24,7 +24,6 @@ import numpy as np
 
 __all__ = [
     "MacGrid",
-    "build_grid",
     "uniform_axis",
     "graded_axis",
     "uniform_grid",
@@ -163,11 +162,6 @@ class MacGrid:
 
     def __repr__(self):
         return f"MacGrid(shape={self.shape}, theta={self.theta:.3g})"
-
-
-def build_grid(axis_coords) -> MacGrid:
-    """Build a grid from per-axis face coordinate arrays."""
-    return MacGrid(axis_coords)
 
 
 def uniform_grid(lo, hi, n) -> MacGrid:

@@ -1,13 +1,11 @@
-"""Deterministic Krylov solvers for the prediction and pressure systems.
+"""Deterministic Krylov solvers for the nonsymmetric prediction systems.
 
-Conjugate gradients carries the pressure Poisson solve, whose matrix is
-symmetric positive semidefinite with the constant vector as nullspace: the
-right-hand side is projected onto the range once and the iterate is
-recentered every iteration so no kernel component can accumulate. BiCGStab
-carries the nonsymmetric prediction systems. Both use fixed seeds of
-nothing: the iteration is a pure function of (A, b, x0), so reruns are
-bitwise reproducible. Reported residuals are always recomputed from a fresh
-matvec, never trusted from the recurrence.
+Jacobi-preconditioned BiCGStab carries the prediction systems, with
+restarted GMRES as the fallback when it breaks down or stalls. The
+iteration is a pure function of (A, b, x0), so reruns are bitwise
+reproducible. Reported residuals are always recomputed from a fresh matvec,
+never trusted from the recurrence. The pressure Poisson solve is exact and
+lives in the projection module.
 """
 
 from __future__ import annotations
@@ -15,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse.linalg as spla
 
-__all__ = ["SolveResult", "SolverError", "solve_spd", "solve_nonsymmetric", "solve_gmres", "GroundedDirectSolver"]
+__all__ = ["SolveResult", "SolverError", "solve_nonsymmetric", "solve_gmres"]
 
 
 class SolverError(RuntimeError):
@@ -30,11 +28,10 @@ class SolverError(RuntimeError):
 class SolveResult:
     """Solution vector plus honest convergence data."""
 
-    def __init__(self, x, iterations, residual, converged=True):
+    def __init__(self, x, iterations, residual):
         self.x = x
         self.iterations = iterations
         self.residual = residual
-        self.converged = converged
 
     def __repr__(self):
         return f"SolveResult(iterations={self.iterations}, residual={self.residual:.3e})"
@@ -45,98 +42,7 @@ def _true_residual(A, b, x, bnorm):
     return r, float(np.linalg.norm(r)) / bnorm
 
 
-def _check_stop(r, bnorm, tol, stop_weights, stop_tol):
-    if float(np.linalg.norm(r)) > tol * bnorm:
-        return False
-    if stop_weights is not None and float(np.abs(stop_weights * r).max()) > stop_tol:
-        return False
-    return True
-
-
-def solve_spd(
-    A,
-    b,
-    *,
-    tol=1e-10,
-    maxiter=None,
-    x0=None,
-    jacobi=True,
-    nullspace_weights=None,
-    stop_weights=None,
-    stop_tol=None,
-):
-    """Preconditioned conjugate gradients for a symmetric (semi)definite system.
-
-    nullspace_weights, when given, declares that the kernel is the constant
-    vector: b is projected compatible and the iterate is recentered to zero
-    weighted mean after every update. stop_weights/stop_tol add an absolute
-    stopping requirement max |stop_weights * r| <= stop_tol on top of the
-    relative one; the correction step uses it to pin the post-correction
-    divergence directly.
-    """
-    b = np.asarray(b, dtype=float)
-    n = b.size
-    if maxiter is None:
-        maxiter = max(200, 20 * n)
-
-    deflate = nullspace_weights is not None
-    if deflate:
-        w = np.asarray(nullspace_weights, dtype=float)
-        wsum = w.sum()
-        b = b - b.mean()
-
-    def recenter(x):
-        if deflate:
-            x -= (w @ x) / wsum
-        return x
-
-    bnorm = float(np.linalg.norm(b))
-    x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
-    recenter(x)
-    if bnorm == 0.0:
-        return SolveResult(np.zeros(n), 0, 0.0)
-
-    diag = A.diagonal()
-    if jacobi and np.all(diag > 0):
-        minv = 1.0 / diag
-    else:
-        minv = np.ones(n)
-
-    r = b - A @ x
-    z = minv * r
-    p = z.copy()
-    rz = float(r @ z)
-    iterations = 0
-    residual = float(np.linalg.norm(r)) / bnorm
-    while iterations < maxiter:
-        iterations += 1
-        Ap = A @ p
-        pAp = float(p @ Ap)
-        if pAp <= 0.0:
-            raise SolverError("conjugate gradient breakdown (non-positive curvature)", iterations, residual)
-        alpha = rz / pAp
-        x += alpha * p
-        recenter(x)
-        r -= alpha * Ap
-        residual = float(np.linalg.norm(r)) / bnorm
-        if _check_stop(r, bnorm, tol, stop_weights, stop_tol):
-            rt, res_t = _true_residual(A, b, x, bnorm)
-            if _check_stop(rt, bnorm, tol, stop_weights, stop_tol):
-                return SolveResult(x, iterations, res_t)
-            # recurrence drifted from the true residual: refresh and keep going
-            r = rt
-            z = minv * r
-            p = z.copy()
-            rz = float(r @ z)
-            continue
-        z = minv * r
-        rz_next = float(r @ z)
-        p = z + (rz_next / rz) * p
-        rz = rz_next
-    raise SolverError("conjugate gradient did not converge", iterations, residual)
-
-
-def solve_nonsymmetric(A, b, *, tol=1e-10, maxiter=None, x0=None, jacobi=True):
+def solve_nonsymmetric(A, b, *, tol=1e-10, maxiter=None, x0=None):
     """BiCGStab with Jacobi preconditioning for the prediction systems."""
     b = np.asarray(b, dtype=float)
     n = b.size
@@ -148,7 +54,7 @@ def solve_nonsymmetric(A, b, *, tol=1e-10, maxiter=None, x0=None, jacobi=True):
         return SolveResult(np.zeros(n), 0, 0.0)
 
     diag = A.diagonal()
-    if jacobi and np.all(np.abs(diag) > 0):
+    if np.all(np.abs(diag) > 0):
         minv = 1.0 / diag
     else:
         minv = np.ones(n)
@@ -217,40 +123,11 @@ def solve_gmres(A, b, *, tol=1e-10, maxiter=None, x0=None, restart=50):
     def cb(_):
         count["n"] += 1
 
-    try:
-        x, info = spla.gmres(
-            A, b, x0=x0, rtol=tol, atol=0.0, restart=restart, maxiter=maxiter,
-            callback=cb, callback_type="pr_norm",
-        )
-    except TypeError:  # older scipy spells rtol as tol
-        x, info = spla.gmres(
-            A, b, x0=x0, tol=tol, atol=0.0, restart=restart, maxiter=maxiter,
-            callback=cb, callback_type="pr_norm",
-        )
+    x, info = spla.gmres(
+        A, b, x0=x0, rtol=tol, atol=0.0, restart=restart, maxiter=maxiter,
+        callback=cb, callback_type="pr_norm",
+    )
     _, res_t = _true_residual(A, b, x, bnorm)
     if info != 0 or res_t > tol:
         raise SolverError("GMRES did not converge", count["n"], res_t)
     return SolveResult(x, count["n"], res_t)
-
-
-class GroundedDirectSolver:
-    """Sparse LU of a singular Poisson matrix with the constant nullspace pinned.
-
-    Clears row and column of one reference cell and puts 1 on its diagonal.
-    For a compatible right-hand side the solution solves the original system
-    exactly (the dropped equation is the negative sum of the others), so this
-    is the oracle-grade path used by verification diagnostics.
-    """
-
-    def __init__(self, S):
-        S = S.tolil(copy=True)
-        S[0, :] = 0.0
-        S[:, 0] = 0.0
-        S[0, 0] = 1.0
-        self._lu = spla.splu(S.tocsc())
-
-    def solve(self, b):
-        bb = np.array(b, dtype=float)
-        bb -= bb.mean()  # enforce compatibility
-        bb[0] = 0.0
-        return self._lu.solve(bb)

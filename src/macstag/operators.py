@@ -26,16 +26,10 @@ import os
 import numpy as np
 import scipy.sparse as sp
 
-from .fields import PressureField, VelocityField
+from .fields import PressureField, VelocityField, _bcast
 from .grid import MacGrid
 
 __all__ = ["Operators"]
-
-
-def _bcast(arr, axis, ndim):
-    shape = [1] * ndim
-    shape[axis] = -1
-    return np.asarray(arr).reshape(shape)
 
 
 class Operators:

@@ -10,9 +10,9 @@ One step from level n to n+1, all operators discrete:
 
 The convection uses the level-n corrected velocity as advecting field, so
 the implicit prediction system is linear in utilde and its convection block
-is skew apart from a diagonal carried by div u^n (zero up to the Poisson
-stop criterion). Every step records the terms of the discrete energy
-inequality
+is skew apart from a diagonal carried by div u^n (zero to roundoff: the
+pressure solve is exact). Every step records the terms of the discrete
+energy inequality
 
     (1/2dt)(||u^{n+1}||^2 - ||u^n||^2) + (dt/2)(||grad p^{n+1}||^2
         - ||grad p^n||^2) + (1/2dt)||utilde - u^n||^2
@@ -65,6 +65,11 @@ DIAGNOSTIC_COLUMNS = (
 
 class SchemeError(RuntimeError):
     """Raised when a step violates one of the scheme's structural guarantees."""
+
+
+def _require_finite(field: VelocityField, n, phase, what):
+    if not all(np.isfinite(c).all() for c in field.components):
+        raise SchemeError(f"step {n}, {phase}: face-averaged {what} is not finite")
 
 
 @dataclass
@@ -137,8 +142,7 @@ class ProjectionScheme:
         self.poisson_tol = float(poisson_tol)
         self.max_iterations = max_iterations
         self.quad_order = int(quad_order)
-        self.projector = Projector(self.ops, tol=self.poisson_tol, maxiter=max_iterations)
-        self._div_weights = None
+        self.projector = Projector(self.ops)
 
     # -- setup ---------------------------------------------------------------
 
@@ -147,13 +151,14 @@ class ProjectionScheme:
 
         u0 is an analytic field (points -> vectors) or a VelocityField. The
         pressure starts at zero; for initial data that is already divergence
-        free the projection is a no-op up to solver tolerance.
+        free the projection is a no-op up to roundoff.
         """
         if isinstance(u0, VelocityField):
             w = u0.copy()
         else:
             w = face_average(self.grid, u0, order=self.quad_order)
         w.zero_exterior()
+        _require_finite(w, 0, "initialize", "initial data")
         u = self.projector.project(w)
         p = PressureField(self.grid)
         return SchemeState(n=0, t=0.0, u=u, p=p, grad_p_norm=0.0)
@@ -202,18 +207,15 @@ class ProjectionScheme:
         """Pressure increment and divergence-free update; returns (u, p, psi, stats)."""
         ops = self.ops
         dt = float(dt)
-        if self._div_weights is None:
-            self._div_weights = 1.0 / ops.cell_vol
         ut_vec = ops.pack(u_tilde)
         rhs = ops.G.T @ (ops.mass_velocity * ut_vec) / dt
-        psi_vec, iters, res = self.projector.poisson_solve(
-            rhs, stop_weights=dt * self._div_weights, stop_tol=self.poisson_tol
-        )
+        psi_vec, iters, res = self.projector.poisson_solve(rhs)
         u_vec = ut_vec - dt * (ops.G @ psi_vec)
         div_max = float(np.abs(ops.D @ u_vec).max())
         if div_max > 10.0 * self.poisson_tol:
             raise SchemeError(
-                f"post-correction divergence {div_max:.3e} exceeds 10 x Poisson tolerance"
+                f"step {state.n + 1}, correction: post-correction divergence {div_max:.3e} "
+                f"exceeds 10 x poisson_tol = {10.0 * self.poisson_tol:.1e}"
             )
         psi = PressureField(self.grid, psi_vec.reshape(self.grid.shape))
         u = ops.unpack(u_vec)
@@ -227,6 +229,7 @@ class ProjectionScheme:
             raise ValueError(f"dt must be positive, got {dt}")
         ops = self.ops
         f_field = self._forcing_field(forcing, state.t + 0.5 * dt)
+        _require_finite(f_field, state.n + 1, "forcing", "forcing")
         u_tilde, pstats = self.prediction(state, f_field, dt)
         u_new, p_new, psi, cstats = self.correction(state, u_tilde, dt)
 
@@ -318,8 +321,8 @@ class ProjectionScheme:
         bound = 10.0 * pstats.residual_l2 + 1e-10 * max(diag.momentum_scale, 1e-30)
         if diag.momentum_residual > bound:
             raise SchemeError(
-                f"combined momentum residual {diag.momentum_residual:.3e} "
-                f"exceeds solver-residual bound {bound:.3e}"
+                f"step {diag.n}, momentum check: combined momentum residual "
+                f"{diag.momentum_residual:.3e} exceeds solver-residual bound {bound:.3e}"
             )
 
     # -- full run --------------------------------------------------------------

@@ -104,7 +104,7 @@ def property_suite(grid: MacGrid, *, seed=0, pairs=20, tol=1e-12) -> PropertyRep
     """Randomized structural checks of the assembled operators on one grid."""
     rng = np.random.default_rng(seed)
     ops = Operators(grid)
-    proj = Projector(ops, method="direct")
+    proj = Projector(ops)
     report = PropertyReport(grid)
 
     worst = 0.0
@@ -185,7 +185,7 @@ def translate_diagnostic(traj: Trajectory, taus, projector: Projector | None = N
     dt = traj.dt
     n_steps = traj.steps
     if projector is None:
-        projector = Projector(Operators(traj.grid), method="direct")
+        projector = Projector(Operators(traj.grid))
     rows = []
     for tau in taus:
         k = tau / dt

@@ -12,7 +12,7 @@ import pytest
 import scipy.sparse as sp
 
 from macstag.fields import face_average, l2_norm, velocity_inner, w1q_norm
-from macstag.grid import build_grid, uniform_grid
+from macstag.grid import MacGrid, uniform_grid
 from macstag.mms import mms_problem
 from macstag.operators import Operators
 from macstag.output import write_diagnostics_csv
@@ -85,7 +85,7 @@ def test_02_skew_symmetry_and_coercivity():
         for _ in range(3):
             g = random_nonuniform_grid(rng, dim, max_cells=8)
             ops = Operators(g)
-            proj = Projector(ops, method="direct")
+            proj = Projector(ops)
             for _ in range(5):
                 a = proj.project(random_velocity(g, rng))
                 w = random_velocity(g, rng)
@@ -113,7 +113,7 @@ def jittered_grid(rng, shape):
         cuts = np.arange(n + 1, dtype=float)
         cuts[1:-1] += rng.uniform(-0.3, 0.3, n - 1)
         axes.append(cuts / n)
-    return build_grid(axes)
+    return MacGrid(axes)
 
 
 def test_03_interpolation_preserves_divergence():
@@ -232,7 +232,7 @@ def test_07_convergence_under_refinement():
 def test_08_projection_identities():
     g = uniform_grid((0.0, 0.0), (1.0, 1.0), (5, 5))
     ops = Operators(g)
-    proj = Projector(ops, method="direct")
+    proj = Projector(ops)
     basis = dense_divfree_basis(ops)
     rng = np.random.default_rng(2027)
     worst = 0.0
@@ -259,7 +259,7 @@ def test_08_projection_identities():
 def test_09_time_translates(run_2d):
     traj, scheme, _ = run_2d
     dt = traj.dt
-    proj = Projector(scheme.ops, method="direct")
+    proj = Projector(scheme.ops)
     rows = translate_diagnostic(traj, [dt, 2 * dt, 4 * dt, 8 * dt], projector=proj)
     increments = summed_step_increments(traj)
     first = rows[0]

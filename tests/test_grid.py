@@ -9,7 +9,6 @@ import pytest
 
 from macstag.grid import (
     MacGrid,
-    build_grid,
     graded_axis,
     midpoint_refined,
     uniform_axis,
@@ -125,12 +124,6 @@ def test_axis_builders():
     np.testing.assert_allclose(widths[1:] / widths[:-1], 2.0, rtol=1e-12)
     assert gax[0] == 0.0 and gax[-1] == 1.0
     np.testing.assert_allclose(graded_axis(0.0, 1.0, 4, 1.0), uniform_axis(0.0, 1.0, 4))
-
-
-def test_build_grid_matches_manual():
-    g = build_grid([uniform_axis(0.0, 1.0, 3), graded_axis(0.0, 2.0, 4, 1.5)])
-    assert g.shape == (3, 4)
-    assert g.dim == 2
 
 
 def test_validation_errors():

@@ -1,5 +1,5 @@
 #
-# Krylov solvers and the grounded direct factorization.
+# Krylov solvers of the prediction systems.
 #
 
 import numpy as np
@@ -7,19 +7,8 @@ import pytest
 import scipy.sparse as sp
 
 from macstag.grid import uniform_grid
-from macstag.linalg import (
-    GroundedDirectSolver,
-    SolverError,
-    solve_gmres,
-    solve_nonsymmetric,
-    solve_spd,
-)
+from macstag.linalg import SolverError, solve_gmres, solve_nonsymmetric
 from macstag.operators import Operators
-
-
-def random_spd(rng, n):
-    B = rng.standard_normal((n, n))
-    return sp.csr_matrix(B @ B.T + n * np.eye(n))
 
 
 def poisson_matrix(shape=(5, 4)):
@@ -27,70 +16,6 @@ def poisson_matrix(shape=(5, 4)):
     ops = Operators(g)
     S = (ops.G.T @ sp.diags(ops.mass_velocity) @ ops.G).tocsr()
     return g, ops, S
-
-
-class TestConjugateGradient:
-    def test_matches_dense_oracle(self):
-        rng = np.random.default_rng(41)
-        A = random_spd(rng, 30)
-        b = rng.standard_normal(30)
-        x_exact = np.linalg.solve(A.toarray(), b)
-        res = solve_spd(A, b, tol=1e-13)
-        np.testing.assert_allclose(res.x, x_exact, rtol=1e-9, atol=1e-11)
-        assert res.converged
-
-    def test_residual_honest(self):
-        rng = np.random.default_rng(43)
-        A = random_spd(rng, 25)
-        b = rng.standard_normal(25)
-        res = solve_spd(A, b, tol=1e-12)
-        actual = np.linalg.norm(b - A @ res.x) / np.linalg.norm(b)
-        assert actual <= 1e-11
-        assert res.residual == pytest.approx(actual, rel=1e-6, abs=1e-15)
-
-    def test_raises_on_iteration_cap(self):
-        rng = np.random.default_rng(47)
-        A = random_spd(rng, 40)
-        b = rng.standard_normal(40)
-        with pytest.raises(SolverError) as err:
-            solve_spd(A, b, tol=1e-14, maxiter=1)
-        assert err.value.iterations == 1
-
-    def test_singular_poisson_with_deflation(self):
-        # pure Neumann pressure problem: constant nullspace, compatible rhs
-        g, ops, S = poisson_matrix((6, 5))
-        rng = np.random.default_rng(53)
-        vol = g.cell_volumes.ravel()
-        b = rng.standard_normal(S.shape[0])
-        b -= b.mean()  # range of S = mean-free vectors for this operator
-        res = solve_spd(S, b, tol=1e-12, nullspace_weights=vol)
-        # solution is volume-mean-free and the residual is small
-        assert abs(vol @ res.x) <= 1e-12 * np.abs(res.x).max() * vol.sum()
-        assert np.linalg.norm(b - S @ res.x) <= 1e-10 * np.linalg.norm(b)
-        # pin the representative against the grounded direct factorization
-        direct = GroundedDirectSolver(S)
-        x_ref = direct.solve(b)
-        x_ref -= (vol @ x_ref) / vol.sum()
-        np.testing.assert_allclose(res.x, x_ref, rtol=1e-8, atol=1e-11)
-
-    def test_auxiliary_stopping_criterion(self):
-        g, ops, S = poisson_matrix((8, 8))
-        rng = np.random.default_rng(59)
-        vol = g.cell_volumes.ravel()
-        b = rng.standard_normal(S.shape[0])
-        b -= b.mean()
-        w = 0.01 / vol
-        res = solve_spd(S, b, tol=1e-6, nullspace_weights=vol, stop_weights=w, stop_tol=1e-12)
-        # the weighted max-norm criterion is the binding one here
-        assert np.max(np.abs(w * (b - S @ res.x))) <= 1e-12
-
-    def test_deterministic(self):
-        rng = np.random.default_rng(61)
-        A = random_spd(rng, 20)
-        b = rng.standard_normal(20)
-        x1 = solve_spd(A, b, tol=1e-12).x
-        x2 = solve_spd(A, b, tol=1e-12).x
-        assert np.array_equal(x1, x2)
 
 
 class TestBiCGStab:
@@ -142,24 +67,3 @@ def test_gmres_fallback():
     b = rng.standard_normal(n)
     res = solve_gmres(A, b, tol=1e-12)
     assert np.linalg.norm(b - A @ res.x) <= 1e-10 * np.linalg.norm(b)
-
-
-class TestGroundedDirect:
-    def test_exact_for_compatible_rhs(self):
-        g, ops, S = poisson_matrix((5, 5))
-        rng = np.random.default_rng(89)
-        # compatible rhs: image of S
-        y = rng.standard_normal(S.shape[0])
-        b = S @ y
-        solver = GroundedDirectSolver(S)
-        x = solver.solve(b)
-        assert np.linalg.norm(b - S @ x) <= 1e-12 * max(np.linalg.norm(b), 1e-30)
-
-    def test_reusable(self):
-        g, ops, S = poisson_matrix((4, 4))
-        rng = np.random.default_rng(97)
-        solver = GroundedDirectSolver(S)
-        for _ in range(3):
-            b = S @ rng.standard_normal(S.shape[0])
-            x = solver.solve(b)
-            assert np.linalg.norm(b - S @ x) <= 1e-12

@@ -190,7 +190,7 @@ def test_convection_skew_symmetry():
         for _ in range(3):
             g = random_nonuniform_grid(rng, dim, max_cells=5)
             ops = Operators(g)
-            proj = Projector(ops, method="direct")
+            proj = Projector(ops)
             for _ in range(5):
                 a = proj.project(random_velocity(g, rng))
                 w = random_velocity(g, rng)
@@ -205,7 +205,7 @@ def test_upwind_negative_control():
     rng = np.random.default_rng(37)
     g = random_nonuniform_grid(rng, 2, max_cells=4)
     ops = Operators(g)
-    proj = Projector(ops, method="direct")
+    proj = Projector(ops)
     vals = []
     for _ in range(5):
         a = proj.project(random_velocity(g, rng))

@@ -3,11 +3,13 @@
 # correction stages, and the per-step structural diagnostics.
 #
 
+import time
+
 import numpy as np
 import pytest
 
 from macstag.fields import PressureField, VelocityField, l2_norm
-from macstag.grid import uniform_grid
+from macstag.grid import MacGrid, graded_axis, uniform_axis, uniform_grid
 from macstag.mms import mms_problem
 from macstag.projection import Projector
 from macstag.scheme import DIAGNOSTIC_COLUMNS, ProjectionScheme, SchemeError
@@ -52,7 +54,7 @@ def test_correction_matches_decomposition(vortex, rng):
     u_tilde, _ = scheme.prediction(state, f_field, dt)
     u_new, p_new, psi, stats = scheme.correction(state, u_tilde, dt)
 
-    proj = Projector(scheme.ops, method="direct")
+    proj = Projector(scheme.ops)
     v_ref, phi_ref, _ = proj.decompose(u_tilde)
     # u_new = P(u_tilde) and dt * psi = potential of the gradient part
     assert l2_norm(u_new - v_ref) <= 1e-9 * max(l2_norm(u_tilde), 1e-30)
@@ -158,3 +160,38 @@ def test_3d_short_run():
     for d in traj.diagnostics:
         assert d.energy_residual >= -1e-9 * d.energy_scale
         assert d.div_max <= 10.0 * scheme.poisson_tol
+
+
+# grids at the edge of what double precision allows for the divergence
+# budget: extreme aspect ratio, strong grading, a 1-cell axis
+PROBE_GRIDS = {
+    "aspect-1e-3": [uniform_axis(0.0, 1.0, 16), uniform_axis(0.0, 1e-3, 16)],
+    "graded-1.3-3d": [graded_axis(0.0, 1.0, 32, 1.3), uniform_axis(0.0, 1.0, 6), uniform_axis(0.0, 1.0, 6)],
+    "graded-1.5": [graded_axis(0.0, 1.0, 24, 1.5), uniform_axis(0.0, 1.0, 8)],
+    "one-cell-axis": [uniform_axis(0.0, 1.0, 1), uniform_axis(0.0, 1.0, 8)],
+}
+
+
+@pytest.mark.parametrize("axes", PROBE_GRIDS.values(), ids=PROBE_GRIDS.keys())
+def test_probe_grids_meet_divergence_budget(axes):
+    g = MacGrid(axes)
+    prob = mms_problem("vortex2d" if g.dim == 2 else "vortex3d")
+    scheme = ProjectionScheme(g)
+    traj = scheme.run(prob.initial, prob.forcing, 0.1, 4)
+    assert len(traj.diagnostics) == 4
+    assert max(d.div_max for d in traj.diagnostics) <= 10.0 * scheme.poisson_tol
+
+
+def test_non_finite_inputs_fail_fast(vortex):
+    g = uniform_grid((0.0, 0.0), (1.0, 1.0), (16, 16))
+    scheme = ProjectionScheme(g)
+
+    def nan_forcing(t, pts):
+        return np.full(pts.shape, np.nan)
+
+    start = time.perf_counter()
+    with pytest.raises(SchemeError, match="step 1, forcing: .* not finite"):
+        scheme.run(vortex.initial, nan_forcing, 0.1, 4)
+    assert time.perf_counter() - start < 2.0
+    with pytest.raises(SchemeError, match="step 0, initialize: .* not finite"):
+        scheme.initialize(lambda pts: np.full(pts.shape, np.inf))
