@@ -25,7 +25,7 @@ from .fields import (
     w1q_norm,
 )
 from .grid import MacGrid, graded_axis, midpoint_refined, uniform_axis, uniform_grid
-from .linalg import SolveResult, SolverError, solve_nonsymmetric
+from .linalg import SolveResult, SolverError
 from .mms import PROBLEM_NAMES, ManufacturedProblem, mms_problem
 from .operators import Operators
 from .projection import Projector, dense_divfree_basis, seminorm_by_basis
@@ -66,7 +66,6 @@ __all__ = [
     "uniform_grid",
     "SolveResult",
     "SolverError",
-    "solve_nonsymmetric",
     "PROBLEM_NAMES",
     "ManufacturedProblem",
     "mms_problem",

@@ -277,6 +277,9 @@ def parse_config(path=None, *, text=None, env=None, overrides=None) -> RunConfig
                     errors.append(f"axis {a}: need at least one cell, got {n[a]}")
         if kind == "graded" and ratio <= 0:
             errors.append(f"grid.ratio must be positive, got {ratio}")
+    if n and all(k == 1 for k in n):
+        shape = "x".join(str(k) for k in n)
+        errors.append(f"grid {shape} has no interior face: need at least 2 cells along one axis")
 
     t_final = _one_float(values[("time", "final")], "time.final", errors)
     steps = _one_int(values[("time", "steps")], "time.steps", errors)

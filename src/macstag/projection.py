@@ -8,11 +8,9 @@ construction because column sums of the divergence vanish.
 
 On a tensor-product grid G^T M_v G = sum_a K_a (x) (x)_{b != a} H_b, a
 Kronecker sum of the 1D Neumann stiffness matrices K_a with the diagonal
-cell-width matrices H_b. The fast diagonalization method (Lynch, Rice &
-Thomas 1964) inverts it exactly: with K_a V_a = H_a V_a L_a and
-V_a^T H_a V_a = I, the solution is (x)V_a (sum_a L_a)^+ (x)V_a^T b. The
-pseudo-inverse drops the all-constant mode, which leaves the result with zero
-volume mean.
+cell-width matrices H_b, so linalg.SeparableSolver inverts it exactly by fast
+diagonalization. Its pseudo-inverse drops the all-constant mode, which leaves
+the result with zero volume mean.
 
 The projection w -> v is the discrete Leray projection. Its L2 norm is the
 seminorm |w|_* = sup over divergence-free test fields of <w, v>/||v||, the
@@ -29,6 +27,7 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from .fields import VelocityField, PressureField, velocity_inner
+from .linalg import SeparableSolver, tridiagonal
 from .operators import Operators
 
 __all__ = ["Projector", "dense_divfree_basis", "seminorm_by_basis"]
@@ -37,19 +36,6 @@ __all__ = ["Projector", "dense_divfree_basis", "seminorm_by_basis"]
 # 24-cell axis graded at ratio 1.5 misses the post-correction divergence
 # budget (1.3e-9 against 1e-9 over 24 x 8 cells).
 REFINEMENT_SWEEPS = 1
-
-
-def _neumann_stiffness(dual_w):
-    """Tridiagonal 1D Neumann stiffness D^T diag(1/dual_w) D of one axis.
-
-    dual_w holds the axis's dual widths, so the axis has dual_w.size - 1 cells.
-    """
-    n = dual_w.size - 1
-    diff = np.zeros((n - 1, n))
-    k = np.arange(n - 1)
-    diff[k, k] = -1.0
-    diff[k, k + 1] = 1.0
-    return diff.T @ (diff / dual_w[1:n, None])
 
 
 class Projector:
@@ -63,26 +49,11 @@ class Projector:
         self.ops = ops
         grid = ops.grid
         self.poisson = (ops.G.T @ sp.diags(ops.mass_velocity) @ ops.G).tocsr()
-        # generalized eigenpairs K_a V_a = H_a V_a L_a, ascending, so mode 0
-        # of every axis is the constant one
-        self._modes = []
-        lam = 0.0
-        for a in range(grid.dim):
-            vals, vecs = scipy.linalg.eigh(_neumann_stiffness(grid.dual_w[a]), np.diag(grid.h[a]))
-            self._modes.append(vecs)
-            lam = np.add.outer(lam, vals) if a else vals
-        lam[(0,) * grid.dim] = np.inf  # drop the all-constant mode
-        self._inv_eig = 1.0 / lam
-
-    def _transform(self, x, transpose):
-        for a, vecs in enumerate(self._modes):
-            x = np.moveaxis(np.tensordot(vecs.T if transpose else vecs, x, axes=(1, a)), 0, a)
-        return x
-
-    def _fdm(self, b):
-        shape = self.ops.grid.shape
-        y = self._transform(b.reshape(shape), True) * self._inv_eig
-        return self._transform(y, False).ravel()
+        # per axis: Neumann conductances between cell centers, cell widths as mass
+        self._separable = SeparableSolver(
+            [tridiagonal(np.concatenate([[0.0], 1.0 / dw[1:-1], [0.0]])) for dw in grid.dual_w],
+            grid.h,
+        )
 
     def poisson_solve(self, rhs):
         """Solve the singular Poisson system; returns (cell vector, sweeps, residual).
@@ -92,9 +63,9 @@ class Projector:
         a fresh matvec with the assembled matrix.
         """
         b = rhs - rhs.mean()
-        x = self._fdm(b)
+        x = self._separable.solve(b, drop_constant=True)
         for _ in range(REFINEMENT_SWEEPS):
-            x += self._fdm(b - self.poisson @ x)
+            x += self._separable.solve(b - self.poisson @ x, drop_constant=True)
         vol = self.ops.cell_vol
         x -= (vol @ x) / vol.sum()
         res = float(np.linalg.norm(b - self.poisson @ x)) / (float(np.linalg.norm(b)) or 1.0)

@@ -11,8 +11,10 @@ One step from level n to n+1, all operators discrete:
 The convection uses the level-n corrected velocity as advecting field, so
 the implicit prediction system is linear in utilde and its convection block
 is skew apart from a diagonal carried by div u^n (zero to roundoff: the
-pressure solve is exact). Every step records the terms of the discrete
-energy inequality
+pressure solve is exact). Each component system is solved by GMRES,
+preconditioned by the exact separable inverse of its symmetric part
+M_i/dt + S_i; the per-axis eigenpairs behind it are computed once per grid.
+Every step records the terms of the discrete energy inequality
 
     (1/2dt)(||u^{n+1}||^2 - ||u^n||^2) + (dt/2)(||grad p^{n+1}||^2
         - ||grad p^n||^2) + (1/2dt)||utilde - u^n||^2
@@ -31,9 +33,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from .fields import (
     PressureField,
@@ -43,7 +47,7 @@ from .fields import (
     velocity_inner,
 )
 from .grid import MacGrid
-from .linalg import SolverError, solve_gmres, solve_nonsymmetric
+from .linalg import SeparableSolver, solve_gmres, tridiagonal
 from .operators import Operators
 from .projection import Projector
 
@@ -115,6 +119,7 @@ class PredictionStats:
     residual: float
     residual_l2: float
     per_direction: list = field(default_factory=list)
+    convection: list = field(default_factory=list)  # blocks C_i(u^n), reused by the momentum check
 
 
 @dataclass
@@ -124,8 +129,24 @@ class CorrectionStats:
     div_max: float
 
 
+def _momentum_solver(grid: MacGrid, i: int) -> SeparableSolver:
+    """Separable solver of M_i/dt + S_i, the symmetric part of prediction block i.
+
+    Along axis i the unknowns are the interior faces, coupled through the
+    cells; across it they are cell rows whose outer ones sit half a cell
+    from a Dirichlet wall.
+    """
+    conductances = [1.0 / (grid.h[a] if a == i else grid.dual_w[a]) for a in range(grid.dim)]
+    mass = [grid.dual_w[a][1:-1] if a == i else grid.h[a] for a in range(grid.dim)]
+    return SeparableSolver([tridiagonal(c) for c in conductances], mass)
+
+
 class ProjectionScheme:
-    """Incremental projection stepper bound to one grid."""
+    """Incremental projection stepper bound to one grid.
+
+    max_iterations caps the GMRES iterations of each prediction solve; None
+    leaves linalg.MAX_ITERATIONS in force.
+    """
 
     def __init__(
         self,
@@ -143,6 +164,7 @@ class ProjectionScheme:
         self.max_iterations = max_iterations
         self.quad_order = int(quad_order)
         self.projector = Projector(self.ops)
+        self._momentum_solvers = [_momentum_solver(grid, i) for i in range(grid.dim)]
 
     # -- setup ---------------------------------------------------------------
 
@@ -171,7 +193,11 @@ class ProjectionScheme:
         return face_average(self.grid, lambda pts: forcing(t_mid, pts), order=self.quad_order)
 
     def prediction(self, state: SchemeState, f_field: VelocityField, dt: float):
-        """Solve the implicit momentum systems, one per component direction."""
+        """Solve the implicit momentum systems, one per component direction.
+
+        Each system is solved by GMRES, preconditioned by the exact separable
+        inverse of its symmetric part M_i/dt + S_i.
+        """
         ops = self.ops
         dt = float(dt)
         u_vec = ops.pack(state.u)
@@ -180,20 +206,17 @@ class ProjectionScheme:
         conv = ops.convection_blocks(state.u)
         x = np.empty_like(u_vec)
         res_sq = 0.0
-        stats = PredictionStats(iterations=0, residual=0.0, residual_l2=0.0)
+        stats = PredictionStats(iterations=0, residual=0.0, residual_l2=0.0, convection=conv)
         for i in range(self.grid.dim):
             sl = slice(ops.offsets[i], ops.offsets[i + 1])
             mass = ops.mass_blocks[i]
             A = (sp.diags(mass / dt) + ops.laplace_blocks[i] + conv[i]).tocsr()
             rhs = mass * (u_vec[sl] / dt + f_vec[sl] - gp[sl])
-            try:
-                out = solve_nonsymmetric(
-                    A, rhs, tol=self.prediction_tol, maxiter=self.max_iterations, x0=u_vec[sl]
-                )
-            except SolverError:
-                out = solve_gmres(
-                    A, rhs, tol=self.prediction_tol, maxiter=self.max_iterations, x0=u_vec[sl]
-                )
+            fdm = partial(self._momentum_solvers[i].solve, shift=1.0 / dt)
+            precond = spla.LinearOperator(A.shape, matvec=fdm, dtype=float)
+            out = solve_gmres(
+                A, rhs, tol=self.prediction_tol, maxiter=self.max_iterations, x0=u_vec[sl], M=precond
+            )
             x[sl] = out.x
             r = rhs - A @ out.x
             res_sq += float(np.sum(r * r / mass))
@@ -301,7 +324,7 @@ class ProjectionScheme:
         ops = self.ops
         ut = ops.pack(u_tilde)
         t1 = (ut - ops.pack(state.u_tilde_prev)) / dt
-        conv = ops.convection_blocks(state.u)
+        conv = pstats.convection
         t2 = np.empty_like(ut)
         t4 = np.empty_like(ut)
         for i in range(self.grid.dim):

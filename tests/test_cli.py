@@ -76,13 +76,14 @@ def test_verify_flags_loose_solves(tmp_path):
 
 
 def test_solver_failure_exits_1(tmp_path, capsys):
-    # one BiCGStab iteration and one 50-iteration GMRES cycle cannot solve 32^2
-    path = tmp_path / "capped.ini"
-    path.write_text("[grid]\nn = 32 32\n[time]\nfinal = 0.05\nsteps = 1\n[solver]\nmax_iterations = 1\n")
-    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "did not converge" in err
-    assert "Traceback" not in err
+    # one GMRES iteration per prediction solve cannot reach the tolerance
+    for n in (32, 8):
+        path = tmp_path / "capped.ini"
+        path.write_text(f"[grid]\nn = {n} {n}\n[time]\nfinal = 0.05\nsteps = 1\n[solver]\nmax_iterations = 1\n")
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "did not converge" in err
+        assert "Traceback" not in err
 
 
 def test_operators_check(tmp_path, capsys):

@@ -110,6 +110,20 @@ def test_coords_grid():
     np.testing.assert_allclose(g.axes[0], [0.0, 0.2, 0.7, 1.0])
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[grid]\nn = 1 1\n",
+        "[domain]\nlo = 0 0 0\nhi = 1 1 1\n[grid]\nn = 1 1 1\n",
+        "[grid]\nkind = coords\ncoords_0 = 0 1\ncoords_1 = 0 0.5\n",
+    ],
+    ids=["1x1", "1x1x1", "coords-1x1"],
+)
+def test_grid_without_interior_face(text):
+    with pytest.raises(ConfigError, match="grid 1x1(x1)? has no interior face"):
+        parse_config(None, text=text)
+
+
 def test_coords_must_match_domain():
     text = (
         "[domain]\nlo = 0 0\nhi = 1 1\n"

@@ -1,69 +1,116 @@
 #
-# Krylov solvers of the prediction systems.
+# Linear solvers: the exact separable solver and preconditioned GMRES.
 #
+
+from functools import reduce
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from macstag.grid import uniform_grid
-from macstag.linalg import SolverError, solve_gmres, solve_nonsymmetric
+from macstag.linalg import SeparableSolver, SolverError, solve_gmres, tridiagonal
 from macstag.operators import Operators
 
 
-def poisson_matrix(shape=(5, 4)):
+def random_system(seed, n):
+    rng = np.random.default_rng(seed)
+    A = sp.csr_matrix(rng.standard_normal((n, n)) + n * np.eye(n))
+    return A, rng.standard_normal(n)
+
+
+def convection_diffusion(shape=(6, 6)):
+    # the shape of system the momentum prediction produces
     g = uniform_grid((0.0,) * len(shape), (1.0,) * len(shape), shape)
     ops = Operators(g)
-    S = (ops.G.T @ sp.diags(ops.mass_velocity) @ ops.G).tocsr()
-    return g, ops, S
+    S = ops.laplace_blocks[0]
+    n = S.shape[0]
+    skew_part = sp.random(n, n, density=0.05, random_state=7)
+    C = (skew_part - skew_part.T) * 0.3
+    M = sp.diags(ops.mass_blocks[0])
+    return (M * 100.0 + S).tocsr(), (M * 100.0 + S + C).tocsr()
 
 
-class TestBiCGStab:
+class TestGMRES:
     def test_matches_dense_oracle(self):
-        rng = np.random.default_rng(67)
-        n = 30
-        A = sp.csr_matrix(rng.standard_normal((n, n)) + n * np.eye(n))
-        b = rng.standard_normal(n)
+        A, b = random_system(67, 30)
         x_exact = np.linalg.solve(A.toarray(), b)
-        res = solve_nonsymmetric(A, b, tol=1e-13)
+        res = solve_gmres(A, b, tol=1e-13)
         np.testing.assert_allclose(res.x, x_exact, rtol=1e-8, atol=1e-10)
+        assert res.residual == pytest.approx(np.linalg.norm(b - A @ res.x) / np.linalg.norm(b))
 
-    def test_convection_diffusion_system(self):
-        # the shape of system the momentum prediction produces
-        g, ops, _ = poisson_matrix((6, 6))
-        rng = np.random.default_rng(71)
-        S = ops.laplace_blocks[0]
-        n = S.shape[0]
-        skew_part = sp.random(n, n, density=0.05, random_state=7)
-        C = (skew_part - skew_part.T) * 0.3
-        M = sp.diags(ops.mass_blocks[0])
-        A = (M * 100.0 + S + C).tocsr()
-        b = rng.standard_normal(n)
-        res = solve_nonsymmetric(A, b, tol=1e-12)
-        assert np.linalg.norm(b - A @ res.x) <= 1e-10 * np.linalg.norm(b)
+    def test_preconditioned_convection_diffusion_system(self):
+        sym, A = convection_diffusion()
+        b = np.random.default_rng(71).standard_normal(A.shape[0])
+        plain = solve_gmres(A, b, tol=1e-12)
+        lu = spla.splu(sym.tocsc())
+        precond = spla.LinearOperator(A.shape, matvec=lu.solve, dtype=float)
+        res = solve_gmres(A, b, tol=1e-12, M=precond)
+        assert np.linalg.norm(b - A @ res.x) <= 1e-12 * np.linalg.norm(b)
+        assert res.iterations < plain.iterations
 
-    def test_raises_on_iteration_cap(self):
-        rng = np.random.default_rng(73)
-        n = 40
-        A = sp.csr_matrix(rng.standard_normal((n, n)) + n * np.eye(n))
-        b = rng.standard_normal(n)
-        with pytest.raises(SolverError):
-            solve_nonsymmetric(A, b, tol=1e-14, maxiter=1)
+    @pytest.mark.parametrize("cap", [1, 7, 25, 41])
+    def test_raises_on_iteration_cap(self, cap):
+        _, A = convection_diffusion((12, 12))
+        b = np.random.default_rng(73).standard_normal(A.shape[0])
+        with pytest.raises(SolverError, match="did not converge") as err:
+            solve_gmres(A, b, tol=1e-14, maxiter=cap)
+        assert 1 <= err.value.iterations <= cap
 
     def test_deterministic(self):
-        rng = np.random.default_rng(79)
-        n = 25
-        A = sp.csr_matrix(rng.standard_normal((n, n)) + n * np.eye(n))
-        b = rng.standard_normal(n)
-        x1 = solve_nonsymmetric(A, b, tol=1e-12).x
-        x2 = solve_nonsymmetric(A, b, tol=1e-12).x
+        _, A = convection_diffusion()
+        b = np.random.default_rng(79).standard_normal(A.shape[0])
+        x1 = solve_gmres(A, b, tol=1e-12).x
+        x2 = solve_gmres(A, b, tol=1e-12).x
         assert np.array_equal(x1, x2)
 
+    def test_zero_rhs(self):
+        A, _ = random_system(83, 5)
+        res = solve_gmres(A, np.zeros(5))
+        assert res.iterations == 0 and not res.x.any()
 
-def test_gmres_fallback():
-    rng = np.random.default_rng(83)
-    n = 30
-    A = sp.csr_matrix(rng.standard_normal((n, n)) + n * np.eye(n))
-    b = rng.standard_normal(n)
-    res = solve_gmres(A, b, tol=1e-12)
-    assert np.linalg.norm(b - A @ res.x) <= 1e-10 * np.linalg.norm(b)
+
+def test_tridiagonal_chain():
+    K = tridiagonal(np.array([2.0, 3.0, 5.0]))
+    np.testing.assert_array_equal(K, [[5.0, -3.0], [-3.0, 8.0]])
+    assert tridiagonal(np.array([4.0])).shape == (0, 0)
+
+
+def kronecker_operator(stiffness, mass, shift):
+    """Dense shift * (x)B_a + sum_a K_a (x) (x)_{b != a} B_b."""
+    out = shift * np.diag(reduce(np.multiply, np.ix_(*mass)).ravel())
+    for a in range(len(mass)):
+        term = np.ones((1, 1))
+        for b in range(len(mass)):
+            term = np.kron(term, stiffness[a] if b == a else np.diag(mass[b]))
+        out = out + term
+    return out
+
+
+@pytest.mark.parametrize("sizes", [(4, 3), (1, 5), (3, 2, 4)])
+def test_separable_solver_inverts_kronecker_sum(sizes):
+    rng = np.random.default_rng(89)
+    stiffness = [tridiagonal(rng.uniform(0.5, 2.0, m + 1)) for m in sizes]
+    mass = [rng.uniform(0.1, 1.0, m) for m in sizes]
+    solver = SeparableSolver(stiffness, mass)
+    A = kronecker_operator(stiffness, mass, 3.0)
+    b = rng.standard_normal(A.shape[0])
+    x = solver.solve(b, 3.0)
+    assert np.linalg.norm(A @ x - b) <= 1e-12 * np.linalg.norm(b)
+
+
+def test_separable_solver_drops_constant_mode():
+    rng = np.random.default_rng(97)
+    sizes = (5, 4)
+    # zero end conductances: an all-Neumann operator, singular on constants
+    stiffness = [tridiagonal(np.concatenate([[0.0], rng.uniform(0.5, 2.0, m - 1), [0.0]])) for m in sizes]
+    mass = [rng.uniform(0.1, 1.0, m) for m in sizes]
+    solver = SeparableSolver(stiffness, mass)
+    A = kronecker_operator(stiffness, mass, 0.0)
+    b = rng.standard_normal(A.shape[0])
+    b -= b.mean()
+    x = solver.solve(b, drop_constant=True)
+    assert np.linalg.norm(A @ x - b) <= 1e-12 * np.linalg.norm(b)
+    weights = reduce(np.multiply, np.ix_(*mass)).ravel()
+    assert abs(weights @ x) <= 1e-12 * np.linalg.norm(x)

@@ -7,12 +7,13 @@ import time
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from macstag.fields import PressureField, VelocityField, l2_norm
 from macstag.grid import MacGrid, graded_axis, uniform_axis, uniform_grid
 from macstag.mms import mms_problem
 from macstag.projection import Projector
-from macstag.scheme import DIAGNOSTIC_COLUMNS, ProjectionScheme, SchemeError
+from macstag.scheme import DIAGNOSTIC_COLUMNS, ProjectionScheme, SchemeError, _momentum_solver
 from macstag.verify import random_pressure
 
 from conftest import random_nonuniform_grid
@@ -195,3 +196,58 @@ def test_non_finite_inputs_fail_fast(vortex):
     assert time.perf_counter() - start < 2.0
     with pytest.raises(SchemeError, match="step 0, initialize: .* not finite"):
         scheme.initialize(lambda pts: np.full(pts.shape, np.inf))
+
+
+def _random_axis(rng, n, length=1.0):
+    widths = rng.uniform(0.2, 1.0, n)
+    return np.concatenate([[0.0], np.cumsum(widths)]) * (length / widths.sum())
+
+
+def _separable_grids():
+    rng = np.random.default_rng(20240901)
+    return {
+        "2d": MacGrid([_random_axis(rng, 9), _random_axis(rng, 7)]),
+        "3d": MacGrid([_random_axis(rng, 5), _random_axis(rng, 6), _random_axis(rng, 4)]),
+        "one-cell-2d": MacGrid([_random_axis(rng, 1), _random_axis(rng, 8)]),
+        "one-cell-3d": MacGrid([_random_axis(rng, 4), _random_axis(rng, 1), _random_axis(rng, 5)]),
+        "aspect-1e-3": MacGrid([_random_axis(rng, 10), _random_axis(rng, 10, 1e-3)]),
+        "aspect-1e-3-3d": MacGrid([_random_axis(rng, 5, 1e-3), _random_axis(rng, 6), _random_axis(rng, 4)]),
+    }
+
+
+SEPARABLE_GRIDS = _separable_grids()
+
+
+@pytest.mark.parametrize("g", SEPARABLE_GRIDS.values(), ids=SEPARABLE_GRIDS.keys())
+@pytest.mark.parametrize("dt", [1.0, 1.0 / 32, 1e-4])
+def test_prediction_preconditioner_is_exact_symmetric_inverse(g, dt):
+    # the separable solver of block i inverts M_i/dt + S_i as assembled
+    ops = ProjectionScheme(g).ops
+    rng = np.random.default_rng(7)
+    for i in range(g.dim):
+        z = rng.standard_normal(ops.block_sizes[i])
+        A0 = (sp.diags(ops.mass_blocks[i] / dt) + ops.laplace_blocks[i]).tocsr()
+        x = _momentum_solver(g, i).solve(z, 1.0 / dt)
+        assert np.linalg.norm(A0 @ x - z) <= 1e-12 * np.linalg.norm(z)
+
+
+@pytest.mark.parametrize(
+    "axes, name",
+    [
+        ([graded_axis(0.0, 1.0, 64, 1.05)] * 2, "vortex2d"),
+        ([graded_axis(0.0, 1.0, 12, 1.05)] * 3, "vortex3d"),
+    ],
+    ids=["graded-64^2", "graded-12^3"],
+)
+def test_prediction_iterations_bounded(axes, name):
+    # a wrong 1D matrix in the preconditioner still converges, only slower
+    prob = mms_problem(name)
+    scheme = ProjectionScheme(MacGrid(axes))
+    state = scheme.initialize(prob.initial)
+    dt = 1.0 / 32
+    for _ in range(2):
+        f_field = scheme._forcing_field(prob.forcing, state.t + 0.5 * dt)
+        _, stats = scheme.prediction(state, f_field, dt)
+        iterations = [out.iterations for out in stats.per_direction]
+        assert max(iterations) <= 8, iterations
+        state, _ = scheme.step(state, prob.forcing, dt)
