@@ -16,7 +16,6 @@ from .fields import (
     Trajectory,
     VelocityField,
     cell_average,
-    coupling_norm,
     face_average,
     l2_norm,
     pressure_inner,
@@ -52,7 +51,6 @@ __all__ = [
     "Trajectory",
     "VelocityField",
     "cell_average",
-    "coupling_norm",
     "face_average",
     "l2_norm",
     "pressure_inner",

@@ -75,34 +75,36 @@ def _print_step(diag):
     )
 
 
+def _write_snapshot(cfg, grid, state):
+    base = f"fields_{state.n:06d}"
+    if cfg.output_format == "vtk":
+        output.write_vtk(os.path.join(cfg.out_dir, base + ".vtk"), grid, state.u, state.p)
+    else:
+        output.write_fields_csv(cfg.out_dir, base, grid, state.u, state.p)
+
+
 def cmd_run(cfg):
     grid = cfg.build_grid()
     problem = mms_problem(cfg.problem)
     if problem.dim != grid.dim:
         raise ConfigError([f"problem {cfg.problem!r} is {problem.dim}D but the grid is {grid.dim}D"])
     scheme = ProjectionScheme(grid, **cfg.scheme_kwargs())
-    traj = scheme.run(problem.initial, problem.forcing, cfg.t_final, cfg.steps, progress=_print_step)
+    levels = scheme.iterate(problem.initial, problem.forcing, cfg.t_final, cfg.steps)
 
     os.makedirs(cfg.out_dir, exist_ok=True)
-    output.write_diagnostics_csv(os.path.join(cfg.out_dir, "diagnostics.csv"), traj.diagnostics)
     output.write_text(os.path.join(cfg.out_dir, "config.resolved.ini"), cfg.to_ini())
-    snaps = []
-    if cfg.cadence > 0:
-        snaps = [n for n in range(0, cfg.steps + 1) if n % cfg.cadence == 0]
-    if cfg.steps not in snaps:
-        snaps.append(cfg.steps)
-    for n in snaps:
-        base = f"fields_{n:06d}"
-        if cfg.output_format == "vtk":
-            output.write_vtk(
-                os.path.join(cfg.out_dir, base + ".vtk"), grid, traj.velocities[n], traj.pressures[n]
-            )
-        else:
-            output.write_fields_csv(cfg.out_dir, base, grid, traj.velocities[n], traj.pressures[n])
-    final = traj.diagnostics[-1]
+    # each row and snapshot is written as its level arrives, so a failed step keeps the ones before it
+    with output.open_diagnostics_csv(os.path.join(cfg.out_dir, "diagnostics.csv")) as csv_file:
+        for state, diag in levels:
+            if diag is not None:
+                _print_step(diag)
+                csv_file.write(output.diagnostics_row(diag) + "\n")
+                csv_file.flush()
+            if state.n == cfg.steps or (cfg.cadence > 0 and state.n % cfg.cadence == 0):
+                _write_snapshot(cfg, grid, state)
     print(
         f"run complete: {cfg.steps} steps to t={cfg.t_final:g}, "
-        f"final energy {final.kinetic_energy:.9e}, outputs in {cfg.out_dir}"
+        f"final energy {diag.kinetic_energy:.9e}, outputs in {cfg.out_dir}"
     )
     return 0
 
@@ -121,9 +123,11 @@ def cmd_verify(cfg, args):
         problem = mms_problem("vortex2d" if grid.dim == 2 else "vortex3d")
     scheme = ProjectionScheme(grid, **cfg.scheme_kwargs())
     steps = min(cfg.steps, 8)
-    traj = scheme.run(problem.initial, problem.forcing, min(cfg.t_final, 0.25), steps)
-    margin = min(d.energy_residual / max(d.energy_scale, 1e-300) for d in traj.diagnostics)
-    div_worst = max(d.div_max for d in traj.diagnostics)
+    margin, div_worst = float("inf"), 0.0
+    for _, diag in scheme.iterate(problem.initial, problem.forcing, min(cfg.t_final, 0.25), steps):
+        if diag is not None:
+            margin = min(margin, diag.energy_residual / max(diag.energy_scale, 1e-300))
+            div_worst = max(div_worst, diag.div_max)
     energy_ok = margin >= -1e-9
     div_ok = div_worst <= 10.0 * cfg.poisson_tol
     lines.append(
@@ -184,6 +188,10 @@ def cmd_translate(cfg, args):
     if not multiples or any(k < 1 for k in multiples):
         print(f"error: --taus must be positive integers, got {args.taus!r}", file=sys.stderr)
         return 2
+    bad = [k for k in multiples if k >= cfg.steps]
+    if bad:
+        print(f"error: translates {bad} do not fit a {cfg.steps}-step trajectory", file=sys.stderr)
+        return 2
     problem = mms_problem(cfg.problem)
     grid = cfg.build_grid()
     if problem.dim != grid.dim:
@@ -191,10 +199,6 @@ def cmd_translate(cfg, args):
     scheme = ProjectionScheme(grid, **cfg.scheme_kwargs())
     traj = scheme.run(problem.initial, problem.forcing, cfg.t_final, cfg.steps)
     dt = traj.dt
-    bad = [k for k in multiples if k >= cfg.steps]
-    if bad:
-        print(f"error: translates {bad} do not fit a {cfg.steps}-step trajectory", file=sys.stderr)
-        return 2
     rows = translate_diagnostic(traj, [k * dt for k in multiples])
     baseline = summed_step_increments(traj)
     ok = True

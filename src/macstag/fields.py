@@ -30,7 +30,6 @@ __all__ = [
     "pressure_inner",
     "w1q_norm",
     "trajectory_norms",
-    "coupling_norm",
 ]
 
 
@@ -325,17 +324,3 @@ def trajectory_norms(traj: Trajectory, which: str = "predicted") -> TrajectoryNo
     l2_sq = sum(dt * x**2 for x in l2s)
     return TrajectoryNorms(math.sqrt(h1_sq), max(l2s), math.sqrt(l2_sq))
 
-
-def coupling_norm(traj: Trajectory) -> float:
-    """L2(0,T;L2) distance between the corrected and predicted trajectories.
-
-    On (t^n, t^{n+1}] the corrected trajectory carries u^n and the predicted
-    one the intermediate field of level n+1, so this is the exact integral
-    sqrt(sum_n dt ||utilde^{n+1} - u^n||^2). It measures the splitting
-    coupling and shrinks linearly with dt on a fixed grid.
-    """
-    dt = traj.dt
-    total = 0.0
-    for n, ut in enumerate(traj.predicted):
-        total += dt * l2_norm(ut - traj.velocities[n]) ** 2
-    return math.sqrt(total)

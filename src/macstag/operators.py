@@ -88,10 +88,6 @@ class Operators:
     def block(self, vec: np.ndarray, i: int) -> np.ndarray:
         return vec[self.offsets[i] : self.offsets[i + 1]]
 
-    def gradient_rows(self, i: int):
-        """Row slice of G belonging to direction i."""
-        return self.G[self.offsets[i] : self.offsets[i + 1]]
-
     # -- assembly ----------------------------------------------------------
 
     def _cross_widths(self, i, sliced_axis, length):
@@ -297,16 +293,6 @@ class Operators:
         for i in range(self.grid.dim):
             sl = slice(self.offsets[i], self.offsets[i + 1])
             out[sl] = (self.laplace_blocks[i] @ vec[sl]) / self.mass_blocks[i]
-        return self.unpack(out)
-
-    def convect(self, a: VelocityField, w: VelocityField) -> VelocityField:
-        """Convection of w by the advecting field a, dual cell by dual cell."""
-        blocks = self.convection_blocks(a)
-        vec = self.pack(w)
-        out = np.empty_like(vec)
-        for i in range(self.grid.dim):
-            sl = slice(self.offsets[i], self.offsets[i + 1])
-            out[sl] = (blocks[i] @ vec[sl]) / self.mass_blocks[i]
         return self.unpack(out)
 
     def convection_form(self, a: VelocityField, w: VelocityField, v: VelocityField) -> float:

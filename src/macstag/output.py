@@ -15,6 +15,8 @@ from .scheme import DIAGNOSTIC_COLUMNS
 
 __all__ = [
     "fmt",
+    "diagnostics_row",
+    "open_diagnostics_csv",
     "write_diagnostics_csv",
     "write_fields_csv",
     "write_vtk",
@@ -22,6 +24,8 @@ __all__ = [
     "write_translate_csv",
     "write_text",
 ]
+
+_DIAGNOSTICS_HEADER = ",".join(DIAGNOSTIC_COLUMNS)
 
 
 def fmt(x) -> str:
@@ -37,19 +41,27 @@ def write_text(path, content):
     return path
 
 
+def diagnostics_row(d) -> str:
+    """One diagnostics.csv line, without its newline: the ten contract columns of d."""
+    cells = []
+    for name, value in zip(DIAGNOSTIC_COLUMNS, d.row()):
+        if name in ("n", "pred_iters", "corr_iters"):
+            cells.append(str(int(value)))
+        else:
+            cells.append(fmt(value))
+    return ",".join(cells)
+
+
 def write_diagnostics_csv(path, diagnostics):
     """One row per step with the ten contract columns."""
-    lines = [",".join(DIAGNOSTIC_COLUMNS)]
-    for d in diagnostics:
-        row = d.row()
-        cells = []
-        for name, value in zip(DIAGNOSTIC_COLUMNS, row):
-            if name in ("n", "pred_iters", "corr_iters"):
-                cells.append(str(int(value)))
-            else:
-                cells.append(fmt(value))
-        lines.append(",".join(cells))
-    return write_text(path, "\n".join(lines))
+    return write_text(path, "\n".join([_DIAGNOSTICS_HEADER] + [diagnostics_row(d) for d in diagnostics]))
+
+
+def open_diagnostics_csv(path):
+    """diagnostics.csv opened with its header written, for rows written as the steps arrive."""
+    fh = open(path, "w", newline="\n")
+    fh.write(_DIAGNOSTICS_HEADER + "\n")
+    return fh
 
 
 def _point_columns(dim):

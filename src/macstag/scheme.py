@@ -348,24 +348,42 @@ class ProjectionScheme:
                 f"{diag.momentum_residual:.3e} exceeds solver-residual bound {bound:.3e}"
             )
 
-    # -- full run --------------------------------------------------------------
+    # -- time loop -------------------------------------------------------------
 
-    def run(self, u0, forcing, t_final, steps, *, progress=None) -> Trajectory:
-        """March from t=0 to t_final in the given number of equal steps."""
+    @staticmethod
+    def time_step(t_final, steps) -> float:
+        """Step size of a march from t=0 to t_final in `steps` equal steps."""
         steps = int(steps)
         if steps < 1:
             raise ValueError(f"need at least one step, got {steps}")
         t_final = float(t_final)
         if t_final <= 0.0:
             raise ValueError(f"t_final must be positive, got {t_final}")
-        dt = t_final / steps
+        return t_final / steps
+
+    def iterate(self, u0, forcing, t_final, steps):
+        """March from t=0 to t_final in equal steps, one level at a time.
+
+        Yields (state, diag) for the levels 0..N: level 0 is the initial
+        state with diag None, and each later level is one call of step().
+        The arguments are checked here, before the first level is asked for.
+        """
+        dt = self.time_step(t_final, steps)
+        return self._march(u0, forcing, dt, int(steps))
+
+    def _march(self, u0, forcing, dt, steps):
         state = self.initialize(u0)
-        traj = Trajectory(self.grid, dt, t_final)
-        traj.append_initial(state.u, state.p)
+        yield state, None
         for _ in range(steps):
-            prev = state
-            state, diag = self.step(prev, forcing, dt)
-            traj.append_step(state.t, state.u_tilde_prev, state.u, state.p, diag)
-            if progress is not None:
-                progress(diag)
+            state, diag = self.step(state, forcing, dt)
+            yield state, diag
+
+    def run(self, u0, forcing, t_final, steps) -> Trajectory:
+        """Record every level of iterate() in a Trajectory."""
+        traj = Trajectory(self.grid, self.time_step(t_final, steps), t_final)
+        for state, diag in self.iterate(u0, forcing, t_final, steps):
+            if diag is None:
+                traj.append_initial(state.u, state.p)
+            else:
+                traj.append_step(state.t, state.u_tilde_prev, state.u, state.p, diag)
         return traj

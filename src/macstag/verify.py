@@ -26,7 +26,6 @@ from .fields import (
     PressureField,
     Trajectory,
     VelocityField,
-    coupling_norm,
     face_average,
     l2_norm,
     pressure_inner,
@@ -34,7 +33,7 @@ from .fields import (
     w1q_norm,
 )
 from .grid import MacGrid
-from .mms import ManufacturedProblem, mms_problem
+from .mms import mms_problem
 from .operators import Operators
 from .projection import Projector
 from .scheme import ProjectionScheme
@@ -270,59 +269,43 @@ class StudyReport:
         return "\n".join(lines)
 
 
-def _run_problem(problem: ManufacturedProblem, grid: MacGrid, steps, t_final, **scheme_kw):
-    scheme = ProjectionScheme(grid, **scheme_kw)
-    return scheme.run(problem.initial, problem.forcing, t_final, steps), scheme
-
-
-def _trajectory_errors(traj: Trajectory, problem: ManufacturedProblem, quad_order=3):
-    """Errors of the discrete trajectory against face-averaged exact fields.
-
-    The piecewise-constant corrected trajectory carries u^n on (t^n, t^{n+1}],
-    so the L2(0,T;L2) error sums dt ||u^n - interp u(t^n)||^2 over n < N; the
-    predicted trajectory carries level n+1, measured in the W^{1,2} seminorm.
-    """
-    grid = traj.grid
-    dt = traj.dt
-    n_steps = traj.steps
-    exact = [
-        face_average(grid, problem.velocity_at(n * dt), order=quad_order)
-        for n in range(n_steps + 1)
-    ]
-    for e in exact:
-        e.zero_exterior()
-    l2l2_sq = sum(
-        dt * l2_norm(traj.velocities[n] - exact[n]) ** 2 for n in range(n_steps)
-    )
-    err_final = l2_norm(traj.velocities[n_steps] - exact[n_steps])
-    h1_sq = sum(
-        dt * w1q_norm(traj.predicted[n] - exact[n + 1], 2.0) ** 2 for n in range(n_steps)
-    )
-    return math.sqrt(l2l2_sq), err_final, math.sqrt(h1_sq)
-
-
 def convergence_study(problem, levels, t_final, *, quad_order=3, **scheme_kw) -> StudyReport:
-    """Run a refinement ladder; levels is a list of (grid, steps) pairs."""
+    """Run a refinement ladder; levels is a list of (grid, steps) pairs.
+
+    Errors are summed level by level against face-averaged exact fields. The
+    corrected trajectory carries u^n on (t^n, t^{n+1}], so the L2(0,T;L2)
+    error sums dt ||u^n - interp u(t^n)||^2 over n < N; the W^{1,2} error
+    measures the predicted fields of levels 1..N.
+    """
     if isinstance(problem, str):
         problem = mms_problem(problem)
     report = StudyReport(problem.name)
     for grid, steps in levels:
-        traj, _ = _run_problem(problem, grid, steps, t_final, quad_order=quad_order, **scheme_kw)
-        err_l2l2, err_final, err_h1 = _trajectory_errors(traj, problem, quad_order)
-        margin = min(
-            (d.energy_residual / max(d.energy_scale, 1e-300) for d in traj.diagnostics),
-            default=0.0,
-        )
+        scheme = ProjectionScheme(grid, quad_order=quad_order, **scheme_kw)
+        dt = scheme.time_step(t_final, steps)
+        l2l2_sq = h1_sq = coupling_sq = 0.0
+        margin = math.inf
+        for state, diag in scheme.iterate(problem.initial, problem.forcing, t_final, steps):
+            exact = face_average(grid, problem.velocity_at(state.n * dt), order=quad_order)
+            exact.zero_exterior()
+            if state.n < steps:
+                l2l2_sq += dt * l2_norm(state.u - exact) ** 2
+            else:
+                err_final = l2_norm(state.u - exact)
+            if diag is not None:
+                h1_sq += dt * w1q_norm(state.u_tilde_prev - exact, 2.0) ** 2
+                coupling_sq += dt * diag.coupling_norm**2
+                margin = min(margin, diag.energy_residual / max(diag.energy_scale, 1e-300))
         report.levels.append(
             StudyLevel(
                 shape=grid.shape,
                 h_max=grid.h_max,
-                dt=traj.dt,
+                dt=dt,
                 theta=grid.theta,
-                err_l2l2=err_l2l2,
+                err_l2l2=math.sqrt(l2l2_sq),
                 err_final=err_final,
-                err_h1=err_h1,
-                coupling=coupling_norm(traj),
+                err_h1=math.sqrt(h1_sq),
+                coupling=math.sqrt(coupling_sq),
                 min_energy_margin=margin,
             )
         )
@@ -338,7 +321,12 @@ def coupling_study(problem, grid: MacGrid, steps_list, t_final, **scheme_kw):
     if isinstance(problem, str):
         problem = mms_problem(problem)
     rows = []
+    scheme = ProjectionScheme(grid, **scheme_kw)
     for steps in steps_list:
-        traj, _ = _run_problem(problem, grid, steps, t_final, **scheme_kw)
-        rows.append((int(steps), coupling_norm(traj)))
+        dt = scheme.time_step(t_final, steps)
+        coupling_sq = 0.0
+        for _, diag in scheme.iterate(problem.initial, problem.forcing, t_final, steps):
+            if diag is not None:
+                coupling_sq += dt * diag.coupling_norm**2
+        rows.append((int(steps), math.sqrt(coupling_sq)))
     return rows

@@ -12,6 +12,10 @@ import subprocess
 import pytest
 
 from macstag.cli import main
+from macstag.config import parse_config
+from macstag.mms import mms_problem
+from macstag.output import write_diagnostics_csv
+from macstag.scheme import ProjectionScheme, SchemeError
 
 SMALL = "[grid]\nn = 4 4\n[time]\nfinal = 0.05\nsteps = 2\n"
 
@@ -45,6 +49,46 @@ def test_run_rerun_byte_identical(small_config, tmp_path):
     da = open(os.path.join(out_a, "diagnostics.csv"), "rb").read()
     db = open(os.path.join(out_b, "diagnostics.csv"), "rb").read()
     assert da == db
+
+
+def test_streamed_diagnostics_match_list_writer(tmp_path):
+    path = tmp_path / "case.ini"
+    path.write_text(SMALL + "[output]\ncadence = 1\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+    cfg = parse_config(str(path))
+    problem = mms_problem(cfg.problem)
+    scheme = ProjectionScheme(cfg.build_grid(), **cfg.scheme_kwargs())
+    traj = scheme.run(problem.initial, problem.forcing, cfg.t_final, cfg.steps)
+    write_diagnostics_csv(str(tmp_path / "listed.csv"), traj.diagnostics)
+    assert (out / "diagnostics.csv").read_bytes() == (tmp_path / "listed.csv").read_bytes()
+
+
+def test_failed_step_keeps_earlier_outputs(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "case.ini"
+    path.write_text("[grid]\nn = 4 4\n[time]\nfinal = 0.1\nsteps = 4\n[output]\ncadence = 1\n")
+    full, failed = tmp_path / "full", tmp_path / "failed"
+    assert main(["run", "--config", str(path), "--out", str(full)]) == 0
+    step = ProjectionScheme.step
+
+    def failing_step(self, state, forcing, dt):
+        if state.n + 1 == 3:
+            raise SchemeError("step 3, prediction: injected failure")
+        return step(self, state, forcing, dt)
+
+    monkeypatch.setattr(ProjectionScheme, "step", failing_step)
+    capsys.readouterr()
+    assert main(["run", "--config", str(path), "--out", str(failed)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: step 3, ") and "Traceback" not in err
+    assert (failed / "config.resolved.ini").exists()
+    rows = (failed / "diagnostics.csv").read_text().splitlines()
+    assert rows == (full / "diagnostics.csv").read_text().splitlines()[:3]
+    for n in range(5):
+        snapshot = failed / f"fields_{n:06d}_velocity.csv"
+        assert snapshot.exists() == (n < 3)
+        if n < 3:
+            assert snapshot.read_bytes() == (full / snapshot.name).read_bytes()
 
 
 def test_run_cadence_and_vtk(tmp_path):
@@ -113,9 +157,14 @@ def test_translate(tmp_path, capsys):
     assert len(lines) == 3
 
 
-def test_translate_rejects_oversized_tau(tmp_path, capsys):
+def test_translate_rejects_oversized_tau(tmp_path, monkeypatch, capsys):
     path = tmp_path / "case.ini"
     path.write_text("[grid]\nn = 4 4\n[time]\nfinal = 0.1\nsteps = 4\n")
+
+    def no_step(*args):
+        raise AssertionError("taus are checked before any step runs")
+
+    monkeypatch.setattr(ProjectionScheme, "step", no_step)
     assert main(["translate", "--config", str(path), "--taus", "9"]) == 2
     assert main(["translate", "--config", str(path), "--taus", "x"]) == 2
     assert main(["translate", "--config", str(path), "--taus", "0"]) == 2

@@ -10,7 +10,6 @@ from macstag.fields import (
     Trajectory,
     VelocityField,
     cell_average,
-    coupling_norm,
     face_average,
     l2_norm,
     pressure_inner,
@@ -191,13 +190,6 @@ class TestTrajectory:
         assert norms.l2_l2 == pytest.approx(np.sqrt(dt) * l2_norm(u1), rel=1e-13)
         assert norms.linf_l2 == pytest.approx(l2_norm(u1), rel=1e-13)
         assert norms.l2_h1 == pytest.approx(np.sqrt(dt) * w1q_norm(u1, 2.0), rel=1e-13)
-
-    def test_coupling_norm_single_step(self):
-        g = uniform_grid((0.0, 0.0), (1.0, 1.0), (3, 3))
-        dt = 0.25
-        traj = self.make(g, dt, 1)
-        diff = traj.predicted[0] - traj.velocities[0]
-        assert coupling_norm(traj) == pytest.approx(np.sqrt(dt) * l2_norm(diff), rel=1e-13)
 
 
 def test_field_arithmetic(rng):

@@ -126,12 +126,22 @@ def test_run_bookkeeping(vortex):
     assert [d.n for d in traj.diagnostics] == [1, 2, 3, 4, 5]
 
 
-def test_progress_callback(vortex):
+def test_iterate_yields_every_level_and_run_records_them(vortex):
     g = uniform_grid((0.0, 0.0), (1.0, 1.0), (6, 6))
     scheme = ProjectionScheme(g)
-    seen = []
-    scheme.run(vortex.initial, vortex.forcing, 0.05, 2, progress=seen.append)
-    assert [d.n for d in seen] == [1, 2]
+    levels = list(scheme.iterate(vortex.initial, vortex.forcing, 0.1, 5))
+    assert [state.n for state, _ in levels] == [0, 1, 2, 3, 4, 5]
+    assert levels[0][1] is None
+    assert [diag.n for _, diag in levels[1:]] == [1, 2, 3, 4, 5]
+    traj = scheme.run(vortex.initial, vortex.forcing, 0.1, 5)
+    assert traj.times == [state.t for state, _ in levels]
+    assert [d.row() for d in traj.diagnostics] == [diag.row() for _, diag in levels[1:]]
+    for n, (state, _) in enumerate(levels):
+        assert all(np.array_equal(a, b) for a, b in zip(traj.velocities[n].components, state.u.components))
+        assert np.array_equal(traj.pressures[n].data, state.p.data)
+        if n:
+            ut = zip(traj.predicted[n - 1].components, state.u_tilde_prev.components)
+            assert all(np.array_equal(a, b) for a, b in ut)
 
 
 def test_diagnostics_row_matches_columns(vortex):
@@ -151,6 +161,10 @@ def test_invalid_dt(vortex):
         scheme.step(state, vortex.forcing, 0.0)
     with pytest.raises(ValueError):
         scheme.run(vortex.initial, vortex.forcing, 0.1, 0)
+    # checked when iterate is called, not when the first level is asked for
+    for t_final, steps in ((0.1, 0), (0.0, 4), (-1.0, 4)):
+        with pytest.raises(ValueError):
+            scheme.iterate(vortex.initial, vortex.forcing, t_final, steps)
 
 
 def test_3d_short_run():

@@ -2,10 +2,12 @@
 # Verification harness: property suite, translate table, refinement studies.
 #
 
+import math
+
 import numpy as np
 import pytest
 
-from macstag.fields import PressureField, Trajectory, VelocityField, l2_norm
+from macstag.fields import PressureField, Trajectory, VelocityField, face_average, l2_norm, w1q_norm
 from macstag.grid import uniform_grid
 from macstag.mms import mms_problem
 from macstag.scheme import ProjectionScheme
@@ -145,3 +147,24 @@ class TestStudies:
         rows = coupling_study(prob, g, [4, 8], 0.1)
         assert [n for n, _ in rows] == [4, 8]
         assert rows[1][1] < rows[0][1]
+
+    def test_study_sums_match_stored_run(self, rng):
+        # the sums the studies take level by level equal, bit for bit, the
+        # same integrals over the stored trajectory of run()
+        prob = mms_problem("vortex2d")
+        g = random_nonuniform_grid(rng, 2, max_cells=6)
+        lv = convergence_study(prob, [(g, 4)], 0.1).levels[0]
+        traj = ProjectionScheme(g).run(prob.initial, prob.forcing, 0.1, 4)
+        dt = traj.dt
+        exact = [face_average(g, prob.velocity_at(n * dt)).zero_exterior() for n in range(5)]
+        u, ut = traj.velocities, traj.predicted
+        coupling = math.sqrt(sum(dt * l2_norm(ut[n] - u[n]) ** 2 for n in range(4)))
+        assert lv.dt == dt
+        assert lv.err_l2l2 == math.sqrt(sum(dt * l2_norm(u[n] - exact[n]) ** 2 for n in range(4)))
+        assert lv.err_final == l2_norm(u[4] - exact[4])
+        assert lv.err_h1 == math.sqrt(sum(dt * w1q_norm(ut[n] - exact[n + 1], 2.0) ** 2 for n in range(4)))
+        assert lv.coupling == coupling
+        assert lv.min_energy_margin == min(
+            d.energy_residual / max(d.energy_scale, 1e-300) for d in traj.diagnostics
+        )
+        assert coupling_study(prob, g, [4], 0.1) == [(4, coupling)]
