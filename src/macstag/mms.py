@@ -7,23 +7,65 @@ degree at most five per axis times a smooth decay e^{-t}. Face means of
 such components are exact under the default 3-point Gauss rule, which makes
 the interpolated initial data exactly divergence free in the discrete sense.
 
-Forcing is derived symbolically from the momentum equation in convective
-form, f = du/dt + (u . grad) u - Lap u + grad p, and compiled to numpy.
+Every field is time-separable. With u = e^{-t} U(x) and p = e^{-t} P(x),
+the momentum equation in convective form, f = du/dt + (u . grad) u - Lap u
++ grad p, gives exactly
+
+    f(t, x) = e^{-t} (-U - Lap U + grad P) + e^{-2t} (U . grad) U,
+
+so the spatial parts are derived once from a t-free potential and compiled
+to numpy, and a Separable field face-averages them once per grid. The
+spatial expressions stay in factored form: expanding the high-degree
+products into monomial sums would make the compiled evaluators lose ~4
+digits to cancellation near the boundary, where the factors vanish.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
 import sympy
 
+from .fields import VelocityField, face_average
+
+
+class Separable:
+    """Field sum_k e^{-k t} g_k(x) with compiled spatial parts.
+
+    terms is a list of (k, g_k); each g_k maps points (m, dim) to values
+    (m, dim) or (m,). Calling the field as (t, pts) evaluates it pointwise.
+    face_average(grid, t, order) averages each g_k over the faces once per
+    (grid, order) and combines the stored averages for each t.
+    """
+
+    def __init__(self, terms):
+        self.terms = list(terms)
+        self._memo = None  # (grid, order, face averages of the g_k)
+
+    def __call__(self, t, pts):
+        return sum(math.exp(-k * t) * g(pts) for k, g in self.terms)
+
+    def face_average(self, grid, t, order: int = 3) -> VelocityField:
+        """Face means of the field at time t, as fields.face_average gives them."""
+        memo = self._memo
+        if memo is None or memo[0] is not grid or memo[1] != order:
+            memo = self._memo = (grid, order, [face_average(grid, g, order) for _, g in self.terms])
+        weights = [math.exp(-k * t) for k, _ in self.terms]
+        averages = memo[2]
+        return VelocityField(
+            grid,
+            [sum(w * a.components[i] for w, a in zip(weights, averages)) for i in range(grid.dim)],
+        )
+
 
 class ManufacturedProblem:
     """Analytic (u, p, f) triple solving the momentum equation exactly.
 
-    velocity/forcing map (t, points (m, dim)) to (m, dim) arrays, pressure
-    to (m,). initial is velocity at t = 0 as a pure spatial callable.
+    velocity, pressure and forcing are Separable fields: velocity/forcing
+    map (t, points (m, dim)) to (m, dim) arrays, pressure to (m,). initial
+    is velocity at t = 0 as a pure spatial callable.
     """
 
     def __init__(self, name, dim, velocity, pressure, forcing, description):
@@ -45,100 +87,67 @@ class ManufacturedProblem:
         return f"ManufacturedProblem({self.name!r}, dim={self.dim})"
 
 
-def _compile_vector(exprs, args):
-    lams = [sympy.lambdify(args, e, modules="numpy") for e in exprs]
+def _compile(expr, xs):
+    """Compile a spatial expression, or a list of them, to pts -> (m,) or (m, len)."""
+    lam = sympy.lambdify(xs, expr, modules="numpy")
 
-    def call(t, pts):
+    def call(pts):
         pts = np.asarray(pts, dtype=float)
-        cols = []
-        for lam in lams:
-            v = np.asarray(lam(t, *pts.T), dtype=float)
-            if v.ndim == 0:
-                v = np.full(pts.shape[0], float(v))
-            cols.append(v)
-        return np.stack(cols, axis=-1)
+        zero = np.zeros(len(pts))  # broadcasts constant expressions
+        if isinstance(expr, list):
+            return np.stack([zero + v for v in lam(*pts.T)], axis=-1)
+        return zero + lam(*pts.T)
 
     return call
-
-
-def _compile_scalar(expr, args):
-    lam = sympy.lambdify(args, expr, modules="numpy")
-
-    def call(t, pts):
-        pts = np.asarray(pts, dtype=float)
-        v = np.asarray(lam(t, *pts.T), dtype=float)
-        if v.ndim == 0:
-            v = np.full(pts.shape[0], float(v))
-        return v
-
-    return call
-
-
-def _momentum_forcing(u, p, xs, t):
-    """f = du/dt + (u . grad) u - Lap u + grad p, componentwise.
-
-    Expressions stay in factored form: expanding the high-degree products
-    into monomial sums would make the compiled evaluators lose ~4 digits to
-    cancellation near the domain boundary.
-    """
-    f = []
-    for i, ui in enumerate(u):
-        expr = sympy.diff(ui, t)
-        expr += sum(u[j] * sympy.diff(ui, xs[j]) for j in range(len(xs)))
-        expr -= sum(sympy.diff(ui, xs[j], 2) for j in range(len(xs)))
-        expr += sympy.diff(p, xs[i])
-        f.append(expr)
-    return f
 
 
 @lru_cache(maxsize=None)
 def _build(name: str) -> ManufacturedProblem:
-    t = sympy.Symbol("t")
+    half = sympy.Rational(1, 2)
     if name in ("vortex2d", "rest2d"):
-        x, y = sympy.symbols("x y")
-        xs = (x, y)
+        xs = x, y = sympy.symbols("x y")
         if name == "rest2d":
-            u = [sympy.Integer(0), sympy.Integer(0)]
-            p = sympy.Integer(0)
+            U = [sympy.Integer(0), sympy.Integer(0)]
+            P = sympy.Integer(0)
             desc = "2D rest state: u = 0, p = 0, f = 0 (exact discrete fixed point)"
         else:
-            phi = 16 * (x * (1 - x) * y * (1 - y)) ** 2 * sympy.exp(-t)
-            u = [sympy.diff(phi, y), -sympy.diff(phi, x)]
-            p = (x - sympy.Rational(1, 2)) * (y - sympy.Rational(1, 2)) * sympy.exp(-t)
+            phi = 16 * (x * (1 - x) * y * (1 - y)) ** 2
+            U = [sympy.diff(phi, y), -sympy.diff(phi, x)]
+            P = (x - half) * (y - half)
             desc = "2D decaying polynomial vortex from a biquartic stream potential"
     elif name in ("vortex3d", "rest3d"):
-        x, y, z = sympy.symbols("x y z")
-        xs = (x, y, z)
+        xs = x, y, z = sympy.symbols("x y z")
         if name == "rest3d":
-            u = [sympy.Integer(0)] * 3
-            p = sympy.Integer(0)
+            U = [sympy.Integer(0)] * 3
+            P = sympy.Integer(0)
             desc = "3D rest state: u = 0, p = 0, f = 0 (exact discrete fixed point)"
         else:
-            phi = 512 * (x * (1 - x) * y * (1 - y) * z * (1 - z)) ** 2 * sympy.exp(-t)
+            phi = 512 * (x * (1 - x) * y * (1 - y) * z * (1 - z)) ** 2
             a = [phi, 2 * phi, 3 * phi]
-            u = [
+            U = [
                 sympy.diff(a[2], y) - sympy.diff(a[1], z),
                 sympy.diff(a[0], z) - sympy.diff(a[2], x),
                 sympy.diff(a[1], x) - sympy.diff(a[0], y),
             ]
-            p = (
-                (x - sympy.Rational(1, 2))
-                * (y - sympy.Rational(1, 2))
-                * (z - sympy.Rational(1, 2))
-                * sympy.exp(-t)
-            )
+            P = (x - half) * (y - half) * (z - half)
             desc = "3D decaying polynomial vortex from a curl of scaled potentials"
     else:
         raise ValueError(f"unknown manufactured problem {name!r}; have {sorted(PROBLEM_NAMES)}")
 
-    f = _momentum_forcing(u, p, xs, t)
-    args = (t, *xs)
+    # e^{-t} part: du/dt - Lap u + grad p; e^{-2t} part: (u . grad) u. Both
+    # share the first derivatives of U, the bulk of the symbolic work.
+    grad = [[sympy.diff(Ui, xj) for xj in xs] for Ui in U]
+    linear = [
+        -Ui - sum(sympy.diff(dUi[j], xj) for j, xj in enumerate(xs)) + sympy.diff(P, xi)
+        for Ui, dUi, xi in zip(U, grad, xs)
+    ]
+    convective = [sum(Uj * dUij for Uj, dUij in zip(U, dUi)) for dUi in grad]
     return ManufacturedProblem(
         name,
         len(xs),
-        _compile_vector(u, args),
-        _compile_scalar(p, args),
-        _compile_vector(f, args),
+        Separable([(1, _compile(U, xs))]),
+        Separable([(1, _compile(P, xs))]),
+        Separable([(1, _compile(linear, xs)), (2, _compile(convective, xs))]),
         desc,
     )
 

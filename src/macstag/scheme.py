@@ -48,6 +48,7 @@ from .fields import (
 )
 from .grid import MacGrid
 from .linalg import SeparableSolver, solve_gmres, tridiagonal
+from .mms import Separable
 from .operators import Operators
 from .projection import Projector
 
@@ -188,8 +189,11 @@ class ProjectionScheme:
     # -- one step ------------------------------------------------------------
 
     def _forcing_field(self, forcing, t_mid):
+        """Face means of f(t_mid); a Separable forcing reuses its per-grid averages."""
         if forcing is None:
             return VelocityField(self.grid)
+        if isinstance(forcing, Separable):
+            return forcing.face_average(self.grid, t_mid, self.quad_order)
         return face_average(self.grid, lambda pts: forcing(t_mid, pts), order=self.quad_order)
 
     def prediction(self, state: SchemeState, f_field: VelocityField, dt: float):

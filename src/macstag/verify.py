@@ -26,7 +26,6 @@ from .fields import (
     PressureField,
     Trajectory,
     VelocityField,
-    face_average,
     l2_norm,
     pressure_inner,
     velocity_inner,
@@ -272,7 +271,8 @@ class StudyReport:
 def convergence_study(problem, levels, t_final, *, quad_order=3, **scheme_kw) -> StudyReport:
     """Run a refinement ladder; levels is a list of (grid, steps) pairs.
 
-    Errors are summed level by level against face-averaged exact fields. The
+    Errors are summed level by level against the exact face averages that
+    problem.velocity.face_average combines from its per-grid averages. The
     corrected trajectory carries u^n on (t^n, t^{n+1}], so the L2(0,T;L2)
     error sums dt ||u^n - interp u(t^n)||^2 over n < N; the W^{1,2} error
     measures the predicted fields of levels 1..N.
@@ -286,7 +286,7 @@ def convergence_study(problem, levels, t_final, *, quad_order=3, **scheme_kw) ->
         l2l2_sq = h1_sq = coupling_sq = 0.0
         margin = math.inf
         for state, diag in scheme.iterate(problem.initial, problem.forcing, t_final, steps):
-            exact = face_average(grid, problem.velocity_at(state.n * dt), order=quad_order)
+            exact = problem.velocity.face_average(grid, state.n * dt, quad_order)
             exact.zero_exterior()
             if state.n < steps:
                 l2l2_sq += dt * l2_norm(state.u - exact) ** 2

@@ -1,6 +1,7 @@
 #
 # Manufactured solutions: divergence-free velocity, boundary behaviour,
-# and consistency of the derived forcing term.
+# consistency of the derived forcing term, and the per-grid face averages
+# of the separable fields.
 #
 # The forcing consistency oracle below recomputes every term of the
 # momentum balance with high-order finite differences, so it is independent
@@ -9,7 +10,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from macstag.fields import face_average
+from macstag.grid import MacGrid
 from macstag.mms import PROBLEM_NAMES, mms_problem
 
 
@@ -141,3 +146,71 @@ def test_registry():
     with pytest.raises(ValueError):
         mms_problem("channel")
     assert mms_problem("vortex3d").dim == 3
+
+
+# ---------------------------------------------------------------------------
+# separable fields: face averages of the spatial parts, once per grid
+
+
+def coords_axis(widths):
+    edges = np.concatenate([[0.0], np.cumsum(widths)])
+    return edges / edges[-1]
+
+
+@st.composite
+def coords_grids(draw):
+    # random coords grids on the unit box, 1-cell axes included
+    dim = draw(st.sampled_from([2, 3]))
+    cells = st.integers(1, 7 if dim == 2 else 5)
+    width = st.floats(0.05, 1.0)
+    shape = [draw(cells) for _ in range(dim)]
+    return MacGrid([coords_axis(draw(st.lists(width, min_size=n, max_size=n))) for n in shape])
+
+
+def assert_matches_pointwise(field, grid, t, order):
+    expected = face_average(grid, lambda pts: field(t, pts), order=order)
+    actual = field.face_average(grid, t, order)
+    # relative to the field's size on the box: faces of a 1-cell axis all lie
+    # on the boundary, where the velocity averages to roundoff
+    sample = np.random.default_rng(149).uniform(0.0, 1.0, size=(64, grid.dim))
+    scale = np.abs(field(t, sample)).max()
+    for a, e in zip(actual.components, expected.components):
+        assert a.shape == e.shape
+        if scale == 0.0:  # rest problems
+            assert np.all(a == 0.0)
+        else:
+            assert np.abs(a - e).max() <= 1e-13 * scale
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(grid=coords_grids(), t=st.sampled_from([0.0, 0.05, 0.3, 1.7]), rest=st.booleans())
+def test_separable_face_average_matches_pointwise(grid, t, rest):
+    name = ("rest" if rest else "vortex") + f"{grid.dim}d"
+    prob = mms_problem(name)
+    for field in (prob.velocity, prob.forcing):
+        assert_matches_pointwise(field, grid, t, order=3)
+
+
+def test_separable_face_average_is_never_stale():
+    # one problem object, alternating grids (same shape, other coords) and
+    # quadrature orders; every call must match a fresh pointwise average
+    prob = mms_problem("vortex2d")
+    rng = np.random.default_rng(139)
+    grids = [MacGrid([coords_axis(rng.uniform(0.2, 1.0, 5)) for _ in range(2)]) for _ in range(2)]
+    calls = [(0, 3, 0.1), (1, 3, 0.1), (0, 3, 0.2), (0, 5, 0.2), (1, 5, 0.3), (1, 3, 0.3), (0, 5, 0.1)]
+    for k, order, t in calls:
+        for field in (prob.velocity, prob.forcing):
+            assert_matches_pointwise(field, grids[k], t, order)
+    # a grid built afresh each time, as a study builds its levels
+    for _ in range(3):
+        grid = MacGrid([coords_axis(rng.uniform(0.2, 1.0, 4)) for _ in range(2)])
+        assert_matches_pointwise(prob.forcing, grid, 0.4, 3)
+
+
+def test_separable_face_average_returns_fresh_fields():
+    prob = mms_problem("vortex2d")
+    grid = MacGrid([coords_axis(np.ones(4))] * 2)
+    first = prob.velocity.face_average(grid, 0.2)
+    first.components[0][:] = np.nan
+    second = prob.velocity.face_average(grid, 0.2)
+    assert all(np.isfinite(c).all() for c in second.components)

@@ -265,3 +265,45 @@ def test_prediction_iterations_bounded(axes, name):
         iterations = [out.iterations for out in stats.per_direction]
         assert max(iterations) <= 8, iterations
         state, _ = scheme.step(state, prob.forcing, dt)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_separable_forcing_matches_generic_path(rng, dim):
+    # the per-grid averages of a Separable forcing and the pointwise average
+    # of the same forcing as a plain callable drive the same march
+    g = random_nonuniform_grid(rng, dim)
+    prob = mms_problem(f"vortex{dim}d")
+    levels = {}
+    for path, forcing in (("separable", prob.forcing), ("generic", lambda t, pts: prob.forcing(t, pts))):
+        levels[path] = list(ProjectionScheme(g).iterate(prob.initial, forcing, 0.1, 4))
+    for (sa, da), (sb, db) in zip(levels["separable"][1:], levels["generic"][1:]):
+        assert l2_norm(sa.u - sb.u) <= 1e-12 * l2_norm(sa.u)
+        assert l2_norm(sa.p - sb.p) <= 1e-12 * l2_norm(sa.p)
+        for column in ("kinetic_energy", "dissipation", "grad_p_norm", "coupling_norm"):
+            a, b = getattr(da, column), getattr(db, column)
+            assert abs(a - b) <= 1e-12 * abs(a), column
+        # a roundoff-sized column, on the scale of the terms it balances; the
+        # step itself guards div_max
+        assert abs(da.energy_residual - db.energy_residual) <= 1e-12 * da.energy_scale
+        assert (da.n, da.t, da.corr_iters) == (db.n, db.t, db.corr_iters)
+
+
+def test_separable_forcing_is_evaluated_once_per_grid(rng, monkeypatch):
+    prob = mms_problem("vortex2d")
+    points = []
+
+    def counted(g):
+        def call(pts):
+            points.append(len(pts))
+            return g(pts)
+
+        return call
+
+    monkeypatch.setattr(prob.forcing, "terms", [(k, counted(g)) for k, g in prob.forcing.terms])
+    grid = random_nonuniform_grid(rng, 2)  # a fresh grid: nothing is stored for it yet
+    per_step = []
+    for state, _ in ProjectionScheme(grid).iterate(prob.initial, prob.forcing, 0.1, 4):
+        per_step.append(sum(points))
+        points.clear()
+    assert per_step[1] > 0
+    assert per_step[2:] == [0, 0, 0]

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from macstag.fields import PressureField, Trajectory, VelocityField, face_average, l2_norm, w1q_norm
+from macstag.fields import PressureField, Trajectory, VelocityField, l2_norm, w1q_norm
 from macstag.grid import uniform_grid
 from macstag.mms import mms_problem
 from macstag.scheme import ProjectionScheme
@@ -156,7 +156,7 @@ class TestStudies:
         lv = convergence_study(prob, [(g, 4)], 0.1).levels[0]
         traj = ProjectionScheme(g).run(prob.initial, prob.forcing, 0.1, 4)
         dt = traj.dt
-        exact = [face_average(g, prob.velocity_at(n * dt)).zero_exterior() for n in range(5)]
+        exact = [prob.velocity.face_average(g, n * dt).zero_exterior() for n in range(5)]
         u, ut = traj.velocities, traj.predicted
         coupling = math.sqrt(sum(dt * l2_norm(ut[n] - u[n]) ** 2 for n in range(4)))
         assert lv.dt == dt
