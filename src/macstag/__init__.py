@@ -15,11 +15,9 @@ from .fields import (
     PressureField,
     Trajectory,
     VelocityField,
-    cell_average,
     face_average,
     l2_norm,
     pressure_inner,
-    trajectory_norms,
     velocity_inner,
     w1q_norm,
 )
@@ -50,11 +48,9 @@ __all__ = [
     "PressureField",
     "Trajectory",
     "VelocityField",
-    "cell_average",
     "face_average",
     "l2_norm",
     "pressure_inner",
-    "trajectory_norms",
     "velocity_inner",
     "w1q_norm",
     "MacGrid",

@@ -10,7 +10,10 @@ from __future__ import annotations
 
 import configparser
 import io
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
+
+import numpy as np
 
 from .grid import MacGrid, graded_axis, uniform_axis
 from .mms import PROBLEM_NAMES
@@ -139,6 +142,8 @@ def _floats(text, what, errors):
     except ValueError:
         errors.append(f"{what}: cannot parse {text!r} as numbers")
         return ()
+    if not all(math.isfinite(v) for v in vals):
+        errors.append(f"{what}: values must be finite, got {text!r}")
     return vals
 
 
@@ -153,10 +158,14 @@ def _ints(text, what, errors):
 
 def _one_float(text, what, errors, default=0.0):
     try:
-        return float(text)
+        val = float(text)
     except ValueError:
         errors.append(f"{what}: cannot parse {text!r} as a number")
         return default
+    if not math.isfinite(val):
+        errors.append(f"{what}: value must be finite, got {text!r}")
+        return default
+    return val
 
 
 def _one_int(text, what, errors, default=0):
@@ -281,7 +290,7 @@ def parse_config(path=None, *, text=None, env=None, overrides=None) -> RunConfig
         shape = "x".join(str(k) for k in n)
         errors.append(f"grid {shape} has no interior face: need at least 2 cells along one axis")
 
-    t_final = _one_float(values[("time", "final")], "time.final", errors)
+    t_final = _one_float(values[("time", "final")], "time.final", errors, 1.0)
     steps = _one_int(values[("time", "steps")], "time.steps", errors)
     if t_final <= 0:
         errors.append(f"time.final must be positive, got {t_final}")
@@ -292,14 +301,13 @@ def parse_config(path=None, *, text=None, env=None, overrides=None) -> RunConfig
     if problem not in PROBLEM_NAMES:
         errors.append(f"problem.name {problem!r} is not registered; have {sorted(PROBLEM_NAMES)}")
 
-    pred_tol = _one_float(values[("solver", "prediction_tol")], "solver.prediction_tol", errors)
-    poisson_tol = _one_float(values[("solver", "poisson_tol")], "solver.poisson_tol", errors)
+    pred_tol = _one_float(values[("solver", "prediction_tol")], "solver.prediction_tol", errors, 1e-10)
+    poisson_tol = _one_float(values[("solver", "poisson_tol")], "solver.poisson_tol", errors, 1e-10)
     max_iterations = _one_int(values[("solver", "max_iterations")], "solver.max_iterations", errors)
     quad_order = _one_int(values[("solver", "quad_order")], "solver.quad_order", errors, 3)
-    if pred_tol <= 0:
-        errors.append(f"solver.prediction_tol must be positive, got {pred_tol}")
-    if poisson_tol <= 0:
-        errors.append(f"solver.poisson_tol must be positive, got {poisson_tol}")
+    for name, tol in (("prediction_tol", pred_tol), ("poisson_tol", poisson_tol)):
+        if not 0 < tol < 1:
+            errors.append(f"solver.{name} must lie in (0, 1), got {tol}")
     if max_iterations < 0:
         errors.append(f"solver.max_iterations must be >= 0 (0 means automatic), got {max_iterations}")
     if quad_order < 1:
@@ -321,7 +329,7 @@ def parse_config(path=None, *, text=None, env=None, overrides=None) -> RunConfig
     if errors:
         raise ConfigError(errors)
 
-    return RunConfig(
+    cfg = RunConfig(
         domain_lo=lo,
         domain_hi=hi,
         grid_kind=kind,
@@ -340,3 +348,9 @@ def parse_config(path=None, *, text=None, env=None, overrides=None) -> RunConfig
         output_format=out_fmt,
         seed=seed,
     )
+    try:
+        with np.errstate(all="ignore"):  # an absurd grid.ratio overflows before MacGrid rejects it
+            cfg.build_grid()
+    except ValueError as exc:
+        raise ConfigError([f"grid.kind = {kind} cannot be built: {exc}"]) from exc
+    return cfg

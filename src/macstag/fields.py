@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import namedtuple
 
 import numpy as np
 
@@ -22,14 +21,11 @@ __all__ = [
     "PressureField",
     "VelocityField",
     "Trajectory",
-    "TrajectoryNorms",
     "face_average",
-    "cell_average",
     "l2_norm",
     "velocity_inner",
     "pressure_inner",
     "w1q_norm",
-    "trajectory_norms",
 ]
 
 
@@ -163,26 +159,6 @@ def face_average(grid: MacGrid, v, order: int = 3) -> VelocityField:
     return VelocityField(grid, comps)
 
 
-def cell_average(grid: MacGrid, q, order: int = 3) -> PressureField:
-    """Interpolate an analytic scalar by mean values over the cells.
-
-    q maps an (m, dim) array of points to an (m,) array.
-    """
-    nodes, weights = _gauss_nodes(order)
-    acc = np.zeros(grid.shape)
-    for combo in itertools.product(range(order), repeat=grid.dim):
-        coords_1d = []
-        weight = 1.0
-        for a in range(grid.dim):
-            k = combo[a]
-            coords_1d.append(grid.axes[a][:-1] + nodes[k] * grid.h[a])
-            weight *= weights[k]
-        mesh = np.meshgrid(*coords_1d, indexing="ij")
-        pts = np.stack([m.ravel() for m in mesh], axis=-1)
-        acc += weight * np.asarray(q(pts)).reshape(grid.shape)
-    return PressureField(grid, acc)
-
-
 # ---------------------------------------------------------------------------
 # norms
 
@@ -260,9 +236,6 @@ def w1q_norm(u: VelocityField, q: float = 2.0) -> float:
 # ---------------------------------------------------------------------------
 # trajectories
 
-TrajectoryNorms = namedtuple("TrajectoryNorms", ["l2_h1", "linf_l2", "l2_l2"])
-
-
 class Trajectory:
     """Time history of one run.
 
@@ -300,27 +273,3 @@ class Trajectory:
         self.pressures.append(p)
         if diag is not None:
             self.diagnostics.append(diag)
-
-    def _series(self, which):
-        if which == "predicted":
-            return self.predicted
-        if which == "corrected":
-            return self.velocities[1:]
-        raise ValueError(f"unknown trajectory selector {which!r}")
-
-
-def trajectory_norms(traj: Trajectory, which: str = "predicted") -> TrajectoryNorms:
-    """Discrete L2(0,T;W^{1,2}), Linf(0,T;L2) and L2(0,T;L2) trajectory norms.
-
-    All three are exact integrals of the piecewise-constant-in-time
-    trajectory, i.e. dt-weighted sums over the step levels 1 .. N.
-    """
-    fields = traj._series(which)
-    if not fields:
-        raise ValueError("empty trajectory")
-    dt = traj.dt
-    h1_sq = sum(dt * w1q_norm(f, 2.0) ** 2 for f in fields)
-    l2s = [l2_norm(f) for f in fields]
-    l2_sq = sum(dt * x**2 for x in l2s)
-    return TrajectoryNorms(math.sqrt(h1_sq), max(l2s), math.sqrt(l2_sq))
-

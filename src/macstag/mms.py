@@ -13,30 +13,89 @@ the momentum equation in convective form, f = du/dt + (u . grad) u - Lap u
 
     f(t, x) = e^{-t} (-U - Lap U + grad P) + e^{-2t} (U . grad) U,
 
-so the spatial parts are derived once from a t-free potential and compiled
-to numpy, and a Separable field face-averages them once per grid. The
-spatial expressions stay in factored form: expanding the high-degree
-products into monomial sums would make the compiled evaluators lose ~4
-digits to cancellation near the boundary, where the factors vanish.
+and every spatial part is a short sum of rank-1 terms c * prod_a p_a(x_a)
+with 1D polynomials p_a (tensor-product form). Derivatives and products act
+on the 1D factors, and the face mean of a term is its normal factor at the
+face coordinate times the 1D Gauss means of its transverse factors, so a
+Separable field face-averages its parts once per grid by outer products.
+The factors stay unexpanded across axes: multiplying them out into
+multivariate monomials would lose ~4 digits to cancellation near the
+boundary, where the factors vanish. Each 1D factor is a polynomial in the
+centered variable 2s - 1, about which the problems are symmetric; in the
+power basis about s = 0 the factors cancel ~100x worse near s = 1 (3e-13
+against 2e-15 of a field's maximum).
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import partial, reduce
 
 import numpy as np
-import sympy
+from numpy.polynomial import Polynomial
 
-from .fields import VelocityField, face_average
+from .fields import VelocityField, _gauss_nodes
+
+# A component is a list of terms (coef, (p_0, ..., p_{d-1})) standing for
+# sum coef * prod_a p_a(x_a); list concatenation is the sum.
+
+
+def _d(terms, a):
+    """Derivative along axis a."""
+    return [(c, ps[:a] + (ps[a].deriv(),) + ps[a + 1 :]) for c, ps in terms]
+
+
+def _scale(terms, s):
+    return [(s * c, ps) for c, ps in terms]
+
+
+def _mul(u, v):
+    return [(c * e, tuple(p * q for p, q in zip(ps, qs))) for c, ps in u for e, qs in v]
+
+
+def _evaluate(terms, pts):
+    """Values (m,) of a component at points (m, d)."""
+    pts = np.asarray(pts, dtype=float)
+    out = np.zeros(len(pts))
+    for c, ps in terms:
+        out += c * reduce(np.multiply, [p(x) for p, x in zip(ps, pts.T)])
+    return out
+
+
+class TensorField:
+    """Spatial vector field whose components are sums of rank-1 polynomial terms."""
+
+    def __init__(self, components):
+        self.components = components
+
+    def __call__(self, pts):
+        """Values (m, d) at points (m, d)."""
+        return np.stack([_evaluate(terms, pts) for terms in self.components], axis=-1)
+
+    def face_average(self, grid, order: int = 3) -> VelocityField:
+        """Face means as fields.face_average gives them, from 1D Gauss means per axis."""
+        nodes, weights = _gauss_nodes(order)
+        comps = []
+        for i, terms in enumerate(self.components):
+            acc = np.zeros(grid.face_shape(i))
+            for c, ps in terms:
+                factors = [
+                    p(grid.axes[a]) if a == i
+                    else sum(w * p(grid.axes[a][:-1] + x * grid.h[a]) for x, w in zip(nodes, weights))
+                    for a, p in enumerate(ps)
+                ]
+                acc += c * reduce(np.multiply, np.ix_(*factors))
+            comps.append(acc)
+        return VelocityField(grid, comps)
 
 
 class Separable:
-    """Field sum_k e^{-k t} g_k(x) with compiled spatial parts.
+    """Field sum_k e^{-k t} g_k(x) with spatial parts g_k.
 
     terms is a list of (k, g_k); each g_k maps points (m, dim) to values
     (m, dim) or (m,). Calling the field as (t, pts) evaluates it pointwise.
-    face_average(grid, t, order) averages each g_k over the faces once per
+    face_average(grid, t, order) needs vector parts with their own
+    face_average(grid, order) (TensorField): it averages each g_k once per
     (grid, order) and combines the stored averages for each t.
     """
 
@@ -51,7 +110,7 @@ class Separable:
         """Face means of the field at time t, as fields.face_average gives them."""
         memo = self._memo
         if memo is None or memo[0] is not grid or memo[1] != order:
-            memo = self._memo = (grid, order, [face_average(grid, g, order) for _, g in self.terms])
+            memo = self._memo = (grid, order, [g.face_average(grid, order) for _, g in self.terms])
         weights = [math.exp(-k * t) for k, _ in self.terms]
         averages = memo[2]
         return VelocityField(
@@ -87,76 +146,50 @@ class ManufacturedProblem:
         return f"ManufacturedProblem({self.name!r}, dim={self.dim})"
 
 
-def _compile(expr, xs):
-    """Compile a spatial expression, or a list of them, to pts -> (m,) or (m, len)."""
-    lam = sympy.lambdify(xs, expr, modules="numpy")
-
-    def call(pts):
-        pts = np.asarray(pts, dtype=float)
-        zero = np.zeros(len(pts))  # broadcasts constant expressions
-        if isinstance(expr, list):
-            return np.stack([zero + v for v in lam(*pts.T)], axis=-1)
-        return zero + lam(*pts.T)
-
-    return call
-
-
-@lru_cache(maxsize=None)
-def _build(name: str) -> ManufacturedProblem:
-    half = sympy.Rational(1, 2)
-    if name in ("vortex2d", "rest2d"):
-        xs = x, y = sympy.symbols("x y")
-        if name == "rest2d":
-            U = [sympy.Integer(0), sympy.Integer(0)]
-            P = sympy.Integer(0)
-            desc = "2D rest state: u = 0, p = 0, f = 0 (exact discrete fixed point)"
-        else:
-            phi = 16 * (x * (1 - x) * y * (1 - y)) ** 2
-            U = [sympy.diff(phi, y), -sympy.diff(phi, x)]
-            P = (x - half) * (y - half)
-            desc = "2D decaying polynomial vortex from a biquartic stream potential"
-    elif name in ("vortex3d", "rest3d"):
-        xs = x, y, z = sympy.symbols("x y z")
-        if name == "rest3d":
-            U = [sympy.Integer(0)] * 3
-            P = sympy.Integer(0)
-            desc = "3D rest state: u = 0, p = 0, f = 0 (exact discrete fixed point)"
-        else:
-            phi = 512 * (x * (1 - x) * y * (1 - y) * z * (1 - z)) ** 2
-            a = [phi, 2 * phi, 3 * phi]
-            U = [
-                sympy.diff(a[2], y) - sympy.diff(a[1], z),
-                sympy.diff(a[0], z) - sympy.diff(a[2], x),
-                sympy.diff(a[1], x) - sympy.diff(a[0], y),
-            ]
-            P = (x - half) * (y - half) * (z - half)
-            desc = "3D decaying polynomial vortex from a curl of scaled potentials"
-    else:
-        raise ValueError(f"unknown manufactured problem {name!r}; have {sorted(PROBLEM_NAMES)}")
-
-    # e^{-t} part: du/dt - Lap u + grad p; e^{-2t} part: (u . grad) u. Both
-    # share the first derivatives of U, the bulk of the symbolic work.
-    grad = [[sympy.diff(Ui, xj) for xj in xs] for Ui in U]
-    linear = [
-        -Ui - sum(sympy.diff(dUi[j], xj) for j, xj in enumerate(xs)) + sympy.diff(P, xi)
-        for Ui, dUi, xi in zip(U, grad, xs)
-    ]
-    convective = [sum(Uj * dUij for Uj, dUij in zip(U, dUi)) for dUi in grad]
-    return ManufacturedProblem(
-        name,
-        len(xs),
-        Separable([(1, _compile(U, xs))]),
-        Separable([(1, _compile(P, xs))]),
-        Separable([(1, _compile(linear, xs)), (2, _compile(convective, xs))]),
-        desc,
-    )
-
-
 PROBLEM_NAMES = ("vortex2d", "vortex3d", "rest2d", "rest3d")
+
+# 1D factors in the centered variable 2s - 1 (domain [0, 1])
+_Q2 = Polynomial([0.25, 0.0, -0.25], domain=[0, 1]) ** 2  # q(s)^2 with q(s) = s (1 - s)
+_CENTERED = Polynomial([0.0, 0.5], domain=[0, 1])  # s - 1/2
 
 
 def mms_problem(name: str) -> ManufacturedProblem:
-    """Look up a registered manufactured problem by name."""
+    """Build a registered manufactured problem by name; each call returns a fresh one."""
     if name not in PROBLEM_NAMES:
         raise ValueError(f"unknown manufactured problem {name!r}; have {sorted(PROBLEM_NAMES)}")
-    return _build(name)
+    dim = 2 if name.endswith("2d") else 3
+    if name.startswith("rest"):
+        U, P = [[] for _ in range(dim)], []
+        desc = f"{dim}D rest state: u = 0, p = 0, f = 0 (exact discrete fixed point)"
+    elif dim == 2:
+        phi = [(16.0, (_Q2, _Q2))]
+        U = [_d(phi, 1), _scale(_d(phi, 0), -1.0)]
+        P = [(1.0, (_CENTERED, _CENTERED))]
+        desc = "2D decaying polynomial vortex from a biquartic stream potential"
+    else:
+        phi = [(512.0, (_Q2, _Q2, _Q2))]
+        a = [phi, _scale(phi, 2.0), _scale(phi, 3.0)]
+        U = [
+            _d(a[2], 1) + _scale(_d(a[1], 2), -1.0),
+            _d(a[0], 2) + _scale(_d(a[2], 0), -1.0),
+            _d(a[1], 0) + _scale(_d(a[0], 1), -1.0),
+        ]
+        P = [(1.0, (_CENTERED, _CENTERED, _CENTERED))]
+        desc = "3D decaying polynomial vortex from a curl of scaled potentials"
+
+    # e^{-t} part: du/dt - Lap u + grad p; e^{-2t} part: (u . grad) u. Both
+    # share the first derivatives of U.
+    grad = [[_d(Ui, j) for j in range(dim)] for Ui in U]
+    linear = [
+        _scale(Ui + [term for j in range(dim) for term in _d(dUi[j], j)], -1.0) + _d(P, i)
+        for i, (Ui, dUi) in enumerate(zip(U, grad))
+    ]
+    convective = [[term for j in range(dim) for term in _mul(U[j], dUi[j])] for dUi in grad]
+    return ManufacturedProblem(
+        name,
+        dim,
+        Separable([(1, TensorField(U))]),
+        Separable([(1, partial(_evaluate, P))]),
+        Separable([(1, TensorField(linear)), (2, TensorField(convective))]),
+        desc,
+    )

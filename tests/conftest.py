@@ -15,6 +15,20 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.write_line(line)
 
 
+# config text with one bad numeric value each, and the key its error must
+# name; each must be rejected before anything runs
+BAD_NUMERIC_VALUES = [
+    ("[solver]\npoisson_tol = nan\n", "solver.poisson_tol"),
+    ("[solver]\nprediction_tol = 1e6\n", "solver.prediction_tol"),
+    ("[solver]\nprediction_tol = 1\n", "solver.prediction_tol"),
+    ("[time]\nfinal = inf\n", "time.final"),
+    ("[grid]\nkind = graded\nratio = nan\n", "grid.ratio"),
+    ("[grid]\nkind = graded\nratio = 1e300\n", "grid.kind = graded"),
+    ("[grid]\nkind = graded\nratio = 1e-300\n", "grid.kind = graded"),
+    ("[domain]\nhi = nan nan\n", "domain.hi"),
+]
+
+
 def random_nonuniform_grid(rng, dim, max_cells=8, lo=0.0, hi=1.0):
     """Random strictly increasing axis partitions, at least 2 cells per axis."""
     axes = []

@@ -17,6 +17,8 @@ from macstag.mms import mms_problem
 from macstag.output import write_diagnostics_csv
 from macstag.scheme import ProjectionScheme, SchemeError
 
+from conftest import BAD_NUMERIC_VALUES
+
 SMALL = "[grid]\nn = 4 4\n[time]\nfinal = 0.05\nsteps = 2\n"
 
 
@@ -183,6 +185,12 @@ def test_config_errors(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "what" in err
     assert main(["run", "--config", str(tmp_path / "missing.ini")]) == 2
+    for text, key in BAD_NUMERIC_VALUES:
+        bad.write_text(text)
+        assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2, text
+        err = capsys.readouterr().err
+        assert key in err and "Traceback" not in err, text
+    assert not os.path.exists(tmp_path / "o")
 
 
 def test_dimension_mismatch_is_config_error(tmp_path):

@@ -7,6 +7,8 @@ import pytest
 
 from macstag.config import DEFAULTS, ENV_PREFIX, ConfigError, parse_config
 
+from conftest import BAD_NUMERIC_VALUES
+
 
 def test_defaults():
     cfg = parse_config(None)
@@ -90,6 +92,10 @@ def test_validation_errors_collected():
     msg = str(err.value)
     for needle in ("extent", "final", "steps", "poisson_tol", "bogus"):
         assert needle in msg, f"missing {needle} in: {msg}"
+    for text, key in BAD_NUMERIC_VALUES:
+        with pytest.raises(ConfigError) as err:
+            parse_config(None, text=text)
+        assert len(err.value.errors) == 1 and key in err.value.errors[0], text
 
 
 def test_dimension_mismatch():

@@ -9,11 +9,9 @@ from macstag.fields import (
     PressureField,
     Trajectory,
     VelocityField,
-    cell_average,
     face_average,
     l2_norm,
     pressure_inner,
-    trajectory_norms,
     velocity_inner,
     w1q_norm,
 )
@@ -56,15 +54,6 @@ class TestFaceAverage:
         u = face_average(g, lambda p: np.ones((len(p), 3)))
         for c in u.components:
             np.testing.assert_allclose(c, 1.0, atol=1e-15)
-
-
-def test_cell_average_polynomial():
-    g = MacGrid([np.array([0.0, 0.4, 1.0]), np.array([0.0, 0.25, 1.0])])
-    p = cell_average(g, lambda pts: pts[:, 0] ** 2 * pts[:, 1])
-    # cell (1, 0): mean of x^2 over [0.4,1] times mean of y over [0,0.25]
-    mean_x2 = (1.0**3 - 0.4**3) / 3 / 0.6
-    mean_y = 0.125
-    np.testing.assert_allclose(p.data[1, 0], mean_x2 * mean_y, rtol=1e-14)
 
 
 def test_l2_norm_closed_forms():
@@ -178,18 +167,6 @@ class TestTrajectory:
         assert len(traj.velocities) == 5
         # intermediate fields exist for levels 1..N only
         assert len(traj.predicted) == 4
-
-    def test_single_step_norm_identities(self):
-        g = uniform_grid((0.0, 0.0), (1.0, 1.0), (3, 3))
-        dt = 0.25
-        traj = self.make(g, dt, 1)
-        u1 = traj.velocities[1]
-        norms = trajectory_norms(traj, which="corrected")
-        # piecewise constant in time: the L2(L2) norm over one interval is
-        # sqrt(dt) times the field norm
-        assert norms.l2_l2 == pytest.approx(np.sqrt(dt) * l2_norm(u1), rel=1e-13)
-        assert norms.linf_l2 == pytest.approx(l2_norm(u1), rel=1e-13)
-        assert norms.l2_h1 == pytest.approx(np.sqrt(dt) * w1q_norm(u1, 2.0), rel=1e-13)
 
 
 def test_field_arithmetic(rng):

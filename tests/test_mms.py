@@ -5,14 +5,20 @@
 #
 # The forcing consistency oracle below recomputes every term of the
 # momentum balance with high-order finite differences, so it is independent
-# of the symbolic derivation used by the package.
+# of the tensor-product derivation used by the package. A second oracle
+# derives the spatial parts symbolically with sympy, a test-only dependency.
 #
+
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import macstag
 from macstag.fields import face_average
 from macstag.grid import MacGrid
 from macstag.mms import PROBLEM_NAMES, mms_problem
@@ -139,6 +145,89 @@ def test_initial_matches_time_zero():
     pts = rng.uniform(0.0, 1.0, size=(20, 2))
     np.testing.assert_array_equal(prob.initial(pts), prob.velocity(0.0, pts))
     np.testing.assert_array_equal(prob.velocity_at(0.25)(pts), prob.velocity(0.25, pts))
+
+
+def symbolic_parts(name):
+    """U, P, -U - Lap U + grad P and (U . grad) U derived with sympy, compiled to numpy."""
+    sympy = pytest.importorskip("sympy")
+    dim = 2 if name.endswith("2d") else 3
+    xs = sympy.symbols("x y z")[:dim]
+    half = sympy.Rational(1, 2)
+    if name.startswith("rest"):
+        U, P = [sympy.Integer(0)] * dim, sympy.Integer(0)
+    elif dim == 2:
+        x, y = xs
+        phi = 16 * (x * (1 - x) * y * (1 - y)) ** 2
+        U, P = [sympy.diff(phi, y), -sympy.diff(phi, x)], (x - half) * (y - half)
+    else:
+        x, y, z = xs
+        phi = 512 * (x * (1 - x) * y * (1 - y) * z * (1 - z)) ** 2
+        a = [phi, 2 * phi, 3 * phi]
+        U = [
+            sympy.diff(a[2], y) - sympy.diff(a[1], z),
+            sympy.diff(a[0], z) - sympy.diff(a[2], x),
+            sympy.diff(a[1], x) - sympy.diff(a[0], y),
+        ]
+        P = (x - half) * (y - half) * (z - half)
+    grad = [[sympy.diff(Ui, xj) for xj in xs] for Ui in U]
+    linear = [
+        -Ui - sum(sympy.diff(dUi[j], xj) for j, xj in enumerate(xs)) + sympy.diff(P, xi)
+        for Ui, dUi, xi in zip(U, grad, xs)
+    ]
+    convective = [sum(Uj * dUij for Uj, dUij in zip(U, dUi)) for dUi in grad]
+
+    def compiled(expr):
+        lam = sympy.lambdify(xs, expr, modules="numpy")
+        return lambda pts: np.zeros(len(pts)) + np.asarray(lam(*pts.T))
+
+    return {
+        "U": [compiled(e) for e in U],
+        "P": [compiled(P)],
+        "linear": [compiled(e) for e in linear],
+        "convective": [compiled(e) for e in convective],
+    }
+
+
+def near_boundary_points(rng, dim, m):
+    # one coordinate within 1e-3 of 0 or 1, where the potential's factors vanish
+    pts = rng.uniform(0.0, 1.0, size=(m, dim))
+    axis = rng.integers(0, dim, m)
+    gap = rng.uniform(0.0, 1e-3, m)
+    pts[np.arange(m), axis] = np.where(rng.integers(0, 2, m) == 1, 1.0 - gap, gap)
+    return pts
+
+
+@pytest.mark.parametrize("name", PROBLEM_NAMES)
+def test_tensor_form_matches_symbolic_derivation(name):
+    prob = mms_problem(name)
+    expected = symbolic_parts(name)
+    parts = {
+        "U": prob.velocity.terms[0][1],
+        "P": lambda pts: prob.pressure.terms[0][1](pts)[:, None],
+        "linear": prob.forcing.terms[0][1],
+        "convective": prob.forcing.terms[1][1],
+    }
+    assert [k for k, _ in prob.forcing.terms] == [1, 2]
+    rng = np.random.default_rng(151)
+    pts = np.vstack([rng.uniform(0.0, 1.0, size=(4000, prob.dim)), near_boundary_points(rng, prob.dim, 4000)])
+    for key, part in parts.items():
+        actual = part(pts)
+        for i, exact in enumerate(expected[key]):
+            e = exact(pts)
+            scale = np.abs(e).max()
+            if scale == 0.0:  # rest problems
+                assert np.all(actual[:, i] == 0.0), key
+            else:
+                assert np.abs(actual[:, i] - e).max() <= 1e-13 * scale, (key, i)
+
+
+def test_import_leaves_sympy_out():
+    # a fresh interpreter: this test process may have imported sympy already
+    src = os.path.dirname(os.path.dirname(macstag.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sys, macstag; print('sympy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_registry():

@@ -289,21 +289,24 @@ def test_separable_forcing_matches_generic_path(rng, dim):
 
 
 def test_separable_forcing_is_evaluated_once_per_grid(rng, monkeypatch):
+    # counts the per-grid face averages of the forcing's spatial parts: one
+    # per part on the first step, none after
     prob = mms_problem("vortex2d")
-    points = []
+    calls = []
 
-    def counted(g):
-        def call(pts):
-            points.append(len(pts))
-            return g(pts)
+    def counted(average):
+        def call(grid, order):
+            calls.append(grid)
+            return average(grid, order)
 
         return call
 
-    monkeypatch.setattr(prob.forcing, "terms", [(k, counted(g)) for k, g in prob.forcing.terms])
+    for _, g in prob.forcing.terms:
+        monkeypatch.setattr(g, "face_average", counted(g.face_average))
     grid = random_nonuniform_grid(rng, 2)  # a fresh grid: nothing is stored for it yet
     per_step = []
     for state, _ in ProjectionScheme(grid).iterate(prob.initial, prob.forcing, 0.1, 4):
-        per_step.append(sum(points))
-        points.clear()
-    assert per_step[1] > 0
+        per_step.append(len(calls))
+        calls.clear()
+    assert per_step[1] == len(prob.forcing.terms) == 2
     assert per_step[2:] == [0, 0, 0]
