@@ -134,8 +134,13 @@ def face_average(grid: MacGrid, v, order: int = 3) -> VelocityField:
     Component i is averaged over each direction-i face with a tensoric
     Gauss-Legendre rule of the given order per transverse axis. Boundary
     faces keep their quadrature value, which is 0 for fields vanishing on
-    the boundary.
+    the boundary. A macstag.mms.TensorField averages itself with the same
+    rule from 1D Gauss means, without pointwise evaluation.
     """
+    from .mms import TensorField  # mms builds on this module
+
+    if isinstance(v, TensorField):
+        return v.face_average(grid, order)
     nodes, weights = _gauss_nodes(order)
     comps = []
     for i in range(grid.dim):

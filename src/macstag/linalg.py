@@ -41,12 +41,17 @@ class SolverError(RuntimeError):
 
 
 class SolveResult:
-    """Solution vector plus honest convergence data."""
+    """Solution vector plus honest convergence data.
 
-    def __init__(self, x, iterations, residual):
+    residual is the relative residual ||b - A x|| / ||b||, and
+    residual_vector the b - A x it comes from, one fresh matvec.
+    """
+
+    def __init__(self, x, iterations, residual, residual_vector):
         self.x = x
         self.iterations = iterations
         self.residual = residual
+        self.residual_vector = residual_vector
 
     def __repr__(self):
         return f"SolveResult(iterations={self.iterations}, residual={self.residual:.3e})"
@@ -114,7 +119,7 @@ def solve_gmres(A, b, *, tol=1e-10, maxiter=None, x0=None, M=None):
     b = np.asarray(b, dtype=float)
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
-        return SolveResult(np.zeros(b.size), 0, 0.0)
+        return SolveResult(np.zeros(b.size), 0, 0.0, np.zeros(b.size))
     inner = []  # one preconditioned residual per GMRES iteration
     # callback_type "legacy" makes maxiter count inner iterations, not restart cycles
     x, info = spla.gmres(
@@ -122,7 +127,8 @@ def solve_gmres(A, b, *, tol=1e-10, maxiter=None, x0=None, M=None):
         maxiter=MAX_ITERATIONS if maxiter is None else maxiter, M=M,
         callback=inner.append, callback_type="legacy",
     )
-    residual = float(np.linalg.norm(b - A @ x)) / bnorm
+    r = b - A @ x
+    residual = float(np.linalg.norm(r)) / bnorm
     if info != 0 or residual > tol:
         raise SolverError("GMRES did not converge", len(inner), residual)
-    return SolveResult(x, len(inner), residual)
+    return SolveResult(x, len(inner), residual, r)

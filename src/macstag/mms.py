@@ -124,19 +124,18 @@ class ManufacturedProblem:
 
     velocity, pressure and forcing are Separable fields: velocity/forcing
     map (t, points (m, dim)) to (m, dim) arrays, pressure to (m,). initial
-    is velocity at t = 0 as a pure spatial callable.
+    is the velocity at t = 0, its spatial part U: a TensorField, callable
+    on points and face-averaged from 1D Gauss means.
     """
 
-    def __init__(self, name, dim, velocity, pressure, forcing, description):
+    def __init__(self, name, dim, velocity, pressure, forcing, description, initial):
         self.name = name
         self.dim = dim
         self.velocity = velocity
         self.pressure = pressure
         self.forcing = forcing
         self.description = description
-
-    def initial(self, pts):
-        return self.velocity(0.0, pts)
+        self.initial = initial
 
     def velocity_at(self, t):
         """Spatial slice u(t, .) for interpolation helpers."""
@@ -185,11 +184,13 @@ def mms_problem(name: str) -> ManufacturedProblem:
         for i, (Ui, dUi) in enumerate(zip(U, grad))
     ]
     convective = [[term for j in range(dim) for term in _mul(U[j], dUi[j])] for dUi in grad]
+    velocity = TensorField(U)
     return ManufacturedProblem(
         name,
         dim,
-        Separable([(1, TensorField(U))]),
+        Separable([(1, velocity)]),
         Separable([(1, partial(_evaluate, P))]),
         Separable([(1, TensorField(linear)), (2, TensorField(convective))]),
         desc,
+        velocity,
     )

@@ -17,6 +17,14 @@ With cell volumes M_p and dual volumes M_v as weights, M_v G = -(M_p D)^T
 holds entrywise, which is the discrete duality the projection step relies
 on. The skew identity v.C(a)w + w.C(a)v = sum_sigma v_sigma w_sigma (net
 dual-cell flux) vanishes whenever div a = 0.
+
+C_i(a) is linear in a, and its sparsity pattern depends on the grid alone
+(Verstappen & Veldman, JCP 2003): the pattern of S_i, which also holds the
+diagonal of M_i. Everything that depends only on the grid is therefore built
+once, with the operators: a flux map Phi_i from the full face arrays of a to
+the dual-face fluxes, and a +-1/2 incidence matrix that scatters the fluxes
+onto the pattern of S_i. convection_blocks(a) is then two sparse matvecs per
+direction, and its blocks share their index arrays with S_i.
 """
 
 from __future__ import annotations
@@ -30,6 +38,17 @@ from .fields import PressureField, VelocityField, _bcast
 from .grid import MacGrid
 
 __all__ = ["Operators"]
+
+
+def on_pattern(S, data):
+    """CSR matrix with the values data on the pattern of S, sharing its index arrays.
+
+    The matrix keeps S.indices and S.indptr themselves (the constructor
+    would keep views of them), so its structure must not be changed in place.
+    """
+    mat = sp.csr_matrix((data, S.indices, S.indptr), shape=S.shape)
+    mat.indices, mat.indptr = S.indices, S.indptr
+    return mat
 
 
 class Operators:
@@ -67,6 +86,11 @@ class Operators:
         self.G = self._assemble_gradient()
         self.D = self._assemble_divergence()
         self.laplace_blocks = [self._assemble_stiffness(i) for i in range(d)]
+
+        # start of each direction in the concatenated full face arrays
+        self._face_base = np.concatenate([[0], np.cumsum([f.size for f in self._face_idx])])
+        maps = [self._convection_map(i) for i in range(d)]
+        self._flux_maps, self._incidences, self._diag_pos = ([m[k] for m in maps] for k in range(3))
 
     # -- vector packing ----------------------------------------------------
 
@@ -147,25 +171,18 @@ class Operators:
         )
         return mat.tocsr()
 
-    def _pair_entries(self, i, idx_minus, idx_plus, coef, rows, cols, vals, skew=False):
-        """Append the 4-entry stencil of one dual-face batch, dropping boundary DOFs.
+    def _pair_entries(self, i, idx_minus, idx_plus, coef, rows, cols, vals):
+        """Append the symmetric 4-entry stencil of one dual-face batch, dropping boundary DOFs.
 
-        Symmetric (diffusion) batches add coef to both diagonals and -coef to
-        both off-diagonals. Skew (convection) batches add the outward-flux
-        stencil: +coef/2 on the minus row, -coef/2 on the plus row, both
-        columns. Entries touching eliminated boundary DOFs are dropped, which
-        is exact because those values are zero.
+        Each batch adds coef to both diagonals and -coef to both
+        off-diagonals. Entries touching eliminated boundary DOFs are dropped,
+        which is exact because those values are zero.
         """
         pos = self._loc_pos[i]
         m = pos[idx_minus.ravel()]
         p = pos[idx_plus.ravel()]
         c = coef.ravel()
-        if skew:
-            half = 0.5 * c
-            batches = [(m, m, half), (m, p, half), (p, m, -half), (p, p, -half)]
-        else:
-            batches = [(m, m, c), (p, p, c), (m, p, -c), (p, m, -c)]
-        for r, cc, v in batches:
+        for r, cc, v in [(m, m, c), (p, p, c), (m, p, -c), (p, m, -c)]:
             keep = (r >= 0) & (cc >= 0)
             rows.append(r[keep])
             cols.append(cc[keep])
@@ -217,64 +234,132 @@ class Operators:
         )
         return mat.tocsr()
 
+    def _convection_fluxes(self, i):
+        """Dual faces of block i and their advecting fluxes as linear forms in a.
+
+        Yields (idx_minus, idx_plus, terms) per batch of dual faces: the
+        direction-i faces on either side, and (columns, weights) pairs so that
+        the flux F_eps is sum_k weights_k * a_full[columns_k], a_full being
+        the concatenated full face arrays of a (boundary faces included). A
+        column of -1 marks a missing term.
+        """
+        g = self.grid
+        d = g.dim
+        n = g.shape[i]
+        # along axis i: the mean of a_i on the two faces of the primal cell
+        idx_m = self._face_idx[i].take(range(0, n), axis=i)
+        idx_p = self._face_idx[i].take(range(1, n + 1), axis=i)
+        half = 0.5 * self._cross_widths(i, i, n)
+        yield idx_m, idx_p, [(idx_m + self._face_base[i], half), (idx_p + self._face_base[i], half)]
+
+        # across axis j: a_j on the two primal faces the dual face straddles,
+        # weighted by the widths of their cells along i
+        h_minus = _bcast(np.concatenate([[0.0], g.h[i]]), i, d)
+        h_plus = _bcast(np.concatenate([g.h[i], [0.0]]), i, d)
+        for j in range(d):
+            nj = g.shape[j]
+            if j == i or nj < 2:
+                continue
+            cross = np.ones(1)
+            for ax in range(d):
+                if ax != i and ax != j:
+                    cross = cross * _bcast(g.h[ax], ax, d)
+            aj = self._face_idx[j].take(range(1, nj), axis=j) + self._face_base[j]
+            pad = np.full(tuple(1 if ax == i else s for ax, s in enumerate(aj.shape)), -1)
+            idx_m = self._face_idx[i].take(range(0, nj - 1), axis=j)
+            idx_p = self._face_idx[i].take(range(1, nj), axis=j)
+            yield idx_m, idx_p, [
+                (np.concatenate([pad, aj], axis=i), 0.5 * cross * h_minus),
+                (np.concatenate([aj, pad], axis=i), 0.5 * cross * h_plus),
+            ]
+            # wall planes carry zero advecting flux, nothing to add
+
+    def _convection_map(self, i):
+        """The map a -> C_i(a) onto the pattern of S_i, and the diagonal's positions.
+
+        S_i already holds every entry M_i/dt and C_i(a) can have: the diagonal,
+        and the four entries of every dual face between two interior faces;
+        so its pattern is the union pattern of the prediction block. The map
+        factors as a sparse flux map Phi_i (full face arrays of a -> dual-face
+        fluxes) and a +-1/2 incidence onto that pattern: the outward-flux
+        stencil +F/2 on the minus row and -F/2 on the plus row, both columns,
+        entries touching boundary DOFs dropped.
+        """
+        pos = self._loc_pos[i]
+        S = self.laplace_blocks[i]
+        minus, plus, phi_rows, phi_cols, phi_vals = [], [], [], [], []
+        n_flux = 0
+        for idx_m, idx_p, terms in self._convection_fluxes(i):
+            minus.append(pos[idx_m.ravel()])
+            plus.append(pos[idx_p.ravel()])
+            ids = n_flux + np.arange(idx_m.size)
+            n_flux += idx_m.size
+            for cols, w in terms:
+                cols = cols.ravel()
+                keep = cols >= 0
+                phi_rows.append(ids[keep])
+                phi_cols.append(cols[keep])
+                phi_vals.append(np.broadcast_to(w, idx_m.shape).ravel()[keep])
+        phi = sp.csr_matrix(
+            (np.concatenate(phi_vals), (np.concatenate(phi_rows), np.concatenate(phi_cols))),
+            shape=(n_flux, int(self._face_base[-1])),
+        )
+
+        # position of entry (r, c) in S.data: a row's column is fixed by its
+        # offset c - r, and a stencil matrix has only a few distinct offsets.
+        # slots[r, rank[c - r + size]] is the position, -1 where S has none.
+        size = S.shape[0]
+        rows = np.repeat(np.arange(size), np.diff(S.indptr))
+        shifted = S.indices - rows + size
+        present = np.bincount(shifted, minlength=2 * size) > 0
+        n_offsets = np.count_nonzero(present)
+        rank = np.full(2 * size, n_offsets)  # absent offsets select a column of -1
+        rank[present] = np.arange(n_offsets)
+        slots = np.full((size, n_offsets + 1), -1, dtype=S.indices.dtype)
+        slots[rows, rank[shifted]] = np.arange(S.nnz)
+
+        def where(r, c):
+            found = slots[r, rank[c - r + size]]
+            if np.any(found < 0):
+                raise AssertionError(f"convection entry outside the stiffness pattern of block {i}")
+            return found
+
+        m, p = np.concatenate(minus), np.concatenate(plus)
+        flux = np.arange(n_flux)
+        inc_pos, inc_flux, inc_vals = [], [], []
+        for r, c, v in [(m, m, 0.5), (m, p, 0.5), (p, m, -0.5), (p, p, -0.5)]:
+            keep = (r >= 0) & (c >= 0)
+            inc_pos.append(where(r[keep], c[keep]))
+            inc_flux.append(flux[keep])
+            inc_vals.append(np.full(inc_flux[-1].size, v))
+        incidence = sp.csc_matrix(
+            (np.concatenate(inc_vals), (np.concatenate(inc_pos), np.concatenate(inc_flux))),
+            shape=(S.nnz, n_flux),
+        )
+        diag = np.arange(size)
+        return phi, incidence, where(diag, diag)
+
     def convection_blocks(self, a: VelocityField):
-        """Per-direction weak convection matrices built from the advecting field a.
+        """Per-direction weak convection matrices C_i(a) on the prediction pattern.
 
         Row sigma of block i applies sum over the dual faces of sigma of
         F_eps * (w_sigma + w_sigma')/2 with outward orientation; F_eps is the
         mean of the two primal-face fluxes of a adjacent to the dual face.
         Boundary values of a are taken as stored (zero for admissible fields).
+        The values are two sparse matvecs on the full face arrays of a; every
+        block shares indices and indptr with the pattern and owns its data.
         """
-        g = self.grid
-        d = g.dim
+        a_full = np.concatenate([c.ravel() for c in a.components])
         blocks = []
-        for i in range(d):
-            n = g.shape[i]
-            rows, cols, vals = [], [], []
-
-            ai = a.components[i]
-            idx_m = self._face_idx[i].take(range(0, n), axis=i)
-            idx_p = self._face_idx[i].take(range(1, n + 1), axis=i)
-            cross = self._cross_widths(i, i, n)
-            flux = 0.5 * cross * (ai.take(range(0, n), axis=i) + ai.take(range(1, n + 1), axis=i))
-            self._pair_entries(i, idx_m, idx_p, flux, rows, cols, vals, skew=True)
-
-            hi_minus = np.concatenate([[0.0], g.h[i]])
-            hi_plus = np.concatenate([g.h[i], [0.0]])
-            for j in range(d):
-                if j == i:
-                    continue
-                nj = g.shape[j]
-                if nj < 2:
-                    continue
-                aj = a.components[j]
-                zero = np.zeros(tuple(1 if ax == i else s for ax, s in enumerate(aj.shape)))
-                aj_lo = np.concatenate([zero, aj], axis=i).take(range(1, nj), axis=j)
-                aj_hi = np.concatenate([aj, zero], axis=i).take(range(1, nj), axis=j)
-                cross = np.ones(1)
-                for ax in range(d):
-                    if ax != i and ax != j:
-                        cross = cross * _bcast(g.h[ax], ax, d)
-                flux = 0.5 * cross * (
-                    _bcast(hi_minus, i, d) * aj_lo + _bcast(hi_plus, i, d) * aj_hi
-                )
-                idx_m = self._face_idx[i].take(range(0, nj - 1), axis=j)
-                idx_p = self._face_idx[i].take(range(1, nj), axis=j)
-                self._pair_entries(
-                    i, idx_m, idx_p, np.broadcast_to(flux, idx_m.shape), rows, cols, vals, skew=True
-                )
-                # wall planes carry zero advecting flux, nothing to add
-
-            size = self.block_sizes[i]
-            if rows:
-                mat = sp.coo_matrix(
-                    (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                    shape=(size, size),
-                )
-                blocks.append(mat.tocsr())
-            else:
-                blocks.append(sp.csr_matrix((size, size)))
+        for S, phi, incidence in zip(self.laplace_blocks, self._flux_maps, self._incidences):
+            blocks.append(on_pattern(S, incidence @ (phi @ a_full)))
         return blocks
+
+    def momentum_values(self, i, dt):
+        """Values of M_i/dt + S_i on the prediction pattern of block i."""
+        vals = self.laplace_blocks[i].data.copy()
+        vals[self._diag_pos[i]] += self.mass_blocks[i] / dt
+        return vals
 
     # -- operator application ----------------------------------------------
 

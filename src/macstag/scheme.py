@@ -14,6 +14,9 @@ is skew apart from a diagonal carried by div u^n (zero to roundoff: the
 pressure solve is exact). Each component system is solved by GMRES,
 preconditioned by the exact separable inverse of its symmetric part
 M_i/dt + S_i; the per-axis eigenpairs behind it are computed once per grid.
+The system matrices are never assembled during a step: the operators fill
+the values of C_i(u^n) into the grid's fixed pattern, and the values of
+M_i/dt + S_i on that pattern are kept for the current dt.
 Every step records the terms of the discrete energy inequality
 
     (1/2dt)(||u^{n+1}||^2 - ||u^n||^2) + (dt/2)(||grad p^{n+1}||^2
@@ -36,7 +39,6 @@ from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .fields import (
@@ -49,7 +51,7 @@ from .fields import (
 from .grid import MacGrid
 from .linalg import SeparableSolver, solve_gmres, tridiagonal
 from .mms import Separable
-from .operators import Operators
+from .operators import Operators, on_pattern
 from .projection import Projector
 
 __all__ = ["ProjectionScheme", "SchemeState", "StepDiagnostics", "SchemeError", "DIAGNOSTIC_COLUMNS"]
@@ -166,6 +168,7 @@ class ProjectionScheme:
         self.quad_order = int(quad_order)
         self.projector = Projector(self.ops)
         self._momentum_solvers = [_momentum_solver(grid, i) for i in range(grid.dim)]
+        self._momentum_values = None  # (dt, values of M_i/dt + S_i on the pattern of S_i)
 
     # -- setup ---------------------------------------------------------------
 
@@ -196,6 +199,17 @@ class ProjectionScheme:
             return forcing.face_average(self.grid, t_mid, self.quad_order)
         return face_average(self.grid, lambda pts: forcing(t_mid, pts), order=self.quad_order)
 
+    def prediction_blocks(self, conv, dt: float):
+        """The prediction matrices M_i/dt + S_i + C_i, given the convection blocks C_i.
+
+        Each shares indices and indptr with C_i and the stiffness block S_i;
+        the values of M_i/dt + S_i are computed once per dt.
+        """
+        dt = float(dt)
+        if self._momentum_values is None or self._momentum_values[0] != dt:
+            self._momentum_values = (dt, [self.ops.momentum_values(i, dt) for i in range(self.grid.dim)])
+        return [on_pattern(C, base + C.data) for base, C in zip(self._momentum_values[1], conv)]
+
     def prediction(self, state: SchemeState, f_field: VelocityField, dt: float):
         """Solve the implicit momentum systems, one per component direction.
 
@@ -211,10 +225,9 @@ class ProjectionScheme:
         x = np.empty_like(u_vec)
         res_sq = 0.0
         stats = PredictionStats(iterations=0, residual=0.0, residual_l2=0.0, convection=conv)
-        for i in range(self.grid.dim):
+        for i, A in enumerate(self.prediction_blocks(conv, dt)):
             sl = slice(ops.offsets[i], ops.offsets[i + 1])
             mass = ops.mass_blocks[i]
-            A = (sp.diags(mass / dt) + ops.laplace_blocks[i] + conv[i]).tocsr()
             rhs = mass * (u_vec[sl] / dt + f_vec[sl] - gp[sl])
             fdm = partial(self._momentum_solvers[i].solve, shift=1.0 / dt)
             precond = spla.LinearOperator(A.shape, matvec=fdm, dtype=float)
@@ -222,7 +235,7 @@ class ProjectionScheme:
                 A, rhs, tol=self.prediction_tol, maxiter=self.max_iterations, x0=u_vec[sl], M=precond
             )
             x[sl] = out.x
-            r = rhs - A @ out.x
+            r = out.residual_vector
             res_sq += float(np.sum(r * r / mass))
             stats.iterations += out.iterations
             stats.residual = max(stats.residual, out.residual)

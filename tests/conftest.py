@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from macstag.grid import MacGrid
+
+# every property test replays the same examples on every run
+settings.register_profile("macstag", derandomize=True, deadline=None)
+settings.load_profile("macstag")
 
 # one line per acceptance criterion, printed at the end of the session
 ACCEPTANCE_LINES = []

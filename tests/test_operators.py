@@ -8,11 +8,14 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from macstag.fields import VelocityField, face_average, l2_norm, velocity_inner, w1q_norm
-from macstag.grid import MacGrid, uniform_grid
+from macstag.fields import VelocityField, _bcast, face_average, l2_norm, velocity_inner, w1q_norm
+from macstag.grid import MacGrid, graded_axis, uniform_grid
 from macstag.operators import Operators
 from macstag.projection import Projector
+from macstag.scheme import ProjectionScheme
 from macstag.verify import random_pressure, random_velocity
 
 from conftest import random_nonuniform_grid
@@ -246,6 +249,120 @@ def test_convect_matches_form(rng):
         ops.pack(v) @ np.concatenate([blocks[i] @ ops.block(ops.pack(w), i) for i in range(3)])
     )
     assert ops.convection_form(a, w, v) == pytest.approx(total, rel=1e-12, abs=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# the convection map against a per-call COO assembly
+
+
+def _skew_pair_entries(ops, i, idx_minus, idx_plus, flux, rows, cols, vals):
+    """Outward-flux stencil of one dual-face batch: +F/2 on the minus row,
+    -F/2 on the plus row, both columns, entries on boundary DOFs dropped."""
+    pos = ops._loc_pos[i]
+    m = pos[idx_minus.ravel()]
+    p = pos[idx_plus.ravel()]
+    half = 0.5 * flux.ravel()
+    for r, c, v in [(m, m, half), (m, p, half), (p, m, -half), (p, p, -half)]:
+        keep = (r >= 0) & (c >= 0)
+        rows.append(r[keep])
+        cols.append(c[keep])
+        vals.append(v[keep])
+
+
+def assembled_convection_blocks(ops, a):
+    """Oracle: C_i(a) built from COO batches on every call, as the package once did."""
+    g = ops.grid
+    d = g.dim
+    blocks = []
+    for i in range(d):
+        n = g.shape[i]
+        rows, cols, vals = [], [], []
+
+        ai = a.components[i]
+        idx_m = ops._face_idx[i].take(range(0, n), axis=i)
+        idx_p = ops._face_idx[i].take(range(1, n + 1), axis=i)
+        cross = ops._cross_widths(i, i, n)
+        flux = 0.5 * cross * (ai.take(range(0, n), axis=i) + ai.take(range(1, n + 1), axis=i))
+        _skew_pair_entries(ops, i, idx_m, idx_p, flux, rows, cols, vals)
+
+        hi_minus = np.concatenate([[0.0], g.h[i]])
+        hi_plus = np.concatenate([g.h[i], [0.0]])
+        for j in range(d):
+            nj = g.shape[j]
+            if j == i or nj < 2:
+                continue
+            aj = a.components[j]
+            zero = np.zeros(tuple(1 if ax == i else s for ax, s in enumerate(aj.shape)))
+            aj_lo = np.concatenate([zero, aj], axis=i).take(range(1, nj), axis=j)
+            aj_hi = np.concatenate([aj, zero], axis=i).take(range(1, nj), axis=j)
+            cross = np.ones(1)
+            for ax in range(d):
+                if ax != i and ax != j:
+                    cross = cross * _bcast(g.h[ax], ax, d)
+            flux = 0.5 * cross * (_bcast(hi_minus, i, d) * aj_lo + _bcast(hi_plus, i, d) * aj_hi)
+            idx_m = ops._face_idx[i].take(range(0, nj - 1), axis=j)
+            idx_p = ops._face_idx[i].take(range(1, nj), axis=j)
+            _skew_pair_entries(ops, i, idx_m, idx_p, np.broadcast_to(flux, idx_m.shape), rows, cols, vals)
+
+        size = ops.block_sizes[i]
+        if rows:
+            mat = sp.coo_matrix(
+                (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(size, size)
+            )
+            blocks.append(mat.tocsr())
+        else:
+            blocks.append(sp.csr_matrix((size, size)))
+    return blocks
+
+
+def assert_same_block(actual, expected):
+    """Entrywise to 1e-15 of the block's maximum, and the same nonzero structure."""
+    assert actual.shape == expected.shape
+    a, e = actual.toarray(), expected.toarray()
+    scale = np.abs(e).max() if e.size else 0.0
+    assert np.abs(a - e).max(initial=0.0) <= 1e-15 * scale
+    np.testing.assert_array_equal(a != 0.0, e != 0.0)
+
+
+def _coords_axis(widths):
+    edges = np.concatenate([[0.0], np.cumsum(widths)])
+    return edges / edges[-1]
+
+
+@st.composite
+def mac_grids(draw):
+    # coords or graded grids with 1-cell axes; one axis has two cells at
+    # least, or there is no interior face at all
+    dim = draw(st.sampled_from([2, 3]))
+    cells = st.integers(1, 6 if dim == 2 else 4)
+    shape = [draw(cells) for _ in range(dim)]
+    shape[draw(st.integers(0, dim - 1))] = draw(st.integers(2, 6 if dim == 2 else 4))
+    if draw(st.booleans()):
+        ratio = draw(st.floats(1.0, 1.5))
+        return MacGrid([graded_axis(0.0, 1.0, n, ratio) for n in shape])
+    width = st.floats(0.05, 1.0)
+    return MacGrid([_coords_axis(draw(st.lists(width, min_size=n, max_size=n))) for n in shape])
+
+
+@settings(max_examples=60)
+@given(
+    grid=mac_grids(),
+    seed=st.integers(0, 2**32 - 1),
+    interior_only=st.booleans(),
+    dt=st.sampled_from([1.0, 1.0 / 32, 1e-4]),
+)
+def test_convection_scatter_matches_assembly(grid, seed, interior_only, dt):
+    # boundary faces of a enter the along-axis fluxes, so draws with nonzero
+    # boundary values check that the map reads the full face arrays
+    scheme = ProjectionScheme(grid)
+    ops = scheme.ops
+    a = random_velocity(grid, np.random.default_rng(seed), interior_only=interior_only)
+    conv = ops.convection_blocks(a)
+    oracle = assembled_convection_blocks(ops, a)
+    for i, A in enumerate(scheme.prediction_blocks(conv, dt)):
+        assert_same_block(conv[i], oracle[i])
+        expected = sp.diags(ops.mass_blocks[i] / dt) + ops.laplace_blocks[i] + oracle[i]
+        assert_same_block(A, expected.tocsr())
 
 
 def test_export_matrices(tmp_path):

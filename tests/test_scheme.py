@@ -12,6 +12,7 @@ import scipy.sparse as sp
 from macstag.fields import PressureField, VelocityField, l2_norm
 from macstag.grid import MacGrid, graded_axis, uniform_axis, uniform_grid
 from macstag.mms import mms_problem
+from macstag import scheme as scheme_module
 from macstag.projection import Projector
 from macstag.scheme import DIAGNOSTIC_COLUMNS, ProjectionScheme, SchemeError, _momentum_solver
 from macstag.verify import random_pressure
@@ -310,3 +311,56 @@ def test_separable_forcing_is_evaluated_once_per_grid(rng, monkeypatch):
         calls.clear()
     assert per_step[1] == len(prob.forcing.terms) == 2
     assert per_step[2:] == [0, 0, 0]
+
+
+def test_prediction_pattern_is_built_once_per_grid(monkeypatch):
+    # a step assembles nothing: it only fills values into the pattern built
+    # with the operators
+    prob = mms_problem("vortex2d")
+    scheme = ProjectionScheme(MacGrid([graded_axis(0.0, 1.0, 12, 1.05)] * 2))
+    state = scheme.initialize(prob.initial)
+
+    counts = {"coo": 0, "tocsr": 0, "diags": 0}
+
+    def counted(key, fn):
+        def call(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+
+        return call
+
+    for cls in (sp.coo_matrix, sp.coo_array):
+        monkeypatch.setattr(cls, "__init__", counted("coo", cls.__init__))
+    for cls in (sp.coo_matrix, sp.csr_matrix, sp.csc_matrix, sp.dia_matrix, sp.lil_matrix, sp.dok_matrix,
+                sp.bsr_matrix, sp.coo_array, sp.csr_array, sp.csc_array, sp.dia_array):
+        monkeypatch.setattr(cls, "tocsr", counted("tocsr", cls.tocsr))
+    monkeypatch.setattr(sp, "diags", counted("diags", sp.diags))
+
+    matrices, stats = [], []
+    solve = scheme_module.solve_gmres
+    prediction = scheme.prediction
+
+    def spy_solve(A, b, **kwargs):
+        matrices[-1].append(A)
+        return solve(A, b, **kwargs)
+
+    def spy_prediction(*args):
+        matrices.append([])
+        out = prediction(*args)
+        stats.append(out[1])
+        return out
+
+    monkeypatch.setattr(scheme_module, "solve_gmres", spy_solve)
+    monkeypatch.setattr(scheme, "prediction", spy_prediction)
+    state, _ = scheme.step(state, prob.forcing, 1.0 / 32)
+    first = [C.data.copy() for C in stats[0].convection]
+    for _ in range(2):
+        state, _ = scheme.step(state, prob.forcing, 1.0 / 32)
+    assert counts == {"coo": 0, "tocsr": 0, "diags": 0}
+    for A2, A3, S in zip(matrices[1], matrices[2], scheme.ops.laplace_blocks):
+        assert A2.indices is A3.indices is S.indices
+        assert A2.indptr is A3.indptr is S.indptr
+    # each step's values are its own
+    for C, values in zip(stats[0].convection, first):
+        np.testing.assert_array_equal(C.data, values)
+    assert not np.array_equal(stats[0].convection[0].data, stats[1].convection[0].data)
