@@ -13,6 +13,25 @@ value and are eliminated). Conventions:
                sum_eps F_eps (w_sigma + w_neighbor)/2 with F_eps the mean of
                the two adjacent primal-face fluxes of the advecting field a.
 
+The grid is a tensor product of 1D partitions, and so are G, D and S_i.
+Vectors are raveled in 'ij' order, axis 0 outermost. With Delta_i the
+(n_i - 1) x n_i difference (Delta p)_k = p_{k+1} - p_k along axis i, block i
+of the gradient and of the divergence are
+
+    G_i = (x)_{a<i} I  (x)  diag(1/dual_w_i[1:-1]) Delta_i  (x)  (x)_{a>i} I
+    D_i = (x)_{a<i} I  (x)  -diag(1/h_i) Delta_i^T          (x)  (x)_{a>i} I
+
+and the stiffness block is the Kronecker sum
+
+    S_i = sum_a K_a (x) (x)_{b != a} B_b
+
+of 1D chain stiffness matrices K_a and diagonal masses B_b. Along axis i the
+unknowns are the interior faces, coupled through the cells (conductances
+1/h_i, masses dual_w_i[1:-1]); across it they are cell rows whose outer ones
+sit half a cell from a Dirichlet wall (conductances 1/dual_w_a, masses h_a).
+Operators.laplace_factors holds those (K_a, B_a) per block, once: they build
+S_i here, and the exact separable inverse of M_i/dt + S_i in the scheme.
+
 With cell volumes M_p and dual volumes M_v as weights, M_v G = -(M_p D)^T
 holds entrywise, which is the discrete duality the projection step relies
 on. The skew identity v.C(a)w + w.C(a)v = sum_sigma v_sigma w_sigma (net
@@ -29,13 +48,16 @@ direction, and its blocks share their index arrays with S_i.
 
 from __future__ import annotations
 
+import operator
 import os
+from functools import partial, reduce
 
 import numpy as np
 import scipy.sparse as sp
 
 from .fields import PressureField, VelocityField, _bcast
 from .grid import MacGrid
+from .linalg import tridiagonal
 
 __all__ = ["Operators"]
 
@@ -51,16 +73,37 @@ def on_pattern(S, data):
     return mat
 
 
+def _kron(factors):
+    """Kronecker product of per-axis matrices, axis 0 outermost."""
+    return reduce(partial(sp.kron, format="coo"), factors)
+
+
+def _difference(n):
+    """The (n - 1) x n difference along one axis: row k is p_{k+1} - p_k."""
+    one = np.ones(n - 1)
+    return sp.diags([-one, one], [0, 1], shape=(n - 1, n))
+
+
+def _kron_sum(stiffness, mass):
+    """sum_a K_a (x) (x)_{b != a} B_b as a CSR matrix."""
+    terms = [
+        _kron([K if b == a else sp.diags(B) for b, B in enumerate(mass)]) for a, K in enumerate(stiffness)
+    ]
+    return reduce(operator.add, terms).tocsr()
+
+
 class Operators:
     """Assembled discrete operators bound to one grid."""
 
     def __init__(self, grid: MacGrid):
+        if all(n == 1 for n in grid.shape):
+            shape = "x".join(str(n) for n in grid.shape)
+            raise ValueError(f"grid {shape} has no interior face: need at least 2 cells along one axis")
         self.grid = grid
         d = grid.dim
 
         self.n_cells = int(np.prod(grid.shape))
         self.cell_vol = grid.cell_volumes.ravel()
-        self._cell_idx = np.arange(self.n_cells).reshape(grid.shape)
 
         self._face_idx = []
         self._int_flat = []
@@ -83,9 +126,22 @@ class Operators:
         ]
         self.mass_velocity = np.concatenate(self.mass_blocks) if d else np.zeros(0)
 
-        self.G = self._assemble_gradient()
-        self.D = self._assemble_divergence()
-        self.laplace_blocks = [self._assemble_stiffness(i) for i in range(d)]
+        delta = [_difference(n) for n in grid.shape]
+        self.G = sp.vstack(
+            [self._on_axis(i, sp.diags(1.0 / grid.dual_w[i][1:-1]) @ delta[i]) for i in range(d)],
+            format="csr",
+        )
+        self.D = sp.hstack(
+            [self._on_axis(i, -sp.diags(1.0 / grid.h[i]) @ delta[i].T) for i in range(d)],
+            format="csr",
+        )
+        # per block i: the 1D stiffness matrices K_a and masses B_a of S_i
+        self.laplace_factors = []
+        for i in range(d):
+            conductances = [1.0 / (grid.h[a] if a == i else grid.dual_w[a]) for a in range(d)]
+            mass = [grid.dual_w[a][1:-1] if a == i else grid.h[a] for a in range(d)]
+            self.laplace_factors.append(([tridiagonal(c) for c in conductances], mass))
+        self.laplace_blocks = [_kron_sum(*f) for f in self.laplace_factors]
 
         # start of each direction in the concatenated full face arrays
         self._face_base = np.concatenate([[0], np.cumsum([f.size for f in self._face_idx])])
@@ -114,6 +170,10 @@ class Operators:
 
     # -- assembly ----------------------------------------------------------
 
+    def _on_axis(self, i, mat):
+        """mat on axis i, identities on the others: a map between cells and direction-i faces."""
+        return _kron([mat if a == i else sp.identity(n) for a, n in enumerate(self.grid.shape)])
+
     def _cross_widths(self, i, sliced_axis, length):
         """Product of transverse cell widths broadcast over a face-slab shape."""
         g = self.grid
@@ -125,114 +185,6 @@ class Operators:
         shape = list(g.face_shape(i))
         shape[sliced_axis] = length
         return np.broadcast_to(out, shape)
-
-    def _assemble_gradient(self):
-        g = self.grid
-        rows, cols, vals = [], [], []
-        for i in range(g.dim):
-            n = g.shape[i]
-            if n < 2:
-                continue
-            faces = self._face_idx[i].take(range(1, n), axis=i)
-            glob = self._loc_pos[i][faces.ravel()] + self.offsets[i]
-            plus = self._cell_idx.take(range(1, n), axis=i).ravel()
-            minus = self._cell_idx.take(range(0, n - 1), axis=i).ravel()
-            coef = np.broadcast_to(
-                _bcast(1.0 / g.dual_w[i][1:n], i, g.dim), faces.shape
-            ).ravel()
-            rows.extend([glob, glob])
-            cols.extend([plus, minus])
-            vals.extend([coef, -coef])
-        mat = sp.coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(self.n_velocity, self.n_cells),
-        )
-        return mat.tocsr()
-
-    def _assemble_divergence(self):
-        g = self.grid
-        rows, cols, vals = [], [], []
-        for i in range(g.dim):
-            n = g.shape[i]
-            if n < 2:
-                continue
-            faces = self._face_idx[i].take(range(1, n), axis=i)
-            glob = self._loc_pos[i][faces.ravel()] + self.offsets[i]
-            upper_of = self._cell_idx.take(range(0, n - 1), axis=i)
-            lower_of = self._cell_idx.take(range(1, n), axis=i)
-            c_up = np.broadcast_to(_bcast(1.0 / g.h[i][: n - 1], i, g.dim), upper_of.shape)
-            c_lo = np.broadcast_to(_bcast(1.0 / g.h[i][1:n], i, g.dim), lower_of.shape)
-            rows.extend([upper_of.ravel(), lower_of.ravel()])
-            cols.extend([glob, glob])
-            vals.extend([c_up.ravel(), -c_lo.ravel()])
-        mat = sp.coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(self.n_cells, self.n_velocity),
-        )
-        return mat.tocsr()
-
-    def _pair_entries(self, i, idx_minus, idx_plus, coef, rows, cols, vals):
-        """Append the symmetric 4-entry stencil of one dual-face batch, dropping boundary DOFs.
-
-        Each batch adds coef to both diagonals and -coef to both
-        off-diagonals. Entries touching eliminated boundary DOFs are dropped,
-        which is exact because those values are zero.
-        """
-        pos = self._loc_pos[i]
-        m = pos[idx_minus.ravel()]
-        p = pos[idx_plus.ravel()]
-        c = coef.ravel()
-        for r, cc, v in [(m, m, c), (p, p, c), (m, p, -c), (p, m, -c)]:
-            keep = (r >= 0) & (cc >= 0)
-            rows.append(r[keep])
-            cols.append(cc[keep])
-            vals.append(v[keep])
-
-    def _assemble_stiffness(self, i):
-        g = self.grid
-        d = g.dim
-        n = g.shape[i]
-        rows, cols, vals = [], [], []
-
-        # dual faces orthogonal to the component axis: one per cell column
-        idx_m = self._face_idx[i].take(range(0, n), axis=i)
-        idx_p = self._face_idx[i].take(range(1, n + 1), axis=i)
-        coef = self._cross_widths(i, i, n) / _bcast(g.h[i], i, d)
-        self._pair_entries(i, idx_m, idx_p, np.broadcast_to(coef, idx_m.shape), rows, cols, vals)
-
-        for j in range(d):
-            if j == i:
-                continue
-            nj = g.shape[j]
-            area = _bcast(g.dual_w[i], i, d)
-            for a in range(d):
-                if a != i and a != j:
-                    area = area * _bcast(g.h[a], a, d)
-            # interior planes between transverse neighbours
-            if nj > 1:
-                idx_m = self._face_idx[i].take(range(0, nj - 1), axis=j)
-                idx_p = self._face_idx[i].take(range(1, nj), axis=j)
-                coef = np.broadcast_to(
-                    area / _bcast(g.dual_w[j][1:nj], j, d), idx_m.shape
-                )
-                self._pair_entries(i, idx_m, idx_p, coef, rows, cols, vals)
-            # boundary slabs: half-cell distance to the wall value 0
-            pos = self._loc_pos[i]
-            for side, dist in ((0, g.dual_w[j][0]), (nj - 1, g.dual_w[j][nj])):
-                idx = self._face_idx[i].take([side], axis=j)
-                coef = np.broadcast_to(area / dist, idx.shape).ravel()
-                r = pos[idx.ravel()]
-                keep = r >= 0
-                rows.append(r[keep])
-                cols.append(r[keep])
-                vals.append(coef[keep])
-
-        size = self.block_sizes[i]
-        mat = sp.coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(size, size),
-        )
-        return mat.tocsr()
 
     def _convection_fluxes(self, i):
         """Dual faces of block i and their advecting fluxes as linear forms in a.

@@ -8,6 +8,10 @@ One step from level n to n+1, all operators discrete:
                  u^{n+1} = utilde - dt grad psi
                  p^{n+1} = p^n + psi, recentered to zero volume mean
 
+The correction is the discrete Helmholtz decomposition utilde = u^{n+1} +
+grad phi of Projector.decompose, with psi = phi/dt (exact when dt is a power
+of two). Its velocity-level pass leaves div u^{n+1} at roundoff of u^{n+1}.
+
 The convection uses the level-n corrected velocity as advecting field, so
 the implicit prediction system is linear in utilde and its convection block
 is skew apart from a diagonal carried by div u^n (zero to roundoff: the
@@ -49,7 +53,7 @@ from .fields import (
     velocity_inner,
 )
 from .grid import MacGrid
-from .linalg import SeparableSolver, solve_gmres, tridiagonal
+from .linalg import SeparableSolver, solve_gmres
 from .mms import Separable
 from .operators import Operators, on_pattern
 from .projection import Projector
@@ -132,18 +136,6 @@ class CorrectionStats:
     div_max: float
 
 
-def _momentum_solver(grid: MacGrid, i: int) -> SeparableSolver:
-    """Separable solver of M_i/dt + S_i, the symmetric part of prediction block i.
-
-    Along axis i the unknowns are the interior faces, coupled through the
-    cells; across it they are cell rows whose outer ones sit half a cell
-    from a Dirichlet wall.
-    """
-    conductances = [1.0 / (grid.h[a] if a == i else grid.dual_w[a]) for a in range(grid.dim)]
-    mass = [grid.dual_w[a][1:-1] if a == i else grid.h[a] for a in range(grid.dim)]
-    return SeparableSolver([tridiagonal(c) for c in conductances], mass)
-
-
 class ProjectionScheme:
     """Incremental projection stepper bound to one grid.
 
@@ -167,7 +159,7 @@ class ProjectionScheme:
         self.max_iterations = max_iterations
         self.quad_order = int(quad_order)
         self.projector = Projector(self.ops)
-        self._momentum_solvers = [_momentum_solver(grid, i) for i in range(grid.dim)]
+        self._momentum_solvers = [SeparableSolver(*factors) for factors in self.ops.laplace_factors]
         self._momentum_values = None  # (dt, values of M_i/dt + S_i on the pattern of S_i)
 
     # -- setup ---------------------------------------------------------------
@@ -244,23 +236,22 @@ class ProjectionScheme:
         return ops.unpack(x), stats
 
     def correction(self, state: SchemeState, u_tilde: VelocityField, dt: float):
-        """Pressure increment and divergence-free update; returns (u, p, psi, stats)."""
-        ops = self.ops
+        """Pressure increment and divergence-free update; returns (u, p, psi, stats).
+
+        The update is the Helmholtz decomposition u_tilde = u + grad(dt psi).
+        """
         dt = float(dt)
-        ut_vec = ops.pack(u_tilde)
-        rhs = ops.G.T @ (ops.mass_velocity * ut_vec) / dt
-        psi_vec, iters, res = self.projector.poisson_solve(rhs)
-        u_vec = ut_vec - dt * (ops.G @ psi_vec)
-        div_max = float(np.abs(ops.D @ u_vec).max())
+        u, potential, info = self.projector.decompose(u_tilde)
+        div_max = float(np.abs(self.ops.div(u).data).max())
         if div_max > 10.0 * self.poisson_tol:
             raise SchemeError(
                 f"step {state.n + 1}, correction: post-correction divergence {div_max:.3e} "
                 f"exceeds 10 x poisson_tol = {10.0 * self.poisson_tol:.1e}"
             )
-        psi = PressureField(self.grid, psi_vec.reshape(self.grid.shape))
-        u = ops.unpack(u_vec)
+        psi = PressureField(self.grid, potential.data / dt)
         p = (state.p + psi).recentered()
-        return u, p, psi, CorrectionStats(iterations=iters, residual=res, div_max=div_max)
+        stats = CorrectionStats(iterations=info["iterations"], residual=info["residual"], div_max=div_max)
+        return u, p, psi, stats
 
     def step(self, state: SchemeState, forcing, dt: float):
         """Advance one level; returns (new state, diagnostics)."""

@@ -35,6 +35,15 @@ def test_gradient_of_linear_pressure_is_one():
     np.testing.assert_allclose(gp.components[1], 0.0, atol=1e-13)
 
 
+@pytest.mark.parametrize("build", [Operators, ProjectionScheme])
+@pytest.mark.parametrize("shape", [(1, 1), (1, 1, 1)])
+def test_grid_without_interior_face_is_rejected(build, shape):
+    g = uniform_grid((0.0,) * len(shape), (1.0,) * len(shape), shape)
+    name = "x".join(str(n) for n in shape)
+    with pytest.raises(ValueError, match=f"grid {name} has no interior face: need at least 2 cells along one axis"):
+        build(g)
+
+
 def test_gradient_of_constant_is_zero(rng):
     g = random_nonuniform_grid(rng, 3, max_cells=4)
     ops = Operators(g)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from macstag.fields import PressureField, Trajectory, VelocityField, l2_norm, w1q_norm
-from macstag.grid import uniform_grid
+from macstag.grid import MacGrid, graded_axis, uniform_axis, uniform_grid
 from macstag.mms import mms_problem
 from macstag.scheme import ProjectionScheme
 from macstag.verify import (
@@ -44,15 +44,35 @@ def test_property_suite_summary_format():
     assert "convection skew-symmetry" in names
 
 
-@pytest.mark.parametrize("shape", [(1, 8), (8, 1), (2, 1), (1, 1, 6), (1, 4, 4)])
+@pytest.mark.parametrize(
+    "shape",
+    [
+        (1, 8),
+        (8, 1),
+        (2, 1),
+        (1, 1, 6),
+        (1, 4, 4),
+        # non-uniform grids with a 1-cell axis: S_i has a 1x1 Kronecker
+        # factor there, and the block along that axis is empty
+        pytest.param(
+            MacGrid([uniform_axis(0.0, 1.0, 3), uniform_axis(0.0, 1.0, 1), graded_axis(0.0, 1.0, 5, 1.5)]),
+            id="one-cell-axis-3d",
+        ),
+        pytest.param(MacGrid([[0.0, 0.15, 0.4, 0.55, 1.0], [0.0, 0.3]]), id="coords-one-cell-2d"),
+    ],
+)
 def test_property_suite_thin_grids(shape):
-    # only (1, 4, 4) has divergence-free fields to advect with; elsewhere the
-    # skew check would divide roundoff by roundoff, so it must be skipped
-    g = uniform_grid((0.0,) * len(shape), (1.0,) * len(shape), shape)
+    # only (1, 4, 4) and (3, 1, 5) have divergence-free fields to advect
+    # with; elsewhere the skew check would divide roundoff by roundoff, so it
+    # must be skipped
+    if isinstance(shape, MacGrid):
+        g = shape
+    else:
+        g = uniform_grid((0.0,) * len(shape), (1.0,) * len(shape), shape)
     report = property_suite(g, seed=5, pairs=5)
     assert report.passed, report.summary()
     skew = next(c for c in report.checks if c.name == "convection skew-symmetry")
-    assert bool(skew.skipped) == (shape != (1, 4, 4))
+    assert bool(skew.skipped) == (g.shape not in [(1, 4, 4), (3, 1, 5)])
     assert ("skip  convection skew-symmetry" in report.summary()) == bool(skew.skipped)
 
 
