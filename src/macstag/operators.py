@@ -31,6 +31,8 @@ unknowns are the interior faces, coupled through the cells (conductances
 sit half a cell from a Dirichlet wall (conductances 1/dual_w_a, masses h_a).
 Operators.laplace_factors holds those (K_a, B_a) per block, once: they build
 S_i here, and the exact separable inverse of M_i/dt + S_i in the scheme.
+Operators.poisson_factors holds the Neumann chains over the cells (masses
+h_a) whose Kronecker sum is the pressure Poisson matrix G^T M_v G.
 
 With cell volumes M_p and dual volumes M_v as weights, M_v G = -(M_p D)^T
 holds entrywise, which is the discrete duality the projection step relies
@@ -142,6 +144,8 @@ class Operators:
             mass = [grid.dual_w[a][1:-1] if a == i else grid.h[a] for a in range(d)]
             self.laplace_factors.append(([tridiagonal(c) for c in conductances], mass))
         self.laplace_blocks = [_kron_sum(*f) for f in self.laplace_factors]
+        neumann = [np.concatenate([[0.0], 1.0 / dw[1:-1], [0.0]]) for dw in grid.dual_w]
+        self.poisson_factors = ([tridiagonal(c) for c in neumann], grid.h)
 
         # start of each direction in the concatenated full face arrays
         self._face_base = np.concatenate([[0], np.cumsum([f.size for f in self._face_idx])])

@@ -2,22 +2,24 @@
 
 Any admissible velocity w splits as w = v + grad psi with div v = 0 and psi
 unique up to a constant (pinned by zero volume-weighted mean). psi solves
-the cell-centered Poisson problem assembled as G^T M_v G, whose kernel is
-the constant pressure; the right-hand side G^T M_v w is compatible by
-construction because column sums of the divergence vanish.
+the cell-centered Poisson problem G^T M_v G psi = G^T M_v w, whose kernel is
+the constant pressure; the right-hand side is compatible by construction
+because column sums of the divergence vanish.
 
 On a tensor-product grid G^T M_v G = sum_a K_a (x) (x)_{b != a} H_b, a
 Kronecker sum of the 1D Neumann stiffness matrices K_a with the diagonal
-cell-width matrices H_b, so linalg.SeparableSolver inverts it exactly by fast
-diagonalization. Its pseudo-inverse drops the all-constant mode, which leaves
-the result with zero volume mean.
+cell-width matrices H_b (Operators.poisson_factors), so
+linalg.SeparableSolver inverts it exactly by fast diagonalization. Its
+pseudo-inverse drops the all-constant mode, which leaves the result with
+zero volume mean.
 
-The divergence of v = w - grad psi carries the rounding of grad psi, which
-grows with the grading of the grid. decompose therefore adds one
-velocity-level pass: it solves the Poisson problem of v itself and takes that
-gradient off v. That is iterative refinement on v rather than on psi
-(Higham, Accuracy and Stability of Numerical Algorithms, ch. 12): the
-residual it corrects is small, so the rounding it adds is small too.
+decompose is iterative refinement on v rather than on psi (Higham, Accuracy
+and Stability of Numerical Algorithms, ch. 12). From v = w and psi = 0, each
+pass solves G^T M_v G phi = G^T M_v v and moves grad phi from v to psi; the
+second pass takes off the rounding of the first, which grows with the
+grading of the grid, so div v ends at roundoff of v. The G^T M_v v left in v
+is the Poisson residual of psi in exact arithmetic: no Poisson matrix is
+assembled.
 
 The projection w -> v is the discrete Leray projection. Its L2 norm is the
 seminorm |w|_* = sup over divergence-free test fields of <w, v>/||v||, the
@@ -31,70 +33,51 @@ import math
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse as sp
 
 from .fields import VelocityField, PressureField, velocity_inner
-from .linalg import SeparableSolver, tridiagonal
+from .linalg import SeparableSolver
 from .operators import Operators
 
 __all__ = ["Projector", "dense_divfree_basis", "seminorm_by_basis"]
 
-# Residual-correction sweeps after the transform solve. One lowers the Poisson
-# residual fourfold on a 24-cell axis graded at ratio 1.5 (3.8e-13 to 9.8e-14
-# over 24 x 8 cells); the divergence of decompose is set by its own pass.
+# Velocity-level passes of decompose after the first. With one, div v stays
+# <= 6.4e-15 over four vortex steps on the tests' divergence probe grids; the
+# first pass alone leaves up to 2.8e-9 (32 x 6 x 6 cells graded 1.3).
 REFINEMENT_SWEEPS = 1
 
 
 class Projector:
     """Helmholtz decomposition bound to one assembled operator set.
 
-    The pressure Poisson solve is exact: one separable transform solve and a
-    fixed residual-correction sweep.
+    The pressure Poisson solve is exact: separable transform solves, one per
+    velocity-level pass.
     """
 
     def __init__(self, ops: Operators):
         self.ops = ops
-        grid = ops.grid
-        self.poisson = (ops.G.T @ sp.diags(ops.mass_velocity) @ ops.G).tocsr()
-        # per axis: Neumann conductances between cell centers, cell widths as mass
-        self._separable = SeparableSolver(
-            [tridiagonal(np.concatenate([[0.0], 1.0 / dw[1:-1], [0.0]])) for dw in grid.dual_w],
-            grid.h,
-        )
-
-    def poisson_solve(self, rhs):
-        """Solve the singular Poisson system; returns (cell vector, sweeps, residual).
-
-        The right-hand side is first made compatible (zero sum). The solution
-        has zero volume-weighted mean; the relative residual is recomputed from
-        a fresh matvec with the assembled matrix.
-        """
-        b = rhs - rhs.mean()
-        x = self._separable.solve(b, drop_constant=True)
-        for _ in range(REFINEMENT_SWEEPS):
-            x += self._separable.solve(b - self.poisson @ x, drop_constant=True)
-        vol = self.ops.cell_vol
-        x -= (vol @ x) / vol.sum()
-        res = float(np.linalg.norm(b - self.poisson @ x)) / (float(np.linalg.norm(b)) or 1.0)
-        return x, REFINEMENT_SWEEPS, res
+        self._separable = SeparableSolver(*ops.poisson_factors)
 
     def decompose(self, w: VelocityField):
         """Split w = v + grad psi with div v = 0; returns (v, psi, info dict).
 
-        info holds the sweeps and residual of the Poisson solve of w; the
-        velocity-level pass that follows it solves G^T M_v v once more and
-        moves that gradient from v to psi.
+        info holds the velocity-level passes after the first ("iterations")
+        and the relative Poisson residual of the returned psi,
+        ||G^T M_v v|| / ||G^T M_v w|| ("residual").
         """
         ops = self.ops
-        wv = ops.pack(w)
-        psi_vec, iters, res = self.poisson_solve(ops.G.T @ (ops.mass_velocity * wv))
-        v = wv - ops.G @ psi_vec
+        v = ops.pack(w)
+        psi = np.zeros(ops.n_cells)
         b = ops.G.T @ (ops.mass_velocity * v)
-        phi = self._separable.solve(b - b.mean(), drop_constant=True)
-        v -= ops.G @ phi
-        psi_vec += phi
-        psi = PressureField(ops.grid, psi_vec.reshape(ops.grid.shape))
-        return ops.unpack(v), psi, {"iterations": iters, "residual": res}
+        bnorm = float(np.linalg.norm(b)) or 1.0
+        for _ in range(1 + REFINEMENT_SWEEPS):
+            phi = self._separable.solve(b, drop_constant=True)
+            v -= ops.G @ phi
+            psi += phi
+            b = ops.G.T @ (ops.mass_velocity * v)
+        vol = ops.cell_vol
+        psi -= (vol @ psi) / vol.sum()
+        info = {"iterations": REFINEMENT_SWEEPS, "residual": float(np.linalg.norm(b)) / bnorm}
+        return ops.unpack(v), PressureField(ops.grid, psi.reshape(ops.grid.shape)), info
 
     def project(self, w: VelocityField) -> VelocityField:
         """Divergence-free part of w (discrete Leray projection)."""

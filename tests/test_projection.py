@@ -4,49 +4,64 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from macstag.fields import l2_norm, velocity_inner
 from macstag.grid import MacGrid, graded_axis, uniform_axis, uniform_grid
-from macstag.operators import Operators
-from macstag.projection import Projector, dense_divfree_basis, seminorm_by_basis
+from macstag.linalg import SeparableSolver
+from macstag.operators import Operators, _kron_sum
+from macstag.projection import REFINEMENT_SWEEPS, Projector, dense_divfree_basis, seminorm_by_basis
 from macstag.verify import random_pressure, random_velocity
 
 from conftest import random_nonuniform_grid
 
 
-def _reference_pressure(projector, solver, rhs):
-    """Independent sparse solve of the Poisson system, volume-mean-free.
+def _poisson_matrix(ops):
+    """The pressure Poisson matrix G^T M_v G, assembled here as the oracle."""
+    return (ops.G.T @ sp.diags(ops.mass_velocity) @ ops.G).tocsr()
+
+
+def _reference_pressure(poisson, ops, solver, w):
+    """Independent sparse solve of the Poisson problem of w, volume-mean-free.
 
     solver="cg" runs scipy's conjugate gradients on the compatible singular
     system; solver="direct" grounds cell 0 and factorizes the rest.
     """
-    a = projector.poisson
+    rhs = ops.G.T @ (ops.mass_velocity * ops.pack(w))
     b = rhs - rhs.mean()
     if solver == "cg":
-        x, info = spla.cg(a, b, rtol=1e-13, maxiter=10 * a.shape[0])
+        x, info = spla.cg(poisson, b, rtol=1e-13, maxiter=10 * poisson.shape[0])
         assert info == 0
     else:
-        x = np.concatenate([[0.0], spla.spsolve(a[1:, 1:].tocsc(), b[1:])])
-    vol = projector.ops.cell_vol
+        x = np.concatenate([[0.0], spla.spsolve(poisson[1:, 1:].tocsc(), b[1:])])
+    vol = ops.cell_vol
     return x - (vol @ x) / vol.sum()
+
+
+def _mass_norm(ops, vec):
+    return np.sqrt(vec @ (ops.mass_velocity * vec))
 
 
 @pytest.fixture(params=["cg", "direct"])
 def projector(request, rng):
-    # one projector; each of its pressure solves is checked against the
-    # independent reference solve the parameter names
+    # one projector; the gradient part of each of its decompositions is
+    # checked against that of the independent reference solve the parameter
+    # names (psi itself is pure rounding when w is already divergence-free)
     g = random_nonuniform_grid(rng, 2, max_cells=6)
-    proj = Projector(Operators(g))
-    exact = proj.poisson_solve
+    ops = Operators(g)
+    proj = Projector(ops)
+    poisson = _poisson_matrix(ops)
+    exact = proj.decompose
 
-    def checked(rhs):
-        out = exact(rhs)
-        ref = _reference_pressure(proj, request.param, rhs)
-        assert np.linalg.norm(out[0] - ref) <= 1e-9 * max(np.linalg.norm(ref), 1e-300)
+    def checked(w):
+        out = exact(w)
+        ref = _reference_pressure(poisson, ops, request.param, w)
+        err = ops.G @ (out[1].data.ravel() - ref)
+        assert _mass_norm(ops, err) <= 1e-9 * _mass_norm(ops, ops.pack(w))
         return out
 
-    proj.poisson_solve = checked
+    proj.decompose = checked
     return proj
 
 
@@ -138,26 +153,32 @@ ORACLE_GRIDS = {
 
 
 @pytest.mark.parametrize("grid", ORACLE_GRIDS.values(), ids=ORACLE_GRIDS.keys())
-def test_poisson_solve_matches_dense_pseudoinverse(grid):
-    # right-hand sides of the decomposition, G^T M_v w for random w, against
-    # the dense pseudo-inverse solution pinned to zero volume mean
+def test_decompose_matches_dense_pseudoinverse(grid):
+    # psi of the decomposition of random w against the dense pseudo-inverse
+    # solution of G^T M_v G psi = G^T M_v w pinned to zero volume mean
     ops = Operators(grid)
     proj = Projector(ops)
-    dense = proj.poisson.toarray()
+    poisson = _poisson_matrix(ops)
+    dense = poisson.toarray()
     pinv = np.linalg.pinv(dense)
     eig = np.linalg.eigvalsh(dense)
     cond = eig[-1] / eig[1]  # eig[0] is the constant mode's zero
     vol = ops.cell_vol
     rng = np.random.default_rng(109)
     for _ in range(3):
-        rhs = ops.G.T @ (ops.mass_velocity * rng.standard_normal(ops.n_velocity))
-        x, sweeps, res = proj.poisson_solve(rhs)
-        assert sweeps >= 1
+        wv = rng.standard_normal(ops.n_velocity)
+        rhs = ops.G.T @ (ops.mass_velocity * wv)
+        v, psi, info = proj.decompose(ops.unpack(wv))
+        x = psi.data.ravel()
+        assert info["iterations"] >= 1
+        # the reported residual is recomputed from the returned v: G^T M_v v
+        # is the Poisson residual of psi, G^T M_v (w - G psi), in exact arithmetic
+        reported = np.linalg.norm(ops.G.T @ (ops.mass_velocity * ops.pack(v))) / np.linalg.norm(rhs)
+        assert info["residual"] == pytest.approx(reported, rel=1e-12, abs=0.0)
+        assert info["residual"] <= 1e-12
+        # the Poisson residual of psi itself, against the assembled matrix
         b = rhs - rhs.mean()
-        # the reported residual is the true one of the returned vector
-        honest = np.linalg.norm(b - proj.poisson @ x) / np.linalg.norm(b)
-        assert res == pytest.approx(honest, rel=1e-12)
-        assert res <= 1e-12
+        assert np.linalg.norm(b - poisson @ x) <= 1e-12 * np.linalg.norm(b)
         assert np.linalg.norm(b - dense @ x) <= 1e-12 * np.linalg.norm(b)
         assert abs(vol @ x) <= 1e-13 * np.abs(x).max() * vol.sum()
         ref = pinv @ b
@@ -165,3 +186,51 @@ def test_poisson_solve_matches_dense_pseudoinverse(grid):
         # forward error of any backward-stable solve scales with cond
         tol = 100.0 * np.finfo(float).eps * cond
         assert np.linalg.norm(x - ref) <= tol * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("grid", ORACLE_GRIDS.values(), ids=ORACLE_GRIDS.keys())
+def test_poisson_factors_build_the_poisson_matrix(grid):
+    # the 1D factors the projector's separable solver inverts, against the
+    # assembled G^T M_v G: same pattern, values to rounding
+    ops = Operators(grid)
+    kron = _kron_sum(*ops.poisson_factors)
+    ref = _poisson_matrix(ops)
+    for mat in (kron, ref):
+        mat.sum_duplicates()
+        mat.eliminate_zeros()
+    np.testing.assert_array_equal(kron.indptr, ref.indptr)
+    np.testing.assert_array_equal(kron.indices, ref.indices)
+    assert np.abs(kron.data - ref.data).max() <= 1e-15 * np.abs(ref.data).max()
+
+
+def test_decompose_makes_one_solve_per_pass(monkeypatch, rng):
+    # decompose is 1 + REFINEMENT_SWEEPS velocity-level passes of one
+    # separable solve each, and no Poisson matrix is ever assembled: the
+    # projector builds no sparse product and a call applies only G and G^T
+    ops = Operators(MacGrid([graded_axis(0.0, 1.0, 12, 1.05)] * 2))
+    w = random_velocity(ops.grid, rng)
+    counts = {"solve": 0, "product": 0, "matvec": 0}
+
+    def counted_matmul(fn):
+        def call(self, other):
+            counts["product" if sp.issparse(other) else "matvec"] += 1
+            return fn(self, other)
+
+        return call
+
+    for cls in (sp.coo_matrix, sp.csr_matrix, sp.csc_matrix, sp.dia_matrix,
+                sp.coo_array, sp.csr_array, sp.csc_array, sp.dia_array):
+        monkeypatch.setattr(cls, "__matmul__", counted_matmul(cls.__matmul__))
+    solve = SeparableSolver.solve
+
+    def counted_solve(self, *args, **kwargs):
+        counts["solve"] += 1
+        return solve(self, *args, **kwargs)
+
+    monkeypatch.setattr(SeparableSolver, "solve", counted_solve)
+    proj = Projector(ops)
+    assert counts == {"solve": 0, "product": 0, "matvec": 0}
+    proj.decompose(w)
+    passes = 1 + REFINEMENT_SWEEPS
+    # per pass one solve, G phi and G^T M_v v; one G^T M_v w before them
+    assert counts == {"solve": passes, "product": 0, "matvec": 2 * passes + 1}
