@@ -41,10 +41,15 @@ dual-cell flux) vanishes whenever div a = 0.
 
 C_i(a) is linear in a, and its sparsity pattern depends on the grid alone
 (Verstappen & Veldman, JCP 2003): the pattern of S_i, which also holds the
-diagonal of M_i. Everything that depends only on the grid is therefore built
-once, with the operators: a flux map Phi_i from the full face arrays of a to
-the dual-face fluxes, and a +-1/2 incidence matrix that scatters the fluxes
-onto the pattern of S_i. convection_blocks(a) is then two sparse matvecs per
+diagonal of M_i. So the operators build, once, a flux map Phi_i from the full
+face arrays of a to the dual-face fluxes: per axis j, one Kronecker product
+on a_j. With E_i the n_i x (n_i + 1) difference of the faces along axis i, it
+has |E_i|/2 (the mean of the two faces of a cell) on axis i if j == i, else
+|E_i|^T diag(h_i)/2 (the half cells beside a face) on axis i and the
+interior-face selection on axis j; diag(h_a) on every other axis. A +-1/2
+incidence matrix scatters the fluxes onto the pattern of S_i, whose entry
+(r, c) is found by binary search over the keys r * size + c (sorted, as S_i
+is canonical CSR). convection_blocks(a) is then two sparse matvecs per
 direction, and its blocks share their index arrays with S_i.
 """
 
@@ -57,7 +62,7 @@ from functools import partial, reduce
 import numpy as np
 import scipy.sparse as sp
 
-from .fields import PressureField, VelocityField, _bcast
+from .fields import PressureField, VelocityField
 from .grid import MacGrid
 from .linalg import tridiagonal
 
@@ -107,19 +112,8 @@ class Operators:
         self.n_cells = int(np.prod(grid.shape))
         self.cell_vol = grid.cell_volumes.ravel()
 
-        self._face_idx = []
-        self._int_flat = []
-        self._loc_pos = []
-        self.block_sizes = []
-        for i in range(d):
-            full = int(np.prod(grid.face_shape(i)))
-            self._face_idx.append(np.arange(full).reshape(grid.face_shape(i)))
-            flat = np.flatnonzero(grid.interior_mask(i).ravel())
-            self._int_flat.append(flat)
-            pos = np.full(full, -1, dtype=np.int64)
-            pos[flat] = np.arange(flat.size)
-            self._loc_pos.append(pos)
-            self.block_sizes.append(flat.size)
+        self._int_flat = [np.flatnonzero(grid.interior_mask(i).ravel()) for i in range(d)]
+        self.block_sizes = [flat.size for flat in self._int_flat]
         self.offsets = np.concatenate([[0], np.cumsum(self.block_sizes)])
         self.n_velocity = int(self.offsets[-1])
 
@@ -147,8 +141,6 @@ class Operators:
         neumann = [np.concatenate([[0.0], 1.0 / dw[1:-1], [0.0]]) for dw in grid.dual_w]
         self.poisson_factors = ([tridiagonal(c) for c in neumann], grid.h)
 
-        # start of each direction in the concatenated full face arrays
-        self._face_base = np.concatenate([[0], np.cumsum([f.size for f in self._face_idx])])
         maps = [self._convection_map(i) for i in range(d)]
         self._flux_maps, self._incidences, self._diag_pos = ([m[k] for m in maps] for k in range(3))
 
@@ -178,122 +170,65 @@ class Operators:
         """mat on axis i, identities on the others: a map between cells and direction-i faces."""
         return _kron([mat if a == i else sp.identity(n) for a, n in enumerate(self.grid.shape)])
 
-    def _cross_widths(self, i, sliced_axis, length):
-        """Product of transverse cell widths broadcast over a face-slab shape."""
-        g = self.grid
-        out = np.ones(1)
-        for a in range(g.dim):
-            if a == i:
-                continue
-            out = out * _bcast(g.h[a], a, g.dim)
-        shape = list(g.face_shape(i))
-        shape[sliced_axis] = length
-        return np.broadcast_to(out, shape)
-
-    def _convection_fluxes(self, i):
-        """Dual faces of block i and their advecting fluxes as linear forms in a.
-
-        Yields (idx_minus, idx_plus, terms) per batch of dual faces: the
-        direction-i faces on either side, and (columns, weights) pairs so that
-        the flux F_eps is sum_k weights_k * a_full[columns_k], a_full being
-        the concatenated full face arrays of a (boundary faces included). A
-        column of -1 marks a missing term.
-        """
-        g = self.grid
-        d = g.dim
-        n = g.shape[i]
-        # along axis i: the mean of a_i on the two faces of the primal cell
-        idx_m = self._face_idx[i].take(range(0, n), axis=i)
-        idx_p = self._face_idx[i].take(range(1, n + 1), axis=i)
-        half = 0.5 * self._cross_widths(i, i, n)
-        yield idx_m, idx_p, [(idx_m + self._face_base[i], half), (idx_p + self._face_base[i], half)]
-
-        # across axis j: a_j on the two primal faces the dual face straddles,
-        # weighted by the widths of their cells along i
-        h_minus = _bcast(np.concatenate([[0.0], g.h[i]]), i, d)
-        h_plus = _bcast(np.concatenate([g.h[i], [0.0]]), i, d)
-        for j in range(d):
-            nj = g.shape[j]
-            if j == i or nj < 2:
-                continue
-            cross = np.ones(1)
-            for ax in range(d):
-                if ax != i and ax != j:
-                    cross = cross * _bcast(g.h[ax], ax, d)
-            aj = self._face_idx[j].take(range(1, nj), axis=j) + self._face_base[j]
-            pad = np.full(tuple(1 if ax == i else s for ax, s in enumerate(aj.shape)), -1)
-            idx_m = self._face_idx[i].take(range(0, nj - 1), axis=j)
-            idx_p = self._face_idx[i].take(range(1, nj), axis=j)
-            yield idx_m, idx_p, [
-                (np.concatenate([pad, aj], axis=i), 0.5 * cross * h_minus),
-                (np.concatenate([aj, pad], axis=i), 0.5 * cross * h_plus),
-            ]
-            # wall planes carry zero advecting flux, nothing to add
-
     def _convection_map(self, i):
         """The map a -> C_i(a) onto the pattern of S_i, and the diagonal's positions.
 
         S_i already holds every entry M_i/dt and C_i(a) can have: the diagonal,
-        and the four entries of every dual face between two interior faces;
-        so its pattern is the union pattern of the prediction block. The map
-        factors as a sparse flux map Phi_i (full face arrays of a -> dual-face
-        fluxes) and a +-1/2 incidence onto that pattern: the outward-flux
-        stencil +F/2 on the minus row and -F/2 on the plus row, both columns,
-        entries touching boundary DOFs dropped.
+        and the four entries of every dual face between two interior faces.
+        The map is the flux map Phi_i followed by a +-1/2 incidence onto that
+        pattern: the outward-flux stencil +F/2 on the minus row and -F/2 on
+        the plus row, both columns, entries touching boundary DOFs dropped.
         """
-        pos = self._loc_pos[i]
+        g = self.grid
         S = self.laplace_blocks[i]
-        minus, plus, phi_rows, phi_cols, phi_vals = [], [], [], [], []
-        n_flux = 0
-        for idx_m, idx_p, terms in self._convection_fluxes(i):
-            minus.append(pos[idx_m.ravel()])
-            plus.append(pos[idx_p.ravel()])
-            ids = n_flux + np.arange(idx_m.size)
-            n_flux += idx_m.size
-            for cols, w in terms:
-                cols = cols.ravel()
-                keep = cols >= 0
-                phi_rows.append(ids[keep])
-                phi_cols.append(cols[keep])
-                phi_vals.append(np.broadcast_to(w, idx_m.shape).ravel()[keep])
-        phi = sp.csr_matrix(
-            (np.concatenate(phi_vals), (np.concatenate(phi_rows), np.concatenate(phi_cols))),
-            shape=(n_flux, int(self._face_base[-1])),
-        )
+        base = np.cumsum([0] + [int(np.prod(g.face_shape(j))) for j in range(g.dim)])
+        idx = np.full(g.face_shape(i), -1)  # position in block i, -1 on boundary faces
+        idx[g.interior_mask(i)] = np.arange(self.block_sizes[i])
+        # dense 1D factors: sp.kron keeps their nonzeros, cheaper here than sparse ones
+        widths = [np.diag(h) for h in g.h]
+        mean = 0.5 * abs(_difference(g.shape[i] + 1)).toarray()
 
-        # position of entry (r, c) in S.data: a row's column is fixed by its
-        # offset c - r, and a stencil matrix has only a few distinct offsets.
-        # slots[r, rank[c - r + size]] is the position, -1 where S has none.
+        fluxes, minus, plus = [], [], []
+        # axes j with one cell have only wall planes across j, which carry no flux
+        for j in [i] + [j for j in range(g.dim) if j != i and g.shape[j] > 1]:
+            factors = list(widths)
+            if j == i:
+                factors[i] = mean
+            else:
+                factors[i] = mean.T * g.h[i]
+                factors[j] = np.eye(g.shape[j] - 1, g.shape[j] + 1, k=1)
+            phi_j = _kron(factors)
+            shape = (phi_j.shape[0], base[-1])  # columns: a_j within the full face arrays
+            fluxes.append(sp.coo_matrix((phi_j.data, (phi_j.row, phi_j.col + base[j])), shape))
+            n = idx.shape[j]
+            minus.append(idx.take(range(0, n - 1), axis=j).ravel())
+            plus.append(idx.take(range(1, n), axis=j).ravel())
+        phi = sp.vstack(fluxes, format="csr")
+
         size = S.shape[0]
-        rows = np.repeat(np.arange(size), np.diff(S.indptr))
-        shifted = S.indices - rows + size
-        present = np.bincount(shifted, minlength=2 * size) > 0
-        n_offsets = np.count_nonzero(present)
-        rank = np.full(2 * size, n_offsets)  # absent offsets select a column of -1
-        rank[present] = np.arange(n_offsets)
-        slots = np.full((size, n_offsets + 1), -1, dtype=S.indices.dtype)
-        slots[rows, rank[shifted]] = np.arange(S.nnz)
+        keys = np.repeat(np.arange(size) * size, np.diff(S.indptr)) + S.indices
 
         def where(r, c):
-            found = slots[r, rank[c - r + size]]
-            if np.any(found < 0):
+            wanted = r * size + c
+            found = np.searchsorted(keys, wanted)
+            if np.any(keys.take(found, mode="clip") != wanted):
                 raise AssertionError(f"convection entry outside the stiffness pattern of block {i}")
             return found
 
+        diag = where(np.arange(size), np.arange(size))
         m, p = np.concatenate(minus), np.concatenate(plus)
-        flux = np.arange(n_flux)
+        flux = np.arange(m.size)
         inc_pos, inc_flux, inc_vals = [], [], []
         for r, c, v in [(m, m, 0.5), (m, p, 0.5), (p, m, -0.5), (p, p, -0.5)]:
             keep = (r >= 0) & (c >= 0)
-            inc_pos.append(where(r[keep], c[keep]))
+            inc_pos.append(diag[r[keep]] if r is c else where(r[keep], c[keep]))
             inc_flux.append(flux[keep])
             inc_vals.append(np.full(inc_flux[-1].size, v))
         incidence = sp.csc_matrix(
             (np.concatenate(inc_vals), (np.concatenate(inc_pos), np.concatenate(inc_flux))),
-            shape=(S.nnz, n_flux),
+            shape=(S.nnz, m.size),
         )
-        diag = np.arange(size)
-        return phi, incidence, where(diag, diag)
+        return phi, incidence, diag
 
     def convection_blocks(self, a: VelocityField):
         """Per-direction weak convection matrices C_i(a) on the prediction pattern.

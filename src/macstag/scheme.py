@@ -143,7 +143,8 @@ class ProjectionScheme:
     """Incremental projection stepper bound to one grid.
 
     max_iterations caps the GMRES iterations of each prediction solve; None
-    leaves linalg.MAX_ITERATIONS in force.
+    leaves linalg.MAX_ITERATIONS in force. Both tolerances must lie in
+    (0, 1); a bad argument raises ValueError before any operator is built.
     """
 
     def __init__(
@@ -155,6 +156,13 @@ class ProjectionScheme:
         max_iterations=None,
         quad_order=3,
     ):
+        for name, tol in (("prediction_tol", prediction_tol), ("poisson_tol", poisson_tol)):
+            if not 0.0 < float(tol) < 1.0:
+                raise ValueError(f"{name} must lie in (0, 1), got {tol}")
+        if max_iterations is not None and max_iterations < 1:
+            raise ValueError(f"max_iterations must be None or >= 1, got {max_iterations}")
+        if quad_order < 1:
+            raise ValueError(f"quad_order must be >= 1, got {quad_order}")
         self.grid = grid
         self.ops = Operators(grid)
         self.prediction_tol = float(prediction_tol)
@@ -259,8 +267,8 @@ class ProjectionScheme:
     def step(self, state: SchemeState, forcing, dt: float):
         """Advance one level; returns (new state, diagnostics)."""
         dt = float(dt)
-        if dt <= 0.0:
-            raise ValueError(f"dt must be positive, got {dt}")
+        if not 0.0 < dt < math.inf:
+            raise ValueError(f"dt must be positive and finite, got {dt}")
         ops = self.ops
         f_field = self._forcing_field(forcing, state.t + 0.5 * dt)
         _require_finite(f_field, state.n + 1, "forcing", "forcing")
@@ -364,12 +372,12 @@ class ProjectionScheme:
     @staticmethod
     def time_step(t_final, steps) -> float:
         """Step size of a march from t=0 to t_final in `steps` equal steps."""
-        steps = int(steps)
-        if steps < 1:
+        if not 1 <= float(steps) < math.inf:
             raise ValueError(f"need at least one step, got {steps}")
+        steps = int(steps)
         t_final = float(t_final)
-        if t_final <= 0.0:
-            raise ValueError(f"t_final must be positive, got {t_final}")
+        if not 0.0 < t_final < math.inf:
+            raise ValueError(f"t_final must be positive and finite, got {t_final}")
         return t_final / steps
 
     def iterate(self, u0, forcing, t_final, steps):

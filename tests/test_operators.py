@@ -264,10 +264,33 @@ def test_convect_matches_form(rng):
 # the convection map against a per-call COO assembly
 
 
+def _face_indices(grid, i):
+    """Flat index of every direction-i face, shape face_shape(i)."""
+    shape = grid.face_shape(i)
+    return np.arange(int(np.prod(shape))).reshape(shape)
+
+
+def _interior_positions(grid, i):
+    """Position of every direction-i face in block i of the reduced vector, -1 on boundary faces."""
+    mask = grid.interior_mask(i).ravel()
+    pos = np.full(mask.size, -1)
+    pos[mask] = np.arange(np.count_nonzero(mask))
+    return pos
+
+
+def _cross_widths(grid, i):
+    """Product of the cell widths across axis i, over the cells."""
+    out = np.ones(1)
+    for a in range(grid.dim):
+        if a != i:
+            out = out * _bcast(grid.h[a], a, grid.dim)
+    return np.broadcast_to(out, grid.shape)
+
+
 def _skew_pair_entries(ops, i, idx_minus, idx_plus, flux, rows, cols, vals):
     """Outward-flux stencil of one dual-face batch: +F/2 on the minus row,
     -F/2 on the plus row, both columns, entries on boundary DOFs dropped."""
-    pos = ops._loc_pos[i]
+    pos = _interior_positions(ops.grid, i)
     m = pos[idx_minus.ravel()]
     p = pos[idx_plus.ravel()]
     half = 0.5 * flux.ravel()
@@ -288,9 +311,9 @@ def assembled_convection_blocks(ops, a):
         rows, cols, vals = [], [], []
 
         ai = a.components[i]
-        idx_m = ops._face_idx[i].take(range(0, n), axis=i)
-        idx_p = ops._face_idx[i].take(range(1, n + 1), axis=i)
-        cross = ops._cross_widths(i, i, n)
+        idx_m = _face_indices(g, i).take(range(0, n), axis=i)
+        idx_p = _face_indices(g, i).take(range(1, n + 1), axis=i)
+        cross = _cross_widths(g, i)
         flux = 0.5 * cross * (ai.take(range(0, n), axis=i) + ai.take(range(1, n + 1), axis=i))
         _skew_pair_entries(ops, i, idx_m, idx_p, flux, rows, cols, vals)
 
@@ -309,8 +332,8 @@ def assembled_convection_blocks(ops, a):
                 if ax != i and ax != j:
                     cross = cross * _bcast(g.h[ax], ax, d)
             flux = 0.5 * cross * (_bcast(hi_minus, i, d) * aj_lo + _bcast(hi_plus, i, d) * aj_hi)
-            idx_m = ops._face_idx[i].take(range(0, nj - 1), axis=j)
-            idx_p = ops._face_idx[i].take(range(1, nj), axis=j)
+            idx_m = _face_indices(g, i).take(range(0, nj - 1), axis=j)
+            idx_p = _face_indices(g, i).take(range(1, nj), axis=j)
             _skew_pair_entries(ops, i, idx_m, idx_p, np.broadcast_to(flux, idx_m.shape), rows, cols, vals)
 
         size = ops.block_sizes[i]
@@ -372,6 +395,19 @@ def test_convection_scatter_matches_assembly(grid, seed, interior_only, dt):
         assert_same_block(conv[i], oracle[i])
         expected = sp.diags(ops.mass_blocks[i] / dt) + ops.laplace_blocks[i] + oracle[i]
         assert_same_block(A, expected.tocsr())
+
+
+@pytest.mark.parametrize("i", [0, 1])
+def test_convection_map_rejects_entry_outside_pattern(i):
+    # drop one off-diagonal entry from the stiffness pattern: the map must
+    # name the missing entry instead of scattering into a neighbouring slot
+    g = MacGrid([graded_axis(0.0, 1.0, 5, 1.2), graded_axis(0.0, 1.0, 4, 1.1)])
+    ops = Operators(g)
+    S = ops.laplace_blocks[i].tocoo()
+    keep = np.arange(S.nnz) != np.flatnonzero(S.row != S.col)[0]
+    ops.laplace_blocks[i] = sp.csr_matrix((S.data[keep], (S.row[keep], S.col[keep])), shape=S.shape)
+    with pytest.raises(AssertionError, match=f"convection entry outside the stiffness pattern of block {i}"):
+        ops._convection_map(i)
 
 
 def test_export_matrices(tmp_path):

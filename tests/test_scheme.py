@@ -225,6 +225,52 @@ def test_non_finite_inputs_fail_fast(vortex):
         scheme.initialize(lambda pts: np.full(pts.shape, np.inf))
 
 
+def _forcing_never_evaluated(t, pts):
+    raise AssertionError("forcing evaluated before the arguments were checked")
+
+
+def _step_with_dt(dt):
+    def call(g, prob):
+        scheme = ProjectionScheme(g)
+        return scheme.step(scheme.initialize(prob.initial), _forcing_never_evaluated, dt)
+
+    return call
+
+
+# direct API calls that parse_config would have refused
+BAD_ARGUMENTS = {
+    "poisson_tol=nan": (lambda g, prob: ProjectionScheme(g, poisson_tol=np.nan), r"poisson_tol .* got nan"),
+    "poisson_tol=-1": (lambda g, prob: ProjectionScheme(g, poisson_tol=-1.0), r"poisson_tol .* got -1"),
+    "prediction_tol=1e6": (
+        lambda g, prob: ProjectionScheme(g, prediction_tol=1e6),
+        r"prediction_tol .* got 1000000",
+    ),
+    "prediction_tol=0": (lambda g, prob: ProjectionScheme(g, prediction_tol=0.0), r"prediction_tol .* got 0"),
+    "max_iterations=0": (lambda g, prob: ProjectionScheme(g, max_iterations=0), r"max_iterations .* got 0"),
+    "quad_order=0": (lambda g, prob: ProjectionScheme(g, quad_order=0), r"quad_order .* got 0"),
+    "t_final=inf": (
+        lambda g, prob: ProjectionScheme(g).iterate(prob.initial, _forcing_never_evaluated, np.inf, 4),
+        r"t_final .* got inf",
+    ),
+    "t_final=nan": (
+        lambda g, prob: ProjectionScheme(g).iterate(prob.initial, _forcing_never_evaluated, np.nan, 4),
+        r"t_final .* got nan",
+    ),
+    "steps=inf": (
+        lambda g, prob: ProjectionScheme(g).iterate(prob.initial, _forcing_never_evaluated, 0.1, np.inf),
+        r"need at least one step, got inf",
+    ),
+    "step-dt=nan": (_step_with_dt(np.nan), r"dt .* got nan"),
+}
+
+
+@pytest.mark.parametrize("call, match", BAD_ARGUMENTS.values(), ids=BAD_ARGUMENTS.keys())
+def test_bad_arguments_are_rejected_before_any_step(vortex, call, match):
+    g = uniform_grid((0.0, 0.0), (1.0, 1.0), (16, 16))
+    with pytest.raises(ValueError, match=match):
+        call(g, vortex)
+
+
 def _random_axis(rng, n, length=1.0):
     widths = rng.uniform(0.2, 1.0, n)
     return np.concatenate([[0.0], np.cumsum(widths)]) * (length / widths.sum())
