@@ -132,6 +132,14 @@ def test_solver_failure_exits_1(tmp_path, capsys):
         assert "Traceback" not in err
 
 
+def test_prediction_failure_names_step_and_direction(tmp_path, capsys):
+    path = tmp_path / "capped.ini"
+    path.write_text("[grid]\nn = 8 8\n[time]\nfinal = 0.05\nsteps = 1\n[solver]\nmax_iterations = 1\n")
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: step 1, prediction, direction 0: GMRES did not converge (iterations=1, ")
+
+
 def test_operators_check(tmp_path, capsys):
     out = str(tmp_path / "ops")
     assert main(["operators-check", "--out", out]) == 0

@@ -10,7 +10,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from macstag.grid import uniform_grid
-from macstag.linalg import SeparableSolver, SolverError, solve_gmres, tridiagonal
+from macstag.linalg import RESTART, SeparableSolver, SolverError, solve_gmres, tridiagonal
 from macstag.operators import Operators
 
 
@@ -18,6 +18,18 @@ def random_system(seed, n):
     rng = np.random.default_rng(seed)
     A = sp.csr_matrix(rng.standard_normal((n, n)) + n * np.eye(n))
     return A, rng.standard_normal(n)
+
+
+def counted(apply):
+    """apply, recording every vector it is called on."""
+    calls = []
+
+    def call(v):
+        calls.append(v)
+        return apply(v)
+
+    call.calls = calls
+    return call
 
 
 def convection_diffusion(shape=(6, 6)):
@@ -45,18 +57,53 @@ class TestGMRES:
         b = np.random.default_rng(71).standard_normal(A.shape[0])
         plain = solve_gmres(A, b, tol=1e-12)
         lu = spla.splu(sym.tocsc())
-        precond = spla.LinearOperator(A.shape, matvec=lu.solve, dtype=float)
-        res = solve_gmres(A, b, tol=1e-12, M=precond)
+        res = solve_gmres(A, b, tol=1e-12, M=lu.solve)
         assert np.linalg.norm(b - A @ res.x) <= 1e-12 * np.linalg.norm(b)
         assert res.iterations < plain.iterations
 
-    @pytest.mark.parametrize("cap", [1, 7, 25, 41])
+    @pytest.mark.parametrize("cap", [1, 7, 25, 41, RESTART, RESTART + 1])
     def test_raises_on_iteration_cap(self, cap):
+        # the cap counts iterations across restarts, one preconditioner call each
         _, A = convection_diffusion((12, 12))
         b = np.random.default_rng(73).standard_normal(A.shape[0])
+        M = counted(lambda v: v.copy())
         with pytest.raises(SolverError, match="did not converge") as err:
-            solve_gmres(A, b, tol=1e-14, maxiter=cap)
-        assert 1 <= err.value.iterations <= cap
+            solve_gmres(A, b, tol=1e-14, maxiter=cap, M=M)
+        assert err.value.iterations == len(M.calls) == cap
+
+    def test_singular_system_raises(self):
+        with pytest.raises(SolverError, match="singular"):
+            solve_gmres(sp.csr_matrix((4, 4)), np.ones(4))
+
+    def test_restarts_match_dense_oracle(self):
+        # nonsymmetric and unpreconditioned: three restart cycles
+        rng = np.random.default_rng(101)
+        A = sp.csr_matrix(rng.standard_normal((60, 60)) + 12.0 * np.eye(60))
+        b = rng.standard_normal(60)
+        M = counted(lambda v: v.copy())
+        res = solve_gmres(A, b, tol=1e-12, M=M)
+        assert res.iterations > 2 * RESTART
+        np.testing.assert_allclose(res.x, np.linalg.solve(A.toarray(), b), rtol=1e-9, atol=1e-11)
+        # one preconditioner application per iteration, none for the update
+        assert len(M.calls) == res.iterations
+        np.testing.assert_array_equal(res.residual_vector, b - A @ res.x)
+        assert res.residual == np.linalg.norm(res.residual_vector) / np.linalg.norm(b) <= 1e-12
+
+    def test_exact_initial_guess_takes_no_iteration(self):
+        A, b = random_system(103, 30)
+        M = counted(lambda v: v.copy())
+        res = solve_gmres(A, b, tol=1e-10, x0=np.linalg.solve(A.toarray(), b), M=M)
+        assert res.iterations == 0 and M.calls == []
+        assert res.residual <= 1e-10
+
+    def test_exact_preconditioner_takes_one_iteration(self):
+        # happy breakdown: A M^-1 = I, so the first Krylov vector spans the error
+        _, A = convection_diffusion()
+        b = np.random.default_rng(107).standard_normal(A.shape[0])
+        M = counted(spla.splu(A.tocsc()).solve)
+        res = solve_gmres(A, b, tol=1e-12, M=M)
+        assert res.iterations == len(M.calls) == 1
+        assert res.residual <= 1e-12
 
     def test_deterministic(self):
         _, A = convection_diffusion()

@@ -11,10 +11,10 @@ import scipy.sparse as sp
 
 from macstag.fields import PressureField, VelocityField, l2_norm
 from macstag.grid import MacGrid, graded_axis, uniform_axis, uniform_grid
-from macstag.linalg import SeparableSolver
+from macstag.linalg import SeparableSolver, SolverError
 from macstag.mms import mms_problem
 from macstag import scheme as scheme_module
-from macstag.projection import Projector
+from macstag.projection import REFINEMENT_SWEEPS, Projector
 from macstag.scheme import DIAGNOSTIC_COLUMNS, ProjectionScheme, SchemeError
 from macstag.verify import random_pressure
 
@@ -325,6 +325,48 @@ def test_prediction_iterations_bounded(axes, name):
         iterations = [out.iterations for out in stats.per_direction]
         assert max(iterations) <= 8, iterations
         state, _ = scheme.step(state, prob.forcing, dt)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_one_separable_solve_per_prediction_iteration(monkeypatch, dim):
+    # right-preconditioned GMRES applies the FDM once per iteration and not
+    # otherwise; the correction applies it once per velocity-level pass
+    prob = mms_problem(f"vortex{dim}d")
+    scheme = ProjectionScheme(MacGrid([graded_axis(0.0, 1.0, 24 if dim == 2 else 8, 1.05)] * dim))
+    state = scheme.initialize(prob.initial)
+    calls = []
+    solve = SeparableSolver.solve
+
+    def counted(self, *args, **kwargs):
+        calls.append(self)
+        return solve(self, *args, **kwargs)
+
+    monkeypatch.setattr(SeparableSolver, "solve", counted)
+    # the guesses: u^n, then utilde^n, then 2 utilde^n - utilde^{n-1}
+    for _ in range(3):
+        calls.clear()
+        state, diag = scheme.step(state, prob.forcing, 1.0 / 32)
+        assert len(calls) == diag.pred_iters + 1 + REFINEMENT_SWEEPS
+
+
+def test_extrapolated_guess_saves_prediction_iterations():
+    # 74 iterations over this episode when every solve starts from u^n
+    prob = mms_problem("vortex2d")
+    scheme = ProjectionScheme(MacGrid([graded_axis(0.0, 1.0, 128, 1.02)] * 2))
+    levels = scheme.iterate(prob.initial, prob.forcing, 0.25, 8)
+    assert sum(diag.pred_iters for _, diag in levels if diag is not None) <= 64
+
+
+def test_prediction_failure_names_step_and_direction(vortex):
+    scheme = ProjectionScheme(uniform_grid((0.0, 0.0), (1.0, 1.0), (8, 8)))
+    state = scheme.initialize(vortex.initial)
+    for _ in range(2):
+        state, _ = scheme.step(state, vortex.forcing, 1.0 / 32)
+    scheme.max_iterations = 1
+    with pytest.raises(SolverError) as err:
+        scheme.step(state, vortex.forcing, 1.0 / 32)
+    assert str(err.value).startswith("step 3, prediction, direction 0: GMRES did not converge (iterations=1, ")
+    assert err.value.iterations == 1 and err.value.residual > scheme.prediction_tol
 
 
 @pytest.mark.parametrize("dim", [2, 3])
