@@ -6,6 +6,10 @@ sum_a K_a (x) (x)_{b != a} B_b, with 1D tridiagonal stiffness matrices K_a
 and diagonal masses B_a. The fast diagonalization method (Lynch, Rice &
 Thomas 1964) inverts such an operator exactly: with K_a V_a = B_a V_a L_a and
 V_a^T B_a V_a = I, its inverse is (x)V_a diag(1/(shift + sum_a L_a)) (x)V_a^T.
+Each transform (x)W_a is one BLAS matrix product per axis on the contiguous
+array: the first axis multiplies from the left, the last from the right, and
+only a middle axis in 3D needs a stacked matmul, so no axis is ever moved.
+The reciprocal spectrum 1/(shift + sum_a L_a) is kept for the last shift.
 
 The prediction systems add the nonsymmetric convection block to that
 symmetric part. Restarted GMRES, right-preconditioned by the exact separable
@@ -86,7 +90,9 @@ class SeparableSolver:
 
     stiffness[a] is the dense 1D matrix K_a, mass[a] the diagonal of B_a;
     vectors are raveled in 'ij' order over the axes. The generalized
-    eigenpairs of each axis are computed once, here.
+    eigenpairs of each axis are computed once, here. The transforms reshape
+    with explicit sizes (math.prod) rather than -1, because an axis of 0
+    cells makes a 0-size block whose other extent -1 cannot infer.
     """
 
     def __init__(self, stiffness, mass):
@@ -99,10 +105,20 @@ class SeparableSolver:
             self._modes.append(vecs)
             lam = np.add.outer(lam, vals) if a else vals
         self._eigenvalues = lam
+        self._reciprocal = None  # (shift, drop_constant, 1 / (shift + eigenvalues))
 
     def _transform(self, x, transpose):
+        """(x)_a W_a x for W_a = V_a^T (transpose) or V_a; x may have any shape of the solver's size."""
+        last = len(self.shape) - 1
         for a, vecs in enumerate(self._modes):
-            x = np.moveaxis(np.tensordot(vecs.T if transpose else vecs, x, axes=(1, a)), 0, a)
+            W = vecs.T if transpose else vecs
+            n, before, after = self.shape[a], math.prod(self.shape[:a]), math.prod(self.shape[a + 1 :])
+            if a == 0:
+                x = W @ x.reshape(n, after)
+            elif a == last:
+                x = x.reshape(before, n) @ W.T
+            else:
+                x = np.matmul(W, x.reshape(before, n, after))
         return x
 
     def solve(self, b, shift=0.0, drop_constant=False):
@@ -112,10 +128,14 @@ class SeparableSolver:
         operator instead: the all-constant mode is dropped, which leaves the
         result with zero mass-weighted mean.
         """
-        denom = shift + self._eigenvalues
-        if drop_constant:
-            denom[(0,) * len(self.shape)] = np.inf
-        y = self._transform(b.reshape(self.shape), True) / denom
+        cached = self._reciprocal
+        if cached is None or cached[0] != shift or cached[1] != drop_constant:
+            denom = shift + self._eigenvalues
+            if drop_constant:
+                denom[(0,) * len(self.shape)] = np.inf
+            cached = self._reciprocal = (shift, drop_constant, 1.0 / denom)
+        y = self._transform(b, True)
+        y *= cached[2].reshape(y.shape)
         return self._transform(y, False).ravel()
 
 

@@ -53,12 +53,23 @@ def _mul(u, v):
     return [(c * e, tuple(p * q for p, q in zip(ps, qs))) for c, ps in u for e, qs in v]
 
 
-def _evaluate(terms, pts):
-    """Values (m,) of a component at points (m, d)."""
+def _evaluate(terms, pts, values=None):
+    """Values (m,) of a component at points (m, d).
+
+    Each distinct 1D factor is evaluated once: values maps (axis, factor)
+    to its values at pts, and components at the same points share one map.
+    """
     pts = np.asarray(pts, dtype=float)
+    values = {} if values is None else values
     out = np.zeros(len(pts))
     for c, ps in terms:
-        out += c * reduce(np.multiply, [p(x) for p, x in zip(ps, pts.T)])
+        factors = []
+        for a, p in enumerate(ps):
+            key = (a, p.coef.tobytes(), p.domain.tobytes(), p.window.tobytes())
+            if key not in values:
+                values[key] = p(pts[:, a])
+            factors.append(values[key])
+        out += c * reduce(np.multiply, factors)
     return out
 
 
@@ -70,7 +81,8 @@ class TensorField:
 
     def __call__(self, pts):
         """Values (m, d) at points (m, d)."""
-        return np.stack([_evaluate(terms, pts) for terms in self.components], axis=-1)
+        values = {}
+        return np.stack([_evaluate(terms, pts, values) for terms in self.components], axis=-1)
 
     def face_average(self, grid, order: int = 3) -> VelocityField:
         """Face means as fields.face_average gives them, from 1D Gauss means per axis."""

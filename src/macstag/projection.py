@@ -19,7 +19,8 @@ pass solves G^T M_v G phi = G^T M_v v and moves grad phi from v to psi; the
 second pass takes off the rounding of the first, which grows with the
 grading of the grid, so div v ends at roundoff of v. The G^T M_v v left in v
 is the Poisson residual of psi in exact arithmetic: no Poisson matrix is
-assembled.
+assembled. G^T is stored once as CSR, since the transpose view of G would
+be a fresh CSC matrix, and the slower CSC matvec, on every pass.
 
 The projection w -> v is the discrete Leray projection. Its L2 norm is the
 seminorm |w|_* = sup over divergence-free test fields of <w, v>/||v||, the
@@ -56,6 +57,7 @@ class Projector:
     def __init__(self, ops: Operators):
         self.ops = ops
         self._separable = SeparableSolver(*ops.poisson_factors)
+        self._Gt = ops.G.T.tocsr()
 
     def decompose(self, w: VelocityField):
         """Split w = v + grad psi with div v = 0; returns (v, psi, info dict).
@@ -67,13 +69,13 @@ class Projector:
         ops = self.ops
         v = ops.pack(w)
         psi = np.zeros(ops.n_cells)
-        b = ops.G.T @ (ops.mass_velocity * v)
+        b = self._Gt @ (ops.mass_velocity * v)
         bnorm = float(np.linalg.norm(b)) or 1.0
         for _ in range(1 + REFINEMENT_SWEEPS):
             phi = self._separable.solve(b, drop_constant=True)
             v -= ops.G @ phi
             psi += phi
-            b = ops.G.T @ (ops.mass_velocity * v)
+            b = self._Gt @ (ops.mass_velocity * v)
         vol = ops.cell_vol
         psi -= (vol @ psi) / vol.sum()
         info = {"iterations": REFINEMENT_SWEEPS, "residual": float(np.linalg.norm(b)) / bnorm}

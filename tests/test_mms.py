@@ -12,11 +12,13 @@
 import os
 import subprocess
 import sys
+from functools import reduce
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial import Polynomial
 
 import macstag
 from macstag.fields import face_average
@@ -235,6 +237,33 @@ def test_registry():
     with pytest.raises(ValueError):
         mms_problem("channel")
     assert mms_problem("vortex3d").dim == 3
+
+
+def evaluate_every_factor(terms, pts):
+    """A component's values with every 1D factor of every term evaluated afresh."""
+    out = np.zeros(len(pts))
+    for c, ps in terms:
+        out += c * reduce(np.multiply, [p(x) for p, x in zip(ps, pts.T)])
+    return out
+
+
+@pytest.mark.parametrize("name", ["vortex2d", "vortex3d"])
+def test_pointwise_evaluates_each_distinct_factor_once(name, monkeypatch):
+    prob = mms_problem(name)
+    pts = np.random.default_rng(157).uniform(0.0, 1.0, size=(60, prob.dim))
+    parts = [g for _, g in prob.velocity.terms + prob.forcing.terms]
+    expected = [np.stack([evaluate_every_factor(t, pts) for t in g.components], axis=-1) for g in parts]
+    calls = []
+    evaluate = Polynomial.__call__
+    monkeypatch.setattr(Polynomial, "__call__", lambda p, x: calls.append(p) or evaluate(p, x))
+    for g, e in zip(parts, expected):
+        calls.clear()
+        # same terms in the same order: the values agree bit for bit
+        np.testing.assert_array_equal(g(pts), e)
+        distinct = {
+            (a, tuple(p.coef)) for terms in g.components for _, ps in terms for a, p in enumerate(ps)
+        }
+        assert len(calls) == len(distinct)
 
 
 # ---------------------------------------------------------------------------
