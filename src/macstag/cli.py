@@ -83,11 +83,17 @@ def _write_snapshot(cfg, grid, state):
         output.write_fields_csv(cfg.out_dir, base, grid, state.u, state.p)
 
 
-def cmd_run(cfg):
-    grid = cfg.build_grid()
+def _problem_on(cfg, grid):
+    """The configured problem, which must have the dimension of the grid."""
     problem = mms_problem(cfg.problem)
     if problem.dim != grid.dim:
         raise ConfigError([f"problem {cfg.problem!r} is {problem.dim}D but the grid is {grid.dim}D"])
+    return problem
+
+
+def cmd_run(cfg):
+    grid = cfg.build_grid()
+    problem = _problem_on(cfg, grid)
     scheme = ProjectionScheme(grid, **cfg.scheme_kwargs())
     levels = scheme.iterate(problem.initial, problem.forcing, cfg.t_final, cfg.steps)
 
@@ -161,10 +167,8 @@ def cmd_operators_check(cfg, args):
 def cmd_convergence(cfg, args):
     if args.levels < 1:
         raise ConfigError([f"--levels must be >= 1, got {args.levels}"])
-    problem = mms_problem(cfg.problem)
     grid = cfg.build_grid()
-    if problem.dim != grid.dim:
-        raise ConfigError([f"problem {cfg.problem!r} is {problem.dim}D but the grid is {grid.dim}D"])
+    problem = _problem_on(cfg, grid)
     levels = []
     steps = cfg.steps
     for _ in range(args.levels):
@@ -192,10 +196,8 @@ def cmd_translate(cfg, args):
     if bad:
         print(f"error: translates {bad} do not fit a {cfg.steps}-step trajectory", file=sys.stderr)
         return 2
-    problem = mms_problem(cfg.problem)
     grid = cfg.build_grid()
-    if problem.dim != grid.dim:
-        raise ConfigError([f"problem {cfg.problem!r} is {problem.dim}D but the grid is {grid.dim}D"])
+    problem = _problem_on(cfg, grid)
     scheme = ProjectionScheme(grid, **cfg.scheme_kwargs())
     traj = scheme.run(problem.initial, problem.forcing, cfg.t_final, cfg.steps)
     dt = traj.dt

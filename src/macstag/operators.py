@@ -157,12 +157,17 @@ class Operators:
         comps = []
         for i in range(self.grid.dim):
             full = np.zeros(int(np.prod(self.grid.face_shape(i))))
-            full[self._int_flat[i]] = vec[self.offsets[i] : self.offsets[i + 1]]
+            full[self._int_flat[i]] = self.block(vec, i)
             comps.append(full.reshape(self.grid.face_shape(i)))
         return VelocityField(self.grid, comps)
 
     def block(self, vec: np.ndarray, i: int) -> np.ndarray:
+        """The direction-i entries of a packed vector, as a view."""
         return vec[self.offsets[i] : self.offsets[i + 1]]
+
+    def inner(self, a: np.ndarray, b: np.ndarray) -> float:
+        """Mass-weighted inner product of two packed vectors (velocity_inner on fields)."""
+        return float(a * b @ self.mass_velocity)
 
     # -- assembly ----------------------------------------------------------
 
@@ -265,11 +270,8 @@ class Operators:
     def neg_laplacian(self, u: VelocityField) -> VelocityField:
         """Minus the discrete vector Laplacian with zero wall values."""
         vec = self.pack(u)
-        out = np.empty_like(vec)
-        for i in range(self.grid.dim):
-            sl = slice(self.offsets[i], self.offsets[i + 1])
-            out[sl] = (self.laplace_blocks[i] @ vec[sl]) / self.mass_blocks[i]
-        return self.unpack(out)
+        blocks = zip(self.laplace_blocks, self.mass_blocks)
+        return self.unpack(np.concatenate([(S @ self.block(vec, i)) / m for i, (S, m) in enumerate(blocks)]))
 
     def convection_form(self, a: VelocityField, w: VelocityField, v: VelocityField) -> float:
         """Trilinear form: the weak convection of w by a tested against v."""
@@ -277,9 +279,8 @@ class Operators:
         wv = self.pack(w)
         vv = self.pack(v)
         total = 0.0
-        for i in range(self.grid.dim):
-            sl = slice(self.offsets[i], self.offsets[i + 1])
-            total += float(vv[sl] @ (blocks[i] @ wv[sl]))
+        for i, C in enumerate(blocks):
+            total += float(self.block(vv, i) @ (C @ self.block(wv, i)))
         return total
 
     # -- debugging exports ---------------------------------------------------

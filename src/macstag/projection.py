@@ -13,14 +13,17 @@ linalg.SeparableSolver inverts it exactly by fast diagonalization. Its
 pseudo-inverse drops the all-constant mode, which leaves the result with
 zero volume mean.
 
-decompose is iterative refinement on v rather than on psi (Higham, Accuracy
-and Stability of Numerical Algorithms, ch. 12). From v = w and psi = 0, each
-pass solves G^T M_v G phi = G^T M_v v and moves grad phi from v to psi; the
-second pass takes off the rounding of the first, which grows with the
-grading of the grid, so div v ends at roundoff of v. The G^T M_v v left in v
-is the Poisson residual of psi in exact arithmetic: no Poisson matrix is
-assembled. G^T is stored once as CSR, since the transpose view of G would
-be a fresh CSC matrix, and the slower CSC matvec, on every pass.
+decompose works on the unknowns themselves: w and v are packed interior-face
+vectors (Operators.pack) and psi is the flat cell vector. It is iterative
+refinement on v rather than on psi (Higham, Accuracy and Stability of
+Numerical Algorithms, ch. 12). From v = w and psi = 0, each pass solves
+G^T M_v G phi = G^T M_v v and moves G phi from v to psi; the second pass
+takes off the rounding of the first, which grows with the grading of the
+grid, so D v ends at roundoff of v. The G^T M_v v left in v is the Poisson
+residual of psi in exact arithmetic, returned relative to G^T M_v w: no
+Poisson matrix is assembled. G^T is stored once as CSR, since the transpose
+view of G would be a fresh CSC matrix, and the slower CSC matvec, on every
+pass. project and divfree_seminorm take velocity fields and pack them once.
 
 The projection w -> v is the discrete Leray projection. Its L2 norm is the
 seminorm |w|_* = sup over divergence-free test fields of <w, v>/||v||, the
@@ -35,7 +38,7 @@ import math
 import numpy as np
 import scipy.linalg
 
-from .fields import VelocityField, PressureField, velocity_inner
+from .fields import VelocityField
 from .linalg import SeparableSolver
 from .operators import Operators
 
@@ -59,15 +62,15 @@ class Projector:
         self._separable = SeparableSolver(*ops.poisson_factors)
         self._Gt = ops.G.T.tocsr()
 
-    def decompose(self, w: VelocityField):
-        """Split w = v + grad psi with div v = 0; returns (v, psi, info dict).
+    def decompose(self, w: np.ndarray):
+        """Split the packed w = v + G psi with D v = 0; returns (v, psi, residual).
 
-        info holds the velocity-level passes after the first ("iterations")
-        and the relative Poisson residual of the returned psi,
-        ||G^T M_v v|| / ||G^T M_v w|| ("residual").
+        v is packed like w, psi is the flat cell vector with zero volume
+        mean, and residual is the relative Poisson residual of psi,
+        ||G^T M_v v|| / ||G^T M_v w||.
         """
         ops = self.ops
-        v = ops.pack(w)
+        v = np.array(w, dtype=float)
         psi = np.zeros(ops.n_cells)
         b = self._Gt @ (ops.mass_velocity * v)
         bnorm = float(np.linalg.norm(b)) or 1.0
@@ -78,13 +81,11 @@ class Projector:
             b = self._Gt @ (ops.mass_velocity * v)
         vol = ops.cell_vol
         psi -= (vol @ psi) / vol.sum()
-        info = {"iterations": REFINEMENT_SWEEPS, "residual": float(np.linalg.norm(b)) / bnorm}
-        return ops.unpack(v), PressureField(ops.grid, psi.reshape(ops.grid.shape)), info
+        return v, psi, float(np.linalg.norm(b)) / bnorm
 
     def project(self, w: VelocityField) -> VelocityField:
         """Divergence-free part of w (discrete Leray projection)."""
-        v, _, _ = self.decompose(w)
-        return v
+        return self.ops.unpack(self.decompose(self.ops.pack(w))[0])
 
     def divfree_seminorm(self, w: VelocityField) -> float:
         """|w|_*: the L2 norm of the divergence-free part of w.
@@ -92,8 +93,8 @@ class Projector:
         Equals sup <w, v> / ||v|| over discretely divergence-free v, and is
         zero exactly on discrete gradients.
         """
-        v = self.project(w)
-        return math.sqrt(max(velocity_inner(v, v), 0.0))
+        v = self.decompose(self.ops.pack(w))[0]
+        return math.sqrt(max(self.ops.inner(v, v), 0.0))
 
 
 def dense_divfree_basis(ops: Operators) -> np.ndarray:

@@ -40,28 +40,28 @@ for n >= 1 cross-checks the combined momentum identity
         + grad(2 p^n - p^{n-1}) - Lap utilde^{n+1} = f^{n+1}
 
 against the recomputed prediction residual.
+
+Inside a step every velocity is a packed interior-face vector
+(Operators.pack), the unknowns of the fully discrete scheme. A step packs
+u^n, the forcing and utilde^n once each, unpacks u^{n+1} and utilde^{n+1}
+once each, and takes the energy terms as mass-weighted dots (Operators.inner).
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
 
-from .fields import (
-    PressureField,
-    Trajectory,
-    VelocityField,
-    face_average,
-    velocity_inner,
-)
+from .fields import PressureField, Trajectory, VelocityField, face_average
 from .grid import MacGrid
 from .linalg import SeparableSolver, SolverError, solve_gmres
 from .mms import Separable
 from .operators import Operators, on_pattern
-from .projection import Projector
+from .projection import REFINEMENT_SWEEPS, Projector
 
 __all__ = ["ProjectionScheme", "SchemeState", "StepDiagnostics", "SchemeError", "DIAGNOSTIC_COLUMNS"]
 
@@ -83,8 +83,15 @@ class SchemeError(RuntimeError):
     """Raised when a step violates one of the scheme's structural guarantees."""
 
 
-def _require_finite(field: VelocityField, n, phase, what):
-    if not all(np.isfinite(c).all() for c in field.components):
+def _whole(name, value, least=1) -> int:
+    """value as an int; a non-integral value or one below least raises ValueError naming it."""
+    if not (isinstance(value, numbers.Real) and float(value).is_integer() and value >= least):
+        raise ValueError(f"{name} must be a whole number >= {least}, got {value}")
+    return int(value)
+
+
+def _require_finite(vec: np.ndarray, n, phase, what):
+    if not np.isfinite(vec).all():
         raise SchemeError(f"step {n}, {phase}: face-averaged {what} is not finite")
 
 
@@ -115,12 +122,13 @@ class StepDiagnostics:
 
 @dataclass
 class SchemeState:
-    """Fields carried between steps.
+    """Level n and the history the next step reads.
 
-    The previous levels feed the prediction's initial guess and the
-    momentum check: u_tilde_prev is the prediction of the step that made
-    level n, u_tilde_prev2 the one before it, and gp, gp_prev are the
-    packed gradients G p^n and G p^{n-1}.
+    u, p and u_tilde_prev (the prediction of the step that made level n)
+    are fields, for observers of the march. The rest is packed history:
+    u_tilde_prev2 is the prediction before u_tilde_prev, read only by the
+    prediction's initial guess, and gp, gp_prev are the gradients G p^n and
+    G p^{n-1} of the prediction and the momentum check.
     """
 
     n: int
@@ -130,7 +138,7 @@ class SchemeState:
     grad_p_norm: float
     gp: np.ndarray
     u_tilde_prev: VelocityField | None = None
-    u_tilde_prev2: VelocityField | None = None
+    u_tilde_prev2: np.ndarray | None = None
     gp_prev: np.ndarray | None = None
 
 
@@ -141,13 +149,7 @@ class PredictionStats:
     residual_l2: float
     per_direction: list = field(default_factory=list)
     convection: list = field(default_factory=list)  # blocks C_i(u^n), reused by the momentum check
-
-
-@dataclass
-class CorrectionStats:
-    iterations: int
-    residual: float
-    div_max: float
+    u_tilde_prev: np.ndarray | None = None  # packed utilde^n, reused by the momentum check
 
 
 class ProjectionScheme:
@@ -155,7 +157,8 @@ class ProjectionScheme:
 
     max_iterations caps the GMRES iterations of each prediction solve; None
     leaves linalg.MAX_ITERATIONS in force. Both tolerances must lie in
-    (0, 1); a bad argument raises ValueError before any operator is built.
+    (0, 1), and max_iterations and quad_order must be whole numbers; a bad
+    argument raises ValueError before any operator is built.
     """
 
     def __init__(
@@ -170,16 +173,12 @@ class ProjectionScheme:
         for name, tol in (("prediction_tol", prediction_tol), ("poisson_tol", poisson_tol)):
             if not 0.0 < float(tol) < 1.0:
                 raise ValueError(f"{name} must lie in (0, 1), got {tol}")
-        if max_iterations is not None and max_iterations < 1:
-            raise ValueError(f"max_iterations must be None or >= 1, got {max_iterations}")
-        if quad_order < 1:
-            raise ValueError(f"quad_order must be >= 1, got {quad_order}")
+        self.max_iterations = None if max_iterations is None else _whole("max_iterations", max_iterations)
+        self.quad_order = _whole("quad_order", quad_order)
         self.grid = grid
         self.ops = Operators(grid)
         self.prediction_tol = float(prediction_tol)
         self.poisson_tol = float(poisson_tol)
-        self.max_iterations = max_iterations
-        self.quad_order = int(quad_order)
         self.projector = Projector(self.ops)
         self._momentum_solvers = [SeparableSolver(*factors) for factors in self.ops.laplace_factors]
         self._momentum_values = None  # (dt, values of M_i/dt + S_i on the pattern of S_i)
@@ -193,13 +192,11 @@ class ProjectionScheme:
         pressure starts at zero; for initial data that is already divergence
         free the projection is a no-op up to roundoff.
         """
-        if isinstance(u0, VelocityField):
-            w = u0.copy()
-        else:
-            w = face_average(self.grid, u0, order=self.quad_order)
-        w.zero_exterior()
+        if not isinstance(u0, VelocityField):
+            u0 = face_average(self.grid, u0, order=self.quad_order)
+        w = self.ops.pack(u0)  # interior faces only: the boundary values are dropped
         _require_finite(w, 0, "initialize", "initial data")
-        u = self.projector.project(w)
+        u = self.ops.unpack(self.projector.decompose(w)[0])
         p = PressureField(self.grid)
         return SchemeState(n=0, t=0.0, u=u, p=p, grad_p_norm=0.0, gp=np.zeros(self.ops.n_velocity))
 
@@ -224,66 +221,67 @@ class ProjectionScheme:
             self._momentum_values = (dt, [self.ops.momentum_values(i, dt) for i in range(self.grid.dim)])
         return [on_pattern(C, base + C.data) for base, C in zip(self._momentum_values[1], conv)]
 
-    def prediction(self, state: SchemeState, f_field: VelocityField, dt: float):
+    def prediction(self, state: SchemeState, u: np.ndarray, f: np.ndarray, dt: float):
         """Solve the implicit momentum systems, one per component direction.
 
-        Each system is solved by GMRES, preconditioned by the exact separable
-        inverse of its symmetric part M_i/dt + S_i and started from the
-        extrapolated guess 2 utilde^n - utilde^{n-1}; while fewer earlier
-        predictions exist it starts from utilde^n, then from u^n.
+        u and f are the packed u^n and forcing; returns the packed utilde
+        and the solver stats. Each system is solved by GMRES, preconditioned
+        by the exact separable inverse of its symmetric part M_i/dt + S_i
+        and started from the extrapolated guess 2 utilde^n - utilde^{n-1};
+        while fewer earlier predictions exist it starts from utilde^n, then
+        from u^n.
         """
         ops = self.ops
         dt = float(dt)
-        u_vec = ops.pack(state.u)
-        f_vec = ops.pack(f_field)
-        if state.u_tilde_prev is None:
-            guess = u_vec
+        ut_prev = None if state.u_tilde_prev is None else ops.pack(state.u_tilde_prev)
+        if ut_prev is None:
+            guess = u
         elif state.u_tilde_prev2 is None:
-            guess = ops.pack(state.u_tilde_prev)
+            guess = ut_prev
         else:
-            guess = 2.0 * ops.pack(state.u_tilde_prev) - ops.pack(state.u_tilde_prev2)
+            guess = 2.0 * ut_prev - state.u_tilde_prev2
         conv = ops.convection_blocks(state.u)
-        x = np.empty_like(u_vec)
+        parts = []
         res_sq = 0.0
-        stats = PredictionStats(iterations=0, residual=0.0, residual_l2=0.0, convection=conv)
+        stats = PredictionStats(0, 0.0, 0.0, convection=conv, u_tilde_prev=ut_prev)
         for i, A in enumerate(self.prediction_blocks(conv, dt)):
-            sl = slice(ops.offsets[i], ops.offsets[i + 1])
             mass = ops.mass_blocks[i]
-            rhs = mass * (u_vec[sl] / dt + f_vec[sl] - state.gp[sl])
+            rhs = mass * (ops.block(u, i) / dt + ops.block(f, i) - ops.block(state.gp, i))
             fdm = partial(self._momentum_solvers[i].solve, shift=1.0 / dt)
             try:
                 out = solve_gmres(
-                    A, rhs, tol=self.prediction_tol, maxiter=self.max_iterations, x0=guess[sl], M=fdm
+                    A, rhs, tol=self.prediction_tol, maxiter=self.max_iterations, x0=ops.block(guess, i),
+                    M=fdm,
                 )
             except SolverError as err:
                 where = f"step {state.n + 1}, prediction, direction {i}"
                 raise SolverError(f"{where}: {err.message}", err.iterations, err.residual) from err
-            x[sl] = out.x
+            parts.append(out.x)
             r = out.residual_vector
             res_sq += float(np.sum(r * r / mass))
             stats.iterations += out.iterations
             stats.residual = max(stats.residual, out.residual)
             stats.per_direction.append(out)
         stats.residual_l2 = math.sqrt(res_sq)
-        return ops.unpack(x), stats
+        return np.concatenate(parts), stats
 
-    def correction(self, state: SchemeState, u_tilde: VelocityField, dt: float):
-        """Pressure increment and divergence-free update; returns (u, p, psi, stats).
+    def correction(self, state: SchemeState, ut: np.ndarray, dt: float):
+        """Pressure increment and divergence-free update; returns (u, p, residual, div_max).
 
-        The update is the Helmholtz decomposition u_tilde = u + grad(dt psi).
+        ut and u are packed. The update is the Helmholtz decomposition
+        ut = u + G(dt psi), p = p^n + psi recentered; residual is its
+        relative Poisson residual and div_max is max |D u|.
         """
         dt = float(dt)
-        u, potential, info = self.projector.decompose(u_tilde)
-        div_max = float(np.abs(self.ops.div(u).data).max())
+        u, phi, residual = self.projector.decompose(ut)
+        div_max = float(np.abs(self.ops.D @ u).max())
         if div_max > 10.0 * self.poisson_tol:
             raise SchemeError(
                 f"step {state.n + 1}, correction: post-correction divergence {div_max:.3e} "
                 f"exceeds 10 x poisson_tol = {10.0 * self.poisson_tol:.1e}"
             )
-        psi = PressureField(self.grid, potential.data / dt)
-        p = (state.p + psi).recentered()
-        stats = CorrectionStats(iterations=info["iterations"], residual=info["residual"], div_max=div_max)
-        return u, p, psi, stats
+        p = PressureField(self.grid, state.p.data + phi.reshape(self.grid.shape) / dt).recentered()
+        return u, p, residual, div_max
 
     def step(self, state: SchemeState, forcing, dt: float):
         """Advance one level; returns (new state, diagnostics)."""
@@ -292,25 +290,20 @@ class ProjectionScheme:
             raise ValueError(f"dt must be positive and finite, got {dt}")
         ops = self.ops
         f_field = self._forcing_field(forcing, state.t + 0.5 * dt)
-        _require_finite(f_field, state.n + 1, "forcing", "forcing")
-        u_tilde, pstats = self.prediction(state, f_field, dt)
-        u_new, p_new, psi, cstats = self.correction(state, u_tilde, dt)
+        u, f = ops.pack(state.u), ops.pack(f_field)
+        _require_finite(f, state.n + 1, "forcing", "forcing")
+        ut, pstats = self.prediction(state, u, f, dt)
+        u_new, p_new, corr_residual, div_max = self.correction(state, ut, dt)
 
-        ut_vec = ops.pack(u_tilde)
-        lap_ut = np.empty_like(ut_vec)  # S_i utilde, shared with the momentum check
-        dissipation = 0.0
-        for i in range(self.grid.dim):
-            sl = slice(ops.offsets[i], ops.offsets[i + 1])
-            lap_ut[sl] = ops.laplace_blocks[i] @ ut_vec[sl]
-            dissipation += float(ut_vec[sl] @ lap_ut[sl])
-
-        e_new = 0.5 * velocity_inner(u_new, u_new)
-        e_old = 0.5 * velocity_inner(state.u, state.u)
+        # S_i utilde, shared with the momentum check
+        lap_ut = np.concatenate([S @ ops.block(ut, i) for i, S in enumerate(ops.laplace_blocks)])
+        dissipation = float(ut @ lap_ut)
+        e_new = 0.5 * ops.inner(u_new, u_new)
+        e_old = 0.5 * ops.inner(u, u)
         gp_vec = ops.G @ p_new.data.ravel()
-        gp_new = math.sqrt(max(float(gp_vec**2 @ ops.mass_velocity), 0.0))
-        diff = u_tilde - state.u
-        coupling = math.sqrt(max(velocity_inner(diff, diff), 0.0))
-        work = velocity_inner(f_field, u_tilde)
+        gp_new = math.sqrt(max(ops.inner(gp_vec, gp_vec), 0.0))
+        coupling = math.sqrt(max(ops.inner(ut - u, ut - u), 0.0))
+        work = ops.inner(f, ut)
 
         terms = (
             e_new / dt,
@@ -337,54 +330,50 @@ class ProjectionScheme:
             dissipation=dissipation,
             grad_p_norm=gp_new,
             coupling_norm=coupling,
-            div_max=cstats.div_max,
+            div_max=div_max,
             energy_residual=energy_residual,
             pred_iters=pstats.iterations,
-            corr_iters=cstats.iterations,
+            corr_iters=REFINEMENT_SWEEPS,
             energy_scale=energy_scale,
             pred_residual=pstats.residual,
-            corr_residual=cstats.residual,
+            corr_residual=corr_residual,
         )
 
-        if state.u_tilde_prev is not None and state.gp_prev is not None:
-            self._momentum_check(state, ut_vec, lap_ut, f_field, dt, pstats, diag)
+        if pstats.u_tilde_prev is not None and state.gp_prev is not None:
+            self._momentum_check(state, ut, lap_ut, f, dt, pstats, diag)
 
         new_state = SchemeState(
             n=state.n + 1,
             t=state.t + dt,
-            u=u_new,
+            u=ops.unpack(u_new),
             p=p_new,
             grad_p_norm=gp_new,
             gp=gp_vec,
-            u_tilde_prev=u_tilde,
-            u_tilde_prev2=state.u_tilde_prev,
+            u_tilde_prev=ops.unpack(ut),
+            u_tilde_prev2=pstats.u_tilde_prev,
             gp_prev=state.gp,
         )
         return new_state, diag
 
-    def _momentum_check(self, state, ut, lap_ut, f_field, dt, pstats, diag):
+    def _momentum_check(self, state, ut, lap_ut, f, dt, pstats, diag):
         """Combined momentum identity across the previous correction, n >= 1.
 
-        ut is the packed utilde^{n+1} and lap_ut its S_i utilde^{n+1}.
+        ut is the packed utilde^{n+1}, lap_ut its S_i utilde^{n+1} and f the
+        packed forcing; utilde^n and the blocks C_i(u^n) come from pstats.
         """
         ops = self.ops
-        t1 = (ut - ops.pack(state.u_tilde_prev)) / dt
+        t1 = (ut - pstats.u_tilde_prev) / dt
         conv = pstats.convection
-        t2 = np.empty_like(ut)
-        for i in range(self.grid.dim):
-            sl = slice(ops.offsets[i], ops.offsets[i + 1])
-            t2[sl] = (conv[i] @ ut[sl]) / ops.mass_blocks[i]
+        t2 = np.concatenate([(C @ ops.block(ut, i)) / ops.mass_blocks[i] for i, C in enumerate(conv)])
         t3 = 2.0 * state.gp - state.gp_prev
         t4 = lap_ut / ops.mass_velocity
-        fv = ops.pack(f_field)
-        res = t1 + t2 + t3 + t4 - fv
-        m = ops.mass_velocity
+        res = t1 + t2 + t3 + t4 - f
 
         def l2(v):
-            return math.sqrt(max(float(v * v @ m), 0.0))
+            return math.sqrt(max(ops.inner(v, v), 0.0))
 
         diag.momentum_residual = l2(res)
-        diag.momentum_scale = max(l2(t1), l2(t2), l2(t3), l2(t4), l2(fv))
+        diag.momentum_scale = max(l2(t1), l2(t2), l2(t3), l2(t4), l2(f))
         bound = 10.0 * pstats.residual_l2 + 1e-10 * max(diag.momentum_scale, 1e-30)
         if diag.momentum_residual > bound:
             raise SchemeError(
@@ -399,7 +388,7 @@ class ProjectionScheme:
         """Step size of a march from t=0 to t_final in `steps` equal steps."""
         if not 1 <= float(steps) < math.inf:
             raise ValueError(f"need at least one step, got {steps}")
-        steps = int(steps)
+        steps = _whole("steps", steps)
         t_final = float(t_final)
         if not 0.0 < t_final < math.inf:
             raise ValueError(f"t_final must be positive and finite, got {t_final}")

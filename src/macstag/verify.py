@@ -147,8 +147,9 @@ def property_suite(grid: MacGrid, *, seed=0, pairs=20, tol=1e-12) -> PropertyRep
     worst_grad = 0.0
     for _ in range(pairs):
         w = random_velocity(grid, rng)
-        v, psi, _ = proj.decompose(w)
-        gpsi = ops.grad(psi)
+        v, psi, _ = proj.decompose(ops.pack(w))
+        v = ops.unpack(v)
+        gpsi = ops.unpack(ops.G @ psi)
         wn = l2_norm(w)
         pyth = wn**2 - l2_norm(v) ** 2 - l2_norm(gpsi) ** 2
         worst_pyth = max(worst_pyth, abs(pyth) / wn**2)

@@ -39,7 +39,7 @@ def test_run_writes_artifacts(small_config, tmp_path, capsys):
     text = capsys.readouterr().out
     assert "step" in text and "run complete" in text
     # the resolved echo records the effective output directory
-    resolved = open(os.path.join(out, "config.resolved.ini")).read()
+    resolved = (tmp_path / "out" / "config.resolved.ini").read_text()
     assert out in resolved
 
 
@@ -48,8 +48,8 @@ def test_run_rerun_byte_identical(small_config, tmp_path):
     out_b = str(tmp_path / "b")
     assert main(["run", "--config", small_config, "--out", out_a]) == 0
     assert main(["run", "--config", small_config, "--out", out_b]) == 0
-    da = open(os.path.join(out_a, "diagnostics.csv"), "rb").read()
-    db = open(os.path.join(out_b, "diagnostics.csv"), "rb").read()
+    da = (tmp_path / "a" / "diagnostics.csv").read_bytes()
+    db = (tmp_path / "b" / "diagnostics.csv").read_bytes()
     assert da == db
 
 
@@ -162,7 +162,7 @@ def test_translate(tmp_path, capsys):
     path.write_text("[grid]\nn = 4 4\n[time]\nfinal = 0.1\nsteps = 4\n")
     out = str(tmp_path / "tr")
     assert main(["translate", "--config", str(path), "--taus", "1,2", "--out", out]) == 0
-    lines = open(os.path.join(out, "translate.csv")).read().splitlines()
+    lines = (tmp_path / "tr" / "translate.csv").read_text().splitlines()
     assert lines[0] == "tau,steps,l2_translate_sq,star_translate_sq"
     assert len(lines) == 3
 
@@ -201,10 +201,11 @@ def test_config_errors(tmp_path, capsys):
     assert not os.path.exists(tmp_path / "o")
 
 
-def test_dimension_mismatch_is_config_error(tmp_path):
+@pytest.mark.parametrize("command", ["run", "convergence", "translate"])
+def test_dimension_mismatch_is_config_error(tmp_path, command):
     path = tmp_path / "m.ini"
     path.write_text("[problem]\nname = vortex3d\n")  # default grid is 2D
-    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
 
 
 def test_seed_flag_threads_through(tmp_path, capsys):

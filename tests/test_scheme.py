@@ -13,7 +13,10 @@ from macstag.fields import PressureField, VelocityField, l2_norm
 from macstag.grid import MacGrid, graded_axis, uniform_axis, uniform_grid
 from macstag.linalg import SeparableSolver, SolverError
 from macstag.mms import mms_problem
+from macstag import fields as fields_module
+from macstag import projection as projection_module
 from macstag import scheme as scheme_module
+from macstag.operators import Operators
 from macstag.projection import REFINEMENT_SWEEPS, Projector
 from macstag.scheme import DIAGNOSTIC_COLUMNS, ProjectionScheme, SchemeError
 from macstag.verify import random_pressure
@@ -53,14 +56,17 @@ def test_correction_matches_decomposition(vortex, rng):
     scheme = ProjectionScheme(g, poisson_tol=1e-13, prediction_tol=1e-12)
     state = scheme.initialize(vortex.initial)
     dt = 0.02
+    ops = scheme.ops
     f_field = scheme._forcing_field(vortex.forcing, state.t + 0.5 * dt)
-    u_tilde, _ = scheme.prediction(state, f_field, dt)
-    u_new, p_new, psi, stats = scheme.correction(state, u_tilde, dt)
+    u_tilde, _ = scheme.prediction(state, ops.pack(state.u), ops.pack(f_field), dt)
+    u_new, p_new, residual, div_max = scheme.correction(state, u_tilde, dt)
+    psi = p_new - state.p  # the increment, recentered with p_new
 
-    proj = Projector(scheme.ops)
+    proj = Projector(ops)
     v_ref, phi_ref, _ = proj.decompose(u_tilde)
+    phi_ref = PressureField(g, phi_ref.reshape(g.shape))
     # u_new = P(u_tilde) and dt * psi = potential of the gradient part
-    assert l2_norm(u_new - v_ref) <= 1e-9 * max(l2_norm(u_tilde), 1e-30)
+    assert l2_norm(ops.unpack(u_new - v_ref)) <= 1e-9 * max(l2_norm(ops.unpack(u_tilde)), 1e-30)
     scaled = PressureField(g, dt * psi.data).recentered()
     np.testing.assert_allclose(scaled.data, phi_ref.recentered().data, atol=1e-10)
 
@@ -261,6 +267,16 @@ BAD_ARGUMENTS = {
         r"need at least one step, got inf",
     ),
     "step-dt=nan": (_step_with_dt(np.nan), r"dt .* got nan"),
+    "max_iterations=2.5": (
+        lambda g, prob: ProjectionScheme(g, max_iterations=2.5),
+        r"max_iterations .* got 2.5",
+    ),
+    "quad_order=2.7": (lambda g, prob: ProjectionScheme(g, quad_order=2.7), r"quad_order .* got 2.7"),
+    "time_step-steps=2.5": (lambda g, prob: ProjectionScheme.time_step(1.0, 2.5), r"steps .* got 2.5"),
+    "steps=2.5": (
+        lambda g, prob: ProjectionScheme(g).iterate(prob.initial, _forcing_never_evaluated, 0.1, 2.5),
+        r"steps .* got 2.5",
+    ),
 }
 
 
@@ -269,6 +285,17 @@ def test_bad_arguments_are_rejected_before_any_step(vortex, call, match):
     g = uniform_grid((0.0, 0.0), (1.0, 1.0), (16, 16))
     with pytest.raises(ValueError, match=match):
         call(g, vortex)
+
+
+def test_integral_float_counts_are_accepted(vortex):
+    # whole numbers given as floats are counts like their ints, down to the
+    # GMRES iteration cap a step uses
+    g = uniform_grid((0.0, 0.0), (1.0, 1.0), (4, 4))
+    scheme = ProjectionScheme(g, max_iterations=8.0, quad_order=3.0)
+    assert type(scheme.max_iterations) is type(scheme.quad_order) is int
+    assert ProjectionScheme.time_step(1.0, 8.0) == 0.125
+    levels = list(scheme.iterate(vortex.initial, vortex.forcing, 0.1, 2.0))
+    assert [state.n for state, _ in levels] == [0, 1, 2]
 
 
 def _random_axis(rng, n, length=1.0):
@@ -321,7 +348,7 @@ def test_prediction_iterations_bounded(axes, name):
     dt = 1.0 / 32
     for _ in range(2):
         f_field = scheme._forcing_field(prob.forcing, state.t + 0.5 * dt)
-        _, stats = scheme.prediction(state, f_field, dt)
+        _, stats = scheme.prediction(state, scheme.ops.pack(state.u), scheme.ops.pack(f_field), dt)
         iterations = [out.iterations for out in stats.per_direction]
         assert max(iterations) <= 8, iterations
         state, _ = scheme.step(state, prob.forcing, dt)
@@ -367,6 +394,34 @@ def test_prediction_failure_names_step_and_direction(vortex):
         scheme.step(state, vortex.forcing, 1.0 / 32)
     assert str(err.value).startswith("step 3, prediction, direction 0: GMRES did not converge (iterations=1, ")
     assert err.value.iterations == 1 and err.value.residual > scheme.prediction_tol
+
+
+def test_step_packs_each_field_once(monkeypatch, vortex):
+    # inside a step every velocity is a packed interior-face vector: u^n,
+    # the forcing and utilde^n are packed once each, u^{n+1} and
+    # utilde^{n+1} unpacked once each, and no field inner product is taken
+    scheme = ProjectionScheme(uniform_grid((0.0, 0.0), (1.0, 1.0), (8, 8)))
+    state = scheme.initialize(vortex.initial)
+    for _ in range(2):
+        state, _ = scheme.step(state, vortex.forcing, 1.0 / 32)
+    counts = {"pack": 0, "unpack": 0, "velocity_inner": 0}
+
+    def counted(key, fn):
+        def call(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+
+        return call
+
+    monkeypatch.setattr(Operators, "pack", counted("pack", Operators.pack))
+    monkeypatch.setattr(Operators, "unpack", counted("unpack", Operators.unpack))
+    for module in (fields_module, projection_module, scheme_module):
+        if hasattr(module, "velocity_inner"):
+            monkeypatch.setattr(module, "velocity_inner", counted("velocity_inner", module.velocity_inner))
+    for _ in range(3):
+        counts.update(dict.fromkeys(counts, 0))
+        state, _ = scheme.step(state, vortex.forcing, 1.0 / 32)
+        assert counts == {"pack": 3, "unpack": 2, "velocity_inner": 0}
 
 
 @pytest.mark.parametrize("dim", [2, 3])
