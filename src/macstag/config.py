@@ -1,9 +1,16 @@
 """Run configuration: flat key=value files with section headers.
 
-Every key has a default, unknown sections or keys are hard errors, and any
-key can be overridden through the environment as MACSTAG_<SECTION>_<KEY>
-(e.g. MACSTAG_TIME_STEPS=32). The resolved configuration is echoed next to
-run outputs so a run can be reproduced from its artifacts alone.
+Each key is one entry of the table _KEYS, (section, key) -> (RunConfig
+field, default as it sits in the file, parser); DEFAULTS, the conversion in
+parse_config and the resolved echo RunConfig.to_ini are read off it. The
+grid.coords_a keys fill the one field grid_coords: they are read for
+grid.kind = coords only, and start at coords_0 with no gap. Unknown sections
+or keys are hard errors, and any key can be overridden through the
+environment as MACSTAG_<SECTION>_<KEY> (e.g. MACSTAG_TIME_STEPS=32). All
+problems are itemized in one ConfigError; a value that does not parse is
+reported once, and later checks see the key's default in its place. The
+resolved configuration is echoed next to run outputs so a run can be
+reproduced from its artifacts alone.
 """
 
 from __future__ import annotations
@@ -12,6 +19,7 @@ import configparser
 import io
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -22,30 +30,59 @@ __all__ = ["RunConfig", "ConfigError", "parse_config", "ENV_PREFIX", "DEFAULTS"]
 
 ENV_PREFIX = "MACSTAG"
 
-# (section, key) -> default, as strings exactly as they would sit in the file
-DEFAULTS = {
-    ("domain", "lo"): "0 0",
-    ("domain", "hi"): "1 1",
-    ("grid", "kind"): "uniform",
-    ("grid", "n"): "8 8",
-    ("grid", "ratio"): "1",
-    ("grid", "coords_0"): "",
-    ("grid", "coords_1"): "",
-    ("grid", "coords_2"): "",
-    ("time", "final"): "1.0",
-    ("time", "steps"): "8",
-    ("problem", "name"): "vortex2d",
-    ("solver", "prediction_tol"): "1e-10",
-    ("solver", "poisson_tol"): "1e-10",
-    ("solver", "max_iterations"): "0",
-    ("solver", "quad_order"): "3",
-    ("output", "directory"): "out",
-    ("output", "cadence"): "0",
-    ("output", "format"): "csv",
-    ("output", "seed"): "0",
+
+def _numbers(cast, many, text):
+    """text as one cast (float or int) value, or as a tuple of them when many.
+
+    A value that does not parse, or a float that is not finite, raises
+    ValueError with the message itemized under its key.
+    """
+    noun = {float: ("a number", "numbers"), int: ("an integer", "integers")}[cast][many]
+    try:
+        value = tuple(cast(tok) for tok in text.split()) if many else cast(text)
+    except ValueError:
+        raise ValueError(f"cannot parse {text!r} as {noun}") from None
+    if cast is float and not all(map(math.isfinite, value if many else (value,))):
+        raise ValueError(f"value{'s' if many else ''} must be finite, got {text!r}")
+    return value
+
+
+_floats, _ints = partial(_numbers, float, True), partial(_numbers, int, True)
+_float, _int = partial(_numbers, float, False), partial(_numbers, int, False)
+
+
+def _word(text):
+    return text.strip().lower()
+
+
+# (section, key) -> (RunConfig field, default as it sits in the file, parser)
+_KEYS = {
+    ("domain", "lo"): ("domain_lo", "0 0", _floats),
+    ("domain", "hi"): ("domain_hi", "1 1", _floats),
+    ("grid", "kind"): ("grid_kind", "uniform", _word),
+    ("grid", "n"): ("grid_n", "8 8", _ints),
+    ("grid", "ratio"): ("grid_ratio", "1", _float),
+    ("grid", "coords_0"): ("grid_coords", "", _floats),
+    ("grid", "coords_1"): ("grid_coords", "", _floats),
+    ("grid", "coords_2"): ("grid_coords", "", _floats),
+    ("time", "final"): ("t_final", "1.0", _float),
+    ("time", "steps"): ("steps", "8", _int),
+    ("problem", "name"): ("problem", "vortex2d", str.strip),
+    ("solver", "prediction_tol"): ("prediction_tol", "1e-10", _float),
+    ("solver", "poisson_tol"): ("poisson_tol", "1e-10", _float),
+    ("solver", "max_iterations"): ("max_iterations", "0", _int),
+    ("solver", "quad_order"): ("quad_order", "3", _int),
+    ("output", "directory"): ("out_dir", "out", str.strip),
+    ("output", "cadence"): ("cadence", "0", _int),
+    ("output", "format"): ("output_format", "csv", _word),
+    ("output", "seed"): ("seed", "0", _int),
 }
 
-_SECTIONS = ("domain", "grid", "time", "problem", "solver", "output")
+# (section, key) -> default, as strings exactly as they would sit in the file
+DEFAULTS = {sec_key: default for sec_key, (_, default, _) in _KEYS.items()}
+
+_SECTIONS = tuple(dict.fromkeys(sec for sec, _ in _KEYS))
+_COORDS = [sec_key for sec_key, (name, _, _) in _KEYS.items() if name == "grid_coords"]
 
 
 class ConfigError(Exception):
@@ -54,6 +91,13 @@ class ConfigError(Exception):
     def __init__(self, errors):
         self.errors = list(errors)
         super().__init__("\n".join(["invalid configuration:"] + [f"  - {e}" for e in self.errors]))
+
+
+def _format(value) -> str:
+    """A field as the file spells it: tuples space-joined, strings as they are, numbers by repr."""
+    if isinstance(value, tuple):
+        return " ".join(repr(x) for x in value)
+    return value if isinstance(value, str) else repr(value)
 
 
 @dataclass
@@ -104,76 +148,51 @@ class RunConfig:
 
     def to_ini(self) -> str:
         """Resolved key=value echo, deterministic ordering."""
-        values = {
-            ("domain", "lo"): " ".join(repr(x) for x in self.domain_lo),
-            ("domain", "hi"): " ".join(repr(x) for x in self.domain_hi),
-            ("grid", "kind"): self.grid_kind,
-            ("grid", "n"): " ".join(str(x) for x in self.grid_n),
-            ("grid", "ratio"): repr(self.grid_ratio),
-            ("time", "final"): repr(self.t_final),
-            ("time", "steps"): str(self.steps),
-            ("problem", "name"): self.problem,
-            ("solver", "prediction_tol"): repr(self.prediction_tol),
-            ("solver", "poisson_tol"): repr(self.poisson_tol),
-            ("solver", "max_iterations"): str(self.max_iterations),
-            ("solver", "quad_order"): str(self.quad_order),
-            ("output", "directory"): self.out_dir,
-            ("output", "cadence"): str(self.cadence),
-            ("output", "format"): self.output_format,
-            ("output", "seed"): str(self.seed),
-        }
+        values = {k: _format(getattr(self, name)) for k, (name, _, _) in _KEYS.items() if k not in _COORDS}
         if self.grid_kind == "coords":
-            for a, coords in enumerate(self.grid_coords):
-                values[("grid", f"coords_{a}")] = " ".join(repr(x) for x in coords)
+            values.update(zip(_COORDS, map(_format, self.grid_coords)))
         lines = []
         for sec in _SECTIONS:
             keys = sorted(k for (s, k) in values if s == sec)
-            if not keys:
-                continue
             lines.append(f"[{sec}]")
             lines.extend(f"{k} = {values[(sec, k)]}" for k in keys)
             lines.append("")
         return "\n".join(lines)
 
 
-def _floats(text, what, errors):
-    try:
-        vals = tuple(float(tok) for tok in text.split())
-    except ValueError:
-        errors.append(f"{what}: cannot parse {text!r} as numbers")
-        return ()
-    if not all(math.isfinite(v) for v in vals):
-        errors.append(f"{what}: values must be finite, got {text!r}")
-    return vals
+def _read_coords(values, declared, c, errors):
+    """Check the grid.coords_a keys and set grid_coords, the domain and grid_n from them in c.
 
-
-def _ints(text, what, errors):
-    try:
-        vals = tuple(int(tok) for tok in text.split())
-    except ValueError:
-        errors.append(f"{what}: cannot parse {text!r} as integers")
-        return ()
-    return vals
-
-
-def _one_float(text, what, errors, default=0.0):
-    try:
-        val = float(text)
-    except ValueError:
-        errors.append(f"{what}: cannot parse {text!r} as a number")
-        return default
-    if not math.isfinite(val):
-        errors.append(f"{what}: value must be finite, got {text!r}")
-        return default
-    return val
-
-
-def _one_int(text, what, errors, default=0):
-    try:
-        return int(text)
-    except ValueError:
-        errors.append(f"{what}: cannot parse {text!r} as an integer")
-        return default
+    declared names the domain fields set explicitly; they must match the coordinate endpoints.
+    """
+    present = [a for a, k in enumerate(_COORDS) if values[k].strip()]
+    axes = {}
+    for a in present:
+        try:
+            axes[a] = _floats(values[_COORDS[a]])
+        except ValueError as exc:
+            errors.append(f"grid.coords_{a}: {exc}")
+    if present != list(range(len(present))):
+        gap = next(a for a in range(len(_COORDS)) if a not in present)
+        errors.append(f"grid.coords_{gap} is missing: the coords keys start at coords_0 with no gap")
+        return
+    if len(present) not in (2, 3):
+        errors.append(f"grid.kind=coords needs coords_0..coords_{{1,2}}, got {len(present)} axes")
+        return
+    for a, axis in axes.items():
+        if len(axis) < 2:
+            errors.append(f"grid.coords_{a}: need at least two coordinates")
+        elif any(b <= a_ for a_, b in zip(axis, axis[1:])):
+            errors.append(f"grid.coords_{a}: coordinates must be strictly increasing")
+    if len(axes) < len(present):
+        return
+    ends = {"lo": tuple(x[0] for x in axes.values()), "hi": tuple(x[-1] for x in axes.values())}
+    for name, end in ends.items():
+        if f"domain_{name}" in declared and c[f"domain_{name}"] != end:
+            errors.append(f"domain.{name} {c[f'domain_{name}']} disagrees with the grid.coords endpoints {end}")
+        c[f"domain_{name}"] = end
+    c["grid_coords"] = tuple(axes.values())
+    c["grid_n"] = tuple(len(x) - 1 for x in axes.values())
 
 
 def parse_config(path=None, *, text=None, env=None, overrides=None) -> RunConfig:
@@ -183,22 +202,17 @@ def parse_config(path=None, *, text=None, env=None, overrides=None) -> RunConfig
     variables, explicit overrides (CLI flags). Unknown keys in the file are
     itemized errors, not warnings.
     """
-    values = dict(DEFAULTS)
-    provided = set()
-    errors = []
-
     if path is not None and text is not None:
         raise ValueError("pass either path or text, not both")
-    source = None
+    source = text
     if path is not None:
         try:
             with open(path, "r") as fh:
                 source = fh.read()
         except OSError as exc:
             raise ConfigError([f"cannot read config file {path}: {exc}"]) from exc
-    elif text is not None:
-        source = text
 
+    given, errors = {}, []  # (section, key) -> text set by the file, the environment or an override
     if source is not None:
         parser = configparser.ConfigParser(interpolation=None)
         try:
@@ -213,141 +227,77 @@ def parse_config(path=None, *, text=None, env=None, overrides=None) -> RunConfig
                 if (sec, key) not in DEFAULTS:
                     errors.append(f"unknown key {key!r} in section [{sec}]")
                 else:
-                    values[(sec, key)] = val
-                    provided.add((sec, key))
-
-    if env is not None:
-        for sec, key in DEFAULTS:
-            var = f"{ENV_PREFIX}_{sec.upper()}_{key.upper()}"
-            if var in env:
-                values[(sec, key)] = env[var]
-                provided.add((sec, key))
-
-    if overrides:
-        for (sec, key), val in overrides.items():
-            if (sec, key) not in DEFAULTS:
-                raise ValueError(f"unknown override {sec}.{key}")
-            values[(sec, key)] = str(val)
-            provided.add((sec, key))
-
+                    given[(sec, key)] = val
+    env = env or {}
+    for sec, key in DEFAULTS:
+        var = f"{ENV_PREFIX}_{sec.upper()}_{key.upper()}"
+        if var in env:
+            given[(sec, key)] = env[var]
+    for (sec, key), val in (overrides or {}).items():
+        if (sec, key) not in DEFAULTS:
+            raise ValueError(f"unknown override {sec}.{key}")
+        given[(sec, key)] = str(val)
     if errors:
         raise ConfigError(errors)
+    values = {**DEFAULTS, **given}
 
-    # conversion and validation, all problems reported together
-    kind = values[("grid", "kind")].strip().lower()
+    # conversion: a value that does not parse is itemized once and replaced by the key's default
+    c, failed = {"grid_coords": None}, set()
+    for (sec, key), (name, default, parse) in _KEYS.items():
+        if (sec, key) in _COORDS:
+            continue
+        try:
+            c[name] = parse(values[(sec, key)])
+        except ValueError as exc:
+            errors.append(f"{sec}.{key}: {exc}")
+            c[name] = parse(default)
+            failed.add(name)
+
+    # validation, all problems reported together
+    kind = c["grid_kind"]
     if kind not in ("uniform", "graded", "coords"):
         errors.append(f"grid.kind must be uniform, graded or coords, got {kind!r}")
-
-    lo = _floats(values[("domain", "lo")], "domain.lo", errors)
-    hi = _floats(values[("domain", "hi")], "domain.hi", errors)
-    n = _ints(values[("grid", "n")], "grid.n", errors)
-    ratio = _one_float(values[("grid", "ratio")], "grid.ratio", errors, 1.0)
-
-    coords = None
+    lo, hi, n = c["domain_lo"], c["domain_hi"], c["grid_n"]
+    shaped = not failed & {"domain_lo", "domain_hi", "grid_n"}  # no default stands in for a bad value
     if kind == "coords":
-        axes = []
-        for a in range(3):
-            raw = values[("grid", f"coords_{a}")].strip()
-            if raw:
-                axes.append(_floats(raw, f"grid.coords_{a}", errors))
-        if len(axes) not in (2, 3):
-            errors.append(f"grid.kind=coords needs coords_0..coords_{{1,2}}, got {len(axes)} axes")
-        else:
-            for a, c in enumerate(axes):
-                if len(c) < 2:
-                    errors.append(f"grid.coords_{a}: need at least two coordinates")
-                elif any(b <= a_ for a_, b in zip(c, c[1:])):
-                    errors.append(f"grid.coords_{a}: coordinates must be strictly increasing")
-            # an explicitly declared domain must agree with the coordinate endpoints
-            for name, declared, ends in (
-                ("lo", lo, tuple(c[0] for c in axes)),
-                ("hi", hi, tuple(c[-1] for c in axes)),
-            ):
-                if ("domain", name) in provided and tuple(declared) != ends:
-                    errors.append(
-                        f"domain.{name} {tuple(declared)} disagrees with the grid.coords endpoints {ends}"
-                    )
-            coords = tuple(axes)
-            lo = tuple(c[0] for c in axes)
-            hi = tuple(c[-1] for c in axes)
-            n = tuple(len(c) - 1 for c in axes)
+        _read_coords(values, {f"domain_{k}" for s, k in given if s == "domain"} - failed, c, errors)
+        n = c["grid_n"]
+    elif shaped and not (len(lo) == len(hi) == len(n)):
+        errors.append(f"domain.lo, domain.hi and grid.n must agree in length, got {len(lo)}/{len(hi)}/{len(n)}")
+    elif shaped and len(n) not in (2, 3):
+        errors.append(f"grid must be 2D or 3D, got {len(n)} axes")
     else:
-        if not (len(lo) == len(hi) == len(n)):
-            errors.append(
-                f"domain.lo, domain.hi and grid.n must agree in length, got {len(lo)}/{len(hi)}/{len(n)}"
-            )
-        elif len(n) not in (2, 3):
-            errors.append(f"grid must be 2D or 3D, got {len(n)} axes")
-        else:
-            for a in range(len(n)):
-                if hi[a] <= lo[a]:
-                    errors.append(f"axis {a}: domain extent [{lo[a]}, {hi[a]}] is empty")
-                if n[a] < 1:
-                    errors.append(f"axis {a}: need at least one cell, got {n[a]}")
-        if kind == "graded" and ratio <= 0:
-            errors.append(f"grid.ratio must be positive, got {ratio}")
-    if n and all(k == 1 for k in n):
+        for a in range(len(n)):
+            if shaped and hi[a] <= lo[a]:
+                errors.append(f"axis {a}: domain extent [{lo[a]}, {hi[a]}] is empty")
+            if n[a] < 1:
+                errors.append(f"axis {a}: need at least one cell, got {n[a]}")
+    if kind == "graded" and c["grid_ratio"] <= 0:
+        errors.append(f"grid.ratio must be positive, got {c['grid_ratio']}")
+    if (kind != "coords" or c["grid_coords"]) and n and all(k == 1 for k in n):
         shape = "x".join(str(k) for k in n)
         errors.append(f"grid {shape} has no interior face: need at least 2 cells along one axis")
 
-    t_final = _one_float(values[("time", "final")], "time.final", errors, 1.0)
-    steps = _one_int(values[("time", "steps")], "time.steps", errors)
-    if t_final <= 0:
-        errors.append(f"time.final must be positive, got {t_final}")
-    if steps < 1:
-        errors.append(f"time.steps must be at least 1, got {steps}")
-
-    problem = values[("problem", "name")].strip()
-    if problem not in PROBLEM_NAMES:
-        errors.append(f"problem.name {problem!r} is not registered; have {sorted(PROBLEM_NAMES)}")
-
-    pred_tol = _one_float(values[("solver", "prediction_tol")], "solver.prediction_tol", errors, 1e-10)
-    poisson_tol = _one_float(values[("solver", "poisson_tol")], "solver.poisson_tol", errors, 1e-10)
-    max_iterations = _one_int(values[("solver", "max_iterations")], "solver.max_iterations", errors)
-    quad_order = _one_int(values[("solver", "quad_order")], "solver.quad_order", errors, 3)
-    for name, tol in (("prediction_tol", pred_tol), ("poisson_tol", poisson_tol)):
-        if not 0 < tol < 1:
-            errors.append(f"solver.{name} must lie in (0, 1), got {tol}")
-    if max_iterations < 0:
-        errors.append(f"solver.max_iterations must be >= 0 (0 means automatic), got {max_iterations}")
-    if quad_order < 1:
-        errors.append(f"solver.quad_order must be >= 1, got {quad_order}")
-
-    out_dir = values[("output", "directory")].strip()
-    cadence = _one_int(values[("output", "cadence")], "output.cadence", errors)
-    out_fmt = values[("output", "format")].strip().lower()
-    seed = _one_int(values[("output", "seed")], "output.seed", errors)
-    if not out_dir:
-        errors.append("output.directory must not be empty")
-    if cadence < 0:
-        errors.append(f"output.cadence must be >= 0, got {cadence}")
-    if out_fmt not in ("csv", "vtk"):
-        errors.append(f"output.format must be csv or vtk, got {out_fmt!r}")
-    if seed < 0:
-        errors.append(f"output.seed must be >= 0, got {seed}")
-
+    checks = [
+        (c["t_final"] <= 0, f"time.final must be positive, got {c['t_final']}"),
+        (c["steps"] < 1, f"time.steps must be at least 1, got {c['steps']}"),
+        (
+            c["problem"] not in PROBLEM_NAMES,
+            f"problem.name {c['problem']!r} is not registered; have {sorted(PROBLEM_NAMES)}",
+        ),
+        *((not 0 < c[k] < 1, f"solver.{k} must lie in (0, 1), got {c[k]}") for k in ("prediction_tol", "poisson_tol")),
+        (c["max_iterations"] < 0, f"solver.max_iterations must be >= 0 (0 means automatic), got {c['max_iterations']}"),
+        (c["quad_order"] < 1, f"solver.quad_order must be >= 1, got {c['quad_order']}"),
+        (not c["out_dir"], "output.directory must not be empty"),
+        (c["cadence"] < 0, f"output.cadence must be >= 0, got {c['cadence']}"),
+        (c["output_format"] not in ("csv", "vtk"), f"output.format must be csv or vtk, got {c['output_format']!r}"),
+        (c["seed"] < 0, f"output.seed must be >= 0, got {c['seed']}"),
+    ]
+    errors.extend(message for bad, message in checks if bad)
     if errors:
         raise ConfigError(errors)
 
-    cfg = RunConfig(
-        domain_lo=lo,
-        domain_hi=hi,
-        grid_kind=kind,
-        grid_n=n,
-        grid_ratio=ratio,
-        grid_coords=coords,
-        t_final=t_final,
-        steps=steps,
-        problem=problem,
-        prediction_tol=pred_tol,
-        poisson_tol=poisson_tol,
-        max_iterations=max_iterations,
-        quad_order=quad_order,
-        out_dir=out_dir,
-        cadence=cadence,
-        output_format=out_fmt,
-        seed=seed,
-    )
+    cfg = RunConfig(**c)
     try:
         with np.errstate(all="ignore"):  # an absurd grid.ratio overflows before MacGrid rejects it
             cfg.build_grid()

@@ -8,6 +8,7 @@ byte-identical artifacts.
 from __future__ import annotations
 
 import os
+from dataclasses import astuple
 
 import numpy as np
 
@@ -29,6 +30,7 @@ _DIAGNOSTICS_HEADER = ",".join(DIAGNOSTIC_COLUMNS)
 
 
 def fmt(x) -> str:
+    """x with 17 significant digits; an integer prints as its digits."""
     return format(float(x), ".17g")
 
 
@@ -43,13 +45,7 @@ def write_text(path, content):
 
 def diagnostics_row(d) -> str:
     """One diagnostics.csv line, without its newline: the ten contract columns of d."""
-    cells = []
-    for name, value in zip(DIAGNOSTIC_COLUMNS, d.row()):
-        if name in ("n", "pred_iters", "corr_iters"):
-            cells.append(str(int(value)))
-        else:
-            cells.append(fmt(value))
-    return ",".join(cells)
+    return ",".join(fmt(value) for value in d.row())
 
 
 def write_diagnostics_csv(path, diagnostics):
@@ -130,24 +126,11 @@ def write_vtk(path, grid, u, p, title="macstag fields"):
 
 
 def write_study_csv(path, report):
-    header = "cells,h_max,dt,theta,err_l2l2,err_final,err_h1,coupling,min_energy_margin"
-    lines = [header]
+    """One row per level: its cell counts, then every other StudyLevel field."""
+    lines = ["cells,h_max,dt,theta,err_l2l2,err_final,err_h1,coupling,min_energy_margin"]
     for lv in report.levels:
-        lines.append(
-            ",".join(
-                [
-                    "x".join(str(s) for s in lv.shape),
-                    fmt(lv.h_max),
-                    fmt(lv.dt),
-                    fmt(lv.theta),
-                    fmt(lv.err_l2l2),
-                    fmt(lv.err_final),
-                    fmt(lv.err_h1),
-                    fmt(lv.coupling),
-                    fmt(lv.min_energy_margin),
-                ]
-            )
-        )
+        shape, *values = astuple(lv)
+        lines.append(",".join(["x".join(str(s) for s in shape)] + [fmt(x) for x in values]))
     return write_text(path, "\n".join(lines))
 
 

@@ -83,6 +83,14 @@ class Projector:
         psi -= (vol @ psi) / vol.sum()
         return v, psi, float(np.linalg.norm(b)) / bnorm
 
+    def separable_residual(self, w: np.ndarray) -> float:
+        """Relative residual of one separable Poisson solve on b = G^T M_v w, by matvecs."""
+        ops = self.ops
+        b = self._Gt @ (ops.mass_velocity * w)
+        return self._separable.residual(
+            b, lambda x: self._Gt @ (ops.mass_velocity * (ops.G @ x)), drop_constant=True
+        )
+
     def project(self, w: VelocityField) -> VelocityField:
         """Divergence-free part of w (discrete Leray projection)."""
         return self.ops.unpack(self.decompose(self.ops.pack(w))[0])

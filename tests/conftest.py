@@ -31,6 +31,9 @@ BAD_NUMERIC_VALUES = [
     ("[grid]\nkind = graded\nratio = 1e300\n", "grid.kind = graded"),
     ("[grid]\nkind = graded\nratio = 1e-300\n", "grid.kind = graded"),
     ("[domain]\nhi = nan nan\n", "domain.hi"),
+    ("[grid]\nn = 2.5 2\n", "grid.n"),
+    ("[time]\nsteps = 1e3\n", "time.steps"),
+    ("[grid]\nkind = coords\ncoords_0 = 0 x 1\ncoords_1 = 0 1\n", "grid.coords_0"),
 ]
 
 

@@ -132,6 +132,15 @@ def test_solver_failure_exits_1(tmp_path, capsys):
         assert "Traceback" not in err
 
 
+def test_unresolvable_grid_exits_1_before_writing(tmp_path, capsys):
+    path = tmp_path / "steep.ini"
+    path.write_text("[grid]\nkind = graded\nn = 128 128\nratio = 1.15\n[time]\nsteps = 1\n")
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: the separable solves cannot resolve this grid: largest/smallest cell width 5.1e+07")
+    assert not os.path.exists(tmp_path / "o")
+
+
 def test_prediction_failure_names_step_and_direction(tmp_path, capsys):
     path = tmp_path / "capped.ini"
     path.write_text("[grid]\nn = 8 8\n[time]\nfinal = 0.05\nsteps = 1\n[solver]\nmax_iterations = 1\n")

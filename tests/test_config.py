@@ -4,6 +4,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from macstag.config import DEFAULTS, ENV_PREFIX, ConfigError, parse_config
 
@@ -130,6 +132,18 @@ def test_grid_without_interior_face(text):
         parse_config(None, text=text)
 
 
+@pytest.mark.parametrize(
+    "keys, missing",
+    [(("coords_0", "coords_2"), "grid.coords_1"), (("coords_1", "coords_2"), "grid.coords_0")],
+)
+def test_coords_keys_without_gap(keys, missing):
+    # a gap would renumber the axes, and the echo would not reproduce the file
+    text = "[grid]\nkind = coords\n" + "".join(f"{key} = 0 0.5 1\n" for key in keys)
+    with pytest.raises(ConfigError) as err:
+        parse_config(None, text=text)
+    assert len(err.value.errors) == 1 and missing in err.value.errors[0]
+
+
 def test_coords_must_match_domain():
     text = (
         "[domain]\nlo = 0 0\nhi = 1 1\n"
@@ -160,3 +174,48 @@ def test_defaults_table_is_complete():
             continue
         cfg = parse_config(None, text=f"[{section}]\n{key} = {value}\n")
         assert cfg is not None
+
+
+# values for the config property below: valid, boundary, non-finite and
+# unparsable tokens, with at most 6 cells per axis
+CONFIG_TOKENS = {
+    ("domain", "lo"): ["0 0", "0 0 0", "-1 0", "1 1", "-0.0 0", "inf 0", "x 0", "0"],
+    ("domain", "hi"): ["1 1", "1 1 1", "2 1e-3", "0 1", "nan nan", "1 x", ""],
+    ("grid", "kind"): ["uniform", "graded", "coords", " Coords ", "bogus"],
+    ("grid", "n"): ["6 6", "1 2", "1 1", "2 1 3", "0 4", "-1 3", "2.5 2", "3", ""],
+    ("grid", "ratio"): ["1", "1.5", "0.2", "0", "-1", "nan", "1e300", "x"],
+    ("grid", "coords_0"): ["0 0.5 1", "0 1", "0 1e-3 0.2 0.7 0.9 1", "1 0", "0", "0 x 1", "nan 1"],
+    ("grid", "coords_1"): ["0 0.5 1", "0 1", "-1 0 1", "0 0 1", "0 inf"],
+    ("grid", "coords_2"): ["0 0.25 1", "0 1", "1 0.5", "x"],
+    ("time", "final"): ["1.0", "1e-3", "0", "-2", "inf", "x"],
+    ("time", "steps"): ["8", "1", "0", "-1", "1e3", "2.0", " 4 "],
+    ("problem", "name"): ["vortex2d", "vortex3d", " rest2d ", "bogus"],
+    ("solver", "prediction_tol"): ["1e-10", "0.5", "0", "1", "nan", "x"],
+    ("solver", "poisson_tol"): ["1e-12", "1e-300", "1", "inf", "-1e-3"],
+    ("solver", "max_iterations"): ["0", "7", "-1", "1.5"],
+    ("solver", "quad_order"): ["3", "1", "0", "x"],
+    ("output", "directory"): ["out", "a b", ""],
+    ("output", "cadence"): ["0", "4", "-1", "x"],
+    ("output", "format"): ["csv", "VTK", "bogus"],
+    ("output", "seed"): ["0", "7", "-1", "123456789012345678901234567890", "x"],
+}
+
+
+@settings(max_examples=200)
+@given(st.fixed_dictionaries({}, optional={k: st.sampled_from(v) for k, v in CONFIG_TOKENS.items()}))
+def test_config_is_accepted_or_itemized(chosen):
+    # every config either parses or raises the itemized ConfigError, and an
+    # accepted one is reproduced by its resolved echo
+    sections = {}
+    for (section, key), value in chosen.items():
+        sections.setdefault(section, []).append(f"{key} = {value}\n")
+    text = "".join(f"[{section}]\n" + "".join(lines) for section, lines in sections.items())
+    try:
+        cfg = parse_config(None, text=text)
+    except ConfigError as err:
+        assert err.errors
+        return
+    echo = cfg.to_ini()
+    again = parse_config(None, text=echo)
+    assert again == cfg
+    assert again.to_ini() == echo

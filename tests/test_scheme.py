@@ -280,6 +280,24 @@ BAD_ARGUMENTS = {
 }
 
 
+# graded n x n grids: the first three run within the divergence budget; a
+# march on the last two fails at step 1, by the divergence guard or after the
+# full GMRES iteration cap, so they are rejected when the scheme is built
+GRADED_GRIDS = [(128, 1.05, True), (128, 1.1, True), (256, 1.05, True), (128, 1.15, False), (256, 1.1, False)]
+
+
+@pytest.mark.parametrize("n, ratio, resolved", GRADED_GRIDS, ids=str)
+def test_unresolvable_grading_is_rejected_when_built(n, ratio, resolved):
+    axis = graded_axis(0.0, 1.0, n, ratio)
+    start = time.perf_counter()
+    if resolved:
+        ProjectionScheme(MacGrid([axis, axis]))
+        return
+    with pytest.raises(SchemeError, match=r"cell width \S+, probe residual \S+ > 1e-05"):
+        ProjectionScheme(MacGrid([axis, axis]))
+    assert time.perf_counter() - start < 1.0
+
+
 @pytest.mark.parametrize("call, match", BAD_ARGUMENTS.values(), ids=BAD_ARGUMENTS.keys())
 def test_bad_arguments_are_rejected_before_any_step(vortex, call, match):
     g = uniform_grid((0.0, 0.0), (1.0, 1.0), (16, 16))
