@@ -138,14 +138,6 @@ class SeparableSolver:
         y *= cached[2].reshape(y.shape)
         return self._transform(y, False).ravel()
 
-    def residual(self, b, matvec, shift=0.0, drop_constant=False):
-        """||matvec(x) - b|| / ||b|| for x = solve(b), with matvec the operator applied directly.
-
-        It measures how well the transforms resolve the grid; 0 for a zero b.
-        """
-        x = self.solve(b, shift, drop_constant)
-        return float(np.linalg.norm(matvec(x) - b) / (np.linalg.norm(b) or 1.0))
-
 
 def solve_gmres(A, b, *, tol=1e-10, maxiter=None, x0=None, M=None):
     """Right-preconditioned GMRES in flexible form, restarted every RESTART iterations.

@@ -8,11 +8,12 @@ byte-identical artifacts.
 from __future__ import annotations
 
 import os
-from dataclasses import astuple
+from dataclasses import astuple, fields
 
 import numpy as np
 
 from .scheme import DIAGNOSTIC_COLUMNS
+from .verify import StudyLevel
 
 __all__ = [
     "fmt",
@@ -126,8 +127,11 @@ def write_vtk(path, grid, u, p, title="macstag fields"):
 
 
 def write_study_csv(path, report):
-    """One row per level: its cell counts, then every other StudyLevel field."""
-    lines = ["cells,h_max,dt,theta,err_l2l2,err_final,err_h1,coupling,min_energy_margin"]
+    """One row per level: its cell counts, then every other StudyLevel field.
+
+    Header and row both follow the StudyLevel fields, with "cells" for shape.
+    """
+    lines = [",".join("cells" if f.name == "shape" else f.name for f in fields(StudyLevel))]
     for lv in report.levels:
         shape, *values = astuple(lv)
         lines.append(",".join(["x".join(str(s) for s in shape)] + [fmt(x) for x in values]))

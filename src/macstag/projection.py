@@ -84,12 +84,15 @@ class Projector:
         return v, psi, float(np.linalg.norm(b)) / bnorm
 
     def separable_residual(self, w: np.ndarray) -> float:
-        """Relative residual of one separable Poisson solve on b = G^T M_v w, by matvecs."""
+        """||b - G^T M_v G x|| / ||b|| for one separable solve x on b = G^T M_v w.
+
+        The Poisson matrix is applied by matvecs: b - G^T M_v G x = G^T M_v (w - G x).
+        """
         ops = self.ops
         b = self._Gt @ (ops.mass_velocity * w)
-        return self._separable.residual(
-            b, lambda x: self._Gt @ (ops.mass_velocity * (ops.G @ x)), drop_constant=True
-        )
+        x = self._separable.solve(b, drop_constant=True)
+        r = self._Gt @ (ops.mass_velocity * (w - ops.G @ x))
+        return float(np.linalg.norm(r)) / (float(np.linalg.norm(b)) or 1.0)
 
     def project(self, w: VelocityField) -> VelocityField:
         """Divergence-free part of w (discrete Leray projection)."""

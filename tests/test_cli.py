@@ -137,7 +137,7 @@ def test_unresolvable_grid_exits_1_before_writing(tmp_path, capsys):
     path.write_text("[grid]\nkind = graded\nn = 128 128\nratio = 1.15\n[time]\nsteps = 1\n")
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: the separable solves cannot resolve this grid: largest/smallest cell width 5.1e+07")
+    assert err.startswith("error: the separable pressure solve cannot resolve this grid: largest/smallest cell width 5.1e+07")
     assert not os.path.exists(tmp_path / "o")
 
 

@@ -293,9 +293,22 @@ def test_unresolvable_grading_is_rejected_when_built(n, ratio, resolved):
     if resolved:
         ProjectionScheme(MacGrid([axis, axis]))
         return
-    with pytest.raises(SchemeError, match=r"cell width \S+, probe residual \S+ > 1e-05"):
+    with pytest.raises(SchemeError, match=r"cell width \S+, probe residual \S+ > sqrt\(poisson_tol\) = 1.0e-05"):
         ProjectionScheme(MacGrid([axis, axis]))
     assert time.perf_counter() - start < 1.0
+
+
+def test_loose_poisson_tol_admits_the_grading_it_runs(vortex):
+    # 128^2 graded 1.14 leaves a probe residual of 1.8e-2: rejected at the
+    # default poisson_tol, where a march fails at step 1 (div_max 3.0e-2), and
+    # built at poisson_tol = 1e-2, where the same march passes the guard
+    axis = graded_axis(0.0, 1.0, 128, 1.14)
+    grid = MacGrid([axis, axis])
+    with pytest.raises(SchemeError, match="probe residual 1.8e-02"):
+        ProjectionScheme(grid)
+    scheme = ProjectionScheme(grid, poisson_tol=1e-2)
+    traj = scheme.run(vortex.initial, vortex.forcing, 0.125, 4)
+    assert max(d.div_max for d in traj.diagnostics) <= 10.0 * scheme.poisson_tol
 
 
 @pytest.mark.parametrize("call, match", BAD_ARGUMENTS.values(), ids=BAD_ARGUMENTS.keys())
