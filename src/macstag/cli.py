@@ -132,7 +132,7 @@ def cmd_verify(cfg, args):
     margin, div_worst = float("inf"), 0.0
     for _, diag in scheme.iterate(problem.initial, problem.forcing, min(cfg.t_final, 0.25), steps):
         if diag is not None:
-            margin = min(margin, diag.energy_residual / max(diag.energy_scale, 1e-300))
+            margin = min(margin, diag.energy_margin)
             div_worst = max(div_worst, diag.div_max)
     energy_ok = margin >= -1e-9
     div_ok = div_worst <= 10.0 * cfg.poisson_tol
@@ -148,7 +148,6 @@ def cmd_verify(cfg, args):
     lines.append("verify: " + ("pass" if ok else "FAIL"))
     text = "\n".join(lines)
     print(text)
-    os.makedirs(cfg.out_dir, exist_ok=True)
     output.write_text(os.path.join(cfg.out_dir, "verify_report.txt"), text)
     return 0 if ok else 1
 
@@ -157,7 +156,6 @@ def cmd_operators_check(cfg, args):
     grid = _default_verify_grid() if args.config is None else cfg.build_grid()
     report = property_suite(grid, seed=cfg.seed)
     print(report.summary())
-    os.makedirs(cfg.out_dir, exist_ok=True)
     paths = Operators(grid).export_matrices(os.path.join(cfg.out_dir, "matrices"))
     output.write_text(os.path.join(cfg.out_dir, "operators_report.txt"), report.summary())
     print(f"exported {len(paths)} matrices to {os.path.join(cfg.out_dir, 'matrices')}")
@@ -177,7 +175,6 @@ def cmd_convergence(cfg, args):
         steps *= 2
     report = convergence_study(problem, levels, cfg.t_final, **cfg.scheme_kwargs())
     print(report.summary())
-    os.makedirs(cfg.out_dir, exist_ok=True)
     output.write_study_csv(os.path.join(cfg.out_dir, "study.csv"), report)
     output.write_text(os.path.join(cfg.out_dir, "study_summary.txt"), report.summary())
     return 0 if report.passed() else 1
@@ -187,15 +184,12 @@ def cmd_translate(cfg, args):
     try:
         multiples = [int(tok) for tok in args.taus.split(",") if tok.strip()]
     except ValueError:
-        print(f"error: cannot parse --taus {args.taus!r} as integers", file=sys.stderr)
-        return 2
+        raise ConfigError([f"cannot parse --taus {args.taus!r} as integers"]) from None
     if not multiples or any(k < 1 for k in multiples):
-        print(f"error: --taus must be positive integers, got {args.taus!r}", file=sys.stderr)
-        return 2
+        raise ConfigError([f"--taus must be positive integers, got {args.taus!r}"])
     bad = [k for k in multiples if k >= cfg.steps]
     if bad:
-        print(f"error: translates {bad} do not fit a {cfg.steps}-step trajectory", file=sys.stderr)
-        return 2
+        raise ConfigError([f"translates {bad} do not fit a {cfg.steps}-step trajectory"])
     grid = cfg.build_grid()
     problem = _problem_on(cfg, grid)
     scheme = ProjectionScheme(grid, **cfg.scheme_kwargs())
@@ -211,7 +205,6 @@ def cmd_translate(cfg, args):
         if r.star_sq > r.l2_sq + 1e-13 * max(1.0, r.l2_sq):
             ok = False
     print(f"summed step increments (exact tau=dt integral): {baseline:.10e}")
-    os.makedirs(cfg.out_dir, exist_ok=True)
     output.write_translate_csv(os.path.join(cfg.out_dir, "translate.csv"), rows)
     return 0 if ok else 1
 

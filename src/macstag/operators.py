@@ -295,11 +295,9 @@ class Operators:
             coo = mat.tocoo()
             order = np.lexsort((coo.col, coo.row))
             path = os.path.join(out_dir, f"{name}.txt")
+            entries = zip(coo.row[order].tolist(), coo.col[order].tolist(), coo.data[order].tolist())
             with open(path, "w", newline="\n") as fh:
                 fh.write(f"# {mat.shape[0]} {mat.shape[1]} {coo.nnz}\n")
-                for k in order:
-                    fh.write(
-                        f"{coo.row[k]} {coo.col[k]} {format(coo.data[k], '.17g')}\n"
-                    )
+                fh.writelines(map("%d %d %.17g\n".__mod__, entries))
             paths.append(path)
         return paths

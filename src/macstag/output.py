@@ -2,7 +2,8 @@
 
 Floats are written with 17 significant digits (round-trip exact for IEEE
 doubles) and files always use '\n' line endings, so identical runs produce
-byte-identical artifacts.
+byte-identical artifacts. Field snapshots, VTK files and translate.csv are
+printed from equal-length columns by one row formatter, _rows.
 """
 
 from __future__ import annotations
@@ -28,11 +29,18 @@ __all__ = [
 ]
 
 _DIAGNOSTICS_HEADER = ",".join(DIAGNOSTIC_COLUMNS)
+_NUMBER = "%.17g"
 
 
 def fmt(x) -> str:
     """x with 17 significant digits; an integer prints as its digits."""
-    return format(float(x), ".17g")
+    return _NUMBER % float(x)
+
+
+def _rows(columns, sep=","):
+    """One line per row of the equal-length 1D columns, each value printed as fmt prints it."""
+    line = sep.join([_NUMBER] * len(columns))
+    return list(map(line.__mod__, zip(*(np.asarray(c).tolist() for c in columns))))
 
 
 def write_text(path, content):
@@ -61,68 +69,41 @@ def open_diagnostics_csv(path):
     return fh
 
 
-def _point_columns(dim):
-    return ["x", "y", "z"][:dim]
+def _grid_columns(axes, values):
+    """Index, coordinate and value columns of values on the tensor grid over axes, in C order."""
+    index = np.indices(values.shape).reshape(values.ndim, -1)
+    coords = [c.ravel() for c in np.meshgrid(*axes, indexing="ij")]
+    return [*index, *coords, values.ravel()]
 
 
 def write_fields_csv(out_dir, basename, grid, u, p):
     """Field dumps: one row per cell (pressure) / per face (velocity)."""
-    os.makedirs(out_dir, exist_ok=True)
-    dim = grid.dim
-
-    idx_names = ["i", "j", "k"][:dim]
-    lines = [",".join(idx_names + _point_columns(dim) + ["pressure"])]
-    centers = np.meshgrid(*grid.centers, indexing="ij")
-    for index in np.ndindex(grid.shape):
-        coords = [fmt(centers[a][index]) for a in range(dim)]
-        lines.append(",".join([str(i) for i in index] + coords + [fmt(p.data[index])]))
+    names = ",".join(["i", "j", "k"][: grid.dim] + ["x", "y", "z"][: grid.dim])
+    lines = [names + ",pressure"] + _rows(_grid_columns(grid.centers, p.data))
     p_path = write_text(os.path.join(out_dir, f"{basename}_pressure.csv"), "\n".join(lines))
 
-    lines = [",".join(["direction"] + idx_names + _point_columns(dim) + ["value"])]
-    for i in range(dim):
-        axes = grid.face_center_axes(i)
-        mesh = np.meshgrid(*axes, indexing="ij")
-        comp = u.components[i]
-        for index in np.ndindex(comp.shape):
-            coords = [fmt(mesh[a][index]) for a in range(dim)]
-            lines.append(",".join([str(i)] + [str(k) for k in index] + coords + [fmt(comp[index])]))
+    lines = [f"direction,{names},value"]
+    for i, comp in enumerate(u.components):
+        lines += _rows([np.full(comp.size, i)] + _grid_columns(grid.face_center_axes(i), comp))
     u_path = write_text(os.path.join(out_dir, f"{basename}_velocity.csv"), "\n".join(lines))
     return p_path, u_path
 
 
 def write_vtk(path, grid, u, p, title="macstag fields"):
     """Legacy ASCII rectilinear-grid file with cell pressure and cell-mean velocity."""
-    dim = grid.dim
-    coords = [grid.axes[a] for a in range(dim)] + [np.zeros(1)] * (3 - dim)
-    dims = [c.size for c in coords]
+    coords = list(grid.axes) + [np.zeros(1)] * (3 - grid.dim)
+    # cell means of the face values; the missing third direction is zero
+    cell_u = [0.5 * (c.take(range(n), axis=i) + c.take(range(1, n + 1), axis=i))
+              for i, (c, n) in enumerate(zip(u.components, grid.shape))]
+    cell_u += [np.zeros(grid.shape)] * (3 - grid.dim)
 
-    cell_u = []
-    for i in range(dim):
-        comp = u.components[i]
-        lo = comp.take(range(0, grid.shape[i]), axis=i)
-        hi = comp.take(range(1, grid.shape[i] + 1), axis=i)
-        cell_u.append(0.5 * (lo + hi))
-    while len(cell_u) < 3:
-        cell_u.append(np.zeros(grid.shape))
-
-    lines = [
-        "# vtk DataFile Version 3.0",
-        title,
-        "ASCII",
-        "DATASET RECTILINEAR_GRID",
-        f"DIMENSIONS {dims[0]} {dims[1]} {dims[2]}",
-    ]
-    for label, c in zip(("X", "Y", "Z"), coords):
-        lines.append(f"{label}_COORDINATES {c.size} double")
-        lines.append(" ".join(fmt(x) for x in c))
-    n_cells = int(np.prod(grid.shape))
-    lines.append(f"CELL_DATA {n_cells}")
-    lines.append("SCALARS pressure double 1")
-    lines.append("LOOKUP_TABLE default")
-    lines.extend(fmt(x) for x in p.data.ravel(order="F"))
-    lines.append("VECTORS velocity double")
-    flat = [c.ravel(order="F") for c in cell_u]
-    lines.extend(f"{fmt(a)} {fmt(b)} {fmt(c)}" for a, b, c in zip(*flat))
+    lines = ["# vtk DataFile Version 3.0", title, "ASCII", "DATASET RECTILINEAR_GRID",
+             "DIMENSIONS " + " ".join(str(c.size) for c in coords)]
+    for label, c in zip("XYZ", coords):
+        lines += [f"{label}_COORDINATES {c.size} double", " ".join(map(fmt, c.tolist()))]
+    lines += [f"CELL_DATA {p.data.size}", "SCALARS pressure double 1", "LOOKUP_TABLE default"]
+    lines += _rows([p.data.ravel(order="F")])
+    lines += ["VECTORS velocity double"] + _rows([c.ravel(order="F") for c in cell_u], sep=" ")
     return write_text(path, "\n".join(lines))
 
 
@@ -139,7 +120,6 @@ def write_study_csv(path, report):
 
 
 def write_translate_csv(path, rows):
-    lines = ["tau,steps,l2_translate_sq,star_translate_sq"]
-    for r in rows:
-        lines.append(",".join([fmt(r.tau), str(r.steps), fmt(r.l2_sq), fmt(r.star_sq)]))
+    """One row per translate: tau, its multiple of dt and the two squared translate integrals."""
+    lines = ["tau,steps,l2_translate_sq,star_translate_sq"] + _rows(list(zip(*map(astuple, rows))))
     return write_text(path, "\n".join(lines))

@@ -37,9 +37,10 @@ whose residual (right minus left) must not dip below solver-resolution, and
 for n >= 1 cross-checks the combined momentum identity
 
     (1/dt)(utilde^{n+1} - utilde^n) + C(u^n) utilde^{n+1}
-        + grad(2 p^n - p^{n-1}) - Lap utilde^{n+1} = f^{n+1}
+        + grad((1 + r) p^n - r p^{n-1}) - Lap utilde^{n+1} = f^{n+1}
 
-against the recomputed prediction residual.
+against the recomputed prediction residual; r = dt_n/dt is the ratio of the
+previous step to this one (1 for equal steps), so step() takes any dt.
 
 Inside a step every velocity is a packed interior-face vector
 (Operators.pack), the unknowns of the fully discrete scheme. A step packs
@@ -51,7 +52,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import partial
 
 import numpy as np
@@ -64,20 +65,6 @@ from .operators import Operators, on_pattern
 from .projection import REFINEMENT_SWEEPS, Projector
 
 __all__ = ["ProjectionScheme", "SchemeState", "StepDiagnostics", "SchemeError", "DIAGNOSTIC_COLUMNS"]
-
-DIAGNOSTIC_COLUMNS = (
-    "n",
-    "t",
-    "kinetic_energy",
-    "dissipation",
-    "grad_p_norm",
-    "coupling_norm",
-    "div_max",
-    "energy_residual",
-    "pred_iters",
-    "corr_iters",
-)
-
 
 class SchemeError(RuntimeError):
     """Raised when a step violates one of the scheme's structural guarantees,
@@ -117,8 +104,16 @@ class StepDiagnostics:
     # Poisson residual of the returned psi: ||G^T M_v u^{n+1}|| / ||G^T M_v utilde||
     corr_residual: float = 0.0
 
+    @property
+    def energy_margin(self) -> float:
+        """energy_residual relative to the largest term of the energy inequality."""
+        return self.energy_residual / max(self.energy_scale, 1e-300)
+
     def row(self):
         return [getattr(self, c) for c in DIAGNOSTIC_COLUMNS]
+
+
+DIAGNOSTIC_COLUMNS = tuple(f.name for f in fields(StepDiagnostics))[:10]
 
 
 @dataclass
@@ -126,10 +121,11 @@ class SchemeState:
     """Level n and the history the next step reads.
 
     u, p and u_tilde_prev (the prediction of the step that made level n)
-    are fields, for observers of the march. The rest is packed history:
-    u_tilde_prev2 is the prediction before u_tilde_prev, read only by the
-    prediction's initial guess, and gp, gp_prev are the gradients G p^n and
-    G p^{n-1} of the prediction and the momentum check.
+    are fields, for observers of the march. dt is the size of that step
+    (0.0 at level 0), read by the momentum check. The rest is packed
+    history: u_tilde_prev2 is the prediction before u_tilde_prev, read only
+    by the prediction's initial guess, and gp, gp_prev are the gradients
+    G p^n and G p^{n-1} of the prediction and the momentum check.
     """
 
     n: int
@@ -138,6 +134,7 @@ class SchemeState:
     p: PressureField
     grad_p_norm: float
     gp: np.ndarray
+    dt: float = 0.0
     u_tilde_prev: VelocityField | None = None
     u_tilde_prev2: np.ndarray | None = None
     gp_prev: np.ndarray | None = None
@@ -373,6 +370,7 @@ class ProjectionScheme:
             p=p_new,
             grad_p_norm=gp_new,
             gp=gp_vec,
+            dt=dt,
             u_tilde_prev=ops.unpack(ut),
             u_tilde_prev2=pstats.u_tilde_prev,
             gp_prev=state.gp,
@@ -384,12 +382,14 @@ class ProjectionScheme:
 
         ut is the packed utilde^{n+1}, lap_ut its S_i utilde^{n+1} and f the
         packed forcing; utilde^n and the blocks C_i(u^n) come from pstats.
+        The correction that made u^n put dt_n G(p^n - p^{n-1}) into it.
         """
         ops = self.ops
         t1 = (ut - pstats.u_tilde_prev) / dt
         conv = pstats.convection
         t2 = np.concatenate([(C @ ops.block(ut, i)) / ops.mass_blocks[i] for i, C in enumerate(conv)])
-        t3 = 2.0 * state.gp - state.gp_prev
+        r = state.dt / dt
+        t3 = (1.0 + r) * state.gp - r * state.gp_prev
         t4 = lap_ut / ops.mass_velocity
         res = t1 + t2 + t3 + t4 - f
 

@@ -188,7 +188,6 @@ def translate_diagnostic(traj: Trajectory, taus, projector: Projector | None = N
     norm and of the squared divergence-free seminorm of the difference.
     """
     dt = traj.dt
-    n_steps = traj.steps
     if projector is None:
         projector = Projector(Operators(traj.grid))
     rows = []
@@ -197,25 +196,29 @@ def translate_diagnostic(traj: Trajectory, taus, projector: Projector | None = N
         k_int = int(round(k))
         if k_int < 1 or abs(k - k_int) > 1e-9 * max(1.0, abs(k)):
             raise ValueError(f"translate {tau} is not a positive multiple of dt={dt}")
-        if k_int >= n_steps:
+        if k_int >= traj.steps:
             raise ValueError(f"translate {tau} exceeds the trajectory span")
-        l2_sq = 0.0
-        star_sq = 0.0
-        for n in range(n_steps - k_int):
-            diff = traj.predicted[n + k_int] - traj.predicted[n]
-            l2_sq += dt * velocity_inner(diff, diff)
-            star_sq += dt * projector.divfree_seminorm(diff) ** 2
+        l2_sq = _translate_integral(traj, k_int, _l2_sq)
+        star_sq = _translate_integral(traj, k_int, lambda diff: projector.divfree_seminorm(diff) ** 2)
         rows.append(TranslateRow(tau=k_int * dt, steps=k_int, l2_sq=l2_sq, star_sq=star_sq))
     return rows
 
 
+def _l2_sq(v: VelocityField) -> float:
+    return velocity_inner(v, v)
+
+
+def _translate_integral(traj: Trajectory, k: int, norm_sq) -> float:
+    """sum_n dt norm_sq(utilde^{n+k} - utilde^n) over n < steps - k, summed in order of n."""
+    total = 0.0
+    for n in range(traj.steps - k):
+        total += traj.dt * norm_sq(traj.predicted[n + k] - traj.predicted[n])
+    return total
+
+
 def summed_step_increments(traj: Trajectory) -> float:
     """sum_n dt ||utilde^{n+1} - utilde^n||^2, the exact tau = dt translate integral."""
-    total = 0.0
-    for n in range(traj.steps - 1):
-        diff = traj.predicted[n + 1] - traj.predicted[n]
-        total += traj.dt * velocity_inner(diff, diff)
-    return total
+    return _translate_integral(traj, 1, _l2_sq)
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +299,7 @@ def convergence_study(problem, levels, t_final, *, quad_order=3, **scheme_kw) ->
             if diag is not None:
                 h1_sq += dt * w1q_norm(state.u_tilde_prev - exact, 2.0) ** 2
                 coupling_sq += dt * diag.coupling_norm**2
-                margin = min(margin, diag.energy_residual / max(diag.energy_scale, 1e-300))
+                margin = min(margin, diag.energy_margin)
         report.levels.append(
             StudyLevel(
                 shape=grid.shape,

@@ -103,6 +103,21 @@ def test_momentum_identity_tight_tolerance(vortex):
     assert checked == 3  # levels 2..4
 
 
+def test_momentum_check_follows_a_changing_step(vortex):
+    # the correction that made u^n carries the previous step's dt, so the
+    # combined identity holds when dt changes between steps
+    g = uniform_grid((0.0, 0.0), (1.0, 1.0), (8, 8))
+    scheme = ProjectionScheme(g, prediction_tol=1e-13, poisson_tol=1e-13)
+    state = scheme.initialize(vortex.initial)
+    checked = 0
+    for dt in (1 / 32, 1 / 32, 1 / 64, 1 / 64, 1 / 32):
+        state, d = scheme.step(state, vortex.forcing, dt)
+        if not np.isnan(d.momentum_residual):
+            assert d.momentum_residual <= 1e-10 * d.momentum_scale
+            checked += 1
+    assert checked == 4  # levels 2..5
+
+
 def test_unforced_energy_decays(vortex):
     g = uniform_grid((0.0, 0.0), (1.0, 1.0), (8, 8))
     scheme = ProjectionScheme(g)
