@@ -32,7 +32,8 @@ sit half a cell from a Dirichlet wall (conductances 1/dual_w_a, masses h_a).
 Operators.laplace_factors holds those (K_a, B_a) per block, once: they build
 S_i here, and the exact separable inverse of M_i/dt + S_i in the scheme.
 Operators.poisson_factors holds the Neumann chains over the cells (masses
-h_a) whose Kronecker sum is the pressure Poisson matrix G^T M_v G.
+h_a) whose Kronecker sum is the pressure Poisson matrix G^T M_v G. _kron
+builds each from its 1D factors' nonzeros: one CSR construction per operator.
 
 With cell volumes M_p and dual volumes M_v as weights, M_v G = -(M_p D)^T
 holds entrywise, which is the discrete duality the projection step relies
@@ -55,9 +56,8 @@ direction, and its blocks share their index arrays with S_i.
 
 from __future__ import annotations
 
-import operator
+import math
 import os
-from functools import partial, reduce
 
 import numpy as np
 import scipy.sparse as sp
@@ -80,23 +80,35 @@ def on_pattern(S, data):
     return mat
 
 
-def _kron(factors):
-    """Kronecker product of per-axis matrices, axis 0 outermost."""
-    return reduce(partial(sp.kron, format="coo"), factors)
+def _kron(blocks, shape):
+    """One CSR matrix from blocks (factors, row, col): Kronecker products placed at (row, col).
+
+    A factor is a dense matrix or a 1D array for its diagonal, axis 0 outermost. Their
+    nonzeros multiply in numpy from axis 0 on, as in reduce(sp.kron); shared entries add.
+    """
+    index = np.int32 if max(shape) < 2**31 else np.int64  # indices below 2**31 fit int32, which scipy keeps
+    parts = []
+    for factors, row, col in blocks:
+        rows, cols, vals = np.zeros(1, index), np.zeros(1, index), np.ones(1)
+        for F in factors:
+            r, c = np.nonzero(F) if F.ndim == 2 else (np.arange(F.size),) * 2
+            rows = (rows[:, None] * len(F) + r.astype(index)).ravel()
+            cols = (cols[:, None] * F.shape[-1] + c.astype(index)).ravel()
+            vals = (vals[:, None] * (F[r, c] if F.ndim == 2 else F)).ravel()
+        parts.append((rows + index(row), cols + index(col), vals))
+    rows, cols, vals = (np.concatenate(x) for x in zip(*parts))
+    return sp.csr_matrix((vals, (rows, cols)), shape=shape)
 
 
 def _difference(n):
-    """The (n - 1) x n difference along one axis: row k is p_{k+1} - p_k."""
-    one = np.ones(n - 1)
-    return sp.diags([-one, one], [0, 1], shape=(n - 1, n))
+    """The dense (n - 1) x n difference along one axis: row k is p_{k+1} - p_k."""
+    return np.eye(n - 1, n, k=1) - np.eye(n - 1, n)
 
 
 def _kron_sum(stiffness, mass):
-    """sum_a K_a (x) (x)_{b != a} B_b as a CSR matrix."""
-    terms = [
-        _kron([K if b == a else sp.diags(B) for b, B in enumerate(mass)]) for a, K in enumerate(stiffness)
-    ]
-    return reduce(operator.add, terms).tocsr()
+    """sum_a K_a (x) (x)_{b != a} B_b as one CSR matrix."""
+    terms = [([K if b == a else B for b, B in enumerate(mass)], 0, 0) for a, K in enumerate(stiffness)]
+    return _kron(terms, (math.prod(B.size for B in mass),) * 2)
 
 
 class Operators:
@@ -123,14 +135,10 @@ class Operators:
         self.mass_velocity = np.concatenate(self.mass_blocks) if d else np.zeros(0)
 
         delta = [_difference(n) for n in grid.shape]
-        self.G = sp.vstack(
-            [self._on_axis(i, sp.diags(1.0 / grid.dual_w[i][1:-1]) @ delta[i]) for i in range(d)],
-            format="csr",
-        )
-        self.D = sp.hstack(
-            [self._on_axis(i, -sp.diags(1.0 / grid.h[i]) @ delta[i].T) for i in range(d)],
-            format="csr",
-        )
+        grad = [self._on_axis(i, (1.0 / grid.dual_w[i][1:-1])[:, None] * delta[i]) for i in range(d)]
+        div = [self._on_axis(i, -(1.0 / grid.h[i])[:, None] * delta[i].T) for i in range(d)]
+        self.G = _kron([(f, o, 0) for f, o in zip(grad, self.offsets)], (self.n_velocity, self.n_cells))
+        self.D = _kron([(f, 0, o) for f, o in zip(div, self.offsets)], (self.n_cells, self.n_velocity))
         # per block i: the 1D stiffness matrices K_a and masses B_a of S_i
         self.laplace_factors = []
         for i in range(d):
@@ -169,11 +177,15 @@ class Operators:
         """Mass-weighted inner product of two packed vectors (velocity_inner on fields)."""
         return float(a * b @ self.mass_velocity)
 
+    def seminorm_sq(self, vec: np.ndarray) -> float:
+        """Squared W^{1,2} seminorm sum_i v_i . S_i v_i of a packed vector (w1q_norm(., 2)**2 on fields)."""
+        return float(sum(self.block(vec, i) @ (S @ self.block(vec, i)) for i, S in enumerate(self.laplace_blocks)))
+
     # -- assembly ----------------------------------------------------------
 
     def _on_axis(self, i, mat):
-        """mat on axis i, identities on the others: a map between cells and direction-i faces."""
-        return _kron([mat if a == i else sp.identity(n) for a, n in enumerate(self.grid.shape)])
+        """Factors of mat on axis i, identities on the others: a map between cells and direction-i faces."""
+        return [mat if a == i else np.ones(n) for a, n in enumerate(self.grid.shape)]
 
     def _convection_map(self, i):
         """The map a -> C_i(a) onto the pattern of S_i, and the diagonal's positions.
@@ -189,26 +201,23 @@ class Operators:
         base = np.cumsum([0] + [int(np.prod(g.face_shape(j))) for j in range(g.dim)])
         idx = np.full(g.face_shape(i), -1)  # position in block i, -1 on boundary faces
         idx[g.interior_mask(i)] = np.arange(self.block_sizes[i])
-        # dense 1D factors: sp.kron keeps their nonzeros, cheaper here than sparse ones
-        widths = [np.diag(h) for h in g.h]
-        mean = 0.5 * abs(_difference(g.shape[i] + 1)).toarray()
+        mean = 0.5 * abs(_difference(g.shape[i] + 1))
 
         fluxes, minus, plus = [], [], []
         # axes j with one cell have only wall planes across j, which carry no flux
         for j in [i] + [j for j in range(g.dim) if j != i and g.shape[j] > 1]:
-            factors = list(widths)
+            factors = list(g.h)
             if j == i:
                 factors[i] = mean
             else:
                 factors[i] = mean.T * g.h[i]
                 factors[j] = np.eye(g.shape[j] - 1, g.shape[j] + 1, k=1)
-            phi_j = _kron(factors)
-            shape = (phi_j.shape[0], base[-1])  # columns: a_j within the full face arrays
-            fluxes.append(sp.coo_matrix((phi_j.data, (phi_j.row, phi_j.col + base[j])), shape))
+            fluxes.append((factors, sum(map(len, minus)), base[j]))  # after earlier axes' fluxes; columns: a_j
             n = idx.shape[j]
             minus.append(idx.take(range(0, n - 1), axis=j).ravel())
             plus.append(idx.take(range(1, n), axis=j).ravel())
-        phi = sp.vstack(fluxes, format="csr")
+        m, p = np.concatenate(minus), np.concatenate(plus)
+        phi = _kron(fluxes, (m.size, base[-1]))
 
         size = S.shape[0]
         keys = np.repeat(np.arange(size) * size, np.diff(S.indptr)) + S.indices
@@ -221,7 +230,6 @@ class Operators:
             return found
 
         diag = where(np.arange(size), np.arange(size))
-        m, p = np.concatenate(minus), np.concatenate(plus)
         flux = np.arange(m.size)
         inc_pos, inc_flux, inc_vals = [], [], []
         for r, c, v in [(m, m, 0.5), (m, p, 0.5), (p, m, -0.5), (p, p, -0.5)]:

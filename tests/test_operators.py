@@ -5,6 +5,9 @@
 # versions of the structural identities the whole discretization rests on.
 #
 
+import operator
+from functools import partial, reduce
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -395,6 +398,78 @@ def test_convection_scatter_matches_assembly(grid, seed, interior_only, dt):
         assert_same_block(conv[i], oracle[i])
         expected = sp.diags(ops.mass_blocks[i] / dt) + ops.laplace_blocks[i] + oracle[i]
         assert_same_block(A, expected.tocsr())
+
+
+def _sp_kron(factors):
+    return reduce(partial(sp.kron, format="coo"), factors)
+
+
+def _sp_difference(n):
+    one = np.ones(n - 1)
+    return sp.diags([-one, one], [0, 1], shape=(n - 1, n))
+
+
+def sp_kron_assembly(ops):
+    """Oracle: G, D, the stiffness blocks and the flux maps as the package once
+    built them, one sp.kron, sp.diags or sp.identity per 1D factor."""
+    g = ops.grid
+    d = g.dim
+
+    def on_axis(i, mat):
+        return _sp_kron([mat if a == i else sp.identity(n) for a, n in enumerate(g.shape)])
+
+    delta = [_sp_difference(n) for n in g.shape]
+    G = sp.vstack([on_axis(i, sp.diags(1.0 / g.dual_w[i][1:-1]) @ delta[i]) for i in range(d)], format="csr")
+    D = sp.hstack([on_axis(i, -sp.diags(1.0 / g.h[i]) @ delta[i].T) for i in range(d)], format="csr")
+    laplace = []
+    for stiffness, mass in ops.laplace_factors:
+        terms = [_sp_kron([K if b == a else sp.diags(B) for b, B in enumerate(mass)]) for a, K in enumerate(stiffness)]
+        laplace.append(reduce(operator.add, terms).tocsr())
+    base = np.cumsum([0] + [int(np.prod(g.face_shape(j))) for j in range(d)])
+    flux_maps = []
+    for i in range(d):
+        widths = [np.diag(h) for h in g.h]
+        mean = 0.5 * abs(_sp_difference(g.shape[i] + 1)).toarray()
+        fluxes = []
+        for j in [i] + [j for j in range(d) if j != i and g.shape[j] > 1]:
+            factors = list(widths)
+            if j == i:
+                factors[i] = mean
+            else:
+                factors[i] = mean.T * g.h[i]
+                factors[j] = np.eye(g.shape[j] - 1, g.shape[j] + 1, k=1)
+            phi_j = _sp_kron(factors)
+            shape = (phi_j.shape[0], base[-1])
+            fluxes.append(sp.coo_matrix((phi_j.data, (phi_j.row, phi_j.col + base[j])), shape))
+        flux_maps.append(sp.vstack(fluxes, format="csr"))
+    return G, D, laplace, flux_maps
+
+
+def assert_same_arrays(actual, expected):
+    assert actual.shape == expected.shape
+    for name in ("indptr", "indices", "data"):
+        assert getattr(actual, name).dtype == getattr(expected, name).dtype, name
+        np.testing.assert_array_equal(getattr(actual, name), getattr(expected, name), err_msg=name)
+
+
+@settings(max_examples=60)
+@given(grid=mac_grids())
+def test_assembly_matches_sp_kron_bitwise(grid):
+    # the triplet assembly gives the arrays of the scipy products it
+    # replaced, bit for bit, on graded and coords grids with 1-cell axes
+    ops = Operators(grid)
+    G, D, laplace, flux_maps = sp_kron_assembly(ops)
+    assert_same_arrays(ops.G, G)
+    assert_same_arrays(ops.D, D)
+    for actual, expected in zip(ops.laplace_blocks + ops._flux_maps, laplace + flux_maps, strict=True):
+        assert_same_arrays(actual, expected)
+    # the incidences and diagonal positions read only the pattern of S_i
+    ref = Operators(grid)
+    ref.laplace_blocks = laplace
+    for i in range(grid.dim):
+        _, incidence, diag = ref._convection_map(i)
+        assert_same_arrays(ops._incidences[i], incidence)
+        np.testing.assert_array_equal(ops._diag_pos[i], diag)
 
 
 @pytest.mark.parametrize("i", [0, 1])

@@ -149,6 +149,26 @@ class TestStudies:
         up = StudyReport("demo", [level(1.0), level(1.2)])
         assert not up.passed()
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_study_sums_match_field_norms(self, rng, dim):
+        # the packed sums equal the field definitions l2_norm and w1q_norm
+        # over the stored trajectory, to rounding
+        prob = mms_problem(f"vortex{dim}d")
+        g = random_nonuniform_grid(rng, dim, max_cells=6 if dim == 2 else 4)
+        lv = convergence_study(prob, [(g, 3)], 0.1).levels[0]
+        traj = ProjectionScheme(g).run(prob.initial, prob.forcing, 0.1, 3)
+        dt = traj.dt
+        exact = [prob.velocity.face_average(g, n * dt).zero_exterior() for n in range(4)]
+        u, ut = traj.velocities, traj.predicted
+        fields = {
+            "err_l2l2": math.sqrt(sum(dt * l2_norm(u[n] - exact[n]) ** 2 for n in range(3))),
+            "err_final": l2_norm(u[3] - exact[3]),
+            "err_h1": math.sqrt(sum(dt * w1q_norm(ut[n] - exact[n + 1], 2.0) ** 2 for n in range(3))),
+        }
+        for name, value in fields.items():
+            assert value > 0.0
+            assert abs(getattr(lv, name) - value) <= 1e-13 * value, name
+
     def test_convergence_study_smoke(self):
         prob = mms_problem("vortex2d")
         levels = [
@@ -172,19 +192,23 @@ class TestStudies:
 
     def test_study_sums_match_stored_run(self, rng):
         # the sums the studies take level by level equal, bit for bit, the
-        # same integrals over the stored trajectory of run()
+        # same integrals over the stored trajectory of run(), taken on the
+        # packed unknowns as the study takes them
         prob = mms_problem("vortex2d")
         g = random_nonuniform_grid(rng, 2, max_cells=6)
         lv = convergence_study(prob, [(g, 4)], 0.1).levels[0]
-        traj = ProjectionScheme(g).run(prob.initial, prob.forcing, 0.1, 4)
+        scheme = ProjectionScheme(g)
+        ops = scheme.ops
+        traj = scheme.run(prob.initial, prob.forcing, 0.1, 4)
         dt = traj.dt
-        exact = [prob.velocity.face_average(g, n * dt).zero_exterior() for n in range(5)]
-        u, ut = traj.velocities, traj.predicted
-        coupling = math.sqrt(sum(dt * l2_norm(ut[n] - u[n]) ** 2 for n in range(4)))
+        exact = [ops.pack(prob.velocity.face_average(g, n * dt)) for n in range(5)]
+        u, ut = [ops.pack(v) for v in traj.velocities], [ops.pack(v) for v in traj.predicted]
+        err = [u[n] - exact[n] for n in range(5)]
+        coupling = math.sqrt(sum(dt * l2_norm(traj.predicted[n] - traj.velocities[n]) ** 2 for n in range(4)))
         assert lv.dt == dt
-        assert lv.err_l2l2 == math.sqrt(sum(dt * l2_norm(u[n] - exact[n]) ** 2 for n in range(4)))
-        assert lv.err_final == l2_norm(u[4] - exact[4])
-        assert lv.err_h1 == math.sqrt(sum(dt * w1q_norm(ut[n] - exact[n + 1], 2.0) ** 2 for n in range(4)))
+        assert lv.err_l2l2 == math.sqrt(sum(dt * ops.inner(err[n], err[n]) for n in range(4)))
+        assert lv.err_final == math.sqrt(ops.inner(err[4], err[4]))
+        assert lv.err_h1 == math.sqrt(sum(dt * ops.seminorm_sq(ut[n] - exact[n + 1]) for n in range(4)))
         assert lv.coupling == coupling
         assert lv.min_energy_margin == min(
             d.energy_residual / max(d.energy_scale, 1e-300) for d in traj.diagnostics
