@@ -85,23 +85,12 @@ class VelocityField:
     def zero_exterior(self):
         """Zero the boundary-face values in place; returns self."""
         for i, c in enumerate(self.components):
-            index = [slice(None)] * self.grid.dim
-            index[i] = 0
-            c[tuple(index)] = 0.0
-            index[i] = self.grid.shape[i]
-            c[tuple(index)] = 0.0
+            c[~self.grid.interior_mask(i)] = 0.0
         return self
 
     def exterior_max(self) -> float:
         """Largest boundary-face magnitude (0 for admissible fields)."""
-        out = 0.0
-        for i, c in enumerate(self.components):
-            index = [slice(None)] * self.grid.dim
-            index[i] = 0
-            out = max(out, float(np.abs(c[tuple(index)]).max()))
-            index[i] = self.grid.shape[i]
-            out = max(out, float(np.abs(c[tuple(index)]).max()))
-        return out
+        return max(float(np.abs(c[~self.grid.interior_mask(i)]).max()) for i, c in enumerate(self.components))
 
     def __add__(self, other):
         return VelocityField(self.grid, [a + b for a, b in zip(self.components, other.components)])
@@ -207,12 +196,7 @@ def w1q_norm(u: VelocityField, q: float = 2.0) -> float:
     d = g.dim
     total = 0.0
     for i in range(d):
-        v = u.components[i].copy()
-        index = [slice(None)] * d
-        index[i] = 0
-        v[tuple(index)] = 0.0
-        index[i] = g.shape[i]
-        v[tuple(index)] = 0.0
+        v = np.where(g.interior_mask(i), u.components[i], 0.0)
 
         cross = 1.0
         for a in range(d):

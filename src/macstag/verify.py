@@ -12,12 +12,14 @@ The translate diagnostic evaluates time-translate integrals of the
 predicted trajectory exactly (piecewise-constant fields make them finite
 sums), in both the L2 norm and the weaker seminorm that measures only the
 divergence-free part. Both shrink with the translate; the seminorm column
-never exceeds the L2 column.
+never exceeds the L2 column. They are summed level by level as the
+predictions arrive (TranslateAccumulator); the march need not be stored.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,6 +46,7 @@ __all__ = [
     "random_pressure",
     "random_velocity",
     "TranslateRow",
+    "TranslateAccumulator",
     "translate_diagnostic",
     "summed_step_increments",
     "StudyLevel",
@@ -178,6 +181,40 @@ class TranslateRow:
     l2_sq: float
     star_sq: float
 
+    @property
+    def bounded(self) -> bool:
+        """Criterion 9: the seminorm column stays below the L2 column, to 1e-13 relative."""
+        return self.star_sq <= self.l2_sq * (1.0 + 1e-13)
+
+
+class TranslateAccumulator:
+    """Translate integrals of the predicted trajectory, summed level by level.
+
+    add() takes utilde^1, utilde^2, ... in order, keeps the last max(k), and adds
+    dt ||utilde^m - utilde^{m-k}||^2 to l2[k] (|.|_*^2 to star[k], given a projector)
+    over ascending n = m - k. l2[1] is the summed step increments.
+    """
+
+    def __init__(self, dt: float, multiples, projector: Projector | None = None):
+        self.dt, self.multiples, self.projector = float(dt), list(multiples), projector
+        self.l2 = dict.fromkeys([1, *self.multiples], 0.0)
+        self.star = dict.fromkeys(self.multiples if projector else [], 0.0)
+        self._recent = deque(maxlen=max(self.l2))
+
+    def add(self, *u_tildes: VelocityField):
+        for u_tilde in u_tildes:
+            for k in self.l2:
+                if k <= len(self._recent):
+                    diff = u_tilde - self._recent[-k]
+                    self.l2[k] += self.dt * velocity_inner(diff, diff)
+                    if k in self.star:
+                        self.star[k] += self.dt * self.projector.divfree_seminorm(diff) ** 2
+            self._recent.append(u_tilde)
+        return self
+
+    def rows(self):
+        return [TranslateRow(k * self.dt, k, self.l2[k], self.star[k]) for k in self.multiples]
+
 
 def translate_diagnostic(traj: Trajectory, taus, projector: Projector | None = None):
     """Exact time-translate integrals of the predicted trajectory.
@@ -188,9 +225,7 @@ def translate_diagnostic(traj: Trajectory, taus, projector: Projector | None = N
     norm and of the squared divergence-free seminorm of the difference.
     """
     dt = traj.dt
-    if projector is None:
-        projector = Projector(Operators(traj.grid))
-    rows = []
+    multiples = []
     for tau in taus:
         k = tau / dt
         k_int = int(round(k))
@@ -198,27 +233,14 @@ def translate_diagnostic(traj: Trajectory, taus, projector: Projector | None = N
             raise ValueError(f"translate {tau} is not a positive multiple of dt={dt}")
         if k_int >= traj.steps:
             raise ValueError(f"translate {tau} exceeds the trajectory span")
-        l2_sq = _translate_integral(traj, k_int, _l2_sq)
-        star_sq = _translate_integral(traj, k_int, lambda diff: projector.divfree_seminorm(diff) ** 2)
-        rows.append(TranslateRow(tau=k_int * dt, steps=k_int, l2_sq=l2_sq, star_sq=star_sq))
-    return rows
-
-
-def _l2_sq(v: VelocityField) -> float:
-    return velocity_inner(v, v)
-
-
-def _translate_integral(traj: Trajectory, k: int, norm_sq) -> float:
-    """sum_n dt norm_sq(utilde^{n+k} - utilde^n) over n < steps - k, summed in order of n."""
-    total = 0.0
-    for n in range(traj.steps - k):
-        total += traj.dt * norm_sq(traj.predicted[n + k] - traj.predicted[n])
-    return total
+        multiples.append(k_int)
+    projector = projector or Projector(Operators(traj.grid))
+    return TranslateAccumulator(dt, multiples, projector).add(*traj.predicted).rows()
 
 
 def summed_step_increments(traj: Trajectory) -> float:
     """sum_n dt ||utilde^{n+1} - utilde^n||^2, the exact tau = dt translate integral."""
-    return _translate_integral(traj, 1, _l2_sq)
+    return TranslateAccumulator(traj.dt, []).add(*traj.predicted).l2[1]
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@
 # exit paths stay inspectable.
 #
 
+import math
 import os
 import shutil
 import subprocess
@@ -13,9 +14,13 @@ import pytest
 
 from macstag.cli import main
 from macstag.config import parse_config
+from macstag.fields import velocity_inner
 from macstag.mms import mms_problem
-from macstag.output import write_diagnostics_csv
+from macstag.operators import Operators
+from macstag.output import write_diagnostics_csv, write_translate_csv
+from macstag.projection import Projector
 from macstag.scheme import ProjectionScheme, SchemeError
+from macstag.verify import translate_diagnostic
 
 from conftest import BAD_NUMERIC_VALUES
 
@@ -187,6 +192,73 @@ def test_translate_rejects_oversized_tau(tmp_path, monkeypatch, capsys):
     assert main(["translate", "--config", str(path), "--taus", "9"]) == 2
     assert main(["translate", "--config", str(path), "--taus", "x"]) == 2
     assert main(["translate", "--config", str(path), "--taus", "0"]) == 2
+
+
+TRANSLATE = "[grid]\nkind = graded\nn = 6 5\nratio = 1.1\n[time]\nfinal = 0.1\nsteps = 6\n"
+
+
+def test_translate_streams_with_one_operator_build(tmp_path, monkeypatch):
+    path = tmp_path / "case.ini"
+    path.write_text(TRANSLATE)
+    cfg = parse_config(str(path))
+    problem = mms_problem(cfg.problem)
+    scheme = ProjectionScheme(cfg.build_grid(), **cfg.scheme_kwargs())
+    traj = scheme.run(problem.initial, problem.forcing, cfg.t_final, cfg.steps)
+    write_translate_csv(str(tmp_path / "stored.csv"), translate_diagnostic(traj, [k * traj.dt for k in (1, 2, 5)]))
+
+    def no_run(*args):
+        raise AssertionError("translate must not store a trajectory")
+
+    builds = []
+    init = Operators.__init__
+
+    def counted_init(self, grid):
+        builds.append(grid)
+        init(self, grid)
+
+    monkeypatch.setattr(ProjectionScheme, "run", no_run)
+    monkeypatch.setattr(Operators, "__init__", counted_init)
+    out = tmp_path / "tr"
+    assert main(["translate", "--config", str(path), "--taus", "1,2,5", "--out", str(out)]) == 0
+    assert len(builds) == 1
+    assert (out / "translate.csv").read_bytes() == (tmp_path / "stored.csv").read_bytes()
+
+
+def test_translate_verdict_has_criterion_9_slack(tmp_path, monkeypatch):
+    # a seminorm column 1e-9 above the L2 column, relative, breaks criterion 9
+    # (slack 1e-13) however small the integrals are
+    path = tmp_path / "case.ini"
+    path.write_text(TRANSLATE)
+
+    def inflated(self, w):
+        return math.sqrt(velocity_inner(w, w) * (1.0 + 1e-9))
+
+    monkeypatch.setattr(Projector, "divfree_seminorm", inflated)
+    assert main(["translate", "--config", str(path), "--taus", "1,2", "--out", str(tmp_path / "tr")]) == 1
+    rows = (tmp_path / "tr" / "translate.csv").read_text().splitlines()[1:]
+    for row in rows:
+        l2_sq, star_sq = map(float, row.split(",")[2:])
+        assert l2_sq < 1e-4 and star_sq == pytest.approx(l2_sq * (1.0 + 1e-9), rel=1e-14)
+
+
+def test_translate_failed_step_writes_no_table(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "case.ini"
+    path.write_text(TRANSLATE)
+    step = ProjectionScheme.step
+
+    def failing_step(self, state, forcing, dt):
+        if state.n + 1 == 3:
+            raise SchemeError("step 3, prediction: injected failure")
+        return step(self, state, forcing, dt)
+
+    monkeypatch.setattr(ProjectionScheme, "step", failing_step)
+    out = tmp_path / "tr"
+    assert main(["translate", "--config", str(path), "--taus", "1,2", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: step 3, ") and "Traceback" not in captured.err
+    # partial sums are not the integrals: no table is printed or written
+    assert "translate table" not in captured.out
+    assert not (out / "translate.csv").exists()
 
 
 def test_usage_errors(capsys):

@@ -9,11 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from macstag.fields import PressureField, Trajectory, VelocityField, l2_norm, w1q_norm
+from macstag.fields import PressureField, Trajectory, VelocityField, l2_norm, velocity_inner, w1q_norm
 from macstag.grid import MacGrid, graded_axis, midpoint_refined, uniform_axis, uniform_grid
 from macstag.mms import mms_problem
 from macstag.scheme import ProjectionScheme
 from macstag.verify import (
+    TranslateAccumulator,
     StudyLevel,
     StudyReport,
     convergence_study,
@@ -131,6 +132,49 @@ def test_summed_step_increments_synthetic():
     # and that is exactly the tau = dt translate integral
     rows = translate_diagnostic(traj, [dt])
     assert rows[0].l2_sq == pytest.approx(expect, rel=1e-13)
+
+
+def reference_translate_integral(traj, k, norm_sq):
+    """sum_n dt norm_sq(utilde^{n+k} - utilde^n) over n < steps - k, summed in order of n
+    over the stored predictions: the trajectory-indexed definition, kept as the reference."""
+    total = 0.0
+    for n in range(traj.steps - k):
+        total += traj.dt * norm_sq(traj.predicted[n + k] - traj.predicted[n])
+    return total
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        MacGrid([graded_axis(0.0, 1.0, 12, 1.1), graded_axis(0.0, 1.0, 10, 0.9)]),
+        MacGrid([[0.0, 0.15, 0.4, 0.55, 1.0], [0.0, 0.3, 0.45, 0.8, 1.0], [0.0, 0.2, 0.35, 0.6, 0.7, 1.0]]),
+    ],
+    ids=["graded2d", "coords3d"],
+)
+def test_streamed_translates_match_stored_sums_bitwise(grid):
+    # the accumulator fed level by level from iterate() gives the very bits of
+    # the old trajectory-indexed sums over a stored run() on the same grid
+    prob = mms_problem(f"vortex{grid.dim}d")
+    steps, t_final = 8, 0.25
+    scheme = ProjectionScheme(grid)
+    proj = scheme.projector
+    multiples = [1, 2, 3, steps - 1]
+    acc = TranslateAccumulator(scheme.time_step(t_final, steps), multiples, proj)
+    for state, diag in scheme.iterate(prob.initial, prob.forcing, t_final, steps):
+        if diag is not None:
+            acc.add(state.u_tilde_prev)
+    traj = scheme.run(prob.initial, prob.forcing, t_final, steps)
+    assert len(acc._recent) == max(multiples)  # only the last max(k) predictions are kept
+    stored = translate_diagnostic(traj, [k * traj.dt for k in multiples], projector=proj)
+    for row, again in zip(acc.rows(), stored):
+        k = row.steps
+        l2 = reference_translate_integral(traj, k, lambda v: velocity_inner(v, v))
+        star = reference_translate_integral(traj, k, lambda v: proj.divfree_seminorm(v) ** 2)
+        assert (row.tau, row.l2_sq, row.star_sq) == (k * traj.dt, l2, star)
+        assert again == row
+    assert acc.l2[1] == summed_step_increments(traj) == reference_translate_integral(
+        traj, 1, lambda v: velocity_inner(v, v)
+    )
 
 
 class TestStudies:
