@@ -70,12 +70,13 @@ def _print_step(diag):
     )
 
 
-def _write_snapshot(cfg, grid, state):
+def _write_snapshot(cfg, scheme, state):
     base = f"fields_{state.n:06d}"
+    u = scheme.ops.unpack(state.u)
     if cfg.output_format == "vtk":
-        output.write_vtk(os.path.join(cfg.out_dir, base + ".vtk"), grid, state.u, state.p)
+        output.write_vtk(os.path.join(cfg.out_dir, base + ".vtk"), scheme.grid, u, state.p)
     else:
-        output.write_fields_csv(cfg.out_dir, base, grid, state.u, state.p)
+        output.write_fields_csv(cfg.out_dir, base, scheme.grid, u, state.p)
 
 
 def _problem_on(cfg, grid):
@@ -102,7 +103,7 @@ def cmd_run(cfg):
                 csv_file.write(output.diagnostics_row(diag) + "\n")
                 csv_file.flush()
             if state.n == cfg.steps or (cfg.cadence > 0 and state.n % cfg.cadence == 0):
-                _write_snapshot(cfg, grid, state)
+                _write_snapshot(cfg, scheme, state)
     print(
         f"run complete: {cfg.steps} steps to t={cfg.t_final:g}, "
         f"final energy {diag.kinetic_energy:.9e}, outputs in {cfg.out_dir}"
@@ -192,7 +193,7 @@ def cmd_translate(cfg, args):
     # a failed step raises out of this loop, before any table is printed or written
     for state, diag in scheme.iterate(problem.initial, problem.forcing, cfg.t_final, cfg.steps):
         if diag is not None:
-            sums.add(state.u_tilde_prev)
+            sums.add(scheme.ops.unpack(state.u_tilde_prev))
     rows = sums.rows()
     print(f"translate table for {cfg.problem} ({cfg.steps} steps, dt={sums.dt:.5g})")
     print("tau        steps  l2_translate_sq   star_translate_sq")

@@ -88,10 +88,6 @@ class VelocityField:
             c[~self.grid.interior_mask(i)] = 0.0
         return self
 
-    def exterior_max(self) -> float:
-        """Largest boundary-face magnitude (0 for admissible fields)."""
-        return max(float(np.abs(c[~self.grid.interior_mask(i)]).max()) for i, c in enumerate(self.components))
-
     def __add__(self, other):
         return VelocityField(self.grid, [a + b for a, b in zip(self.components, other.components)])
 

@@ -120,7 +120,6 @@ class MacGrid:
         self.theta = best
 
         self._dual_volumes = [self._measure(i, self.dual_w[i]) for i in range(self.dim)]
-        self._face_areas = [self._measure(i, np.ones(self.shape[i] + 1)) for i in range(self.dim)]
 
     def _measure(self, i, along_i):
         """Outer product of along_i on axis i with cell widths on the others."""
@@ -136,10 +135,6 @@ class MacGrid:
     def dual_volumes(self, i):
         """|D_sigma| for every direction-i face, shape face_shape(i)."""
         return self._dual_volumes[i]
-
-    def face_areas(self, i):
-        """|sigma| for every direction-i face, shape face_shape(i)."""
-        return self._face_areas[i]
 
     def face_center_axes(self, i):
         """Per-axis coordinates of direction-i face centers."""

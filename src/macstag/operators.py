@@ -42,16 +42,18 @@ dual-cell flux) vanishes whenever div a = 0.
 
 C_i(a) is linear in a, and its sparsity pattern depends on the grid alone
 (Verstappen & Veldman, JCP 2003): the pattern of S_i, which also holds the
-diagonal of M_i. So the operators build, once, a flux map Phi_i from the full
-face arrays of a to the dual-face fluxes: per axis j, one Kronecker product
-on a_j. With E_i the n_i x (n_i + 1) difference of the faces along axis i, it
-has |E_i|/2 (the mean of the two faces of a cell) on axis i if j == i, else
-|E_i|^T diag(h_i)/2 (the half cells beside a face) on axis i and the
-interior-face selection on axis j; diag(h_a) on every other axis. A +-1/2
-incidence matrix scatters the fluxes onto the pattern of S_i, whose entry
-(r, c) is found by binary search over the keys r * size + c (sorted, as S_i
-is canonical CSR). convection_blocks(a) is then two sparse matvecs per
-direction, and its blocks share their index arrays with S_i.
+diagonal of M_i. So the operators build, once, a flux map Phi_i from the
+packed a (its interior faces; the boundary faces are zero) to the dual-face
+fluxes: per axis j, one Kronecker product on block j of a, at the columns
+from offsets[j]. With E_i the n_i x (n_i + 1) difference of the faces along
+axis i, it has |E_i|/2 without its two boundary columns (the mean of the two
+faces of a cell) on axis i if j == i, else |E_i|^T diag(h_i)/2 (the half
+cells beside a face) on axis i and the identity on the n_j - 1 interior
+faces of axis j; diag(h_a) on every other axis. A +-1/2 incidence matrix
+scatters the fluxes onto the pattern of S_i, whose entry (r, c) is found by
+binary search over the keys r * size + c (sorted, as S_i is canonical CSR).
+convection_blocks(a) is then two sparse matvecs per direction, and its
+blocks share their index arrays with S_i.
 """
 
 from __future__ import annotations
@@ -198,7 +200,6 @@ class Operators:
         """
         g = self.grid
         S = self.laplace_blocks[i]
-        base = np.cumsum([0] + [int(np.prod(g.face_shape(j))) for j in range(g.dim)])
         idx = np.full(g.face_shape(i), -1)  # position in block i, -1 on boundary faces
         idx[g.interior_mask(i)] = np.arange(self.block_sizes[i])
         mean = 0.5 * abs(_difference(g.shape[i] + 1))
@@ -208,16 +209,16 @@ class Operators:
         for j in [i] + [j for j in range(g.dim) if j != i and g.shape[j] > 1]:
             factors = list(g.h)
             if j == i:
-                factors[i] = mean
+                factors[i] = mean[:, 1:-1]
             else:
                 factors[i] = mean.T * g.h[i]
-                factors[j] = np.eye(g.shape[j] - 1, g.shape[j] + 1, k=1)
-            fluxes.append((factors, sum(map(len, minus)), base[j]))  # after earlier axes' fluxes; columns: a_j
+                factors[j] = np.ones(g.shape[j] - 1)
+            fluxes.append((factors, sum(map(len, minus)), self.offsets[j]))  # after earlier axes' fluxes
             n = idx.shape[j]
             minus.append(idx.take(range(0, n - 1), axis=j).ravel())
             plus.append(idx.take(range(1, n), axis=j).ravel())
         m, p = np.concatenate(minus), np.concatenate(plus)
-        phi = _kron(fluxes, (m.size, base[-1]))
+        phi = _kron(fluxes, (m.size, self.n_velocity))
 
         size = S.shape[0]
         keys = np.repeat(np.arange(size) * size, np.diff(S.indptr)) + S.indices
@@ -243,21 +244,18 @@ class Operators:
         )
         return phi, incidence, diag
 
-    def convection_blocks(self, a: VelocityField):
+    def convection_blocks(self, a: np.ndarray):
         """Per-direction weak convection matrices C_i(a) on the prediction pattern.
 
-        Row sigma of block i applies sum over the dual faces of sigma of
-        F_eps * (w_sigma + w_sigma')/2 with outward orientation; F_eps is the
-        mean of the two primal-face fluxes of a adjacent to the dual face.
-        Boundary values of a are taken as stored (zero for admissible fields).
-        The values are two sparse matvecs on the full face arrays of a; every
-        block shares indices and indptr with the pattern and owns its data.
+        a is a packed vector. Row sigma of block i applies sum over the dual
+        faces of sigma of F_eps * (w_sigma + w_sigma')/2 with outward
+        orientation; F_eps is the mean of the two primal-face fluxes of a
+        adjacent to the dual face, with zero boundary faces. The values are
+        two sparse matvecs on a; every block shares indices and indptr with
+        the pattern and owns its data.
         """
-        a_full = np.concatenate([c.ravel() for c in a.components])
-        blocks = []
-        for S, phi, incidence in zip(self.laplace_blocks, self._flux_maps, self._incidences):
-            blocks.append(on_pattern(S, incidence @ (phi @ a_full)))
-        return blocks
+        maps = zip(self.laplace_blocks, self._flux_maps, self._incidences)
+        return [on_pattern(S, incidence @ (phi @ a)) for S, phi, incidence in maps]
 
     def momentum_values(self, i, dt):
         """Values of M_i/dt + S_i on the prediction pattern of block i."""
@@ -283,7 +281,7 @@ class Operators:
 
     def convection_form(self, a: VelocityField, w: VelocityField, v: VelocityField) -> float:
         """Trilinear form: the weak convection of w by a tested against v."""
-        blocks = self.convection_blocks(a)
+        blocks = self.convection_blocks(self.pack(a))
         wv = self.pack(w)
         vv = self.pack(v)
         total = 0.0

@@ -42,10 +42,10 @@ for n >= 1 cross-checks the combined momentum identity
 against the recomputed prediction residual; r = dt_n/dt is the ratio of the
 previous step to this one (1 for equal steps), so step() takes any dt.
 
-Inside a step every velocity is a packed interior-face vector
-(Operators.pack), the unknowns of the fully discrete scheme. A step packs
-u^n, the forcing and utilde^n once each, unpacks u^{n+1} and utilde^{n+1}
-once each, and takes the energy terms as mass-weighted dots (Operators.inner).
+Every velocity of the march is a packed interior-face vector
+(Operators.pack), the unknowns of the fully discrete scheme, from
+initialize to the last level. A step packs one field, the forcing, unpacks
+none, and takes the energy terms as mass-weighted dots (Operators.inner).
 """
 
 from __future__ import annotations
@@ -120,22 +120,22 @@ DIAGNOSTIC_COLUMNS = tuple(f.name for f in fields(StepDiagnostics))[:10]
 class SchemeState:
     """Level n and the history the next step reads.
 
-    u, p and u_tilde_prev (the prediction of the step that made level n)
-    are fields, for observers of the march. dt is the size of that step
-    (0.0 at level 0), read by the momentum check. The rest is packed
-    history: u_tilde_prev2 is the prediction before u_tilde_prev, read only
-    by the prediction's initial guess, and gp, gp_prev are the gradients
-    G p^n and G p^{n-1} of the prediction and the momentum check.
+    Velocities are packed interior-face vectors; ops.unpack gives a field.
+    u is u^n and u_tilde_prev the prediction of the step that made level n;
+    p is the pressure field. dt is the size of that step (0.0 at level 0),
+    read by the momentum check. u_tilde_prev2 is the prediction before
+    u_tilde_prev, read only by the prediction's initial guess, and gp,
+    gp_prev are the gradients G p^n and G p^{n-1} of the prediction, the
+    energy terms and the momentum check.
     """
 
     n: int
     t: float
-    u: VelocityField
+    u: np.ndarray
     p: PressureField
-    grad_p_norm: float
     gp: np.ndarray
     dt: float = 0.0
-    u_tilde_prev: VelocityField | None = None
+    u_tilde_prev: np.ndarray | None = None
     u_tilde_prev2: np.ndarray | None = None
     gp_prev: np.ndarray | None = None
 
@@ -147,7 +147,6 @@ class PredictionStats:
     residual_l2: float
     per_direction: list = field(default_factory=list)
     convection: list = field(default_factory=list)  # blocks C_i(u^n), reused by the momentum check
-    u_tilde_prev: np.ndarray | None = None  # packed utilde^n, reused by the momentum check
 
 
 class ProjectionScheme:
@@ -209,17 +208,21 @@ class ProjectionScheme:
     def initialize(self, u0) -> SchemeState:
         """Initial state: face averages of u0, boundary zeroed, made divergence-free.
 
-        u0 is an analytic field (points -> vectors) or a VelocityField. The
-        pressure starts at zero; for initial data that is already divergence
-        free the projection is a no-op up to roundoff.
+        u0 is an analytic field (points -> vectors) or a VelocityField on
+        the scheme's grid; a field with other face shapes raises ValueError.
+        The pressure starts at zero; for initial data that is already
+        divergence free the projection is a no-op up to roundoff.
         """
+        g = self.grid
         if not isinstance(u0, VelocityField):
-            u0 = face_average(self.grid, u0, order=self.quad_order)
+            u0 = face_average(g, u0, order=self.quad_order)
+        shapes, wanted = [c.shape for c in u0.components], [g.face_shape(i) for i in range(g.dim)]
+        if shapes != wanted:
+            raise ValueError(f"initial field has face shapes {shapes}, the grid {g.shape} has {wanted}")
         w = self.ops.pack(u0)  # interior faces only: the boundary values are dropped
         _require_finite(w, 0, "initialize", "initial data")
-        u = self.ops.unpack(self.projector.decompose(w)[0])
-        p = PressureField(self.grid)
-        return SchemeState(n=0, t=0.0, u=u, p=p, grad_p_norm=0.0, gp=np.zeros(self.ops.n_velocity))
+        u = self.projector.decompose(w)[0]
+        return SchemeState(n=0, t=0.0, u=u, p=PressureField(g), gp=np.zeros(self.ops.n_velocity))
 
     # -- one step ------------------------------------------------------------
 
@@ -242,29 +245,29 @@ class ProjectionScheme:
             self._momentum_values = (dt, [self.ops.momentum_values(i, dt) for i in range(self.grid.dim)])
         return [on_pattern(C, base + C.data) for base, C in zip(self._momentum_values[1], conv)]
 
-    def prediction(self, state: SchemeState, u: np.ndarray, f: np.ndarray, dt: float):
+    def prediction(self, state: SchemeState, f: np.ndarray, dt: float):
         """Solve the implicit momentum systems, one per component direction.
 
-        u and f are the packed u^n and forcing; returns the packed utilde
-        and the solver stats. Each system is solved by GMRES, preconditioned
-        by the exact separable inverse of its symmetric part M_i/dt + S_i
-        and started from the extrapolated guess 2 utilde^n - utilde^{n-1};
-        while fewer earlier predictions exist it starts from utilde^n, then
-        from u^n.
+        f is the packed forcing; u^n and utilde^n come from the state.
+        Returns the packed utilde and the solver stats. Each system is
+        solved by GMRES, preconditioned by the exact separable inverse of
+        its symmetric part M_i/dt + S_i and started from the extrapolated
+        guess 2 utilde^n - utilde^{n-1}; while fewer earlier predictions
+        exist it starts from utilde^n, then from u^n.
         """
         ops = self.ops
         dt = float(dt)
-        ut_prev = None if state.u_tilde_prev is None else ops.pack(state.u_tilde_prev)
-        if ut_prev is None:
+        u = state.u
+        if state.u_tilde_prev is None:
             guess = u
         elif state.u_tilde_prev2 is None:
-            guess = ut_prev
+            guess = state.u_tilde_prev
         else:
-            guess = 2.0 * ut_prev - state.u_tilde_prev2
-        conv = ops.convection_blocks(state.u)
+            guess = 2.0 * state.u_tilde_prev - state.u_tilde_prev2
+        conv = ops.convection_blocks(u)
         parts = []
         res_sq = 0.0
-        stats = PredictionStats(0, 0.0, 0.0, convection=conv, u_tilde_prev=ut_prev)
+        stats = PredictionStats(0, 0.0, 0.0, convection=conv)
         for i, A in enumerate(self.prediction_blocks(conv, dt)):
             mass = ops.mass_blocks[i]
             rhs = mass * (ops.block(u, i) / dt + ops.block(f, i) - ops.block(state.gp, i))
@@ -310,19 +313,19 @@ class ProjectionScheme:
         if not 0.0 < dt < math.inf:
             raise ValueError(f"dt must be positive and finite, got {dt}")
         ops = self.ops
-        f_field = self._forcing_field(forcing, state.t + 0.5 * dt)
-        u, f = ops.pack(state.u), ops.pack(f_field)
+        f = ops.pack(self._forcing_field(forcing, state.t + 0.5 * dt))
         _require_finite(f, state.n + 1, "forcing", "forcing")
-        ut, pstats = self.prediction(state, u, f, dt)
+        ut, pstats = self.prediction(state, f, dt)
         u_new, p_new, corr_residual, div_max = self.correction(state, ut, dt)
 
         # S_i utilde, shared with the momentum check
         lap_ut = np.concatenate([S @ ops.block(ut, i) for i, S in enumerate(ops.laplace_blocks)])
         dissipation = float(ut @ lap_ut)
+        u = state.u
         e_new = 0.5 * ops.inner(u_new, u_new)
         e_old = 0.5 * ops.inner(u, u)
         gp_vec = ops.G @ p_new.data.ravel()
-        gp_new = math.sqrt(max(ops.inner(gp_vec, gp_vec), 0.0))
+        gp_new, gp_old = (math.sqrt(max(ops.inner(v, v), 0.0)) for v in (gp_vec, state.gp))
         coupling = math.sqrt(max(ops.inner(ut - u, ut - u), 0.0))
         work = ops.inner(f, ut)
 
@@ -330,14 +333,14 @@ class ProjectionScheme:
             e_new / dt,
             e_old / dt,
             0.5 * dt * gp_new**2,
-            0.5 * dt * state.grad_p_norm**2,
+            0.5 * dt * gp_old**2,
             0.5 * coupling**2 / dt,
             dissipation,
             abs(work),
         )
         lhs = (
             (e_new - e_old) / dt
-            + 0.5 * dt * (gp_new**2 - state.grad_p_norm**2)
+            + 0.5 * dt * (gp_new**2 - gp_old**2)
             + 0.5 * coupling**2 / dt
             + dissipation
         )
@@ -360,19 +363,18 @@ class ProjectionScheme:
             corr_residual=corr_residual,
         )
 
-        if pstats.u_tilde_prev is not None and state.gp_prev is not None:
+        if state.u_tilde_prev is not None:
             self._momentum_check(state, ut, lap_ut, f, dt, pstats, diag)
 
         new_state = SchemeState(
             n=state.n + 1,
             t=state.t + dt,
-            u=ops.unpack(u_new),
+            u=u_new,
             p=p_new,
-            grad_p_norm=gp_new,
             gp=gp_vec,
             dt=dt,
-            u_tilde_prev=ops.unpack(ut),
-            u_tilde_prev2=pstats.u_tilde_prev,
+            u_tilde_prev=ut,
+            u_tilde_prev2=state.u_tilde_prev,
             gp_prev=state.gp,
         )
         return new_state, diag
@@ -381,11 +383,12 @@ class ProjectionScheme:
         """Combined momentum identity across the previous correction, n >= 1.
 
         ut is the packed utilde^{n+1}, lap_ut its S_i utilde^{n+1} and f the
-        packed forcing; utilde^n and the blocks C_i(u^n) come from pstats.
-        The correction that made u^n put dt_n G(p^n - p^{n-1}) into it.
+        packed forcing; utilde^n comes from the state and the blocks
+        C_i(u^n) from pstats. The correction that made u^n put
+        dt_n G(p^n - p^{n-1}) into it.
         """
         ops = self.ops
-        t1 = (ut - pstats.u_tilde_prev) / dt
+        t1 = (ut - state.u_tilde_prev) / dt
         conv = pstats.convection
         t2 = np.concatenate([(C @ ops.block(ut, i)) / ops.mass_blocks[i] for i, C in enumerate(conv)])
         r = state.dt / dt
@@ -436,11 +439,12 @@ class ProjectionScheme:
             yield state, diag
 
     def run(self, u0, forcing, t_final, steps) -> Trajectory:
-        """Record every level of iterate() in a Trajectory."""
+        """Record every level of iterate() in a Trajectory of fields."""
         traj = Trajectory(self.grid, self.time_step(t_final, steps), t_final)
+        unpack = self.ops.unpack
         for state, diag in self.iterate(u0, forcing, t_final, steps):
             if diag is None:
-                traj.append_initial(state.u, state.p)
+                traj.append_initial(unpack(state.u), state.p)
             else:
-                traj.append_step(state.t, state.u_tilde_prev, state.u, state.p, diag)
+                traj.append_step(state.t, unpack(state.u_tilde_prev), unpack(state.u), state.p, diag)
         return traj

@@ -37,7 +37,7 @@ from .grid import MacGrid
 from .mms import mms_problem
 from .operators import Operators
 from .projection import Projector
-from .scheme import ProjectionScheme
+from .scheme import ProjectionScheme, _whole
 
 __all__ = [
     "CheckResult",
@@ -63,11 +63,8 @@ def random_pressure(grid: MacGrid, rng) -> PressureField:
     return PressureField(grid, rng.standard_normal(grid.shape))
 
 
-def random_velocity(grid: MacGrid, rng, interior_only=True) -> VelocityField:
-    v = VelocityField(grid, [rng.standard_normal(grid.face_shape(i)) for i in range(grid.dim)])
-    if interior_only:
-        v.zero_exterior()
-    return v
+def random_velocity(grid: MacGrid, rng) -> VelocityField:
+    return VelocityField(grid, [rng.standard_normal(grid.face_shape(i)) for i in range(grid.dim)]).zero_exterior()
 
 
 @dataclass
@@ -192,11 +189,13 @@ class TranslateAccumulator:
 
     add() takes utilde^1, utilde^2, ... in order, keeps the last max(k), and adds
     dt ||utilde^m - utilde^{m-k}||^2 to l2[k] (|.|_*^2 to star[k], given a projector)
-    over ascending n = m - k. l2[1] is the summed step increments.
+    over ascending n = m - k. l2[1] is the summed step increments. Each multiple
+    must be a whole number >= 1, or ValueError names it.
     """
 
     def __init__(self, dt: float, multiples, projector: Projector | None = None):
-        self.dt, self.multiples, self.projector = float(dt), list(multiples), projector
+        multiples = [_whole("translate multiple", k) for k in multiples]
+        self.dt, self.multiples, self.projector = float(dt), multiples, projector
         self.l2 = dict.fromkeys([1, *self.multiples], 0.0)
         self.star = dict.fromkeys(self.multiples if projector else [], 0.0)
         self._recent = deque(maxlen=max(self.l2))
@@ -315,13 +314,13 @@ def convergence_study(problem, levels, t_final, *, quad_order=3, **scheme_kw) ->
         margin = math.inf
         for state, diag in scheme.iterate(problem.initial, problem.forcing, t_final, steps):
             exact = ops.pack(problem.velocity.face_average(grid, state.n * dt, quad_order))
-            err = ops.pack(state.u) - exact
+            err = state.u - exact
             if state.n < steps:
                 l2l2_sq += dt * ops.inner(err, err)
             else:
                 err_final = math.sqrt(ops.inner(err, err))
             if diag is not None:
-                h1_sq += dt * ops.seminorm_sq(ops.pack(state.u_tilde_prev) - exact)
+                h1_sq += dt * ops.seminorm_sq(state.u_tilde_prev - exact)
                 coupling_sq += dt * diag.coupling_norm**2
                 margin = min(margin, diag.energy_margin)
         report.levels.append(

@@ -77,14 +77,13 @@ def test_inner_products_match_norms(rng):
     assert velocity_inner(u, u) == pytest.approx(l2_norm(u) ** 2, rel=1e-13)
 
 
-def test_zero_exterior_and_exterior_max():
+def test_zero_exterior():
     g = uniform_grid((0.0, 0.0), (1.0, 1.0), (3, 3))
     u = VelocityField(g)
     u.components[0].fill(2.0)
-    assert u.exterior_max() == pytest.approx(2.0)
-    u.zero_exterior()
-    assert u.exterior_max() == 0.0
-    assert u.components[0][1, 1] == 2.0
+    assert u.zero_exterior() is u
+    assert not u.components[0][~g.interior_mask(0)].any()
+    assert np.all(u.components[0][g.interior_mask(0)] == 2.0)
 
 
 class TestSobolevSeminorm:

@@ -106,12 +106,10 @@ def test_h_extremes():
     assert g.h_max == pytest.approx(np.hypot(0.75, 0.5), rel=1e-15)
 
 
-def test_face_shapes_and_areas():
+def test_face_shapes_and_interior_masks():
     g = uniform_grid((0.0, 0.0), (2.0, 1.0), (4, 2))
     assert g.face_shape(0) == (5, 2)
     assert g.face_shape(1) == (4, 3)
-    np.testing.assert_allclose(g.face_areas(0), 0.5)
-    np.testing.assert_allclose(g.face_areas(1), 0.5)
     assert g.interior_mask(0).sum() == 3 * 2
     assert g.interior_mask(1).sum() == 4 * 1
 

@@ -3,13 +3,14 @@
 # correction stages, and the per-step structural diagnostics.
 #
 
+import re
 import time
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from macstag.fields import PressureField, VelocityField, l2_norm
+from macstag.fields import PressureField, VelocityField, face_average, l2_norm
 from macstag.grid import MacGrid, graded_axis, uniform_axis, uniform_grid
 from macstag.linalg import SeparableSolver, SolverError
 from macstag.mms import mms_problem
@@ -33,8 +34,9 @@ def test_initialize_divergence_free(vortex):
     g = uniform_grid((0.0, 0.0), (1.0, 1.0), (8, 8))
     scheme = ProjectionScheme(g)
     state = scheme.initialize(vortex.initial)
-    assert np.abs(scheme.ops.div(state.u).data).max() <= 1e-9
-    assert state.u.exterior_max() == 0.0
+    # the state holds the packed interior-face unknowns: no boundary value is stored
+    assert state.u.shape == (scheme.ops.n_velocity,)
+    assert np.abs(scheme.ops.div(scheme.ops.unpack(state.u)).data).max() <= 1e-9
     assert np.all(state.p.data == 0.0)
     assert state.n == 0 and state.t == 0.0
 
@@ -46,7 +48,20 @@ def test_initialize_kills_gradient_data(rng):
     q = random_pressure(g, rng)
     gq = scheme.ops.grad(q)
     state = scheme.initialize(gq)
-    assert l2_norm(state.u) <= 1e-8 * max(l2_norm(gq), 1e-30)
+    assert l2_norm(scheme.ops.unpack(state.u)) <= 1e-8 * max(l2_norm(gq), 1e-30)
+
+
+@pytest.mark.parametrize("name, n", [("vortex2d", (8, 8)), ("vortex3d", (4, 4, 4))], ids=["8x8", "4x4x4"])
+def test_initialize_rejects_field_from_another_grid(name, n):
+    # packing would take the first entries of the larger arrays, or the first
+    # two components of a 3D field, and march on data from another grid
+    scheme = ProjectionScheme(uniform_grid((0.0, 0.0), (1.0, 1.0), (4, 4)))
+    other = uniform_grid((0.0,) * len(n), (1.0,) * len(n), n)
+    u0 = face_average(other, mms_problem(name).initial)
+    shapes = [other.face_shape(i) for i in range(other.dim)]
+    message = f"initial field has face shapes {shapes}, the grid (4, 4) has [(5, 4), (4, 5)]"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        scheme.initialize(u0)
 
 
 def test_correction_matches_decomposition(vortex, rng):
@@ -58,7 +73,7 @@ def test_correction_matches_decomposition(vortex, rng):
     dt = 0.02
     ops = scheme.ops
     f_field = scheme._forcing_field(vortex.forcing, state.t + 0.5 * dt)
-    u_tilde, _ = scheme.prediction(state, ops.pack(state.u), ops.pack(f_field), dt)
+    u_tilde, _ = scheme.prediction(state, ops.pack(f_field), dt)
     u_new, p_new, residual, div_max = scheme.correction(state, u_tilde, dt)
     psi = p_new - state.p  # the increment, recentered with p_new
 
@@ -159,11 +174,12 @@ def test_iterate_yields_every_level_and_run_records_them(vortex):
     traj = scheme.run(vortex.initial, vortex.forcing, 0.1, 5)
     assert traj.times == [state.t for state, _ in levels]
     assert [d.row() for d in traj.diagnostics] == [diag.row() for _, diag in levels[1:]]
+    unpack = scheme.ops.unpack
     for n, (state, _) in enumerate(levels):
-        assert all(np.array_equal(a, b) for a, b in zip(traj.velocities[n].components, state.u.components))
+        assert all(np.array_equal(a, b) for a, b in zip(traj.velocities[n].components, unpack(state.u).components))
         assert np.array_equal(traj.pressures[n].data, state.p.data)
         if n:
-            ut = zip(traj.predicted[n - 1].components, state.u_tilde_prev.components)
+            ut = zip(traj.predicted[n - 1].components, unpack(state.u_tilde_prev).components)
             assert all(np.array_equal(a, b) for a, b in ut)
 
 
@@ -394,7 +410,7 @@ def test_prediction_iterations_bounded(axes, name):
     dt = 1.0 / 32
     for _ in range(2):
         f_field = scheme._forcing_field(prob.forcing, state.t + 0.5 * dt)
-        _, stats = scheme.prediction(state, scheme.ops.pack(state.u), scheme.ops.pack(f_field), dt)
+        _, stats = scheme.prediction(state, scheme.ops.pack(f_field), dt)
         iterations = [out.iterations for out in stats.per_direction]
         assert max(iterations) <= 8, iterations
         state, _ = scheme.step(state, prob.forcing, dt)
@@ -442,14 +458,10 @@ def test_prediction_failure_names_step_and_direction(vortex):
     assert err.value.iterations == 1 and err.value.residual > scheme.prediction_tol
 
 
-def test_step_packs_each_field_once(monkeypatch, vortex):
-    # inside a step every velocity is a packed interior-face vector: u^n,
-    # the forcing and utilde^n are packed once each, u^{n+1} and
-    # utilde^{n+1} unpacked once each, and no field inner product is taken
-    scheme = ProjectionScheme(uniform_grid((0.0, 0.0), (1.0, 1.0), (8, 8)))
-    state = scheme.initialize(vortex.initial)
-    for _ in range(2):
-        state, _ = scheme.step(state, vortex.forcing, 1.0 / 32)
+def test_step_packs_each_field_once(monkeypatch):
+    # the state carries packed interior-face vectors from level to level: a
+    # step packs only the forcing, unpacks nothing and takes no field inner
+    # product, in 2D and in 3D
     counts = {"pack": 0, "unpack": 0, "velocity_inner": 0}
 
     def counted(key, fn):
@@ -464,10 +476,15 @@ def test_step_packs_each_field_once(monkeypatch, vortex):
     for module in (fields_module, projection_module, scheme_module):
         if hasattr(module, "velocity_inner"):
             monkeypatch.setattr(module, "velocity_inner", counted("velocity_inner", module.velocity_inner))
-    for _ in range(3):
-        counts.update(dict.fromkeys(counts, 0))
-        state, _ = scheme.step(state, vortex.forcing, 1.0 / 32)
-        assert counts == {"pack": 3, "unpack": 2, "velocity_inner": 0}
+    for shape in ((8, 8), (4, 5, 3)):
+        dim = len(shape)
+        prob = mms_problem(f"vortex{dim}d")
+        scheme = ProjectionScheme(uniform_grid((0.0,) * dim, (1.0,) * dim, shape))
+        state = scheme.initialize(prob.initial)
+        for n in range(5):
+            counts.update(dict.fromkeys(counts, 0))
+            state, _ = scheme.step(state, prob.forcing, 1.0 / 32)
+            assert counts == {"pack": 1, "unpack": 0, "velocity_inner": 0}, (shape, n)
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -479,8 +496,9 @@ def test_separable_forcing_matches_generic_path(rng, dim):
     levels = {}
     for path, forcing in (("separable", prob.forcing), ("generic", lambda t, pts: prob.forcing(t, pts))):
         levels[path] = list(ProjectionScheme(g).iterate(prob.initial, forcing, 0.1, 4))
+    unpack = Operators(g).unpack
     for (sa, da), (sb, db) in zip(levels["separable"][1:], levels["generic"][1:]):
-        assert l2_norm(sa.u - sb.u) <= 1e-12 * l2_norm(sa.u)
+        assert l2_norm(unpack(sa.u - sb.u)) <= 1e-12 * l2_norm(unpack(sa.u))
         assert l2_norm(sa.p - sb.p) <= 1e-12 * l2_norm(sa.p)
         for column in ("kinetic_energy", "dissipation", "grad_p_norm", "coupling_norm"):
             a, b = getattr(da, column), getattr(db, column)

@@ -162,7 +162,7 @@ def test_streamed_translates_match_stored_sums_bitwise(grid):
     acc = TranslateAccumulator(scheme.time_step(t_final, steps), multiples, proj)
     for state, diag in scheme.iterate(prob.initial, prob.forcing, t_final, steps):
         if diag is not None:
-            acc.add(state.u_tilde_prev)
+            acc.add(scheme.ops.unpack(state.u_tilde_prev))
     traj = scheme.run(prob.initial, prob.forcing, t_final, steps)
     assert len(acc._recent) == max(multiples)  # only the last max(k) predictions are kept
     stored = translate_diagnostic(traj, [k * traj.dt for k in multiples], projector=proj)
@@ -175,6 +175,21 @@ def test_streamed_translates_match_stored_sums_bitwise(grid):
     assert acc.l2[1] == summed_step_increments(traj) == reference_translate_integral(
         traj, 1, lambda v: velocity_inner(v, v)
     )
+
+
+@pytest.mark.parametrize("multiples, bad", [([0], "0"), ([-1, 3], "-1"), ([2.5], "2.5")], ids=["0", "-1", "2.5"])
+def test_accumulator_rejects_multiples_that_are_not_whole(multiples, bad):
+    # a multiple below 1 or with a fraction is named when the accumulator is
+    # made, before any add() indexes the kept predictions with it
+    with pytest.raises(ValueError, match=rf"translate multiple must be a whole number >= 1, got {bad}$"):
+        TranslateAccumulator(0.1, multiples)
+
+
+def test_accumulator_takes_whole_float_multiples():
+    g = uniform_grid((0.0, 0.0), (1.0, 1.0), (3, 3))
+    levels = [VelocityField(g, [np.full(g.face_shape(i), m**2) for i in range(2)]).zero_exterior() for m in range(4)]
+    as_float = TranslateAccumulator(0.5, [2.0]).add(*levels)
+    assert as_float.multiples == [2] and as_float.l2 == TranslateAccumulator(0.5, [2]).add(*levels).l2
 
 
 class TestStudies:
