@@ -1,4 +1,4 @@
-"""Linear solvers of the scheme: an exact separable solver and preconditioned GMRES.
+"""Linear solvers of the scheme: an exact separable solver and generalized CG.
 
 On a tensor-product grid the pressure Poisson matrix and the symmetric part
 M_i/dt + S_i of every prediction block are separable: shift * (x)_a B_a +
@@ -11,15 +11,13 @@ array: the first axis multiplies from the left, the last from the right, and
 only a middle axis in 3D needs a stacked matmul, so no axis is ever moved.
 The reciprocal spectrum 1/(shift + sum_a L_a) is kept for the last shift.
 
-The prediction systems add the nonsymmetric convection block to that
-symmetric part. Restarted GMRES, right-preconditioned by the exact separable
-inverse (flexible form, Saad 1993), solves them in a handful of iterations.
-Right preconditioning makes the Arnoldi estimate the true residual, so the
-stopping test needs no extra preconditioner application: each iteration is
-exactly one FDM application and one matvec. The iteration is a pure
-function of (A, b, x0, M), so reruns are bitwise reproducible. Reported
-residuals are always recomputed from a fresh matvec, never trusted from the
-recurrence.
+The convection block of a prediction system is skew when the advecting field
+is divergence free. For A = H + N, H symmetric positive definite and N skew,
+the generalized conjugate gradient method (Concus & Golub 1976, Widlund 1978)
+is a three-term recurrence on the exact H^-1, the FDM: one FDM application
+and one matvec per iteration, no Krylov basis. It is a pure function of
+(A, b, x0, M), so reruns are bitwise reproducible. Reported residuals are
+always recomputed from a fresh matvec, never trusted from the recurrence.
 """
 
 from __future__ import annotations
@@ -28,15 +26,14 @@ import math
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dpteqr
 
-__all__ = ["SolveResult", "SolverError", "SeparableSolver", "tridiagonal", "solve_gmres"]
+__all__ = ["SolveResult", "SolverError", "SeparableSolver", "tridiagonal", "solve_cgw"]
 
-# GMRES iterations between restarts; the Krylov basis holds RESTART + 1 vectors.
-RESTART = 20
-# Cap on GMRES iterations per solve when the caller sets none. The FDM
+# Cap on CGW iterations per solve when the caller sets none. The FDM
 # preconditioned prediction needs 3-4 per component in 2D and 5-6 in 3D;
 # advecting fields 1000 times stronger than the manufactured ones still
-# converge in 218-220 (vortex2d, graded 128^2, dt = 1/32).
+# converge in 142 (vortex2d, graded 128^2, dt = 1/32).
 MAX_ITERATIONS = 500
 
 
@@ -85,6 +82,22 @@ def tridiagonal(c):
     return K
 
 
+def _modes(K, B):
+    """Eigenpairs (ascending) of K v = lam diag(B) v with V^T diag(B) V = I.
+
+    A chain of two or more cells with a wall (a nonzero end row sum) is
+    positive definite: dpteqr on B^{-1/2} K B^{-1/2} gives its eigenpairs to
+    high relative accuracy (Demmel & Kahan 1990), then V = B^{-1/2} Z. The
+    rest, the singular Neumann chains included, keep eigh.
+    """
+    if B.size > 1 and (K[0].sum() or K[-1].sum()):
+        s = 1.0 / np.sqrt(B)
+        vals, _, Z, info = dpteqr(np.diag(K) * s * s, np.diag(K, 1) * s[:-1] * s[1:], np.empty(K.shape), compute_z=2)
+        if info == 0:
+            return vals[::-1], s[:, None] * Z[:, ::-1]
+    return scipy.linalg.eigh(K, np.diag(B))
+
+
 class SeparableSolver:
     """Exact inverse of shift * (x)B_a + sum_a K_a (x) (x)_{b != a} B_b.
 
@@ -101,7 +114,7 @@ class SeparableSolver:
         lam = 0.0
         for a, (K, B) in enumerate(zip(stiffness, mass)):
             # ascending, so mode 0 of a Neumann axis is the constant one
-            vals, vecs = scipy.linalg.eigh(K, np.diag(B))
+            vals, vecs = _modes(K, B)
             self._modes.append(vecs)
             lam = np.add.outer(lam, vals) if a else vals
         self._eigenvalues = lam
@@ -139,17 +152,21 @@ class SeparableSolver:
         return self._transform(y, False).ravel()
 
 
-def solve_gmres(A, b, *, tol=1e-10, maxiter=None, x0=None, M=None):
-    """Right-preconditioned GMRES in flexible form, restarted every RESTART iterations.
 
-    Arnoldi runs on A M^-1 and keeps z_j = M^-1 v_j, so each iteration is one
-    application of M and one matvec, and the update x += Z y needs neither.
-    The Givens-rotated estimate is the true residual ||b - A x||; once it
-    reaches tol ||b|| the residual is recomputed, and the cycle restarts
-    from it while it stays above. maxiter caps the total number of
-    iterations (MAX_ITERATIONS when None); M is a callable applying the
-    preconditioner inverse (identity when None). Raises SolverError when the
-    recomputed relative residual stays above tol.
+def solve_cgw(A, b, *, tol=1e-10, maxiter=None, x0=None, M=None):
+    """Generalized conjugate gradients (Concus & Golub 1976, Widlund 1978) for A = H + N, N skew.
+
+    M applies H^-1, the exact inverse of the symmetric positive definite
+    part (identity when None). Each iteration is one M call and one matvec:
+    z_k = M r_k, rho_k = z_k . r_k, omega_1 = 1,
+    omega_{k+1} = 1 / (1 + rho_k / (rho_{k-1} omega_k)),
+    x_{k+1} = x_{k-1} + omega_{k+1} (z_k + x_k - x_{k-1}) and
+    r_{k+1} = r_{k-1} - omega_{k+1} (A z_k - r_k + r_{k-1}), in place.
+    Once the recurrence residual reaches tol ||b|| the residual is
+    recomputed, and the recurrence restarts from it while it stays above.
+    maxiter caps the total number of iterations (MAX_ITERATIONS when None).
+    Raises SolverError when rho_k <= 0 (M is not positive definite) or when
+    the recomputed relative residual stays above tol.
     """
     b = np.asarray(b, dtype=float)
     bnorm = float(np.linalg.norm(b))
@@ -158,46 +175,27 @@ def solve_gmres(A, b, *, tol=1e-10, maxiter=None, x0=None, M=None):
     maxiter = MAX_ITERATIONS if maxiter is None else maxiter
     x = np.zeros(b.size) if x0 is None else np.array(x0, dtype=float)
     r = b - A @ x
-    rnorm = float(np.linalg.norm(r))
     target = tol * bnorm
-    V = np.empty((RESTART + 1, b.size))
-    Z = np.empty((RESTART, b.size))
-    R = np.zeros((RESTART, RESTART))  # the Hessenberg matrix, rotated to upper triangular
-    cs, sn = np.empty(RESTART), np.empty(RESTART)
     iterations = 0
-    while rnorm > target and iterations < maxiter:
-        V[0] = r / rnorm
-        g = np.zeros(RESTART + 1)
-        g[0] = rnorm
-        for j in range(min(RESTART, maxiter - iterations)):
-            Z[j] = V[j] if M is None else M(V[j])
-            w = A @ Z[j]
-            # classical Gram-Schmidt, twice
-            h = V[: j + 1] @ w
-            w -= h @ V[: j + 1]
-            h2 = V[: j + 1] @ w
-            w -= h2 @ V[: j + 1]
-            h += h2
-            hnorm = float(np.linalg.norm(w))
-            for k in range(j):
-                h[k], h[k + 1] = cs[k] * h[k] + sn[k] * h[k + 1], cs[k] * h[k + 1] - sn[k] * h[k]
-            d = math.hypot(h[j], hnorm)
-            if d == 0.0:
-                raise SolverError("GMRES broke down: singular system", iterations, rnorm / bnorm)
-            cs[j], sn[j] = h[j] / d, hnorm / d
-            h[j] = d
-            R[: j + 1, j] = h
-            g[j], g[j + 1] = cs[j] * g[j], -sn[j] * g[j]
+    while (rnorm := float(np.linalg.norm(r))) > target and iterations < maxiter:
+        # a (re)start: omega_1 = 1 drops x_{k-1} and r_{k-1} from the first update
+        x_prev, r_prev, rho_prev = x.copy(), r.copy(), None
+        while rnorm > target and iterations < maxiter:
+            z = r if M is None else M(r)
+            rho = float(z @ r)
+            if not rho > 0.0:
+                raise SolverError(f"CGW broke down: z.r = {rho:.3e} <= 0, the preconditioner is not positive definite",
+                                  iterations, rnorm / bnorm)
+            omega = 1.0 if rho_prev is None else 1.0 / (1.0 + rho / (rho_prev * omega))
+            r_prev *= 1.0 - omega
+            r_prev -= omega * (A @ z - r)
+            x_prev *= 1.0 - omega
+            x_prev += omega * (z + x)
+            x, x_prev, r, r_prev, rho_prev = x_prev, x, r_prev, r, rho
             iterations += 1
-            if not abs(g[j + 1]) > target:  # converged, breakdown or not finite
-                break
-            V[j + 1] = w / hnorm
-        k = j + 1
-        y = scipy.linalg.solve_triangular(R[:k, :k], g[:k], check_finite=False)
-        x += y @ Z[:k]
+            rnorm = float(np.linalg.norm(r))
         r = b - A @ x
-        rnorm = float(np.linalg.norm(r))
     residual = rnorm / bnorm
     if not residual <= tol:
-        raise SolverError("GMRES did not converge", iterations, residual)
+        raise SolverError("CGW did not converge", iterations, residual)
     return SolveResult(x, iterations, residual, r)

@@ -156,11 +156,12 @@ class Operators:
 
     # -- vector packing ----------------------------------------------------
 
-    def pack(self, u: VelocityField) -> np.ndarray:
-        """Interior-face DOF vector of a velocity field."""
-        return np.concatenate(
-            [u.components[i].ravel()[self._int_flat[i]] for i in range(self.grid.dim)]
-        )
+    def pack(self, u: VelocityField, what="velocity field") -> np.ndarray:
+        """Interior-face DOF vector of a velocity field; ValueError names other face shapes than the grid's."""
+        shapes, wanted = [c.shape for c in u.components], [self.grid.face_shape(i) for i in range(self.grid.dim)]
+        if shapes != wanted:
+            raise ValueError(f"{what} has face shapes {shapes}, the grid {self.grid.shape} has {wanted}")
+        return np.concatenate([c.ravel()[flat] for c, flat in zip(u.components, self._int_flat)])
 
     def unpack(self, vec: np.ndarray) -> VelocityField:
         """Velocity field with the given interior values and zero boundary faces."""

@@ -17,8 +17,8 @@ of the returned phi in exact arithmetic.
 The convection uses the level-n corrected velocity as advecting field, so
 the implicit prediction system is linear in utilde and its convection block
 is skew apart from a diagonal carried by div u^n (zero to roundoff: the
-pressure solve is exact). Each component system is solved by GMRES,
-right-preconditioned by the exact separable inverse of its symmetric part
+pressure solve is exact). Each component system is solved by generalized
+CG (linalg.solve_cgw) on the exact separable inverse of its symmetric part
 M_i/dt + S_i; the per-axis eigenpairs behind it are computed once per grid.
 Each solve starts from the extrapolation 2 utilde^n - utilde^{n-1} of the
 two previous predictions (Fischer, CMAME 163, 1998, uses earlier solutions
@@ -59,7 +59,7 @@ import numpy as np
 
 from .fields import PressureField, Trajectory, VelocityField, face_average
 from .grid import MacGrid
-from .linalg import SeparableSolver, SolverError, solve_gmres
+from .linalg import SeparableSolver, SolverError, solve_cgw
 from .mms import Separable
 from .operators import Operators, on_pattern
 from .projection import REFINEMENT_SWEEPS, Projector
@@ -152,7 +152,7 @@ class PredictionStats:
 class ProjectionScheme:
     """Incremental projection stepper bound to one grid.
 
-    max_iterations caps the GMRES iterations of each prediction solve; None
+    max_iterations caps the CGW iterations of each prediction solve; None
     leaves linalg.MAX_ITERATIONS in force. Both tolerances must lie in
     (0, 1), and max_iterations and quad_order must be whole numbers; a bad
     argument raises ValueError before any operator is built. A grid graded
@@ -190,8 +190,8 @@ class ProjectionScheme:
         residual r. decompose refines twice, and on graded 2D grids a march
         either left div_max >= 10 r^2 or failed in the prediction (vortex2d,
         4 steps): so r^2 > poisson_tol means the 10 x poisson_tol divergence
-        guard would fail. The momentum solves are not probed: GMRES corrects
-        them or raises SolverError.
+        guard would fail. The momentum solves are not probed: their
+        positive definite chains are resolved to high relative accuracy.
         """
         w = np.random.default_rng(0).standard_normal(self.ops.n_velocity)
         residual = self.projector.separable_residual(w)
@@ -216,10 +216,7 @@ class ProjectionScheme:
         g = self.grid
         if not isinstance(u0, VelocityField):
             u0 = face_average(g, u0, order=self.quad_order)
-        shapes, wanted = [c.shape for c in u0.components], [g.face_shape(i) for i in range(g.dim)]
-        if shapes != wanted:
-            raise ValueError(f"initial field has face shapes {shapes}, the grid {g.shape} has {wanted}")
-        w = self.ops.pack(u0)  # interior faces only: the boundary values are dropped
+        w = self.ops.pack(u0, "initial field")  # interior faces only: the boundary values are dropped
         _require_finite(w, 0, "initialize", "initial data")
         u = self.projector.decompose(w)[0]
         return SchemeState(n=0, t=0.0, u=u, p=PressureField(g), gp=np.zeros(self.ops.n_velocity))
@@ -250,7 +247,7 @@ class ProjectionScheme:
 
         f is the packed forcing; u^n and utilde^n come from the state.
         Returns the packed utilde and the solver stats. Each system is
-        solved by GMRES, preconditioned by the exact separable inverse of
+        solved by CGW, preconditioned by the exact separable inverse of
         its symmetric part M_i/dt + S_i and started from the extrapolated
         guess 2 utilde^n - utilde^{n-1}; while fewer earlier predictions
         exist it starts from utilde^n, then from u^n.
@@ -273,7 +270,7 @@ class ProjectionScheme:
             rhs = mass * (ops.block(u, i) / dt + ops.block(f, i) - ops.block(state.gp, i))
             fdm = partial(self._momentum_solvers[i].solve, shift=1.0 / dt)
             try:
-                out = solve_gmres(
+                out = solve_cgw(
                     A, rhs, tol=self.prediction_tol, maxiter=self.max_iterations, x0=ops.block(guess, i),
                     M=fdm,
                 )

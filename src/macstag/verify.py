@@ -188,16 +188,18 @@ class TranslateAccumulator:
     """Translate integrals of the predicted trajectory, summed level by level.
 
     add() takes utilde^1, utilde^2, ... in order, keeps the last max(k), and adds
-    dt ||utilde^m - utilde^{m-k}||^2 to l2[k] (|.|_*^2 to star[k], given a projector)
-    over ascending n = m - k. l2[1] is the summed step increments. Each multiple
-    must be a whole number >= 1, or ValueError names it.
+    dt ||utilde^m - utilde^{m-k}||^2 to l2[k] (|.|_*^2 to star[k]) over ascending
+    n = m - k. l2[1] is the summed step increments. Each multiple must be a whole
+    number >= 1 and needs the projector, or ValueError names it.
     """
 
     def __init__(self, dt: float, multiples, projector: Projector | None = None):
         multiples = [_whole("translate multiple", k) for k in multiples]
+        if multiples and projector is None:
+            raise ValueError(f"translate multiples {multiples} need a projector for their |.|_* column")
         self.dt, self.multiples, self.projector = float(dt), multiples, projector
         self.l2 = dict.fromkeys([1, *self.multiples], 0.0)
-        self.star = dict.fromkeys(self.multiples if projector else [], 0.0)
+        self.star = dict.fromkeys(self.multiples, 0.0)
         self._recent = deque(maxlen=max(self.l2))
 
     def add(self, *u_tildes: VelocityField):

@@ -127,7 +127,7 @@ def test_verify_flags_loose_solves(tmp_path):
 
 
 def test_solver_failure_exits_1(tmp_path, capsys):
-    # one GMRES iteration per prediction solve cannot reach the tolerance
+    # one CGW iteration per prediction solve cannot reach the tolerance
     for n in (32, 8):
         path = tmp_path / "capped.ini"
         path.write_text(f"[grid]\nn = {n} {n}\n[time]\nfinal = 0.05\nsteps = 1\n[solver]\nmax_iterations = 1\n")
@@ -151,7 +151,7 @@ def test_prediction_failure_names_step_and_direction(tmp_path, capsys):
     path.write_text("[grid]\nn = 8 8\n[time]\nfinal = 0.05\nsteps = 1\n[solver]\nmax_iterations = 1\n")
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: step 1, prediction, direction 0: GMRES did not converge (iterations=1, ")
+    assert err.startswith("error: step 1, prediction, direction 0: CGW did not converge (iterations=1, ")
 
 
 def test_operators_check(tmp_path, capsys):

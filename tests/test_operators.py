@@ -6,6 +6,7 @@
 #
 
 import operator
+import re
 from functools import partial, reduce
 
 import numpy as np
@@ -505,3 +506,41 @@ def test_export_matrices(tmp_path):
     M = sp.coo_matrix((data[:, 2], (data[:, 0].astype(int), data[:, 1].astype(int))), shape=(rows, cols))
     d = (M.tocsr() - ops.G.tocsr()).tocoo()
     assert (np.abs(d.data).max() if d.nnz else 0.0) == 0.0
+
+
+def _foreign_field_calls():
+    def form(slot):
+        def call(ops, own, foreign):
+            fields = [own, own, own]
+            fields[slot] = foreign
+            return ops.convection_form(*fields)
+
+        return call
+
+    return {
+        "pack": lambda ops, own, foreign: ops.pack(foreign),
+        "div": lambda ops, own, foreign: ops.div(foreign),
+        "neg_laplacian": lambda ops, own, foreign: ops.neg_laplacian(foreign),
+        "convection_form-a": form(0),
+        "convection_form-w": form(1),
+        "convection_form-v": form(2),
+        "project": lambda ops, own, foreign: Projector(ops).project(foreign),
+        "divfree_seminorm": lambda ops, own, foreign: Projector(ops).divfree_seminorm(foreign),
+    }
+
+
+FOREIGN_FIELD_CALLS = _foreign_field_calls()
+
+
+@pytest.mark.parametrize("other", [(8, 8), (4, 4, 4), (4, 5)], ids=["8x8", "4x4x4", "4x5"])
+@pytest.mark.parametrize("call", FOREIGN_FIELD_CALLS.values(), ids=FOREIGN_FIELD_CALLS.keys())
+def test_field_from_another_grid_is_rejected(call, other):
+    # packing would take the first entries of each component, or the first
+    # two components of a 3D field, and return results on the wrong data
+    ops = Operators(uniform_grid((0.0, 0.0), (1.0, 1.0), (4, 4)))
+    own = VelocityField(ops.grid)
+    foreign = VelocityField(uniform_grid((0.0,) * len(other), (1.0,) * len(other), other))
+    shapes = [foreign.grid.face_shape(i) for i in range(len(other))]
+    message = f"velocity field has face shapes {shapes}, the grid (4, 4) has [(5, 4), (4, 5)]"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call(ops, own, foreign)

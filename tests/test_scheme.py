@@ -3,6 +3,7 @@
 # correction stages, and the per-step structural diagnostics.
 #
 
+import functools
 import re
 import time
 
@@ -312,8 +313,8 @@ BAD_ARGUMENTS = {
 
 
 # graded n x n grids: the first three run within the divergence budget; a
-# march on the last two fails at step 1, by the divergence guard or after the
-# full GMRES iteration cap, so they are rejected when the scheme is built
+# march on the last two fails at step 1 by the divergence guard, so they are
+# rejected when the scheme is built
 GRADED_GRIDS = [(128, 1.05, True), (128, 1.1, True), (256, 1.05, True), (128, 1.15, False), (256, 1.1, False)]
 
 
@@ -351,7 +352,7 @@ def test_bad_arguments_are_rejected_before_any_step(vortex, call, match):
 
 def test_integral_float_counts_are_accepted(vortex):
     # whole numbers given as floats are counts like their ints, down to the
-    # GMRES iteration cap a step uses
+    # CGW iteration cap a step uses
     g = uniform_grid((0.0, 0.0), (1.0, 1.0), (4, 4))
     scheme = ProjectionScheme(g, max_iterations=8.0, quad_order=3.0)
     assert type(scheme.max_iterations) is type(scheme.quad_order) is int
@@ -374,23 +375,35 @@ def _separable_grids():
         "one-cell-3d": MacGrid([_random_axis(rng, 4), _random_axis(rng, 1), _random_axis(rng, 5)]),
         "aspect-1e-3": MacGrid([_random_axis(rng, 10), _random_axis(rng, 10, 1e-3)]),
         "aspect-1e-3-3d": MacGrid([_random_axis(rng, 5, 1e-3), _random_axis(rng, 6), _random_axis(rng, 4)]),
+        # h_max/h_min of 1.7e7, 1.5e7 and 3.6e10: eigh's modes left 1.6e-2,
+        # 8.2e-3 and 84 here, the relative-accuracy ones leave roundoff
+        "graded-128-1.14": MacGrid([graded_axis(0.0, 1.0, 128, 1.14)] * 2),
+        "graded-64-1.3": MacGrid([graded_axis(0.0, 1.0, 64, 1.3)] * 2),
+        "graded-256-1.1": MacGrid([graded_axis(0.0, 1.0, 256, 1.1)] * 2),
     }
 
 
 SEPARABLE_GRIDS = _separable_grids()
 
 
-@pytest.mark.parametrize("g", SEPARABLE_GRIDS.values(), ids=SEPARABLE_GRIDS.keys())
+@functools.cache
+def _momentum_inverses(name):
+    """The operators of a SEPARABLE_GRIDS grid and the separable solver of each block, built once."""
+    ops = Operators(SEPARABLE_GRIDS[name])
+    return ops, [SeparableSolver(*factors) for factors in ops.laplace_factors]
+
+
+@pytest.mark.parametrize("name", SEPARABLE_GRIDS.keys())
 @pytest.mark.parametrize("dt", [1.0, 1.0 / 32, 1e-4])
-def test_prediction_preconditioner_is_exact_symmetric_inverse(g, dt):
+def test_prediction_preconditioner_is_exact_symmetric_inverse(name, dt):
     # the separable solver built from the 1D factors of block i inverts
-    # M_i/dt + S_i as assembled from the same factors
-    ops = ProjectionScheme(g).ops
+    # M_i/dt + S_i as assembled from the same factors; CGW needs it exact
+    ops, solvers = _momentum_inverses(name)
     rng = np.random.default_rng(7)
-    for i in range(g.dim):
+    for i, solver in enumerate(solvers):
         z = rng.standard_normal(ops.block_sizes[i])
         A0 = (sp.diags(ops.mass_blocks[i] / dt) + ops.laplace_blocks[i]).tocsr()
-        x = SeparableSolver(*ops.laplace_factors[i]).solve(z, 1.0 / dt)
+        x = solver.solve(z, 1.0 / dt)
         assert np.linalg.norm(A0 @ x - z) <= 1e-12 * np.linalg.norm(z)
 
 
@@ -403,7 +416,8 @@ def test_prediction_preconditioner_is_exact_symmetric_inverse(g, dt):
     ids=["graded-64^2", "graded-12^3"],
 )
 def test_prediction_iterations_bounded(axes, name):
-    # a wrong 1D matrix in the preconditioner still converges, only slower
+    # with the exact inverse of its symmetric part, each component takes 3-4
+    # CGW iterations in 2D and 5-6 in 3D
     prob = mms_problem(name)
     scheme = ProjectionScheme(MacGrid(axes))
     state = scheme.initialize(prob.initial)
@@ -416,9 +430,32 @@ def test_prediction_iterations_bounded(axes, name):
         state, _ = scheme.step(state, prob.forcing, dt)
 
 
+@pytest.mark.parametrize("n, ratio", [(128, 1.14), (64, 1.3)], ids=str)
+def test_prediction_iterations_on_strong_grading(vortex, n, ratio):
+    # h_max/h_min of 1.7e7 and 1.5e7: with eigh's modes the separable inverse
+    # was off by up to 1.6e-2 and GMRES took 24-27 and 14-16 iterations per
+    # step; the exact inverse keeps CGW at 4 per component
+    axis = graded_axis(0.0, 1.0, n, ratio)
+    scheme = ProjectionScheme(MacGrid([axis, axis]), poisson_tol=1e-2)
+    levels = scheme.iterate(vortex.initial, vortex.forcing, 0.125, 4)
+    assert [diag.pred_iters for _, diag in levels if diag is not None] == [8] * 4
+
+
+def test_prediction_converges_under_strong_advection(vortex):
+    # an advecting field 1000 x the manufactured one: CGW takes 130 iterations
+    # per component, where restarted GMRES took 212-214
+    scheme = ProjectionScheme(MacGrid([graded_axis(0.0, 1.0, 32, 1.05)] * 2))
+    state = scheme.initialize(vortex.initial)
+    state.u = 1000.0 * state.u
+    f = scheme.ops.pack(scheme._forcing_field(vortex.forcing, 1.0 / 64))
+    _, stats = scheme.prediction(state, f, 1.0 / 32)
+    assert all(out.iterations <= 160 for out in stats.per_direction), stats.per_direction
+    assert stats.residual <= scheme.prediction_tol
+
+
 @pytest.mark.parametrize("dim", [2, 3])
 def test_one_separable_solve_per_prediction_iteration(monkeypatch, dim):
-    # right-preconditioned GMRES applies the FDM once per iteration and not
+    # CGW applies the FDM once per iteration and not
     # otherwise; the correction applies it once per velocity-level pass
     prob = mms_problem(f"vortex{dim}d")
     scheme = ProjectionScheme(MacGrid([graded_axis(0.0, 1.0, 24 if dim == 2 else 8, 1.05)] * dim))
@@ -454,7 +491,7 @@ def test_prediction_failure_names_step_and_direction(vortex):
     scheme.max_iterations = 1
     with pytest.raises(SolverError) as err:
         scheme.step(state, vortex.forcing, 1.0 / 32)
-    assert str(err.value).startswith("step 3, prediction, direction 0: GMRES did not converge (iterations=1, ")
+    assert str(err.value).startswith("step 3, prediction, direction 0: CGW did not converge (iterations=1, ")
     assert err.value.iterations == 1 and err.value.residual > scheme.prediction_tol
 
 
@@ -557,7 +594,7 @@ def test_prediction_pattern_is_built_once_per_grid(monkeypatch):
     monkeypatch.setattr(sp, "diags", counted("diags", sp.diags))
 
     matrices, stats = [], []
-    solve = scheme_module.solve_gmres
+    solve = scheme_module.solve_cgw
     prediction = scheme.prediction
 
     def spy_solve(A, b, **kwargs):
@@ -570,7 +607,7 @@ def test_prediction_pattern_is_built_once_per_grid(monkeypatch):
         stats.append(out[1])
         return out
 
-    monkeypatch.setattr(scheme_module, "solve_gmres", spy_solve)
+    monkeypatch.setattr(scheme_module, "solve_cgw", spy_solve)
     monkeypatch.setattr(scheme, "prediction", spy_prediction)
     state, _ = scheme.step(state, prob.forcing, 1.0 / 32)
     first = [C.data.copy() for C in stats[0].convection]

@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 from macstag.fields import PressureField, Trajectory, VelocityField, l2_norm, velocity_inner, w1q_norm
 from macstag.grid import MacGrid, graded_axis, midpoint_refined, uniform_axis, uniform_grid
 from macstag.mms import mms_problem
+from macstag.operators import Operators
+from macstag.projection import Projector
 from macstag.scheme import ProjectionScheme
 from macstag.verify import (
     TranslateAccumulator,
@@ -187,9 +189,20 @@ def test_accumulator_rejects_multiples_that_are_not_whole(multiples, bad):
 
 def test_accumulator_takes_whole_float_multiples():
     g = uniform_grid((0.0, 0.0), (1.0, 1.0), (3, 3))
+    proj = Projector(Operators(g))
     levels = [VelocityField(g, [np.full(g.face_shape(i), m**2) for i in range(2)]).zero_exterior() for m in range(4)]
-    as_float = TranslateAccumulator(0.5, [2.0]).add(*levels)
-    assert as_float.multiples == [2] and as_float.l2 == TranslateAccumulator(0.5, [2]).add(*levels).l2
+    as_float = TranslateAccumulator(0.5, [2.0], proj).add(*levels)
+    as_int = TranslateAccumulator(0.5, [2], proj).add(*levels)
+    assert as_float.multiples == [2] and as_float.rows() == as_int.rows()
+
+
+def test_accumulator_rejects_multiples_without_projector():
+    # rows() holds a |.|_* column for every multiple, so multiples without a
+    # projector are named when the accumulator is made; without multiples
+    # it sums the step increments alone
+    with pytest.raises(ValueError, match=r"translate multiples \[2\] need a projector"):
+        TranslateAccumulator(0.5, [2])
+    assert TranslateAccumulator(0.5, []).rows() == []
 
 
 class TestStudies:
@@ -263,7 +276,9 @@ class TestStudies:
         exact = [ops.pack(prob.velocity.face_average(g, n * dt)) for n in range(5)]
         u, ut = [ops.pack(v) for v in traj.velocities], [ops.pack(v) for v in traj.predicted]
         err = [u[n] - exact[n] for n in range(5)]
-        coupling = math.sqrt(sum(dt * l2_norm(traj.predicted[n] - traj.velocities[n]) ** 2 for n in range(4)))
+        coupling = math.sqrt(
+            sum(dt * math.sqrt(max(ops.inner(ut[n] - u[n], ut[n] - u[n]), 0.0)) ** 2 for n in range(4))
+        )
         assert lv.dt == dt
         assert lv.err_l2l2 == math.sqrt(sum(dt * ops.inner(err[n], err[n]) for n in range(4)))
         assert lv.err_final == math.sqrt(ops.inner(err[4], err[4]))
