@@ -15,9 +15,8 @@ The convection block of a prediction system is skew when the advecting field
 is divergence free. For A = H + N, H symmetric positive definite and N skew,
 the generalized conjugate gradient method (Concus & Golub 1976, Widlund 1978)
 is a three-term recurrence on the exact H^-1, the FDM: one FDM application
-and one matvec per iteration, no Krylov basis. It is a pure function of
-(A, b, x0, M), so reruns are bitwise reproducible. Reported residuals are
-always recomputed from a fresh matvec, never trusted from the recurrence.
+and one matvec per iteration, no Krylov basis. A pure function of (A, b,
+x0, M), it reruns bitwise; its residuals come from a fresh matvec.
 """
 
 from __future__ import annotations
@@ -26,16 +25,14 @@ import math
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.lapack import dpteqr
+from scipy.linalg.lapack import dpteqr, dstemr
 
 __all__ = ["SolveResult", "SolverError", "SeparableSolver", "tridiagonal", "solve_cgw"]
 
-# Cap on CGW iterations per solve when the caller sets none. The FDM
-# preconditioned prediction needs 3-4 per component in 2D and 5-6 in 3D;
-# advecting fields 1000 times stronger than the manufactured ones still
-# converge in 142 (vortex2d, graded 128^2, dt = 1/32).
+# Cap on CGW iterations per solve when the caller sets none: the prediction
+# needs 3-4 per component in 2D and 5-6 in 3D, and advecting fields 1000
+# times the manufactured ones converge in 142 (vortex2d, graded 128^2, dt 1/32).
 MAX_ITERATIONS = 500
-
 
 class SolverError(RuntimeError):
     """Raised when an iterative solve runs out of iterations or breaks down.
@@ -85,17 +82,27 @@ def tridiagonal(c):
 def _modes(K, B):
     """Eigenpairs (ascending) of K v = lam diag(B) v with V^T diag(B) V = I.
 
-    A chain of two or more cells with a wall (a nonzero end row sum) is
-    positive definite: dpteqr on B^{-1/2} K B^{-1/2} gives its eigenpairs to
-    high relative accuracy (Demmel & Kahan 1990), then V = B^{-1/2} Z. The
-    rest, the singular Neumann chains included, keep eigh.
+    A chain with a wall (a nonzero end row sum) and two or more cells is
+    positive definite: MRRR (dstemr, O(n^2)) on T = B^-1/2 K B^-1/2, then
+    V = B^-1/2 Z. On some mildly graded long chains (256 cells at 1.075-1.09)
+    its small eigenvalues are wrong, and K^-1 1 through the modes leaves a
+    relative residual near 1, not <= 5e-10. Above 1e-6, dpteqr (relatively
+    accurate on every such T, Demmel & Kahan 1990, but O(n^3)) redoes the
+    chain; LinAlgError if it fails. Neumann and 1-cell chains keep eigh.
     """
-    if B.size > 1 and (K[0].sum() or K[-1].sum()):
-        s = 1.0 / np.sqrt(B)
-        vals, _, Z, info = dpteqr(np.diag(K) * s * s, np.diag(K, 1) * s[:-1] * s[1:], np.empty(K.shape), compute_z=2)
-        if info == 0:
-            return vals[::-1], s[:, None] * Z[:, ::-1]
-    return scipy.linalg.eigh(K, np.diag(B))
+    if B.size < 2 or not (K[0].sum() or K[-1].sum()):
+        return scipy.linalg.eigh(K, np.diag(B))
+    s = 1.0 / np.sqrt(B)
+    d, e = np.diag(K) * s * s, np.diag(K, 1) * s[:-1] * s[1:]
+    m, vals, Z, info = dstemr(d, np.append(e, 0.0), 0, 0.0, 0.0, 0, 0)
+    if info == 0 and m == B.size:
+        V, ones = s[:, None] * Z, np.ones(B.size)
+        if np.linalg.norm(K @ (V @ (V.T @ ones / vals)) - ones) <= 1e-6 * math.sqrt(B.size):
+            return vals, V
+    vals, _, Z, info = dpteqr(d, e, np.empty(K.shape), compute_z=2)
+    if info:
+        raise np.linalg.LinAlgError(f"dpteqr failed (info={info}) on a positive definite chain of {B.size} cells")
+    return vals[::-1], s[:, None] * Z[:, ::-1]
 
 
 class SeparableSolver:
@@ -152,12 +159,11 @@ class SeparableSolver:
         return self._transform(y, False).ravel()
 
 
-
-def solve_cgw(A, b, *, tol=1e-10, maxiter=None, x0=None, M=None):
+def solve_cgw(A, b, M, *, tol=1e-10, maxiter=None, x0=None):
     """Generalized conjugate gradients (Concus & Golub 1976, Widlund 1978) for A = H + N, N skew.
 
     M applies H^-1, the exact inverse of the symmetric positive definite
-    part (identity when None). Each iteration is one M call and one matvec:
+    part. Each iteration is one M call and one matvec:
     z_k = M r_k, rho_k = z_k . r_k, omega_1 = 1,
     omega_{k+1} = 1 / (1 + rho_k / (rho_{k-1} omega_k)),
     x_{k+1} = x_{k-1} + omega_{k+1} (z_k + x_k - x_{k-1}) and
@@ -175,13 +181,12 @@ def solve_cgw(A, b, *, tol=1e-10, maxiter=None, x0=None, M=None):
     maxiter = MAX_ITERATIONS if maxiter is None else maxiter
     x = np.zeros(b.size) if x0 is None else np.array(x0, dtype=float)
     r = b - A @ x
-    target = tol * bnorm
-    iterations = 0
+    target, iterations = tol * bnorm, 0
     while (rnorm := float(np.linalg.norm(r))) > target and iterations < maxiter:
         # a (re)start: omega_1 = 1 drops x_{k-1} and r_{k-1} from the first update
         x_prev, r_prev, rho_prev = x.copy(), r.copy(), None
         while rnorm > target and iterations < maxiter:
-            z = r if M is None else M(r)
+            z = M(r)
             rho = float(z @ r)
             if not rho > 0.0:
                 raise SolverError(f"CGW broke down: z.r = {rho:.3e} <= 0, the preconditioner is not positive definite",

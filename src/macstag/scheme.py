@@ -190,8 +190,8 @@ class ProjectionScheme:
         residual r. decompose refines twice, and on graded 2D grids a march
         either left div_max >= 10 r^2 or failed in the prediction (vortex2d,
         4 steps): so r^2 > poisson_tol means the 10 x poisson_tol divergence
-        guard would fail. The momentum solves are not probed: their
-        positive definite chains are resolved to high relative accuracy.
+        guard would fail. The momentum solves are not probed here:
+        linalg._modes checks each of their chains as it builds it.
         """
         w = np.random.default_rng(0).standard_normal(self.ops.n_velocity)
         residual = self.projector.separable_residual(w)
@@ -268,12 +268,9 @@ class ProjectionScheme:
         for i, A in enumerate(self.prediction_blocks(conv, dt)):
             mass = ops.mass_blocks[i]
             rhs = mass * (ops.block(u, i) / dt + ops.block(f, i) - ops.block(state.gp, i))
-            fdm = partial(self._momentum_solvers[i].solve, shift=1.0 / dt)
             try:
-                out = solve_cgw(
-                    A, rhs, tol=self.prediction_tol, maxiter=self.max_iterations, x0=ops.block(guess, i),
-                    M=fdm,
-                )
+                out = solve_cgw(A, rhs, M=partial(self._momentum_solvers[i].solve, shift=1.0 / dt),
+                                tol=self.prediction_tol, maxiter=self.max_iterations, x0=ops.block(guess, i))
             except SolverError as err:
                 where = f"step {state.n + 1}, prediction, direction {i}"
                 raise SolverError(f"{where}: {err.message}", err.iterations, err.residual) from err

@@ -12,6 +12,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from macstag.grid import MacGrid, graded_axis, uniform_grid
+import macstag.linalg as linalg_module
 from macstag.linalg import SeparableSolver, SolverError, solve_cgw, tridiagonal
 from macstag.operators import Operators
 
@@ -211,8 +212,9 @@ def test_separable_solver_reciprocal_follows_shift():
 # Strongly graded grids: h_max/h_min reaches 4.9e2, 1.8e5 and 2.5e5. The
 # pressure's Neumann chains keep eigh, whose transforms lose accuracy with
 # the grading, up to 1.3e-8 here, but every one of these grids runs within
-# the divergence budget of 10 x poisson_tol. The momentum chains' dpteqr
-# modes stay at roundoff (eigh left up to 2.2e-8).
+# the divergence budget of 10 x poisson_tol. The momentum chains'
+# relative-accuracy modes (linalg._modes) stay at roundoff (eigh left up to
+# 2.2e-8).
 GRADED_FDM_GRIDS = [(128, 1.05), (128, 1.1), (256, 1.05)]
 GRADED_FDM_RESIDUAL = 1e-7
 
@@ -244,3 +246,78 @@ def test_poisson_pseudo_inverse_accuracy_on_strong_grading(graded_operators):
     x = solver.solve(b, drop_constant=True)
     residual = np.linalg.norm(ops.G.T @ (ops.mass_velocity * (ops.G @ x)) - b) / np.linalg.norm(b)
     assert residual <= GRADED_FDM_RESIDUAL
+
+
+def momentum_chains(n, ratio):
+    """The component and transverse 1D chains (K, B) of a graded axis of n cells."""
+    g = MacGrid([graded_axis(0.0, 1.0, n, ratio), graded_axis(0.0, 1.0, 2, 1.0)])
+    return [(tridiagonal(1.0 / g.h[0]), g.dual_w[0][1:-1]), (tridiagonal(1.0 / g.dual_w[0]), g.h[0])]
+
+
+def chain_inverse_residual(K, B, vals, V):
+    """Worst relative residual of (shift B + K)^-1 through the modes, shifts 1, 32 and 1e4."""
+    rng = np.random.default_rng(179)
+    worst = 0.0
+    for shift in (1.0, 32.0, 1e4):
+        z = rng.standard_normal(B.size)
+        x = V @ ((V.T @ z) / (shift + vals))
+        worst = max(worst, np.linalg.norm(shift * B * x + K @ x - z) / np.linalg.norm(z))
+    return worst
+
+
+@pytest.fixture
+def dpteqr_calls(monkeypatch):
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args[0].size)
+        return dpteqr(*args, **kwargs)
+
+    dpteqr = linalg_module.dpteqr
+    monkeypatch.setattr(linalg_module, "dpteqr", spy)
+    return calls
+
+
+@pytest.mark.parametrize("n, ratio", [(128, 1.05), (128, 1.14), (512, 1.01)], ids=str)
+def test_modes_take_positive_definite_chains_from_mrrr(dpteqr_calls, n, ratio):
+    # O(n^2) dstemr resolves these chains to roundoff (3e-12 at 512 cells,
+    # as dpteqr's); the O(n^3) dpteqr is not called
+    for K, B in momentum_chains(n, ratio):
+        vals, V = linalg_module._modes(K, B)
+        assert np.all(np.diff(vals) > 0)
+        assert chain_inverse_residual(K, B, vals, V) <= 1e-11
+    assert dpteqr_calls == []
+
+
+def test_modes_redo_a_chain_whose_mrrr_modes_are_wrong(monkeypatch, dpteqr_calls):
+    # dstemr modes with a wrong smallest eigenvalue, as it returns on some
+    # mildly graded long chains: the probe sends the chain to dpteqr
+    dstemr = linalg_module.dstemr
+
+    def wrong(*args):
+        m, vals, Z, info = dstemr(*args)
+        vals[0] *= 2.0
+        return m, vals, Z, info
+
+    monkeypatch.setattr(linalg_module, "dstemr", wrong)
+    (K, B), _ = momentum_chains(64, 1.1)
+    vals, V = linalg_module._modes(K, B)
+    assert dpteqr_calls == [B.size]
+    assert np.all(np.diff(vals) > 0)
+    assert chain_inverse_residual(K, B, vals, V) <= 1e-12
+
+
+def test_modes_resolve_a_chain_mrrr_gets_wrong():
+    # 256 cells at ratio 1.08: dstemr's own modes leave a residual near 1
+    # here; whichever routine resolves the chain, its inverse is exact
+    for K, B in momentum_chains(256, 1.08):
+        assert chain_inverse_residual(K, B, *linalg_module._modes(K, B)) <= 1e-12
+
+
+def test_modes_raise_when_dpteqr_fails(monkeypatch):
+    # no silent fallback to eigh: CGW needs the exact inverse
+    monkeypatch.setattr(linalg_module, "dstemr", lambda d, *args: (0, d, None, 1))
+    monkeypatch.setattr(linalg_module, "dpteqr", lambda d, *args, **kwargs: (d, None, None, 3))
+    (K, B), _ = momentum_chains(16, 1.1)
+    with pytest.raises(np.linalg.LinAlgError, match=r"dpteqr failed \(info=3\) on a positive definite chain of 15 cells"):
+        linalg_module._modes(K, B)
