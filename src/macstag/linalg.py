@@ -12,11 +12,12 @@ only a middle axis in 3D needs a stacked matmul, so no axis is ever moved.
 The reciprocal spectrum 1/(shift + sum_a L_a) is kept for the last shift.
 
 The convection block of a prediction system is skew when the advecting field
-is divergence free. For A = H + N, H symmetric positive definite and N skew,
+is divergence free. For H + N, H symmetric positive definite and N skew,
 the generalized conjugate gradient method (Concus & Golub 1976, Widlund 1978)
 is a three-term recurrence on the exact H^-1, the FDM: one FDM application
-and one matvec per iteration, no Krylov basis. A pure function of (A, b,
-x0, M), it reruns bitwise; its residuals come from a fresh matvec.
+and one matvec of N per iteration, no Krylov basis, and H + N never formed.
+A pure function of (H, N, b, x0, M), it reruns bitwise; its residuals
+b - H x - N x are recomputed fresh.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ class SolveResult:
     """Solution vector plus honest convergence data.
 
     residual is the relative residual ||b - A x|| / ||b||, and
-    residual_vector the b - A x it comes from, one fresh matvec.
+    residual_vector the b - A x it comes from, recomputed fresh.
     """
 
     def __init__(self, x, iterations, residual, residual_vector):
@@ -159,20 +160,22 @@ class SeparableSolver:
         return self._transform(y, False).ravel()
 
 
-def solve_cgw(A, b, M, *, tol=1e-10, maxiter=None, x0=None):
-    """Generalized conjugate gradients (Concus & Golub 1976, Widlund 1978) for A = H + N, N skew.
+def solve_cgw(H, N, b, M, *, tol=1e-10, maxiter=None, x0=None):
+    """Generalized conjugate gradients (Concus & Golub 1976, Widlund 1978) for (H + N) x = b, N skew.
 
-    M applies H^-1, the exact inverse of the symmetric positive definite
-    part. Each iteration is one M call and one matvec:
-    z_k = M r_k, rho_k = z_k . r_k, omega_1 = 1,
+    H is a callable applying the symmetric positive definite part, N the
+    skew part (any @ operand), M applies H^-1. Each iteration is one M call
+    and one N matvec: z_k = M r_k, rho_k = z_k . r_k, omega_1 = 1,
     omega_{k+1} = 1 / (1 + rho_k / (rho_{k-1} omega_k)),
     x_{k+1} = x_{k-1} + omega_{k+1} (z_k + x_k - x_{k-1}) and
-    r_{k+1} = r_{k-1} - omega_{k+1} (A z_k - r_k + r_{k-1}), in place.
-    Once the recurrence residual reaches tol ||b|| the residual is
-    recomputed, and the recurrence restarts from it while it stays above.
-    maxiter caps the total number of iterations (MAX_ITERATIONS when None).
-    Raises SolverError when rho_k <= 0 (M is not positive definite) or when
-    the recomputed relative residual stays above tol.
+    r_{k+1} = (1 - omega_{k+1}) r_{k-1} - omega_{k+1} N z_k, in place: the
+    (H + N) z_k - r_k of the recurrence is N z_k as M is the exact H^-1.
+    Once the recurrence residual reaches tol ||b||, b - H x - N x is
+    recomputed (an inexact M shows up here), and the recurrence restarts
+    from it while it stays above. maxiter caps the total number of
+    iterations (MAX_ITERATIONS when None). Raises SolverError when
+    rho_k <= 0 (M is not positive definite) or when the recomputed
+    relative residual stays above tol.
     """
     b = np.asarray(b, dtype=float)
     bnorm = float(np.linalg.norm(b))
@@ -180,7 +183,7 @@ def solve_cgw(A, b, M, *, tol=1e-10, maxiter=None, x0=None):
         return SolveResult(np.zeros(b.size), 0, 0.0, np.zeros(b.size))
     maxiter = MAX_ITERATIONS if maxiter is None else maxiter
     x = np.zeros(b.size) if x0 is None else np.array(x0, dtype=float)
-    r = b - A @ x
+    r = b - H(x) - N @ x
     target, iterations = tol * bnorm, 0
     while (rnorm := float(np.linalg.norm(r))) > target and iterations < maxiter:
         # a (re)start: omega_1 = 1 drops x_{k-1} and r_{k-1} from the first update
@@ -193,13 +196,13 @@ def solve_cgw(A, b, M, *, tol=1e-10, maxiter=None, x0=None):
                                   iterations, rnorm / bnorm)
             omega = 1.0 if rho_prev is None else 1.0 / (1.0 + rho / (rho_prev * omega))
             r_prev *= 1.0 - omega
-            r_prev -= omega * (A @ z - r)
+            r_prev -= omega * (N @ z)
             x_prev *= 1.0 - omega
             x_prev += omega * (z + x)
             x, x_prev, r, r_prev, rho_prev = x_prev, x, r_prev, r, rho
             iterations += 1
             rnorm = float(np.linalg.norm(r))
-        r = b - A @ x
+        r = b - H(x) - N @ x
     residual = rnorm / bnorm
     if not residual <= tol:
         raise SolverError("CGW did not converge", iterations, residual)

@@ -41,8 +41,8 @@ on. The skew identity v.C(a)w + w.C(a)v = sum_sigma v_sigma w_sigma (net
 dual-cell flux) vanishes whenever div a = 0.
 
 C_i(a) is linear in a, and its sparsity pattern depends on the grid alone
-(Verstappen & Veldman, JCP 2003): the pattern of S_i, which also holds the
-diagonal of M_i. So the operators build, once, a flux map Phi_i from the
+(Verstappen & Veldman, JCP 2003): the pattern of S_i, diagonal included.
+So the operators build, once, a flux map Phi_i from the
 packed a (its interior faces; the boundary faces are zero) to the dual-face
 fluxes: per axis j, one Kronecker product on block j of a, at the columns
 from offsets[j]. With E_i the n_i x (n_i + 1) difference of the faces along
@@ -152,7 +152,7 @@ class Operators:
         self.poisson_factors = ([tridiagonal(c) for c in neumann], grid.h)
 
         maps = [self._convection_map(i) for i in range(d)]
-        self._flux_maps, self._incidences, self._diag_pos = ([m[k] for m in maps] for k in range(3))
+        self._flux_maps, self._incidences = ([m[k] for m in maps] for k in range(2))
 
     # -- vector packing ----------------------------------------------------
 
@@ -191,10 +191,10 @@ class Operators:
         return [mat if a == i else np.ones(n) for a, n in enumerate(self.grid.shape)]
 
     def _convection_map(self, i):
-        """The map a -> C_i(a) onto the pattern of S_i, and the diagonal's positions.
+        """The map a -> C_i(a) onto the pattern of S_i: the flux map and the incidence.
 
-        S_i already holds every entry M_i/dt and C_i(a) can have: the diagonal,
-        and the four entries of every dual face between two interior faces.
+        S_i already holds every entry C_i(a) can have: the diagonal, and the
+        four entries of every dual face between two interior faces.
         The map is the flux map Phi_i followed by a +-1/2 incidence onto that
         pattern: the outward-flux stencil +F/2 on the minus row and -F/2 on
         the plus row, both columns, entries touching boundary DOFs dropped.
@@ -243,10 +243,10 @@ class Operators:
             (np.concatenate(inc_vals), (np.concatenate(inc_pos), np.concatenate(inc_flux))),
             shape=(S.nnz, m.size),
         )
-        return phi, incidence, diag
+        return phi, incidence
 
     def convection_blocks(self, a: np.ndarray):
-        """Per-direction weak convection matrices C_i(a) on the prediction pattern.
+        """Per-direction weak convection matrices C_i(a) on the pattern of S_i.
 
         a is a packed vector. Row sigma of block i applies sum over the dual
         faces of sigma of F_eps * (w_sigma + w_sigma')/2 with outward
@@ -257,12 +257,6 @@ class Operators:
         """
         maps = zip(self.laplace_blocks, self._flux_maps, self._incidences)
         return [on_pattern(S, incidence @ (phi @ a)) for S, phi, incidence in maps]
-
-    def momentum_values(self, i, dt):
-        """Values of M_i/dt + S_i on the prediction pattern of block i."""
-        vals = self.laplace_blocks[i].data.copy()
-        vals[self._diag_pos[i]] += self.mass_blocks[i] / dt
-        return vals
 
     # -- operator application ----------------------------------------------
 

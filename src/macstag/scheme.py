@@ -24,9 +24,9 @@ Each solve starts from the extrapolation 2 utilde^n - utilde^{n-1} of the
 two previous predictions (Fischer, CMAME 163, 1998, uses earlier solutions
 the same way), which is O(dt^2) from utilde^{n+1} on smooth solutions. The
 stop stays at prediction_tol ||b||, so only the iteration count falls.
-The system matrices are never assembled during a step: the operators fill
-the values of C_i(u^n) into the grid's fixed pattern, and the values of
-M_i/dt + S_i on that pattern are kept for the current dt.
+No system matrix is assembled during a step: the solver takes the split
+itself, H = M_i/dt + S_i applied as a diagonal plus S_i, and N = C_i(u^n),
+whose values the operators fill into the fixed pattern of S_i.
 Every step records the terms of the discrete energy inequality
 
     (1/2dt)(||u^{n+1}||^2 - ||u^n||^2) + (dt/2)(||grad p^{n+1}||^2
@@ -61,14 +61,15 @@ from .fields import PressureField, Trajectory, VelocityField, face_average
 from .grid import MacGrid
 from .linalg import SeparableSolver, SolverError, solve_cgw
 from .mms import Separable
-from .operators import Operators, on_pattern
+from .operators import Operators
 from .projection import REFINEMENT_SWEEPS, Projector
 
 __all__ = ["ProjectionScheme", "SchemeState", "StepDiagnostics", "SchemeError", "DIAGNOSTIC_COLUMNS"]
 
 class SchemeError(RuntimeError):
     """Raised when a step violates one of the scheme's structural guarantees,
-    or when the separable pressure solve cannot resolve the grid the scheme is built on."""
+    when the separable pressure solve cannot resolve the grid the scheme is built on,
+    or when LAPACK fails on a chain while the separable solvers are built."""
 
 
 def _whole(name, value, least=1) -> int:
@@ -157,7 +158,8 @@ class ProjectionScheme:
     (0, 1), and max_iterations and quad_order must be whole numbers; a bad
     argument raises ValueError before any operator is built. A grid graded
     beyond what the separable pressure solve resolves at poisson_tol raises
-    SchemeError once the solvers are built (_check_resolution).
+    SchemeError once the pressure solver is built (_check_resolution), before
+    the momentum solvers are; so does a LAPACK failure in either build.
     """
 
     def __init__(
@@ -178,10 +180,12 @@ class ProjectionScheme:
         self.ops = Operators(grid)
         self.prediction_tol = float(prediction_tol)
         self.poisson_tol = float(poisson_tol)
-        self.projector = Projector(self.ops)
-        self._momentum_solvers = [SeparableSolver(*factors) for factors in self.ops.laplace_factors]
-        self._momentum_values = None  # (dt, values of M_i/dt + S_i on the pattern of S_i)
-        self._check_resolution()
+        try:
+            self.projector = Projector(self.ops)
+            self._check_resolution()
+            self._momentum_solvers = [SeparableSolver(*factors) for factors in self.ops.laplace_factors]
+        except np.linalg.LinAlgError as err:
+            raise SchemeError(f"building the separable solvers failed: LinAlgError: {err}") from err
 
     def _check_resolution(self):
         """Raise SchemeError when the separable pressure solve cannot resolve the grid.
@@ -231,24 +235,13 @@ class ProjectionScheme:
             return forcing.face_average(self.grid, t_mid, self.quad_order)
         return face_average(self.grid, lambda pts: forcing(t_mid, pts), order=self.quad_order)
 
-    def prediction_blocks(self, conv, dt: float):
-        """The prediction matrices M_i/dt + S_i + C_i, given the convection blocks C_i.
-
-        Each shares indices and indptr with C_i and the stiffness block S_i;
-        the values of M_i/dt + S_i are computed once per dt.
-        """
-        dt = float(dt)
-        if self._momentum_values is None or self._momentum_values[0] != dt:
-            self._momentum_values = (dt, [self.ops.momentum_values(i, dt) for i in range(self.grid.dim)])
-        return [on_pattern(C, base + C.data) for base, C in zip(self._momentum_values[1], conv)]
-
     def prediction(self, state: SchemeState, f: np.ndarray, dt: float):
         """Solve the implicit momentum systems, one per component direction.
 
         f is the packed forcing; u^n and utilde^n come from the state.
         Returns the packed utilde and the solver stats. Each system is
-        solved by CGW, preconditioned by the exact separable inverse of
-        its symmetric part M_i/dt + S_i and started from the extrapolated
+        solved by CGW on its split H = M_i/dt + S_i, N = C_i(u^n), with the
+        exact separable inverse of H, and started from the extrapolated
         guess 2 utilde^n - utilde^{n-1}; while fewer earlier predictions
         exist it starts from utilde^n, then from u^n.
         """
@@ -265,11 +258,11 @@ class ProjectionScheme:
         parts = []
         res_sq = 0.0
         stats = PredictionStats(0, 0.0, 0.0, convection=conv)
-        for i, A in enumerate(self.prediction_blocks(conv, dt)):
-            mass = ops.mass_blocks[i]
+        for i, (C, S, mass) in enumerate(zip(conv, ops.laplace_blocks, ops.mass_blocks)):
             rhs = mass * (ops.block(u, i) / dt + ops.block(f, i) - ops.block(state.gp, i))
             try:
-                out = solve_cgw(A, rhs, M=partial(self._momentum_solvers[i].solve, shift=1.0 / dt),
+                out = solve_cgw(lambda x: mass / dt * x + S @ x, C, rhs,
+                                M=partial(self._momentum_solvers[i].solve, shift=1.0 / dt),
                                 tol=self.prediction_tol, maxiter=self.max_iterations, x0=ops.block(guess, i))
             except SolverError as err:
                 where = f"step {state.n + 1}, prediction, direction {i}"

@@ -12,6 +12,7 @@ import subprocess
 
 import pytest
 
+from macstag import linalg as linalg_module
 from macstag.cli import main
 from macstag.config import parse_config
 from macstag.fields import velocity_inner
@@ -143,6 +144,17 @@ def test_unresolvable_grid_exits_1_before_writing(tmp_path, capsys):
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: the separable pressure solve cannot resolve this grid: largest/smallest cell width 5.1e+07")
+    assert not os.path.exists(tmp_path / "o")
+
+
+def test_lapack_failure_exits_1_before_writing(tmp_path, monkeypatch, capsys):
+    # dstemr fails and so does dpteqr on the first momentum chain
+    monkeypatch.setattr(linalg_module, "dstemr", lambda d, *args: (0, d, None, 1))
+    monkeypatch.setattr(linalg_module, "dpteqr", lambda d, *args, **kwargs: (d, None, None, 3))
+    assert main(["run", "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "dpteqr failed (info=3)" in err
+    assert "Traceback" not in err
     assert not os.path.exists(tmp_path / "o")
 
 

@@ -18,14 +18,14 @@ from macstag.operators import Operators
 
 
 def split_system(seed, n, skew=1.0):
-    """A = H + N with H symmetric positive definite and N skew, the exact H^-1, and a rhs."""
+    """H symmetric positive definite and N skew, the exact H^-1, and a rhs."""
     rng = np.random.default_rng(seed)
     Q = rng.standard_normal((n, n))
     H = Q @ Q.T / n + np.diag(rng.uniform(0.5, 2.0, n))
     R = rng.standard_normal((n, n))
     N = skew * (R - R.T) / 2
     factor = scipy.linalg.cho_factor(H)
-    return sp.csr_matrix(H + N), (lambda v: scipy.linalg.cho_solve(factor, v)), rng.standard_normal(n)
+    return sp.csr_matrix(H), sp.csr_matrix(N), (lambda v: scipy.linalg.cho_solve(factor, v)), rng.standard_normal(n)
 
 
 def counted(apply):
@@ -40,6 +40,17 @@ def counted(apply):
     return call
 
 
+class CountedMatmul:
+    """N for @, counting its products."""
+
+    def __init__(self, N):
+        self.N, self.calls = N, 0
+
+    def __matmul__(self, v):
+        self.calls += 1
+        return self.N @ v
+
+
 def convection_diffusion(shape=(6, 6)):
     # the shape of system the momentum prediction produces
     g = uniform_grid((0.0,) * len(shape), (1.0,) * len(shape), shape)
@@ -49,7 +60,7 @@ def convection_diffusion(shape=(6, 6)):
     skew_part = sp.random(n, n, density=0.05, random_state=7)
     C = (skew_part - skew_part.T) * 0.3
     M = sp.diags(ops.mass_blocks[0])
-    return (M * 100.0 + S).tocsr(), (M * 100.0 + S + C).tocsr()
+    return (M * 100.0 + S).tocsr(), C.tocsr()
 
 
 class TestGMRES:
@@ -59,39 +70,39 @@ class TestGMRES:
     # boundaries), an exact guess, determinism and a zero rhs, now run on
     # solve_cgw with split_system
     def test_matches_dense_oracle(self):
-        A, M, b = split_system(67, 30)
-        res = solve_cgw(A, b, tol=1e-13, M=M)
-        np.testing.assert_allclose(res.x, np.linalg.solve(A.toarray(), b), rtol=1e-9, atol=1e-11)
+        H, N, M, b = split_system(67, 30)
+        res = solve_cgw(H.dot, N, b, tol=1e-13, M=M)
+        np.testing.assert_allclose(res.x, np.linalg.solve((H + N).toarray(), b), rtol=1e-9, atol=1e-11)
         # the reported residual comes from a fresh matvec
-        np.testing.assert_array_equal(res.residual_vector, b - A @ res.x)
+        np.testing.assert_array_equal(res.residual_vector, b - H @ res.x - N @ res.x)
         assert res.residual == np.linalg.norm(res.residual_vector) / np.linalg.norm(b) <= 1e-13
 
     @pytest.mark.parametrize("cap", [1, 7, 20, 21, 25, 41])
     def test_raises_on_iteration_cap(self, cap):
         # the cap counts iterations across restarts, one preconditioner call each
-        A, M, b = split_system(73, 80, skew=30.0)
+        H, N, M, b = split_system(73, 80, skew=30.0)
         M = counted(M)
         with pytest.raises(SolverError, match="CGW did not converge") as err:
-            solve_cgw(A, b, tol=1e-14, maxiter=cap, M=M)
+            solve_cgw(H.dot, N, b, tol=1e-14, maxiter=cap, M=M)
         assert err.value.iterations == len(M.calls) == cap
 
     def test_exact_initial_guess_takes_no_iteration(self):
-        A, M, b = split_system(103, 30)
+        H, N, M, b = split_system(103, 30)
         M = counted(M)
-        res = solve_cgw(A, b, tol=1e-10, x0=np.linalg.solve(A.toarray(), b), M=M)
+        res = solve_cgw(H.dot, N, b, tol=1e-10, x0=np.linalg.solve((H + N).toarray(), b), M=M)
         assert res.iterations == 0 and M.calls == []
         assert res.residual <= 1e-10
 
     def test_deterministic(self):
-        A, M, b = split_system(79, 30, skew=3.0)
-        x1 = solve_cgw(A, b, tol=1e-12, M=M).x
-        x2 = solve_cgw(A, b, tol=1e-12, M=M).x
+        H, N, M, b = split_system(79, 30, skew=3.0)
+        x1 = solve_cgw(H.dot, N, b, tol=1e-12, M=M).x
+        x2 = solve_cgw(H.dot, N, b, tol=1e-12, M=M).x
         assert np.array_equal(x1, x2)
 
     def test_zero_rhs(self):
-        A, M, _ = split_system(83, 5)
+        H, N, M, _ = split_system(83, 5)
         M = counted(M)
-        res = solve_cgw(A, np.zeros(5), M=M)
+        res = solve_cgw(H.dot, N, np.zeros(5), M=M)
         assert res.iterations == 0 and not res.x.any() and M.calls == []
 
 
@@ -100,37 +111,60 @@ class TestCGW:
     # exact H^-1: the setting of the generalized conjugate gradient method
     def test_convection_diffusion_system(self):
         # M_i/dt + S_i + C_i with the exact inverse of M_i/dt + S_i
-        sym, A = convection_diffusion()
-        b = np.random.default_rng(71).standard_normal(A.shape[0])
-        M = counted(spla.splu(sym.tocsc()).solve)
-        res = solve_cgw(A, b, tol=1e-12, M=M)
-        assert np.linalg.norm(b - A @ res.x) <= 1e-12 * np.linalg.norm(b)
+        H, N = convection_diffusion()
+        b = np.random.default_rng(71).standard_normal(H.shape[0])
+        M = counted(spla.splu(H.tocsc()).solve)
+        res = solve_cgw(H.dot, N, b, tol=1e-12, M=M)
+        assert np.linalg.norm(b - (H + N) @ res.x) <= 1e-12 * np.linalg.norm(b)
         assert res.iterations == len(M.calls) <= 10
 
     def test_strong_skew_part_converges(self):
         # a skew part 30x the symmetric one: the recurrence still converges,
         # one preconditioner call per iteration
-        A, M, b = split_system(101, 80, skew=30.0)
+        H, N, M, b = split_system(101, 80, skew=30.0)
         M = counted(M)
-        res = solve_cgw(A, b, tol=1e-12, M=M)
+        res = solve_cgw(H.dot, N, b, tol=1e-12, M=M)
         assert len(M.calls) == res.iterations > 41
-        np.testing.assert_allclose(res.x, np.linalg.solve(A.toarray(), b), rtol=1e-8, atol=1e-10)
+        np.testing.assert_allclose(res.x, np.linalg.solve((H + N).toarray(), b), rtol=1e-8, atol=1e-10)
 
     def test_symmetric_system_takes_one_iteration(self):
         # N = 0: z_0 = H^-1 r_0 is the whole error
-        A, M, b = split_system(107, 30, skew=0.0)
+        H, N, M, b = split_system(107, 30, skew=0.0)
         M = counted(M)
-        res = solve_cgw(A, b, tol=1e-12, M=M)
+        res = solve_cgw(H.dot, N, b, tol=1e-12, M=M)
         assert res.iterations == len(M.calls) == 1
         assert res.residual <= 1e-12
 
     def test_indefinite_preconditioner_breaks_down(self):
         # M = -H^-1 gives z.r < 0 on the first iteration
-        A, M, b = split_system(109, 30)
+        H, N, M, b = split_system(109, 30)
         message = r"CGW broke down: z\.r = -\S+ <= 0, the preconditioner is not positive definite"
         with pytest.raises(SolverError, match=message) as err:
-            solve_cgw(A, b, M=lambda v: -M(v))
+            solve_cgw(H.dot, N, b, M=lambda v: -M(v))
         assert err.value.iterations == 0
+
+    def test_applies_h_only_at_restarts(self):
+        # the recurrence updates its residual with N z alone: one M call and
+        # one N product per iteration, and one H application and one N
+        # product per (re)start residual and for the returned one
+        H, N, M, b = split_system(113, 30, skew=3.0)
+        H_apply, N, M = counted(H.dot), CountedMatmul(N), counted(M)
+        res = solve_cgw(H_apply, N, b, tol=1e-10, M=M)
+        assert len(M.calls) == res.iterations > 1
+        assert len(H_apply.calls) == 2
+        assert N.calls == res.iterations + len(H_apply.calls)
+
+    @pytest.mark.parametrize("tol", [1e-8, 1e-10, 1e-12])
+    def test_inexact_inverse_is_caught_by_the_fresh_residual(self, tol):
+        # M = (1 + 1e-6) H^-1 breaks H z = r, so the recurrence residual
+        # drifts from the true one; the fresh residual sends the solve into
+        # another cycle, and what it returns is at tol
+        H, N, M, b = split_system(127, 30, skew=3.0)
+        H_apply = counted(H.dot)
+        res = solve_cgw(H_apply, N, b, tol=tol, M=lambda v: (1.0 + 1e-6) * M(v))
+        assert len(H_apply.calls) >= 3
+        np.testing.assert_array_equal(res.residual_vector, b - H @ res.x - N @ res.x)
+        assert res.residual == np.linalg.norm(res.residual_vector) / np.linalg.norm(b) <= tol
 
 
 def test_tridiagonal_chain():

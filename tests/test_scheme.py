@@ -16,6 +16,7 @@ from macstag.grid import MacGrid, graded_axis, uniform_axis, uniform_grid
 from macstag.linalg import SeparableSolver, SolverError
 from macstag.mms import mms_problem
 from macstag import fields as fields_module
+from macstag import linalg as linalg_module
 from macstag import projection as projection_module
 from macstag import scheme as scheme_module
 from macstag.operators import Operators
@@ -330,6 +331,32 @@ def test_unresolvable_grading_is_rejected_when_built(n, ratio, resolved):
     assert time.perf_counter() - start < 1.0
 
 
+def test_rejected_grid_builds_no_momentum_solver(monkeypatch):
+    # the pressure probe runs before the momentum chains are diagonalized,
+    # so a grid it rejects never reaches dstemr or dpteqr
+    def never(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"{name} called")
+
+        return call
+
+    monkeypatch.setattr(linalg_module, "dstemr", never("dstemr"))
+    monkeypatch.setattr(linalg_module, "dpteqr", never("dpteqr"))
+    axis = graded_axis(0.0, 1.0, 128, 1.15)
+    message = r"the separable pressure solve cannot resolve this grid: largest/smallest cell width 5.1e\+07, probe residual"
+    with pytest.raises(SchemeError, match=message):
+        ProjectionScheme(MacGrid([axis, axis]))
+
+
+def test_lapack_failure_while_building_is_a_scheme_error(monkeypatch):
+    monkeypatch.setattr(linalg_module, "dstemr", lambda d, *args: (0, d, None, 1))
+    monkeypatch.setattr(linalg_module, "dpteqr", lambda d, *args, **kwargs: (d, None, None, 3))
+    message = r"LinAlgError: dpteqr failed \(info=3\) on a positive definite chain of 7 cells"
+    with pytest.raises(SchemeError, match=message) as err:
+        ProjectionScheme(uniform_grid((0.0, 0.0), (1.0, 1.0), (8, 8)))
+    assert isinstance(err.value.__cause__, np.linalg.LinAlgError)
+
+
 def test_loose_poisson_tol_admits_the_grading_it_runs(vortex):
     # 128^2 graded 1.14 leaves a probe residual of 1.8e-2: rejected at the
     # default poisson_tol, where a march fails at step 1 (div_max 3.0e-2), and
@@ -483,6 +510,14 @@ def test_extrapolated_guess_saves_prediction_iterations():
     assert sum(diag.pred_iters for _, diag in levels if diag is not None) <= 64
 
 
+def test_prediction_iterations_of_a_3d_episode():
+    # 126 iterations over this episode, 15-18 per step
+    prob = mms_problem("vortex3d")
+    scheme = ProjectionScheme(MacGrid([graded_axis(0.0, 1.0, 16, 1.05)] * 3))
+    levels = scheme.iterate(prob.initial, prob.forcing, 0.25, 8)
+    assert sum(diag.pred_iters for _, diag in levels if diag is not None) <= 132
+
+
 def test_prediction_failure_names_step_and_direction(vortex):
     scheme = ProjectionScheme(uniform_grid((0.0, 0.0), (1.0, 1.0), (8, 8)))
     state = scheme.initialize(vortex.initial)
@@ -597,9 +632,9 @@ def test_prediction_pattern_is_built_once_per_grid(monkeypatch):
     solve = scheme_module.solve_cgw
     prediction = scheme.prediction
 
-    def spy_solve(A, b, **kwargs):
-        matrices[-1].append(A)
-        return solve(A, b, **kwargs)
+    def spy_solve(H, N, b, **kwargs):
+        matrices[-1].append(N)
+        return solve(H, N, b, **kwargs)
 
     def spy_prediction(*args):
         matrices.append([])
@@ -614,9 +649,9 @@ def test_prediction_pattern_is_built_once_per_grid(monkeypatch):
     for _ in range(2):
         state, _ = scheme.step(state, prob.forcing, 1.0 / 32)
     assert counts == {"coo": 0, "tocsr": 0, "diags": 0}
-    for A2, A3, S in zip(matrices[1], matrices[2], scheme.ops.laplace_blocks):
-        assert A2.indices is A3.indices is S.indices
-        assert A2.indptr is A3.indptr is S.indptr
+    for N2, N3, S in zip(matrices[1], matrices[2], scheme.ops.laplace_blocks):
+        assert N2.indices is N3.indices is S.indices
+        assert N2.indptr is N3.indptr is S.indptr
     # each step's values are its own
     for C, values in zip(stats[0].convection, first):
         np.testing.assert_array_equal(C.data, values)
