@@ -41,19 +41,24 @@ on. The skew identity v.C(a)w + w.C(a)v = sum_sigma v_sigma w_sigma (net
 dual-cell flux) vanishes whenever div a = 0.
 
 C_i(a) is linear in a, and its sparsity pattern depends on the grid alone
-(Verstappen & Veldman, JCP 2003): the pattern of S_i, diagonal included.
-So the operators build, once, a flux map Phi_i from the
-packed a (its interior faces; the boundary faces are zero) to the dual-face
-fluxes: per axis j, one Kronecker product on block j of a, at the columns
-from offsets[j]. With E_i the n_i x (n_i + 1) difference of the faces along
-axis i, it has |E_i|/2 without its two boundary columns (the mean of the two
-faces of a cell) on axis i if j == i, else |E_i|^T diag(h_i)/2 (the half
-cells beside a face) on axis i and the identity on the n_j - 1 interior
-faces of axis j; diag(h_a) on every other axis. A +-1/2 incidence matrix
-scatters the fluxes onto the pattern of S_i, whose entry (r, c) is found by
-binary search over the keys r * size + c (sorted, as S_i is canonical CSR).
-convection_blocks(a) is then two sparse matvecs per direction, and its
-blocks share their index arrays with S_i.
+(Verstappen & Veldman, JCP 2003): row sigma couples sigma to itself and to
+its neighbours along each axis. So block i lives on at most 2d+1 fixed
+diagonals (DIA storage, Saad 2003, section 3.4), at the offsets 0 and
++-stride_j of its interior-face shape. The operators build, once, a flux
+map Phi_i from the packed a (its interior faces; the boundary faces are
+zero) to the dual-face fluxes: per axis j, one Kronecker product on block j
+of a, at the columns from offsets[j]. With E_i the n_i x (n_i + 1)
+difference of the faces along axis i, it has |E_i|/2 without its two
+boundary columns (the mean of the two faces of a cell) on axis i if j == i,
+else |E_i|^T diag(h_i)/2 (the half cells beside a face) on axis i and the
+identity on the n_j - 1 interior faces of axis j; diag(h_a) on every other
+axis. A +-1/2 incidence matrix scatters the fluxes onto the diagonals: entry
+(r, c) sits at k * size + c of the data array, k the index of c - r among
+the ascending offsets, which the axis of its dual face gives without a
+search. convection_blocks(a) is then two sparse matvecs per direction that
+fill the data of a dia_matrix. Its matvec adds the diagonals in ascending
+offset order, the sorted-column order of CSR, so it gives the same bits as
+the CSR form of the block.
 """
 
 from __future__ import annotations
@@ -69,17 +74,6 @@ from .grid import MacGrid
 from .linalg import tridiagonal
 
 __all__ = ["Operators"]
-
-
-def on_pattern(S, data):
-    """CSR matrix with the values data on the pattern of S, sharing its index arrays.
-
-    The matrix keeps S.indices and S.indptr themselves (the constructor
-    would keep views of them), so its structure must not be changed in place.
-    """
-    mat = sp.csr_matrix((data, S.indices, S.indptr), shape=S.shape)
-    mat.indices, mat.indptr = S.indices, S.indptr
-    return mat
 
 
 def _kron(blocks, shape):
@@ -152,7 +146,7 @@ class Operators:
         self.poisson_factors = ([tridiagonal(c) for c in neumann], grid.h)
 
         maps = [self._convection_map(i) for i in range(d)]
-        self._flux_maps, self._incidences = ([m[k] for m in maps] for k in range(2))
+        self._flux_maps, self._incidences, self._dia_offsets = ([m[k] for m in maps] for k in range(3))
 
     # -- vector packing ----------------------------------------------------
 
@@ -191,21 +185,24 @@ class Operators:
         return [mat if a == i else np.ones(n) for a, n in enumerate(self.grid.shape)]
 
     def _convection_map(self, i):
-        """The map a -> C_i(a) onto the pattern of S_i: the flux map and the incidence.
+        """The map a -> C_i(a) on the diagonals of block i: flux map, incidence, offsets.
 
-        S_i already holds every entry C_i(a) can have: the diagonal, and the
-        four entries of every dual face between two interior faces.
-        The map is the flux map Phi_i followed by a +-1/2 incidence onto that
-        pattern: the outward-flux stencil +F/2 on the minus row and -F/2 on
-        the plus row, both columns, entries touching boundary DOFs dropped.
+        The flux map Phi_i is followed by a +-1/2 incidence onto the DIA
+        slots: the outward-flux stencil +F/2 on the minus row and -F/2 on the
+        plus row, both columns, entries touching boundary DOFs dropped.
         """
         g = self.grid
-        S = self.laplace_blocks[i]
+        size = self.block_sizes[i]
+        shape = [n - (a == i) for a, n in enumerate(g.shape)]  # interior faces of direction i
+        strides = {j: math.prod(shape[j + 1 :]) for j in range(g.dim) if shape[j] > 1}
+        offsets = np.array(sorted({0, *strides.values(), *(-s for s in strides.values())}))
+        slot = {offset: k * size for k, offset in enumerate(offsets)}
         idx = np.full(g.face_shape(i), -1)  # position in block i, -1 on boundary faces
-        idx[g.interior_mask(i)] = np.arange(self.block_sizes[i])
+        idx[g.interior_mask(i)] = np.arange(size)
         mean = 0.5 * abs(_difference(g.shape[i] + 1))
 
-        fluxes, minus, plus = [], [], []
+        fluxes, rows, cols, vals = [], [], [], []
+        n_flux = 0
         # axes j with one cell have only wall planes across j, which carry no flux
         for j in [i] + [j for j in range(g.dim) if j != i and g.shape[j] > 1]:
             factors = list(g.h)
@@ -214,49 +211,41 @@ class Operators:
             else:
                 factors[i] = mean.T * g.h[i]
                 factors[j] = np.ones(g.shape[j] - 1)
-            fluxes.append((factors, sum(map(len, minus)), self.offsets[j]))  # after earlier axes' fluxes
+            fluxes.append((factors, n_flux, self.offsets[j]))  # after earlier axes' fluxes
             n = idx.shape[j]
-            minus.append(idx.take(range(0, n - 1), axis=j).ravel())
-            plus.append(idx.take(range(1, n), axis=j).ravel())
-        m, p = np.concatenate(minus), np.concatenate(plus)
-        phi = _kron(fluxes, (m.size, self.n_velocity))
-
-        size = S.shape[0]
-        keys = np.repeat(np.arange(size) * size, np.diff(S.indptr)) + S.indices
-
-        def where(r, c):
-            wanted = r * size + c
-            found = np.searchsorted(keys, wanted)
-            if np.any(keys.take(found, mode="clip") != wanted):
-                raise AssertionError(f"convection entry outside the stiffness pattern of block {i}")
-            return found
-
-        diag = where(np.arange(size), np.arange(size))
-        flux = np.arange(m.size)
-        inc_pos, inc_flux, inc_vals = [], [], []
-        for r, c, v in [(m, m, 0.5), (m, p, 0.5), (p, m, -0.5), (p, p, -0.5)]:
-            keep = (r >= 0) & (c >= 0)
-            inc_pos.append(diag[r[keep]] if r is c else where(r[keep], c[keep]))
-            inc_flux.append(flux[keep])
-            inc_vals.append(np.full(inc_flux[-1].size, v))
+            m, p = (idx.take(range(lo, lo + n - 1), axis=j).ravel() for lo in (0, 1))
+            flux = n_flux + np.arange(m.size)
+            stencil = [(m, m, 0, 0.5), (p, p, 0, -0.5)]
+            if j in strides:  # else every pair along j has a boundary face
+                stencil += [(m, p, strides[j], 0.5), (p, m, -strides[j], -0.5)]
+            for r, c, offset, v in stencil:
+                keep = (r >= 0) & (c >= 0)
+                rows.append(slot[offset] + c[keep])
+                cols.append(flux[keep])
+                vals.append(np.full(cols[-1].size, v))
+            n_flux += m.size
+        phi = _kron(fluxes, (n_flux, self.n_velocity))
         incidence = sp.csc_matrix(
-            (np.concatenate(inc_vals), (np.concatenate(inc_pos), np.concatenate(inc_flux))),
-            shape=(S.nnz, m.size),
+            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+            shape=(offsets.size * size, n_flux),
         )
-        return phi, incidence
+        return phi, incidence, offsets
 
     def convection_blocks(self, a: np.ndarray):
-        """Per-direction weak convection matrices C_i(a) on the pattern of S_i.
+        """Per-direction weak convection matrices C_i(a), each on its fixed diagonals.
 
         a is a packed vector. Row sigma of block i applies sum over the dual
         faces of sigma of F_eps * (w_sigma + w_sigma')/2 with outward
         orientation; F_eps is the mean of the two primal-face fluxes of a
         adjacent to the dual face, with zero boundary faces. The values are
-        two sparse matvecs on a; every block shares indices and indptr with
-        the pattern and owns its data.
+        two sparse matvecs on a, written straight into the data array of a
+        dia_matrix on the offsets of _convection_map.
         """
-        maps = zip(self.laplace_blocks, self._flux_maps, self._incidences)
-        return [on_pattern(S, incidence @ (phi @ a)) for S, phi, incidence in maps]
+        maps = zip(self.block_sizes, self._flux_maps, self._incidences, self._dia_offsets)
+        return [
+            sp.dia_matrix(((incidence @ (phi @ a)).reshape(offsets.size, size), offsets), shape=(size, size))
+            for size, phi, incidence, offsets in maps
+        ]
 
     # -- operator application ----------------------------------------------
 

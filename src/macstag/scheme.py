@@ -26,7 +26,7 @@ the same way), which is O(dt^2) from utilde^{n+1} on smooth solutions. The
 stop stays at prediction_tol ||b||, so only the iteration count falls.
 No system matrix is assembled during a step: the solver takes the split
 itself, H = M_i/dt + S_i applied as a diagonal plus S_i, and N = C_i(u^n),
-whose values the operators fill into the fixed pattern of S_i.
+whose values the operators write straight onto its fixed diagonals.
 Every step records the terms of the discrete energy inequality
 
     (1/2dt)(||u^{n+1}||^2 - ||u^n||^2) + (dt/2)(||grad p^{n+1}||^2
@@ -68,6 +68,7 @@ __all__ = ["ProjectionScheme", "SchemeState", "StepDiagnostics", "SchemeError", 
 
 class SchemeError(RuntimeError):
     """Raised when a step violates one of the scheme's structural guarantees,
+    when a step is too short for the prediction solve's sums of squares,
     when the separable pressure solve cannot resolve the grid the scheme is built on,
     or when LAPACK fails on a chain while the separable solvers are built."""
 
@@ -254,6 +255,13 @@ class ProjectionScheme:
             guess = state.u_tilde_prev
         else:
             guess = 2.0 * state.u_tilde_prev - state.u_tilde_prev2
+        # CGW sums the squares of each right-hand side M_i (u^n/dt + f - G p^n): a step so
+        # short that they can overflow is named before any of them is formed
+        u_peak, f_peak, gp_peak = (float(np.abs(v).max()) for v in (u, f, state.gp))
+        bound = float(ops.mass_velocity.max()) * (u_peak / dt + f_peak + gp_peak)
+        if not bound * bound * ops.n_velocity < np.finfo(float).max:
+            raise SchemeError(f"step {state.n + 1}, prediction: dt = {dt:.3e} is too small: the right-hand "
+                              f"side can reach {bound:.3e}, and the solver's sum of its squares can overflow")
         conv = ops.convection_blocks(u)
         parts = []
         res_sq = 0.0

@@ -9,6 +9,7 @@ import math
 import os
 import shutil
 import subprocess
+import time
 
 import pytest
 
@@ -164,6 +165,23 @@ def test_prediction_failure_names_step_and_direction(tmp_path, capsys):
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: step 1, prediction, direction 0: CGW did not converge (iterations=1, ")
+
+
+@pytest.mark.parametrize("final, dt", [(1e-300, "1.250e-301"), (1e-160, "1.250e-161")])
+def test_tiny_step_exits_1_naming_dt(tmp_path, capsys, final, dt):
+    # the right-hand side's squares would overflow in the solver: the step is
+    # named before the solve, with no overflow warning (an error under pytest)
+    path = tmp_path / "tiny.ini"
+    path.write_text(f"[time]\nfinal = {final}\n")
+    start = time.perf_counter()
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    assert time.perf_counter() - start < 2.0
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: step 1, prediction: dt = {dt} is too small: ")
+    assert "Traceback" not in err
+    # a short step whose squares stay finite still runs
+    path.write_text("[time]\nfinal = 1e-100\n")
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
 
 
 def test_operators_check(tmp_path, capsys):

@@ -225,6 +225,7 @@ PROBE_GRIDS = {
     "graded-1.3-3d": [graded_axis(0.0, 1.0, 32, 1.3), uniform_axis(0.0, 1.0, 6), uniform_axis(0.0, 1.0, 6)],
     "graded-1.5": [graded_axis(0.0, 1.0, 24, 1.5), uniform_axis(0.0, 1.0, 8)],
     "one-cell-axis": [uniform_axis(0.0, 1.0, 1), uniform_axis(0.0, 1.0, 8)],
+    "one-cell-axis-3d": [uniform_axis(0.0, 1.0, 6), uniform_axis(0.0, 1.0, 1), graded_axis(0.0, 1.0, 8, 1.2)],
 }
 
 
@@ -606,13 +607,13 @@ def test_separable_forcing_is_evaluated_once_per_grid(rng, monkeypatch):
 
 
 def test_prediction_pattern_is_built_once_per_grid(monkeypatch):
-    # a step assembles nothing: it only fills values into the pattern built
-    # with the operators
+    # a step assembles nothing: it only writes values onto the fixed
+    # diagonals that the operators chose for each convection block
     prob = mms_problem("vortex2d")
     scheme = ProjectionScheme(MacGrid([graded_axis(0.0, 1.0, 12, 1.05)] * 2))
     state = scheme.initialize(prob.initial)
 
-    counts = {"coo": 0, "tocsr": 0, "diags": 0}
+    counts = {"coo": 0, "csr": 0, "tocsr": 0, "todia": 0, "diags": 0}
 
     def counted(key, fn):
         def call(*args, **kwargs):
@@ -621,11 +622,13 @@ def test_prediction_pattern_is_built_once_per_grid(monkeypatch):
 
         return call
 
-    for cls in (sp.coo_matrix, sp.coo_array):
-        monkeypatch.setattr(cls, "__init__", counted("coo", cls.__init__))
+    for key, classes in (("coo", (sp.coo_matrix, sp.coo_array)), ("csr", (sp.csr_matrix, sp.csr_array))):
+        for cls in classes:
+            monkeypatch.setattr(cls, "__init__", counted(key, cls.__init__))
     for cls in (sp.coo_matrix, sp.csr_matrix, sp.csc_matrix, sp.dia_matrix, sp.lil_matrix, sp.dok_matrix,
                 sp.bsr_matrix, sp.coo_array, sp.csr_array, sp.csc_array, sp.dia_array):
-        monkeypatch.setattr(cls, "tocsr", counted("tocsr", cls.tocsr))
+        for conversion in ("tocsr", "todia"):
+            monkeypatch.setattr(cls, conversion, counted(conversion, getattr(cls, conversion)))
     monkeypatch.setattr(sp, "diags", counted("diags", sp.diags))
 
     matrices, stats = [], []
@@ -648,10 +651,11 @@ def test_prediction_pattern_is_built_once_per_grid(monkeypatch):
     first = [C.data.copy() for C in stats[0].convection]
     for _ in range(2):
         state, _ = scheme.step(state, prob.forcing, 1.0 / 32)
-    assert counts == {"coo": 0, "tocsr": 0, "diags": 0}
-    for N2, N3, S in zip(matrices[1], matrices[2], scheme.ops.laplace_blocks):
-        assert N2.indices is N3.indices is S.indices
-        assert N2.indptr is N3.indptr is S.indptr
+    assert counts == {"coo": 0, "csr": 0, "tocsr": 0, "todia": 0, "diags": 0}
+    for step in matrices:
+        for N, offsets in zip(step, scheme.ops._dia_offsets, strict=True):
+            assert isinstance(N, sp.dia_matrix)
+            np.testing.assert_array_equal(N.offsets, offsets)
     # each step's values are its own
     for C, values in zip(stats[0].convection, first):
         np.testing.assert_array_equal(C.data, values)
