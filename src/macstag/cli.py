@@ -123,28 +123,36 @@ def cmd_verify(cfg, args):
     problem = mms_problem(cfg.problem)
     if problem.dim != grid.dim:
         problem = mms_problem("vortex2d" if grid.dim == 2 else "vortex3d")
-    scheme = ProjectionScheme(grid, **cfg.scheme_kwargs())
     steps = min(cfg.steps, 8)
-    margin, div_worst = float("inf"), 0.0
-    for _, diag in scheme.iterate(problem.initial, problem.forcing, min(cfg.t_final, 0.25), steps):
-        if diag is not None:
-            margin = min(margin, diag.energy_margin)
-            div_worst = max(div_worst, diag.div_max)
+    margin, div_worst, failure = float("inf"), 0.0, None
+    try:
+        scheme = ProjectionScheme(grid, **cfg.scheme_kwargs())
+        for _, diag in scheme.iterate(problem.initial, problem.forcing, min(cfg.t_final, 0.25), steps):
+            if diag is not None:
+                margin = min(margin, diag.energy_margin)
+                div_worst = max(div_worst, diag.div_max)
+    except (SolverError, SchemeError) as exc:
+        # the report keeps the property suite; main prints the error line and exits 1
+        failure = exc
+        lines.append(f"FAIL  short integration over {steps} steps: {exc}")
     energy_ok = margin >= -1e-9
     div_ok = div_worst <= 10.0 * cfg.poisson_tol
-    lines.append(
-        f"{'pass' if energy_ok else 'FAIL'}  per-step energy inequality over {steps} steps: "
-        f"worst relative margin {margin:.3e} (allowed >= -1e-09)"
-    )
-    lines.append(
-        f"{'pass' if div_ok else 'FAIL'}  post-correction divergence: worst {div_worst:.3e} "
-        f"(allowed <= {10.0 * cfg.poisson_tol:.1e})"
-    )
-    ok = report.passed and energy_ok and div_ok
+    if failure is None:
+        lines.append(
+            f"{'pass' if energy_ok else 'FAIL'}  per-step energy inequality over {steps} steps: "
+            f"worst relative margin {margin:.3e} (allowed >= -1e-09)"
+        )
+        lines.append(
+            f"{'pass' if div_ok else 'FAIL'}  post-correction divergence: worst {div_worst:.3e} "
+            f"(allowed <= {10.0 * cfg.poisson_tol:.1e})"
+        )
+    ok = failure is None and report.passed and energy_ok and div_ok
     lines.append("verify: " + ("pass" if ok else "FAIL"))
     text = "\n".join(lines)
     print(text)
     output.write_text(os.path.join(cfg.out_dir, "verify_report.txt"), text)
+    if failure is not None:
+        raise failure
     return 0 if ok else 1
 
 

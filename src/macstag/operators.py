@@ -52,13 +52,17 @@ difference of the faces along axis i, it has |E_i|/2 without its two
 boundary columns (the mean of the two faces of a cell) on axis i if j == i,
 else |E_i|^T diag(h_i)/2 (the half cells beside a face) on axis i and the
 identity on the n_j - 1 interior faces of axis j; diag(h_a) on every other
-axis. A +-1/2 incidence matrix scatters the fluxes onto the diagonals: entry
-(r, c) sits at k * size + c of the data array, k the index of c - r among
-the ascending offsets, which the axis of its dual face gives without a
-search. convection_blocks(a) is then two sparse matvecs per direction that
-fill the data of a dia_matrix. Its matvec adds the diagonals in ascending
-offset order, the sorted-column order of CSR, so it gives the same bits as
-the CSR form of the block.
+axis. A +-1/2 incidence scatters the fluxes onto the diagonals: entry (r, c)
+goes to row k * size + c, k the index of c - r among the ascending offsets.
+Per flux axis j and offset it is one Kronecker product: on axis j, Delta_i/2
+(j == i) or -Delta_j^T/2 for offset 0 and +-1/2 shifted identities for
++-stride_j (none across a wall); on axis i if j != i, eye(n_i - 1, n_i + 1,
+k=1), which picks the interior faces; identities elsewhere. convection_blocks(a)
+is then two sparse matvecs per direction that fill the data of a dia_matrix.
+Its matvec adds the diagonals in ascending offset order, the sorted-column
+order of CSR, so it gives the same bits as the CSR form of the block. pack
+and unpack address the interior faces of direction i as the slab [1:-1]
+along axis i.
 """
 
 from __future__ import annotations
@@ -120,14 +124,12 @@ class Operators:
         self.n_cells = int(np.prod(grid.shape))
         self.cell_vol = grid.cell_volumes.ravel()
 
-        self._int_flat = [np.flatnonzero(grid.interior_mask(i).ravel()) for i in range(d)]
-        self.block_sizes = [flat.size for flat in self._int_flat]
+        # the interior faces of direction i: every face but the two wall slabs along axis i
+        self._slabs = [tuple(slice(1, -1) if a == i else slice(None) for a in range(d)) for i in range(d)]
+        self.mass_blocks = [grid.dual_volumes(i)[slab].flatten() for i, slab in enumerate(self._slabs)]
+        self.block_sizes = [m.size for m in self.mass_blocks]
         self.offsets = np.concatenate([[0], np.cumsum(self.block_sizes)])
         self.n_velocity = int(self.offsets[-1])
-
-        self.mass_blocks = [
-            grid.dual_volumes(i).ravel()[self._int_flat[i]] for i in range(d)
-        ]
         self.mass_velocity = np.concatenate(self.mass_blocks) if d else np.zeros(0)
 
         delta = [_difference(n) for n in grid.shape]
@@ -151,19 +153,26 @@ class Operators:
     # -- vector packing ----------------------------------------------------
 
     def pack(self, u: VelocityField, what="velocity field") -> np.ndarray:
-        """Interior-face DOF vector of a velocity field; ValueError names other face shapes than the grid's."""
+        """Interior-face DOF vector of a velocity field: the slab [1:-1] along axis i of component i.
+
+        A field from another grid raises ValueError, naming its other face
+        shapes or, where the shapes agree, the first axis whose face
+        coordinates differ.
+        """
         shapes, wanted = [c.shape for c in u.components], [self.grid.face_shape(i) for i in range(self.grid.dim)]
         if shapes != wanted:
             raise ValueError(f"{what} has face shapes {shapes}, the grid {self.grid.shape} has {wanted}")
-        return np.concatenate([c.ravel()[flat] for c, flat in zip(u.components, self._int_flat)])
+        if u.grid is not self.grid:
+            moved = [a for a, (x, y) in enumerate(zip(u.grid.axes, self.grid.axes)) if not np.array_equal(x, y)]
+            if moved:
+                raise ValueError(f"{what} is on another grid: face coordinates differ along axis {moved[0]}")
+        return np.concatenate([c[slab].ravel() for c, slab in zip(u.components, self._slabs)])
 
     def unpack(self, vec: np.ndarray) -> VelocityField:
         """Velocity field with the given interior values and zero boundary faces."""
-        comps = []
-        for i in range(self.grid.dim):
-            full = np.zeros(int(np.prod(self.grid.face_shape(i))))
-            full[self._int_flat[i]] = self.block(vec, i)
-            comps.append(full.reshape(self.grid.face_shape(i)))
+        comps = [np.zeros(self.grid.face_shape(i)) for i in range(self.grid.dim)]
+        for i, (full, slab) in enumerate(zip(comps, self._slabs)):
+            full[slab].flat = self.block(vec, i)
         return VelocityField(self.grid, comps)
 
     def block(self, vec: np.ndarray, i: int) -> np.ndarray:
@@ -188,8 +197,8 @@ class Operators:
         """The map a -> C_i(a) on the diagonals of block i: flux map, incidence, offsets.
 
         The flux map Phi_i is followed by a +-1/2 incidence onto the DIA
-        slots: the outward-flux stencil +F/2 on the minus row and -F/2 on the
-        plus row, both columns, entries touching boundary DOFs dropped.
+        slots, a Kronecker product per flux axis j and offset: +F/2 on the
+        minus row and -F/2 on the plus row, both columns, none on a wall face.
         """
         g = self.grid
         size = self.block_sizes[i]
@@ -197,39 +206,31 @@ class Operators:
         strides = {j: math.prod(shape[j + 1 :]) for j in range(g.dim) if shape[j] > 1}
         offsets = np.array(sorted({0, *strides.values(), *(-s for s in strides.values())}))
         slot = {offset: k * size for k, offset in enumerate(offsets)}
-        idx = np.full(g.face_shape(i), -1)  # position in block i, -1 on boundary faces
-        idx[g.interior_mask(i)] = np.arange(size)
         mean = 0.5 * abs(_difference(g.shape[i] + 1))
 
-        fluxes, rows, cols, vals = [], [], [], []
+        fluxes, stencil = [], []
         n_flux = 0
         # axes j with one cell have only wall planes across j, which carry no flux
         for j in [i] + [j for j in range(g.dim) if j != i and g.shape[j] > 1]:
-            factors = list(g.h)
+            n = g.shape[j]
+            phi, incidence = list(g.h), [np.ones(s) for s in shape]
+            # the axis-j factors map dual face q to faces q (minus) and q + 1 (plus) of block i
             if j == i:
-                factors[i] = mean[:, 1:-1]
+                phi[i] = mean[:, 1:-1]
+                centre, plus, minus = 0.5 * _difference(n), np.eye(n - 1, n), np.eye(n - 1, n, k=1)
+                plus[:1] = minus[-1:] = 0.0  # the other face of the pair is on a wall
             else:
-                factors[i] = mean.T * g.h[i]
-                factors[j] = np.ones(g.shape[j] - 1)
-            fluxes.append((factors, n_flux, self.offsets[j]))  # after earlier axes' fluxes
-            n = idx.shape[j]
-            m, p = (idx.take(range(lo, lo + n - 1), axis=j).ravel() for lo in (0, 1))
-            flux = n_flux + np.arange(m.size)
-            stencil = [(m, m, 0, 0.5), (p, p, 0, -0.5)]
+                phi[i] = mean.T * g.h[i]
+                phi[j] = np.ones(n - 1)
+                incidence[i] = np.eye(shape[i], g.shape[i] + 1, k=1)  # the interior faces among all
+                centre, plus, minus = -0.5 * _difference(n).T, np.eye(n, n - 1, k=-1), np.eye(n, n - 1)
+            fluxes.append((phi, n_flux, self.offsets[j]))  # after earlier axes' fluxes
+            terms = [(0, centre)]
             if j in strides:  # else every pair along j has a boundary face
-                stencil += [(m, p, strides[j], 0.5), (p, m, -strides[j], -0.5)]
-            for r, c, offset, v in stencil:
-                keep = (r >= 0) & (c >= 0)
-                rows.append(slot[offset] + c[keep])
-                cols.append(flux[keep])
-                vals.append(np.full(cols[-1].size, v))
-            n_flux += m.size
-        phi = _kron(fluxes, (n_flux, self.n_velocity))
-        incidence = sp.csc_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(offsets.size * size, n_flux),
-        )
-        return phi, incidence, offsets
+                terms += [(strides[j], 0.5 * plus), (-strides[j], -0.5 * minus)]
+            stencil += [(incidence[:j] + [F] + incidence[j + 1 :], slot[offset], n_flux) for offset, F in terms]
+            n_flux += math.prod(map(len, phi))
+        return _kron(fluxes, (n_flux, self.n_velocity)), _kron(stencil, (offsets.size * size, n_flux)), offsets
 
     def convection_blocks(self, a: np.ndarray):
         """Per-direction weak convection matrices C_i(a), each on its fixed diagonals.

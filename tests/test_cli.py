@@ -128,6 +128,25 @@ def test_verify_flags_loose_solves(tmp_path):
     assert main(["verify", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
 
 
+def test_verify_keeps_its_report_when_the_march_fails(tmp_path, capsys):
+    # the property suite is computed before the short march: a failed solve
+    # adds a FAIL line naming it, and the report is still printed and written
+    path = tmp_path / "capped.ini"
+    path.write_text("[solver]\nmax_iterations = 1\n")
+    out = tmp_path / "o"
+    assert main(["verify", "--config", str(path), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    failure = "step 1, prediction, direction 0: CGW did not converge (iterations=1, "
+    assert captured.err.startswith("error: " + failure)
+    assert "Traceback" not in captured.err
+    lines = (out / "verify_report.txt").read_text().splitlines()
+    assert lines[0] == "structural property suite on grid (8, 8), theta=1"
+    assert "overall: pass" in lines
+    assert lines[-2].startswith("FAIL  short integration over 8 steps: " + failure)
+    assert lines[-1] == "verify: FAIL"
+    assert captured.out.splitlines() == lines
+
+
 def test_solver_failure_exits_1(tmp_path, capsys):
     # one CGW iteration per prediction solve cannot reach the tolerance
     for n in (32, 8):

@@ -5,6 +5,7 @@
 # versions of the structural identities the whole discretization rests on.
 #
 
+import math
 import operator
 import re
 from functools import partial, reduce
@@ -12,11 +13,11 @@ from functools import partial, reduce
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from macstag.fields import VelocityField, _bcast, face_average, l2_norm, velocity_inner, w1q_norm
-from macstag.grid import MacGrid, graded_axis, uniform_grid
+from macstag.grid import MacGrid, graded_axis, uniform_axis, uniform_grid
 from macstag.operators import Operators
 from macstag.projection import Projector
 from macstag.scheme import ProjectionScheme
@@ -397,6 +398,41 @@ def test_convection_scatter_matches_assembly(grid, seed):
         assert (C @ x).tobytes() == (C.tocsr() @ x).tobytes()
 
 
+def sentinel_incidence(grid, i):
+    """Oracle: offsets and +-1/2 incidence of block i as the package once
+    assembled them, entry by entry, from a -1-sentinel index array.
+
+    Entry (r, c) of C_i sits at row k * size + c, k the index of c - r among
+    the ascending offsets; its column is the dual-face flux, axis by axis.
+    """
+    size = int(grid.interior_mask(i).sum())
+    shape = [n - (a == i) for a, n in enumerate(grid.shape)]  # interior faces of direction i
+    strides = {j: math.prod(shape[j + 1 :]) for j in range(grid.dim) if shape[j] > 1}
+    offsets = np.array(sorted({0, *strides.values(), *(-s for s in strides.values())}))
+    slot = {offset: k * size for k, offset in enumerate(offsets)}
+    idx = np.full(grid.face_shape(i), -1)  # position in block i, -1 on boundary faces
+    idx[grid.interior_mask(i)] = np.arange(size)
+    rows, cols, vals = [], [], []
+    n_flux = 0
+    for j in [i] + [j for j in range(grid.dim) if j != i and grid.shape[j] > 1]:
+        n = idx.shape[j]
+        m, p = (idx.take(range(lo, lo + n - 1), axis=j).ravel() for lo in (0, 1))
+        flux = n_flux + np.arange(m.size)
+        stencil = [(m, m, 0, 0.5), (p, p, 0, -0.5)]
+        if j in strides:
+            stencil += [(m, p, strides[j], 0.5), (p, m, -strides[j], -0.5)]
+        for r, c, offset, v in stencil:
+            keep = (r >= 0) & (c >= 0)
+            rows.append(slot[offset] + c[keep])
+            cols.append(flux[keep])
+            vals.append(np.full(cols[-1].size, v))
+        n_flux += m.size
+    incidence = sp.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(offsets.size * size, n_flux)
+    )
+    return offsets, incidence
+
+
 def _sp_kron(factors):
     return reduce(partial(sp.kron, format="coo"), factors)
 
@@ -466,6 +502,42 @@ def test_assembly_matches_sp_kron_bitwise(grid):
         assert_same_arrays(actual, expected[:, cols])
 
 
+@settings(max_examples=60)
+@given(grid=mac_grids())
+def test_incidence_matches_sentinel_assembly_bitwise(grid):
+    # the Kronecker incidence holds the entries the index-array assembly
+    # placed, in the same CSR arrays, on graded and coords grids with 1-cell
+    # axes and empty blocks
+    ops = Operators(grid)
+    for i in range(grid.dim):
+        offsets, expected = sentinel_incidence(grid, i)
+        np.testing.assert_array_equal(ops._dia_offsets[i], offsets)
+        assert_same_arrays(ops._incidences[i], expected)
+
+
+@settings(max_examples=60)
+@given(grid=mac_grids(), seed=st.integers(0, 2**32 - 1))
+@example(grid=MacGrid([uniform_axis(0.0, 1.0, 1), uniform_axis(0.0, 1.0, 3)]), seed=0)
+@example(grid=MacGrid([uniform_axis(0.0, 1.0, 2), [0.0, 1.0], [0.0, 0.3, 1.0]]), seed=1)
+def test_pack_and_unpack_match_interior_mask(grid, seed):
+    # the slab [1:-1] along axis i holds the faces interior_mask(i) selects,
+    # in the same order; an axis with one cell gives an empty block
+    ops = Operators(grid)
+    rng = np.random.default_rng(seed)
+    masks = [grid.interior_mask(i) for i in range(grid.dim)]
+    u = VelocityField(grid, [rng.standard_normal(grid.face_shape(i)) for i in range(grid.dim)])
+    vec = ops.pack(u)
+    assert vec.tobytes() == np.concatenate([c[mask] for c, mask in zip(u.components, masks)]).tobytes()
+    # another grid object with the same face coordinates is the same grid
+    assert ops.pack(VelocityField(MacGrid(grid.axes), u.components)).tobytes() == vec.tobytes()
+    for i, (c, mask) in enumerate(zip(ops.unpack(vec).components, masks)):
+        expected = np.zeros(grid.face_shape(i))
+        expected[mask] = ops.block(vec, i)
+        assert c.tobytes() == expected.tobytes()
+        assert ops.block_sizes[i] == np.count_nonzero(mask)
+        assert ops.mass_blocks[i].tobytes() == grid.dual_volumes(i)[mask].tobytes()
+
+
 def test_export_matrices(tmp_path):
     g = uniform_grid((0.0, 0.0), (1.0, 1.0), (3, 3))
     ops = Operators(g)
@@ -509,15 +581,26 @@ def _foreign_field_calls():
 FOREIGN_FIELD_CALLS = _foreign_field_calls()
 
 
-@pytest.mark.parametrize("other", [(8, 8), (4, 4, 4), (4, 5)], ids=["8x8", "4x4x4", "4x5"])
+FOREIGN_GRIDS = {
+    "8x8": uniform_grid((0.0, 0.0), (1.0, 1.0), (8, 8)),
+    "4x4x4": uniform_grid((0.0,) * 3, (1.0,) * 3, (4, 4, 4)),
+    "4x5": uniform_grid((0.0, 0.0), (1.0, 1.0), (4, 5)),
+    "graded-4x4": MacGrid([uniform_axis(0.0, 1.0, 4), graded_axis(0.0, 1.0, 4, 1.2)]),
+}
+
+
+@pytest.mark.parametrize("other", FOREIGN_GRIDS.values(), ids=FOREIGN_GRIDS.keys())
 @pytest.mark.parametrize("call", FOREIGN_FIELD_CALLS.values(), ids=FOREIGN_FIELD_CALLS.keys())
 def test_field_from_another_grid_is_rejected(call, other):
     # packing would take the first entries of each component, or the first
-    # two components of a 3D field, and return results on the wrong data
+    # two components of a 3D field, or a same-shape field's values on other
+    # cells, and return results on the wrong data
     ops = Operators(uniform_grid((0.0, 0.0), (1.0, 1.0), (4, 4)))
     own = VelocityField(ops.grid)
-    foreign = VelocityField(uniform_grid((0.0,) * len(other), (1.0,) * len(other), other))
-    shapes = [foreign.grid.face_shape(i) for i in range(len(other))]
+    foreign = VelocityField(other)
+    shapes = [other.face_shape(i) for i in range(other.dim)]
     message = f"velocity field has face shapes {shapes}, the grid (4, 4) has [(5, 4), (4, 5)]"
+    if other.shape == ops.grid.shape:
+        message = "velocity field is on another grid: face coordinates differ along axis 1"
     with pytest.raises(ValueError, match=re.escape(message)):
         call(ops, own, foreign)
