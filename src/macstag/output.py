@@ -1,9 +1,11 @@
 """Deterministic CSV and legacy-VTK writers.
 
-Floats are written with 17 significant digits (round-trip exact for IEEE
-doubles) and files always use '\n' line endings, so identical runs produce
-byte-identical artifacts. Field snapshots, VTK files and translate.csv are
-printed from equal-length columns by one row formatter, _rows.
+CSV floats are written with 17 significant digits (round-trip exact for IEEE
+doubles) and text files always use '\n' line endings, so identical runs
+produce byte-identical artifacts. Field snapshots and translate.csv are
+printed from equal-length columns by one row formatter, _rows. VTK files are
+not printed: their data sections are big-endian IEEE doubles (the legacy
+BINARY encoding), which keep every bit and cost no decimal conversion.
 """
 
 from __future__ import annotations
@@ -37,14 +39,18 @@ def fmt(x) -> str:
     return _NUMBER % float(x)
 
 
-def _rows(columns, sep=","):
-    """One line per row of the equal-length 1D columns, each value printed as fmt prints it."""
-    line = sep.join([_NUMBER] * len(columns))
+def _rows(columns):
+    """One CSV line per row of the equal-length 1D columns, each value printed as fmt prints it."""
+    line = ",".join([_NUMBER] * len(columns))
     return list(map(line.__mod__, zip(*(np.asarray(c).tolist() for c in columns))))
 
 
-def write_text(path, content):
+def _make_parent(path):
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+
+
+def write_text(path, content):
+    _make_parent(path)
     with open(path, "w", newline="\n") as fh:
         fh.write(content)
         if not content.endswith("\n"):
@@ -90,21 +96,33 @@ def write_fields_csv(out_dir, basename, grid, u, p):
 
 
 def write_vtk(path, grid, u, p, title="macstag fields"):
-    """Legacy ASCII rectilinear-grid file with cell pressure and cell-mean velocity."""
+    """Legacy BINARY rectilinear-grid file with cell pressure and cell-mean velocity.
+
+    The header lines are ASCII. Each data section (the X, Y and Z coordinates,
+    the pressure with x fastest, the velocity as one (x, y, z) triple per
+    cell) is one block of big-endian doubles followed by a newline, so the
+    values are stored bit for bit, -0.0 and NaN included.
+    """
     coords = list(grid.axes) + [np.zeros(1)] * (3 - grid.dim)
     # cell means of the face values; the missing third direction is zero
     cell_u = [0.5 * (c.take(range(n), axis=i) + c.take(range(1, n + 1), axis=i))
               for i, (c, n) in enumerate(zip(u.components, grid.shape))]
     cell_u += [np.zeros(grid.shape)] * (3 - grid.dim)
 
-    lines = ["# vtk DataFile Version 3.0", title, "ASCII", "DATASET RECTILINEAR_GRID",
-             "DIMENSIONS " + " ".join(str(c.size) for c in coords)]
-    for label, c in zip("XYZ", coords):
-        lines += [f"{label}_COORDINATES {c.size} double", " ".join(map(fmt, c.tolist()))]
-    lines += [f"CELL_DATA {p.data.size}", "SCALARS pressure double 1", "LOOKUP_TABLE default"]
-    lines += _rows([p.data.ravel(order="F")])
-    lines += ["VECTORS velocity double"] + _rows([c.ravel(order="F") for c in cell_u], sep=" ")
-    return write_text(path, "\n".join(lines))
+    def block(header, values):
+        return header.encode() + b"\n" + np.ascontiguousarray(values, dtype=">f8").tobytes() + b"\n"
+
+    head = ["# vtk DataFile Version 3.0", title, "BINARY", "DATASET RECTILINEAR_GRID",
+            "DIMENSIONS " + " ".join(str(c.size) for c in coords)]
+    parts = [("\n".join(head) + "\n").encode()]
+    parts += [block(f"{label}_COORDINATES {c.size} double", c) for label, c in zip("XYZ", coords)]
+    parts.append(block(f"CELL_DATA {p.data.size}\nSCALARS pressure double 1\nLOOKUP_TABLE default",
+                       p.data.ravel(order="F")))
+    parts.append(block("VECTORS velocity double", np.stack([c.ravel(order="F") for c in cell_u], axis=1)))
+    _make_parent(path)
+    with open(path, "wb") as fh:
+        fh.write(b"".join(parts))
+    return path
 
 
 def write_study_csv(path, report):

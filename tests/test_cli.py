@@ -24,7 +24,7 @@ from macstag.projection import Projector
 from macstag.scheme import ProjectionScheme, SchemeError
 from macstag.verify import translate_diagnostic
 
-from conftest import BAD_NUMERIC_VALUES
+from conftest import BAD_NUMERIC_VALUES, assert_same_bits, read_vtk, vtk_arrays
 
 SMALL = "[grid]\nn = 4 4\n[time]\nfinal = 0.05\nsteps = 2\n"
 
@@ -107,6 +107,17 @@ def test_run_cadence_and_vtk(tmp_path):
     assert main(["run", "--config", str(path), "--out", out]) == 0
     for n in (0, 1, 2):
         assert os.path.exists(os.path.join(out, f"fields_{n:06d}.vtk"))
+    # the last snapshot holds the bits of an in-process run of the same config
+    cfg = parse_config(str(path))
+    problem = mms_problem(cfg.problem)
+    scheme = ProjectionScheme(cfg.build_grid(), **cfg.scheme_kwargs())
+    traj = scheme.run(problem.initial, problem.forcing, cfg.t_final, cfg.steps)
+    title, coords, pressure, velocity = read_vtk(os.path.join(out, "fields_000002.vtk"))
+    want_coords, want_pressure, want_velocity = vtk_arrays(scheme.grid, traj.velocities[-1], traj.pressures[-1])
+    for got, want in zip(coords, want_coords):
+        assert_same_bits(got, want)
+    assert_same_bits(pressure, want_pressure)
+    assert_same_bits(velocity, want_velocity)
 
 
 def test_verify_default_grid(tmp_path, capsys):

@@ -1,5 +1,6 @@
 #
-# Deterministic text output: diagnostics, field snapshots, VTK export.
+# Deterministic output: diagnostics and field snapshots as text, VTK export
+# as binary doubles.
 #
 
 import numpy as np
@@ -17,6 +18,8 @@ from macstag.output import (
 )
 from macstag.scheme import DIAGNOSTIC_COLUMNS, ProjectionScheme
 from macstag.verify import StudyLevel, StudyReport, TranslateRow
+
+from conftest import read_vtk
 
 
 def test_fmt_roundtrips():
@@ -82,20 +85,20 @@ def test_vtk_structure(tmp_path):
     g, traj = small_run()
     path = tmp_path / "snap.vtk"
     write_vtk(str(path), g, traj.velocities[-1], traj.pressures[-1])
-    lines = path.read_text().splitlines()
-    assert lines[0] == "# vtk DataFile Version 3.0"
-    assert lines[2] == "ASCII"
-    assert lines[3] == "DATASET RECTILINEAR_GRID"
-    assert lines[4] == "DIMENSIONS 5 5 1"
-    joined = "\n".join(lines)
-    assert "X_COORDINATES 5 double" in joined
-    assert "Z_COORDINATES 1 double" in joined
-    assert "CELL_DATA 16" in joined
-    assert "SCALARS pressure double 1" in joined
-    assert "VECTORS velocity double" in joined
-    # 16 cells: one pressure value per cell and one 3-vector per cell
-    vec_at = lines.index("VECTORS velocity double")
-    assert len(lines[vec_at + 1].split()) == 3
+    raw = path.read_bytes()
+    assert raw.startswith(
+        b"# vtk DataFile Version 3.0\nmacstag fields\nBINARY\n"
+        b"DATASET RECTILINEAR_GRID\nDIMENSIONS 5 5 1\n"
+    )
+    assert b"X_COORDINATES 5 double\n" in raw
+    assert b"Z_COORDINATES 1 double\n" in raw
+    assert b"CELL_DATA 16\nSCALARS pressure double 1\nLOOKUP_TABLE default\n" in raw
+    assert b"VECTORS velocity double\n" in raw
+    # 5 + 5 + 1 coordinates, then 16 cells: one pressure value and one 3-vector per cell
+    title, coords, pressure, velocity = read_vtk(str(path))
+    assert [c.size for c in coords] == [5, 5, 1]
+    assert pressure.shape == (16,) and velocity.shape == (16, 3)
+    assert not velocity[:, 2].any()
 
 
 def test_vtk_3d(tmp_path):
@@ -106,9 +109,14 @@ def test_vtk_3d(tmp_path):
     p = PressureField(g, np.arange(12, dtype=float).reshape(g.shape))
     path = tmp_path / "s.vtk"
     write_vtk(str(path), g, u, p)
-    text = path.read_text()
-    assert "DIMENSIONS 3 4 3" in text
-    assert "CELL_DATA 12" in text
+    raw = path.read_bytes()
+    assert b"\nBINARY\n" in raw
+    assert b"\nDIMENSIONS 3 4 3\n" in raw
+    assert b"\nCELL_DATA 12\n" in raw
+    title, coords, pressure, velocity = read_vtk(str(path))
+    # pressure with x fastest, velocity 1 in every direction
+    assert pressure.tolist() == p.data.ravel(order="F").tolist()
+    assert velocity.tolist() == [[1.0, 1.0, 1.0]] * 12
 
 
 def test_study_csv(tmp_path):

@@ -1,9 +1,11 @@
 #
 # The column writers against per-element reference loops: field snapshots
-# and VTK files must match them byte for byte.
+# and VTK files must match them byte for byte. VTK files must also decode to
+# the bits of the fields they were written from.
 #
 
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from macstag.fields import PressureField, VelocityField
 from macstag.grid import MacGrid
 from macstag.output import write_fields_csv, write_vtk
 
-from conftest import random_nonuniform_grid
+from conftest import assert_same_bits, random_nonuniform_grid, read_vtk, vtk_arrays
 
 
 def _fmt(x):
@@ -47,7 +49,7 @@ def reference_fields_csv(out_dir, basename, grid, u, p):
 
 
 def reference_vtk(path, grid, u, p, title="macstag fields"):
-    """Rectilinear-grid VTK file, written element by element."""
+    """Rectilinear-grid VTK file in the legacy BINARY encoding, written element by element."""
     dim = grid.dim
     coords = [grid.axes[a] for a in range(dim)] + [np.zeros(1)] * (3 - dim)
     dims = [c.size for c in coords]
@@ -59,24 +61,32 @@ def reference_vtk(path, grid, u, p, title="macstag fields"):
         cell_u.append(0.5 * (lo + hi))
     while len(cell_u) < 3:
         cell_u.append(np.zeros(grid.shape))
-    lines = [
-        "# vtk DataFile Version 3.0",
-        title,
-        "ASCII",
-        "DATASET RECTILINEAR_GRID",
-        f"DIMENSIONS {dims[0]} {dims[1]} {dims[2]}",
+
+    def text(line):
+        return (line + "\n").encode("ascii")
+
+    def doubles(values):
+        return b"".join(struct.pack(">d", float(x)) for x in values) + b"\n"
+
+    out = [
+        text("# vtk DataFile Version 3.0"),
+        text(title),
+        text("BINARY"),
+        text("DATASET RECTILINEAR_GRID"),
+        text(f"DIMENSIONS {dims[0]} {dims[1]} {dims[2]}"),
     ]
     for label, c in zip(("X", "Y", "Z"), coords):
-        lines.append(f"{label}_COORDINATES {c.size} double")
-        lines.append(" ".join(_fmt(x) for x in c))
-    lines.append(f"CELL_DATA {int(np.prod(grid.shape))}")
-    lines.append("SCALARS pressure double 1")
-    lines.append("LOOKUP_TABLE default")
-    lines.extend(_fmt(x) for x in p.data.ravel(order="F"))
-    lines.append("VECTORS velocity double")
+        out.append(text(f"{label}_COORDINATES {c.size} double"))
+        out.append(doubles(c))
+    out.append(text(f"CELL_DATA {int(np.prod(grid.shape))}"))
+    out.append(text("SCALARS pressure double 1"))
+    out.append(text("LOOKUP_TABLE default"))
+    out.append(doubles(p.data.ravel(order="F")))
+    out.append(text("VECTORS velocity double"))
     flat = [c.ravel(order="F") for c in cell_u]
-    lines.extend(f"{_fmt(a)} {_fmt(b)} {_fmt(c)}" for a, b, c in zip(*flat))
-    _write(path, lines)
+    out.append(b"".join(struct.pack(">ddd", a, b, c) for a, b, c in zip(*flat)) + b"\n")
+    with open(path, "wb") as fh:
+        fh.write(b"".join(out))
 
 
 def awkward_fields(grid, rng):
@@ -114,3 +124,21 @@ def test_writers_match_per_element_loops(tmp_path, rng, dim):
         write_vtk(str(tmp_path / "new" / f"g{n}.vtk"), grid, u, p)
         reference_vtk(str(tmp_path / "ref" / f"g{n}.vtk"), grid, u, p)
         assert (tmp_path / "new" / f"g{n}.vtk").read_bytes() == (tmp_path / "ref" / f"g{n}.vtk").read_bytes()
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_vtk_decodes_to_the_field_bits(tmp_path, rng, dim):
+    for n, grid in enumerate(grids(rng, dim)):
+        u, p = awkward_fields(grid, rng)
+        path = str(tmp_path / f"g{n}.vtk")
+        write_vtk(path, grid, u, p, title=f"grid {n}")
+        title, coords, pressure, velocity = read_vtk(path)
+        want_coords, want_pressure, want_velocity = vtk_arrays(grid, u, p)
+        assert title == f"grid {n}"
+        for got, want in zip(coords, want_coords):
+            assert_same_bits(got, want)
+        assert_same_bits(pressure, want_pressure)
+        assert_same_bits(velocity, want_velocity)
+        # the awkward values survive: -0.0 keeps its sign, NaN stays NaN
+        assert np.signbit(pressure[0]) and pressure[0] == 0.0
+        assert np.isnan(velocity).any()
