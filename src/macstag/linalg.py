@@ -16,8 +16,10 @@ is divergence free. For H + N, H symmetric positive definite and N skew,
 the generalized conjugate gradient method (Concus & Golub 1976, Widlund 1978)
 is a three-term recurrence on the exact H^-1, the FDM: one FDM application
 and one matvec of N per iteration, no Krylov basis, and H + N never formed.
-A pure function of (H, N, b, x0, M), it reruns bitwise; its residuals
-b - H x - N x are recomputed fresh.
+H is given as its diagonal d plus a sparse S (M_i/dt and S_i in the scheme).
+A pure function of (d, S, N, b, x0, M), it reruns bitwise; its residuals
+b - H x - N x are recomputed fresh, and the S x and N x of the one it
+returns are handed out with it, so the caller need not form them again.
 """
 
 from __future__ import annotations
@@ -53,14 +55,18 @@ class SolveResult:
     """Solution vector plus honest convergence data.
 
     residual is the relative residual ||b - A x|| / ||b||, and
-    residual_vector the b - A x it comes from, recomputed fresh.
+    residual_vector the b - A x it comes from, recomputed fresh. Sx and Nx
+    are the products S x and N x of the split A = diag(d) + S + N that
+    residual_vector was formed from, so a caller can reuse them.
     """
 
-    def __init__(self, x, iterations, residual, residual_vector):
+    def __init__(self, x, iterations, residual, residual_vector, Sx, Nx):
         self.x = x
         self.iterations = iterations
         self.residual = residual
         self.residual_vector = residual_vector
+        self.Sx = Sx
+        self.Nx = Nx
 
     def __repr__(self):
         return f"SolveResult(iterations={self.iterations}, residual={self.residual:.3e})"
@@ -111,19 +117,20 @@ class SeparableSolver:
 
     stiffness[a] is the dense 1D matrix K_a, mass[a] the diagonal of B_a;
     vectors are raveled in 'ij' order over the axes. The generalized
-    eigenpairs of each axis are computed once, here. The transforms reshape
-    with explicit sizes (math.prod) rather than -1, because an axis of 0
-    cells makes a 0-size block whose other extent -1 cannot infer.
+    eigenpairs of each axis are computed once, here, and so are the sizes
+    the transforms reshape to: explicit ones (math.prod) rather than -1,
+    because an axis of 0 cells makes a 0-size block whose other extent -1
+    cannot infer.
     """
 
     def __init__(self, stiffness, mass):
-        self.shape = tuple(b.size for b in mass)
-        self._modes = []
+        self.shape = shape = tuple(b.size for b in mass)
+        self._plan = []  # per axis: its modes, its length, the sizes of the axes before and after it
         lam = 0.0
         for a, (K, B) in enumerate(zip(stiffness, mass)):
             # ascending, so mode 0 of a Neumann axis is the constant one
             vals, vecs = _modes(K, B)
-            self._modes.append(vecs)
+            self._plan.append((vecs, shape[a], math.prod(shape[:a]), math.prod(shape[a + 1 :])))
             lam = np.add.outer(lam, vals) if a else vals
         self._eigenvalues = lam
         self._reciprocal = None  # (shift, drop_constant, 1 / (shift + eigenvalues))
@@ -131,9 +138,8 @@ class SeparableSolver:
     def _transform(self, x, transpose):
         """(x)_a W_a x for W_a = V_a^T (transpose) or V_a; x may have any shape of the solver's size."""
         last = len(self.shape) - 1
-        for a, vecs in enumerate(self._modes):
+        for a, (vecs, n, before, after) in enumerate(self._plan):
             W = vecs.T if transpose else vecs
-            n, before, after = self.shape[a], math.prod(self.shape[:a]), math.prod(self.shape[a + 1 :])
             if a == 0:
                 x = W @ x.reshape(n, after)
             elif a == last:
@@ -160,32 +166,41 @@ class SeparableSolver:
         return self._transform(y, False).ravel()
 
 
-def solve_cgw(H, N, b, M, *, tol=1e-10, maxiter=None, x0=None):
-    """Generalized conjugate gradients (Concus & Golub 1976, Widlund 1978) for (H + N) x = b, N skew.
+def solve_cgw(d, S, N, b, M, *, tol=1e-10, maxiter=None, x0=None):
+    """Generalized conjugate gradients (Concus & Golub 1976, Widlund 1978) for (diag(d) + S + N) x = b, N skew.
 
-    H is a callable applying the symmetric positive definite part, N the
-    skew part (any @ operand), M applies H^-1. Each iteration is one M call
-    and one N matvec: z_k = M r_k, rho_k = z_k . r_k, omega_1 = 1,
+    H = diag(d) + S is the symmetric positive definite part, with d its
+    diagonal array and S a symmetric @ operand; N is the skew part (any @
+    operand) and M applies H^-1 and returns a new array, which the solver
+    updates in place. Each iteration is one M call and one N matvec:
+    z_k = M r_k, rho_k = z_k . r_k, omega_1 = 1,
     omega_{k+1} = 1 / (1 + rho_k / (rho_{k-1} omega_k)),
     x_{k+1} = x_{k-1} + omega_{k+1} (z_k + x_k - x_{k-1}) and
     r_{k+1} = (1 - omega_{k+1}) r_{k-1} - omega_{k+1} N z_k, in place: the
     (H + N) z_k - r_k of the recurrence is N z_k as M is the exact H^-1.
     Once the recurrence residual reaches tol ||b||, b - H x - N x is
     recomputed (an inexact M shows up here), and the recurrence restarts
-    from it while it stays above. maxiter caps the total number of
-    iterations (MAX_ITERATIONS when None). Raises SolverError when
+    from it while it stays above. The result hands out the S x and N x of
+    the last recomputed residual, the one it returns. maxiter caps the total
+    number of iterations (MAX_ITERATIONS when None). Raises SolverError when
     rho_k <= 0 (M is not positive definite) or when the recomputed
     relative residual stays above tol.
     """
     b = np.asarray(b, dtype=float)
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
-        return SolveResult(np.zeros(b.size), 0, 0.0, np.zeros(b.size))
+        return SolveResult(np.zeros(b.size), 0, 0.0, np.zeros(b.size), np.zeros(b.size), np.zeros(b.size))
     maxiter = MAX_ITERATIONS if maxiter is None else maxiter
     x = np.zeros(b.size) if x0 is None else np.array(x0, dtype=float)
-    r = b - H(x) - N @ x
+
+    def fresh_residual(x):
+        Sx, Nx = S @ x, N @ x
+        return b - (d * x + Sx) - Nx, Sx, Nx
+
+    r, Sx, Nx = fresh_residual(x)
     target, iterations = tol * bnorm, 0
-    while (rnorm := float(np.linalg.norm(r))) > target and iterations < maxiter:
+    # ||r|| as np.linalg.norm forms it, sqrt(r . r), without its call overhead
+    while (rnorm := math.sqrt(r @ r)) > target and iterations < maxiter:
         # a (re)start: omega_1 = 1 drops x_{k-1} and r_{k-1} from the first update
         x_prev, r_prev, rho_prev = x.copy(), r.copy(), None
         while rnorm > target and iterations < maxiter:
@@ -195,15 +210,20 @@ def solve_cgw(H, N, b, M, *, tol=1e-10, maxiter=None, x0=None):
                 raise SolverError(f"CGW broke down: z.r = {rho:.3e} <= 0, the preconditioner is not positive definite",
                                   iterations, rnorm / bnorm)
             omega = 1.0 if rho_prev is None else 1.0 / (1.0 + rho / (rho_prev * omega))
+            Nz = N @ z
+            Nz *= omega
             r_prev *= 1.0 - omega
-            r_prev -= omega * (N @ z)
+            r_prev -= Nz
+            # z is not read again: it holds omega (z + x) for the update of x
+            z += x
+            z *= omega
             x_prev *= 1.0 - omega
-            x_prev += omega * (z + x)
+            x_prev += z
             x, x_prev, r, r_prev, rho_prev = x_prev, x, r_prev, r, rho
             iterations += 1
-            rnorm = float(np.linalg.norm(r))
-        r = b - H(x) - N @ x
+            rnorm = math.sqrt(r @ r)
+        r, Sx, Nx = fresh_residual(x)
     residual = rnorm / bnorm
     if not residual <= tol:
         raise SolverError("CGW did not converge", iterations, residual)
-    return SolveResult(x, iterations, residual, r)
+    return SolveResult(x, iterations, residual, r, Sx, Nx)

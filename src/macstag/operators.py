@@ -33,7 +33,9 @@ Operators.laplace_factors holds those (K_a, B_a) per block, once: they build
 S_i here, and the exact separable inverse of M_i/dt + S_i in the scheme.
 Operators.poisson_factors holds the Neumann chains over the cells (masses
 h_a) whose Kronecker sum is the pressure Poisson matrix G^T M_v G. _kron
-builds each from its 1D factors' nonzeros: one CSR construction per operator.
+builds G, D and the convection maps from their 1D factors' nonzeros: one CSR
+construction per operator. _kron_sum writes a Kronecker sum straight onto
+its diagonals (below): S_i is a dia_matrix on the offsets that C_i uses.
 
 With cell volumes M_p and dual volumes M_v as weights, M_v G = -(M_p D)^T
 holds entrywise, which is the discrete duality the projection step relies
@@ -44,11 +46,14 @@ C_i(a) is linear in a, and its sparsity pattern depends on the grid alone
 (Verstappen & Veldman, JCP 2003): row sigma couples sigma to itself and to
 its neighbours along each axis. So block i lives on at most 2d+1 fixed
 diagonals (DIA storage, Saad 2003, section 3.4), at the offsets 0 and
-+-stride_j of its interior-face shape. The operators build, once, a flux
-map Phi_i from the packed a (its interior faces; the boundary faces are
-zero) to the dual-face fluxes: per axis j, one Kronecker product on block j
-of a, at the columns from offsets[j]. With E_i the n_i x (n_i + 1)
-difference of the faces along axis i, it has |E_i|/2 without its two
++-stride_j of its interior-face shape, an axis with one entry dropped. S_i
+couples the same neighbours and is stored on the same offsets: band a of
+K_a, times the masses of the other axes, fills the slots 0 and +-stride_a,
+and the slots of a band that wrap across axis a hold zero. The operators
+build, once, a flux map Phi_i from the packed a (its interior faces; the
+boundary faces are zero) to the dual-face fluxes: per axis j, one Kronecker
+product on block j of a, at the columns from offsets[j]. With E_i the
+n_i x (n_i + 1) difference of the faces along axis i, it has |E_i|/2 without its two
 boundary columns (the mean of the two faces of a cell) on axis i if j == i,
 else |E_i|^T diag(h_i)/2 (the half cells beside a face) on axis i and the
 identity on the n_j - 1 interior faces of axis j; diag(h_a) on every other
@@ -59,16 +64,17 @@ Per flux axis j and offset it is one Kronecker product: on axis j, Delta_i/2
 +-stride_j (none across a wall); on axis i if j != i, eye(n_i - 1, n_i + 1,
 k=1), which picks the interior faces; identities elsewhere. convection_blocks(a)
 is then two sparse matvecs per direction that fill the data of a dia_matrix.
-Its matvec adds the diagonals in ascending offset order, the sorted-column
-order of CSR, so it gives the same bits as the CSR form of the block. pack
-and unpack address the interior faces of direction i as the slab [1:-1]
-along axis i.
+Its matvec, like that of S_i, adds the diagonals in ascending offset order,
+the sorted-column order of CSR, so it gives the same bits as the CSR form of
+the block. pack and unpack address the interior faces of direction i as the
+slab [1:-1] along axis i.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from functools import reduce
 
 import numpy as np
 import scipy.sparse as sp
@@ -105,10 +111,33 @@ def _difference(n):
     return np.eye(n - 1, n, k=1) - np.eye(n - 1, n)
 
 
+def _dia_offsets(shape):
+    """The diagonals of a stencil on neighbours along each axis: 0 and +-stride_a for every axis longer than 1."""
+    strides = [math.prod(shape[a + 1 :]) for a, n in enumerate(shape) if n > 1]
+    return np.array(sorted({0, *strides, *(-s for s in strides)}))
+
+
 def _kron_sum(stiffness, mass):
-    """sum_a K_a (x) (x)_{b != a} B_b as one CSR matrix."""
-    terms = [([K if b == a else B for b, B in enumerate(mass)], 0, 0) for a, K in enumerate(stiffness)]
-    return _kron(terms, (math.prod(B.size for B in mass),) * 2)
+    """sum_a K_a (x) (x)_{b != a} B_b as a dia_matrix on _dia_offsets of the shape of the B_a.
+
+    Each term's bands multiply from axis 0 on and the diagonal adds the terms
+    in axis order, as the CSR sum of sp.kron products does; the slots of a
+    band that wrap across an axis hold zero.
+    """
+    shape = [B.size for B in mass]
+    size, offsets = math.prod(shape), _dia_offsets(shape)
+    data = np.zeros((offsets.size, size))
+    slot = {offset: k for k, offset in enumerate(offsets)}
+    for a, K in enumerate(stiffness):
+        # column k of a band holds K[k, k], K[k - 1, k] (offset +stride) or K[k + 1, k] (offset -stride)
+        bands = [(0, np.diag(K))]
+        if shape[a] > 1:
+            stride = math.prod(shape[a + 1 :])
+            bands += [(stride, np.append(0.0, np.diag(K, 1))), (-stride, np.append(np.diag(K, -1), 0.0))]
+        for offset, band in bands:
+            factors = [band if b == a else B for b, B in enumerate(mass)]
+            data[slot[offset]] += reduce(np.multiply.outer, factors).ravel()
+    return sp.dia_matrix((data, offsets), shape=(size, size))
 
 
 class Operators:
@@ -204,7 +233,7 @@ class Operators:
         size = self.block_sizes[i]
         shape = [n - (a == i) for a, n in enumerate(g.shape)]  # interior faces of direction i
         strides = {j: math.prod(shape[j + 1 :]) for j in range(g.dim) if shape[j] > 1}
-        offsets = np.array(sorted({0, *strides.values(), *(-s for s in strides.values())}))
+        offsets = _dia_offsets(shape)
         slot = {offset: k * size for k, offset in enumerate(offsets)}
         mean = 0.5 * abs(_difference(g.shape[i] + 1))
 

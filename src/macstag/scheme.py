@@ -25,8 +25,11 @@ two previous predictions (Fischer, CMAME 163, 1998, uses earlier solutions
 the same way), which is O(dt^2) from utilde^{n+1} on smooth solutions. The
 stop stays at prediction_tol ||b||, so only the iteration count falls.
 No system matrix is assembled during a step: the solver takes the split
-itself, H = M_i/dt + S_i applied as a diagonal plus S_i, and N = C_i(u^n),
-whose values the operators write straight onto its fixed diagonals.
+itself, H = M_i/dt + S_i as the diagonal M_i/dt plus S_i, and N = C_i(u^n),
+S_i and C_i both stored on the same fixed diagonals. The solver hands out
+the S_i utilde and C_i(u^n) utilde of the last residual it recomputed; the
+energy terms and the momentum check reuse them, so a step forms each of
+these products once after the solve.
 Every step records the terms of the discrete energy inequality
 
     (1/2dt)(||u^{n+1}||^2 - ||u^n||^2) + (dt/2)(||grad p^{n+1}||^2
@@ -65,6 +68,9 @@ from .operators import Operators
 from .projection import REFINEMENT_SWEEPS, Projector
 
 __all__ = ["ProjectionScheme", "SchemeState", "StepDiagnostics", "SchemeError", "DIAGNOSTIC_COLUMNS"]
+
+_FLOAT_MAX = np.finfo(float).max
+
 
 class SchemeError(RuntimeError):
     """Raised when a step violates one of the scheme's structural guarantees,
@@ -128,7 +134,10 @@ class SchemeState:
     read by the momentum check. u_tilde_prev2 is the prediction before
     u_tilde_prev, read only by the prediction's initial guess, and gp,
     gp_prev are the gradients G p^n and G p^{n-1} of the prediction, the
-    energy terms and the momentum check.
+    energy terms and the momentum check. energy and gp_norm are
+    ||u^n||^2 / 2 and ||G p^n|| as the step that made level n computed
+    them; the next step's energy terms read them, and compute them from u
+    and gp where they are None (level 0, or a state built by hand).
     """
 
     n: int
@@ -140,6 +149,8 @@ class SchemeState:
     u_tilde_prev: np.ndarray | None = None
     u_tilde_prev2: np.ndarray | None = None
     gp_prev: np.ndarray | None = None
+    energy: float | None = None
+    gp_norm: float | None = None
 
 
 @dataclass
@@ -147,8 +158,8 @@ class PredictionStats:
     iterations: int
     residual: float
     residual_l2: float
+    # one SolveResult per direction; its Sx and Nx are the step's S_i utilde and C_i(u^n) utilde
     per_direction: list = field(default_factory=list)
-    convection: list = field(default_factory=list)  # blocks C_i(u^n), reused by the momentum check
 
 
 class ProjectionScheme:
@@ -187,6 +198,7 @@ class ProjectionScheme:
             self._momentum_solvers = [SeparableSolver(*factors) for factors in self.ops.laplace_factors]
         except np.linalg.LinAlgError as err:
             raise SchemeError(f"building the separable solvers failed: LinAlgError: {err}") from err
+        self._mass_peak = float(self.ops.mass_velocity.max())  # read by the prediction's overflow guard
 
     def _check_resolution(self):
         """Raise SchemeError when the separable pressure solve cannot resolve the grid.
@@ -240,7 +252,8 @@ class ProjectionScheme:
         """Solve the implicit momentum systems, one per component direction.
 
         f is the packed forcing; u^n and utilde^n come from the state.
-        Returns the packed utilde and the solver stats. Each system is
+        Returns the packed utilde and the solver stats, whose per_direction
+        results carry S_i utilde_i and C_i(u^n) utilde_i. Each system is
         solved by CGW on its split H = M_i/dt + S_i, N = C_i(u^n), with the
         exact separable inverse of H, and started from the extrapolated
         guess 2 utilde^n - utilde^{n-1}; while fewer earlier predictions
@@ -258,19 +271,18 @@ class ProjectionScheme:
         # CGW sums the squares of each right-hand side M_i (u^n/dt + f - G p^n): a step so
         # short that they can overflow is named before any of them is formed
         u_peak, f_peak, gp_peak = (float(np.abs(v).max()) for v in (u, f, state.gp))
-        bound = float(ops.mass_velocity.max()) * (u_peak / dt + f_peak + gp_peak)
-        if not bound * bound * ops.n_velocity < np.finfo(float).max:
+        bound = self._mass_peak * (u_peak / dt + f_peak + gp_peak)
+        if not bound * bound * ops.n_velocity < _FLOAT_MAX:
             raise SchemeError(f"step {state.n + 1}, prediction: dt = {dt:.3e} is too small: the right-hand "
                               f"side can reach {bound:.3e}, and the solver's sum of its squares can overflow")
         conv = ops.convection_blocks(u)
         parts = []
         res_sq = 0.0
-        stats = PredictionStats(0, 0.0, 0.0, convection=conv)
+        stats = PredictionStats(0, 0.0, 0.0)
         for i, (C, S, mass) in enumerate(zip(conv, ops.laplace_blocks, ops.mass_blocks)):
             rhs = mass * (ops.block(u, i) / dt + ops.block(f, i) - ops.block(state.gp, i))
             try:
-                out = solve_cgw(lambda x: mass / dt * x + S @ x, C, rhs,
-                                M=partial(self._momentum_solvers[i].solve, shift=1.0 / dt),
+                out = solve_cgw(mass / dt, S, C, rhs, M=partial(self._momentum_solvers[i].solve, shift=1.0 / dt),
                                 tol=self.prediction_tol, maxiter=self.max_iterations, x0=ops.block(guess, i))
             except SolverError as err:
                 where = f"step {state.n + 1}, prediction, direction {i}"
@@ -313,15 +325,16 @@ class ProjectionScheme:
         ut, pstats = self.prediction(state, f, dt)
         u_new, p_new, corr_residual, div_max = self.correction(state, ut, dt)
 
-        # S_i utilde, shared with the momentum check
-        lap_ut = np.concatenate([S @ ops.block(ut, i) for i, S in enumerate(ops.laplace_blocks)])
+        # S_i utilde as the solver formed it for its last residual, shared with the momentum check
+        lap_ut = np.concatenate([out.Sx for out in pstats.per_direction])
         dissipation = float(ut @ lap_ut)
         u = state.u
         e_new = 0.5 * ops.inner(u_new, u_new)
-        e_old = 0.5 * ops.inner(u, u)
+        e_old = 0.5 * ops.inner(u, u) if state.energy is None else state.energy
         gp_vec = ops.G @ p_new.data.ravel()
-        gp_new, gp_old = (math.sqrt(max(ops.inner(v, v), 0.0)) for v in (gp_vec, state.gp))
-        coupling = math.sqrt(max(ops.inner(ut - u, ut - u), 0.0))
+        gp_new = self._l2(gp_vec)
+        gp_old = self._l2(state.gp) if state.gp_norm is None else state.gp_norm
+        coupling = self._l2(ut - u)
         work = ops.inner(f, ut)
 
         terms = (
@@ -371,28 +384,32 @@ class ProjectionScheme:
             u_tilde_prev=ut,
             u_tilde_prev2=state.u_tilde_prev,
             gp_prev=state.gp,
+            energy=e_new,
+            gp_norm=gp_new,
         )
         return new_state, diag
+
+    def _l2(self, v):
+        """The mass-weighted norm of a packed vector, 0 where roundoff makes its square negative."""
+        return math.sqrt(max(self.ops.inner(v, v), 0.0))
 
     def _momentum_check(self, state, ut, lap_ut, f, dt, pstats, diag):
         """Combined momentum identity across the previous correction, n >= 1.
 
         ut is the packed utilde^{n+1}, lap_ut its S_i utilde^{n+1} and f the
-        packed forcing; utilde^n comes from the state and the blocks
-        C_i(u^n) from pstats. The correction that made u^n put
+        packed forcing; utilde^n comes from the state, and the products
+        C_i(u^n) utilde^{n+1} are the ones the prediction solver formed for
+        its last residual (pstats). The correction that made u^n put
         dt_n G(p^n - p^{n-1}) into it.
         """
         ops = self.ops
         t1 = (ut - state.u_tilde_prev) / dt
-        conv = pstats.convection
-        t2 = np.concatenate([(C @ ops.block(ut, i)) / ops.mass_blocks[i] for i, C in enumerate(conv)])
+        t2 = np.concatenate([out.Nx / mass for out, mass in zip(pstats.per_direction, ops.mass_blocks)])
         r = state.dt / dt
         t3 = (1.0 + r) * state.gp - r * state.gp_prev
         t4 = lap_ut / ops.mass_velocity
         res = t1 + t2 + t3 + t4 - f
-
-        def l2(v):
-            return math.sqrt(max(ops.inner(v, v), 0.0))
+        l2 = self._l2
 
         diag.momentum_residual = l2(res)
         diag.momentum_scale = max(l2(t1), l2(t2), l2(t3), l2(t4), l2(f))

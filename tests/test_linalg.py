@@ -3,7 +3,7 @@
 #
 
 import math
-from functools import reduce
+from functools import partial, reduce
 
 import numpy as np
 import pytest
@@ -18,14 +18,25 @@ from macstag.operators import Operators
 
 
 def split_system(seed, n, skew=1.0):
-    """H symmetric positive definite and N skew, the exact H^-1, and a rhs."""
+    """diag(d) + S symmetric positive definite and N skew, the exact (diag(d) + S)^-1, and a rhs."""
     rng = np.random.default_rng(seed)
     Q = rng.standard_normal((n, n))
-    H = Q @ Q.T / n + np.diag(rng.uniform(0.5, 2.0, n))
+    d = rng.uniform(0.5, 2.0, n)
     R = rng.standard_normal((n, n))
-    N = skew * (R - R.T) / 2
-    factor = scipy.linalg.cho_factor(H)
-    return sp.csr_matrix(H), sp.csr_matrix(N), (lambda v: scipy.linalg.cho_solve(factor, v)), rng.standard_normal(n)
+    M = partial(scipy.linalg.cho_solve, scipy.linalg.cho_factor(Q @ Q.T / n + np.diag(d)))
+    return d, sp.csr_matrix(Q @ Q.T / n), sp.csr_matrix(skew * (R - R.T) / 2), M, rng.standard_normal(n)
+
+
+def dense(d, S, N):
+    """diag(d) + S + N as a dense matrix."""
+    return np.diag(d) + (S + N).toarray()
+
+
+def assert_products_of_residual(res, d, S, N, b):
+    """res hands out S x and N x at its x, and its residual vector is b - (d x + S x) - N x from them, bitwise."""
+    np.testing.assert_array_equal(res.Sx, S @ res.x)
+    np.testing.assert_array_equal(res.Nx, N @ res.x)
+    np.testing.assert_array_equal(res.residual_vector, b - (d * res.x + res.Sx) - res.Nx)
 
 
 def counted(apply):
@@ -41,7 +52,7 @@ def counted(apply):
 
 
 class CountedMatmul:
-    """N for @, counting its products."""
+    """A matrix for @, counting its products."""
 
     def __init__(self, N):
         self.N, self.calls = N, 0
@@ -52,15 +63,14 @@ class CountedMatmul:
 
 
 def convection_diffusion(shape=(6, 6)):
-    # the shape of system the momentum prediction produces
+    # the shape of system the momentum prediction produces: diag(d) + S + C
     g = uniform_grid((0.0,) * len(shape), (1.0,) * len(shape), shape)
     ops = Operators(g)
     S = ops.laplace_blocks[0]
     n = S.shape[0]
     skew_part = sp.random(n, n, density=0.05, random_state=7)
     C = (skew_part - skew_part.T) * 0.3
-    M = sp.diags(ops.mass_blocks[0])
-    return (M * 100.0 + S).tocsr(), C.tocsr()
+    return ops.mass_blocks[0] * 100.0, S, C.tocsr()
 
 
 class TestGMRES:
@@ -70,100 +80,108 @@ class TestGMRES:
     # boundaries), an exact guess, determinism and a zero rhs, now run on
     # solve_cgw with split_system
     def test_matches_dense_oracle(self):
-        H, N, M, b = split_system(67, 30)
-        res = solve_cgw(H.dot, N, b, tol=1e-13, M=M)
-        np.testing.assert_allclose(res.x, np.linalg.solve((H + N).toarray(), b), rtol=1e-9, atol=1e-11)
-        # the reported residual comes from a fresh matvec
-        np.testing.assert_array_equal(res.residual_vector, b - H @ res.x - N @ res.x)
+        d, S, N, M, b = split_system(67, 30)
+        res = solve_cgw(d, S, N, b, tol=1e-13, M=M)
+        np.testing.assert_allclose(res.x, np.linalg.solve(dense(d, S, N), b), rtol=1e-9, atol=1e-11)
+        # the reported residual comes from fresh matvecs
+        assert_products_of_residual(res, d, S, N, b)
         assert res.residual == np.linalg.norm(res.residual_vector) / np.linalg.norm(b) <= 1e-13
 
     @pytest.mark.parametrize("cap", [1, 7, 20, 21, 25, 41])
     def test_raises_on_iteration_cap(self, cap):
         # the cap counts iterations across restarts, one preconditioner call each
-        H, N, M, b = split_system(73, 80, skew=30.0)
+        d, S, N, M, b = split_system(73, 80, skew=30.0)
         M = counted(M)
         with pytest.raises(SolverError, match="CGW did not converge") as err:
-            solve_cgw(H.dot, N, b, tol=1e-14, maxiter=cap, M=M)
+            solve_cgw(d, S, N, b, tol=1e-14, maxiter=cap, M=M)
         assert err.value.iterations == len(M.calls) == cap
 
     def test_exact_initial_guess_takes_no_iteration(self):
-        H, N, M, b = split_system(103, 30)
-        M = counted(M)
-        res = solve_cgw(H.dot, N, b, tol=1e-10, x0=np.linalg.solve((H + N).toarray(), b), M=M)
-        assert res.iterations == 0 and M.calls == []
+        # and hands out the products of its start residual, formed once
+        d, S, N, M, b = split_system(103, 30)
+        M, S_counted, N_counted = counted(M), CountedMatmul(S), CountedMatmul(N)
+        res = solve_cgw(d, S_counted, N_counted, b, tol=1e-10, x0=np.linalg.solve(dense(d, S, N), b), M=M)
+        assert res.iterations == 0 and M.calls == [] and S_counted.calls == N_counted.calls == 1
         assert res.residual <= 1e-10
+        assert_products_of_residual(res, d, S, N, b)
 
     def test_deterministic(self):
-        H, N, M, b = split_system(79, 30, skew=3.0)
-        x1 = solve_cgw(H.dot, N, b, tol=1e-12, M=M).x
-        x2 = solve_cgw(H.dot, N, b, tol=1e-12, M=M).x
+        d, S, N, M, b = split_system(79, 30, skew=3.0)
+        x1 = solve_cgw(d, S, N, b, tol=1e-12, M=M).x
+        x2 = solve_cgw(d, S, N, b, tol=1e-12, M=M).x
         assert np.array_equal(x1, x2)
 
     def test_zero_rhs(self):
-        H, N, M, _ = split_system(83, 5)
-        M = counted(M)
-        res = solve_cgw(H.dot, N, np.zeros(5), M=M)
+        # x = 0 and zero products of the system's size, with no product formed
+        d, S, N, M, _ = split_system(83, 5)
+        M, S, N = counted(M), CountedMatmul(S), CountedMatmul(N)
+        res = solve_cgw(d, S, N, np.zeros(5), M=M)
         assert res.iterations == 0 and not res.x.any() and M.calls == []
+        for product in (res.Sx, res.Nx, res.residual_vector):
+            assert product.shape == (5,) and not product.any()
+        assert S.calls == N.calls == 0
 
 
 class TestCGW:
-    # systems A = H + N, H symmetric positive definite and N skew, with M the
-    # exact H^-1: the setting of the generalized conjugate gradient method
+    # systems A = H + N, H = diag(d) + S symmetric positive definite and N
+    # skew, with M the exact H^-1: the setting of the generalized conjugate
+    # gradient method
     def test_convection_diffusion_system(self):
         # M_i/dt + S_i + C_i with the exact inverse of M_i/dt + S_i
-        H, N = convection_diffusion()
-        b = np.random.default_rng(71).standard_normal(H.shape[0])
-        M = counted(spla.splu(H.tocsc()).solve)
-        res = solve_cgw(H.dot, N, b, tol=1e-12, M=M)
-        assert np.linalg.norm(b - (H + N) @ res.x) <= 1e-12 * np.linalg.norm(b)
+        d, S, N = convection_diffusion()
+        b = np.random.default_rng(71).standard_normal(S.shape[0])
+        M = counted(spla.splu((sp.diags(d) + S).tocsc()).solve)
+        res = solve_cgw(d, S, N, b, tol=1e-12, M=M)
+        assert np.linalg.norm(b - (sp.diags(d) + S + N) @ res.x) <= 1e-12 * np.linalg.norm(b)
         assert res.iterations == len(M.calls) <= 10
 
     def test_strong_skew_part_converges(self):
         # a skew part 30x the symmetric one: the recurrence still converges,
         # one preconditioner call per iteration
-        H, N, M, b = split_system(101, 80, skew=30.0)
+        d, S, N, M, b = split_system(101, 80, skew=30.0)
         M = counted(M)
-        res = solve_cgw(H.dot, N, b, tol=1e-12, M=M)
+        res = solve_cgw(d, S, N, b, tol=1e-12, M=M)
         assert len(M.calls) == res.iterations > 41
-        np.testing.assert_allclose(res.x, np.linalg.solve((H + N).toarray(), b), rtol=1e-8, atol=1e-10)
+        np.testing.assert_allclose(res.x, np.linalg.solve(dense(d, S, N), b), rtol=1e-8, atol=1e-10)
 
     def test_symmetric_system_takes_one_iteration(self):
         # N = 0: z_0 = H^-1 r_0 is the whole error
-        H, N, M, b = split_system(107, 30, skew=0.0)
+        d, S, N, M, b = split_system(107, 30, skew=0.0)
         M = counted(M)
-        res = solve_cgw(H.dot, N, b, tol=1e-12, M=M)
+        res = solve_cgw(d, S, N, b, tol=1e-12, M=M)
         assert res.iterations == len(M.calls) == 1
         assert res.residual <= 1e-12
 
     def test_indefinite_preconditioner_breaks_down(self):
         # M = -H^-1 gives z.r < 0 on the first iteration
-        H, N, M, b = split_system(109, 30)
+        d, S, N, M, b = split_system(109, 30)
         message = r"CGW broke down: z\.r = -\S+ <= 0, the preconditioner is not positive definite"
         with pytest.raises(SolverError, match=message) as err:
-            solve_cgw(H.dot, N, b, M=lambda v: -M(v))
+            solve_cgw(d, S, N, b, M=lambda v: -M(v))
         assert err.value.iterations == 0
 
     def test_applies_h_only_at_restarts(self):
         # the recurrence updates its residual with N z alone: one M call and
-        # one N product per iteration, and one H application and one N
-        # product per (re)start residual and for the returned one
-        H, N, M, b = split_system(113, 30, skew=3.0)
-        H_apply, N, M = counted(H.dot), CountedMatmul(N), counted(M)
-        res = solve_cgw(H_apply, N, b, tol=1e-10, M=M)
+        # one N product per iteration, and one S product (H = diag(d) + S)
+        # and one N product per (re)start residual and for the returned one
+        d, S, N, M, b = split_system(113, 30, skew=3.0)
+        S, N, M = CountedMatmul(S), CountedMatmul(N), counted(M)
+        res = solve_cgw(d, S, N, b, tol=1e-10, M=M)
         assert len(M.calls) == res.iterations > 1
-        assert len(H_apply.calls) == 2
-        assert N.calls == res.iterations + len(H_apply.calls)
+        assert S.calls == 2
+        assert N.calls == res.iterations + S.calls
 
     @pytest.mark.parametrize("tol", [1e-8, 1e-10, 1e-12])
     def test_inexact_inverse_is_caught_by_the_fresh_residual(self, tol):
         # M = (1 + 1e-6) H^-1 breaks H z = r, so the recurrence residual
         # drifts from the true one; the fresh residual sends the solve into
-        # another cycle, and what it returns is at tol
-        H, N, M, b = split_system(127, 30, skew=3.0)
-        H_apply = counted(H.dot)
-        res = solve_cgw(H_apply, N, b, tol=tol, M=lambda v: (1.0 + 1e-6) * M(v))
-        assert len(H_apply.calls) >= 3
-        np.testing.assert_array_equal(res.residual_vector, b - H @ res.x - N @ res.x)
+        # another cycle, and what it returns is at tol, with the products of
+        # the last recomputed residual
+        d, S, N, M, b = split_system(127, 30, skew=3.0)
+        S_counted = CountedMatmul(S)
+        res = solve_cgw(d, S_counted, N, b, tol=tol, M=lambda v: (1.0 + 1e-6) * M(v))
+        assert S_counted.calls >= 3
+        assert_products_of_residual(res, d, S, N, b)
         assert res.residual == np.linalg.norm(res.residual_vector) / np.linalg.norm(b) <= tol
 
 

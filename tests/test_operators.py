@@ -106,7 +106,7 @@ class TestDiffusion:
         ops = Operators(g)
         for S in ops.laplace_blocks:
             d = (S - S.T).tocoo()
-            assert (np.abs(d.data).max() if d.nnz else 0.0) <= 1e-13 * abs(S).max()
+            assert (np.abs(d.data).max() if d.nnz else 0.0) <= 1e-13 * abs(S.tocsr()).max()
 
     def test_quadratic_form_is_seminorm(self):
         # two independent code paths: sparse stiffness assembly versus the
@@ -490,13 +490,15 @@ def assert_same_arrays(actual, expected):
 def test_assembly_matches_sp_kron_bitwise(grid):
     # the triplet assembly gives the arrays of the scipy products it
     # replaced, bit for bit, on graded and coords grids with 1-cell axes; the
-    # flux maps read packed a, so they are the oracle's interior-face columns
+    # flux maps read packed a, so they are the oracle's interior-face columns,
+    # and the stiffness blocks are stored on their diagonals, so their CSR
+    # form is compared
     ops = Operators(grid)
     G, D, laplace, flux_maps = sp_kron_assembly(ops)
     assert_same_arrays(ops.G, G)
     assert_same_arrays(ops.D, D)
     for actual, expected in zip(ops.laplace_blocks, laplace, strict=True):
-        assert_same_arrays(actual, expected)
+        assert_same_arrays(actual.tocsr(), expected)
     cols = np.flatnonzero(np.concatenate([grid.interior_mask(j).ravel() for j in range(grid.dim)]))
     for actual, expected in zip(ops._flux_maps, flux_maps, strict=True):
         assert_same_arrays(actual, expected[:, cols])
@@ -555,6 +557,18 @@ def test_export_matrices(tmp_path):
     M = sp.coo_matrix((data[:, 2], (data[:, 0].astype(int), data[:, 1].astype(int))), shape=(rows, cols))
     d = (M.tocsr() - ops.G.tocsr()).tocoo()
     assert (np.abs(d.data).max() if d.nnz else 0.0) == 0.0
+    # the stiffness blocks are written from their diagonals: the lines are
+    # the entries of the sp.kron oracle in row-major order, and nothing else,
+    # here and on a graded 3D grid with a 1-cell axis
+    one_cell = MacGrid([graded_axis(0.0, 1.0, 4, 1.2), uniform_axis(0.0, 1.0, 1), graded_axis(0.0, 2.0, 3, 0.8)])
+    for grid_ops, out in ((ops, tmp_path), (Operators(one_cell), tmp_path / "one-cell")):
+        grid_ops.export_matrices(out)
+        for i, expected in enumerate(sp_kron_assembly(grid_ops)[2]):
+            lines = (out / f"diffusion_{i}.txt").read_text().splitlines()
+            assert lines[0] == f"# {expected.shape[0]} {expected.shape[1]} {expected.nnz}"
+            rows = np.repeat(np.arange(expected.shape[0]), np.diff(expected.indptr))
+            entries = zip(rows.tolist(), expected.indices.tolist(), expected.data.tolist())
+            assert lines[1:] == ["%d %d %.17g" % entry for entry in entries]
 
 
 def _foreign_field_calls():

@@ -195,7 +195,7 @@ def test_poisson_factors_build_the_poisson_matrix(grid):
     # the 1D factors the projector's separable solver inverts, against the
     # assembled G^T M_v G: same pattern, values to rounding
     ops = Operators(grid)
-    kron = _kron_sum(*ops.poisson_factors)
+    kron = _kron_sum(*ops.poisson_factors).tocsr()
     ref = _poisson_matrix(ops)
     for mat in (kron, ref):
         mat.sum_duplicates()

@@ -4,6 +4,7 @@
 #
 
 import functools
+import math
 import re
 import time
 
@@ -21,7 +22,7 @@ from macstag import projection as projection_module
 from macstag import scheme as scheme_module
 from macstag.operators import Operators
 from macstag.projection import REFINEMENT_SWEEPS, Projector
-from macstag.scheme import DIAGNOSTIC_COLUMNS, ProjectionScheme, SchemeError
+from macstag.scheme import DIAGNOSTIC_COLUMNS, ProjectionScheme, SchemeError, SchemeState
 from macstag.verify import random_pressure
 
 from conftest import random_nonuniform_grid
@@ -608,10 +609,14 @@ def test_separable_forcing_is_evaluated_once_per_grid(rng, monkeypatch):
 
 def test_prediction_pattern_is_built_once_per_grid(monkeypatch):
     # a step assembles nothing: it only writes values onto the fixed
-    # diagonals that the operators chose for each convection block
+    # diagonals that the operators chose for each convection block, the
+    # diagonals each stiffness block is stored on
     prob = mms_problem("vortex2d")
     scheme = ProjectionScheme(MacGrid([graded_axis(0.0, 1.0, 12, 1.05)] * 2))
     state = scheme.initialize(prob.initial)
+    for S, offsets in zip(scheme.ops.laplace_blocks, scheme.ops._dia_offsets, strict=True):
+        assert isinstance(S, sp.dia_matrix)
+        np.testing.assert_array_equal(S.offsets, offsets)
 
     counts = {"coo": 0, "csr": 0, "tocsr": 0, "todia": 0, "diags": 0}
 
@@ -631,24 +636,22 @@ def test_prediction_pattern_is_built_once_per_grid(monkeypatch):
             monkeypatch.setattr(cls, conversion, counted(conversion, getattr(cls, conversion)))
     monkeypatch.setattr(sp, "diags", counted("diags", sp.diags))
 
-    matrices, stats = [], []
+    matrices = []
     solve = scheme_module.solve_cgw
     prediction = scheme.prediction
 
-    def spy_solve(H, N, b, **kwargs):
+    def spy_solve(d, S, N, b, **kwargs):
         matrices[-1].append(N)
-        return solve(H, N, b, **kwargs)
+        return solve(d, S, N, b, **kwargs)
 
     def spy_prediction(*args):
         matrices.append([])
-        out = prediction(*args)
-        stats.append(out[1])
-        return out
+        return prediction(*args)
 
     monkeypatch.setattr(scheme_module, "solve_cgw", spy_solve)
     monkeypatch.setattr(scheme, "prediction", spy_prediction)
     state, _ = scheme.step(state, prob.forcing, 1.0 / 32)
-    first = [C.data.copy() for C in stats[0].convection]
+    first = [C.data.copy() for C in matrices[0]]
     for _ in range(2):
         state, _ = scheme.step(state, prob.forcing, 1.0 / 32)
     assert counts == {"coo": 0, "csr": 0, "tocsr": 0, "todia": 0, "diags": 0}
@@ -657,6 +660,81 @@ def test_prediction_pattern_is_built_once_per_grid(monkeypatch):
             assert isinstance(N, sp.dia_matrix)
             np.testing.assert_array_equal(N.offsets, offsets)
     # each step's values are its own
-    for C, values in zip(stats[0].convection, first):
+    for C, values in zip(matrices[0], first):
         np.testing.assert_array_equal(C.data, values)
-    assert not np.array_equal(stats[0].convection[0].data, stats[1].convection[0].data)
+    assert not np.array_equal(matrices[0][0].data, matrices[1][0].data)
+
+
+SHARING_GRIDS = {
+    "graded-2d": ("vortex2d", [graded_axis(0.0, 1.0, 12, 1.05)] * 2),
+    "graded-3d": ("vortex3d", [graded_axis(0.0, 1.0, 6, 1.05)] * 3),
+    "one-cell-axis": ("vortex3d", [graded_axis(0.0, 1.0, 6, 1.05), uniform_axis(0.0, 1.0, 1),
+                                   graded_axis(0.0, 1.0, 5, 0.9)]),
+}
+
+
+@pytest.mark.parametrize("name", SHARING_GRIDS)
+def test_step_reuses_the_prediction_products(monkeypatch, name):
+    # the energy terms and the momentum check take S_i utilde and
+    # C_i(u^n) utilde from the prediction solver: a step makes no S_i or C_i
+    # matvec outside the solves, and what it reuses equals fresh products
+    problem, axes = SHARING_GRIDS[name]
+    prob = mms_problem(problem)
+    scheme = ProjectionScheme(MacGrid(axes))
+    ops, dt = scheme.ops, 1.0 / 32
+    state, _ = scheme.step(scheme.initialize(prob.initial), prob.forcing, dt)  # level 1: the momentum check runs
+    assert all(isinstance(S, sp.dia_matrix) for S in ops.laplace_blocks)
+
+    calls, solves, inside = [], [], []  # calls: (matrix, inside a solve) per DIA matvec
+    matvec = sp.dia_matrix._matmul_vector
+
+    def spy_matvec(self, other):
+        calls.append((self, bool(inside)))
+        return matvec(self, other)
+
+    solve = scheme_module.solve_cgw
+
+    def spy_solve(d, S, N, b, **kwargs):
+        assert isinstance(N, sp.dia_matrix)
+        inside.append(True)
+        out = solve(d, S, N, b, **kwargs)
+        inside.pop()
+        solves.append((S, N, out))
+        return out
+
+    monkeypatch.setattr(sp.dia_matrix, "_matmul_vector", spy_matvec)
+    monkeypatch.setattr(scheme_module, "solve_cgw", spy_solve)
+    new_state, diag = scheme.step(state, prob.forcing, dt)
+    monkeypatch.undo()
+    assert calls and [matrix for matrix, solving in calls if not solving] == []
+    assert len(solves) == ops.grid.dim
+
+    ut = new_state.u_tilde_prev
+    for i, (S, C, out) in enumerate(solves):
+        assert S is ops.laplace_blocks[i]
+        np.testing.assert_array_equal(out.x, ops.block(ut, i))
+        np.testing.assert_array_equal(out.Sx, S @ out.x)
+        np.testing.assert_array_equal(out.Nx, C @ out.x)
+    # the diagnostics are those of fresh products
+    lap_ut = np.concatenate([S @ ops.block(ut, i) for i, S in enumerate(ops.laplace_blocks)])
+    assert diag.dissipation == float(ut @ lap_ut)
+    f = ops.pack(scheme._forcing_field(prob.forcing, state.t + 0.5 * dt))
+    t2 = np.concatenate([(C @ ops.block(ut, i)) / ops.mass_blocks[i] for i, (_, C, _) in enumerate(solves)])
+    t3 = 2.0 * state.gp - 1.0 * state.gp_prev  # (1 + r) G p^n - r G p^{n-1} at equal steps, r = 1
+    res = (ut - state.u_tilde_prev) / dt + t2 + t3 + lap_ut / ops.mass_velocity - f
+    assert diag.momentum_residual == math.sqrt(max(ops.inner(res, res), 0.0))
+
+
+def test_energy_terms_carried_on_the_state_equal_recomputed_ones(vortex):
+    # a step carries ||u^{n+1}||^2 / 2 and ||G p^{n+1}|| to the next one; a
+    # state without them (built by hand) gets them computed, to the same bits
+    scheme = ProjectionScheme(MacGrid([graded_axis(0.0, 1.0, 10, 1.05)] * 2))
+    state = scheme.initialize(vortex.initial)
+    assert state.energy is None and state.gp_norm is None
+    state, first = scheme.step(state, vortex.forcing, 1.0 / 32)
+    assert (state.energy, state.gp_norm) == (first.kinetic_energy, first.grad_p_norm)
+    bare = SchemeState(state.n, state.t, state.u, state.p, state.gp, state.dt, state.u_tilde_prev,
+                       state.u_tilde_prev2, state.gp_prev)
+    carried, recomputed = scheme.step(state, vortex.forcing, 1.0 / 32), scheme.step(bare, vortex.forcing, 1.0 / 32)
+    assert carried[1] == recomputed[1]
+    assert (carried[0].energy, carried[0].gp_norm) == (recomputed[0].energy, recomputed[0].gp_norm)
