@@ -10,6 +10,10 @@ Each transform (x)W_a is one BLAS matrix product per axis on the contiguous
 array: the first axis multiplies from the left, the last from the right, and
 only a middle axis in 3D needs a stacked matmul, so no axis is ever moved.
 The reciprocal spectrum 1/(shift + sum_a L_a) is kept for the last shift.
+When every chain is Neumann (zero end rows) the operator at shift 0 is
+singular on the constants, and the solver applies its pseudo-inverse: the
+all-constant mode is dropped, which leaves the result with zero
+mass-weighted mean.
 
 The convection block of a prediction system is skew when the advecting field
 is divergence free. For H + N, H symmetric positive definite and N skew,
@@ -120,11 +124,14 @@ class SeparableSolver:
     eigenpairs of each axis are computed once, here, and so are the sizes
     the transforms reshape to: explicit ones (math.prod) rather than -1,
     because an axis of 0 cells makes a 0-size block whose other extent -1
-    cannot infer.
+    cannot infer. When every chain is Neumann and non-empty, solve at
+    shift 0 drops the all-constant mode: the pseudo-inverse.
     """
 
     def __init__(self, stiffness, mass):
         self.shape = shape = tuple(b.size for b in mass)
+        # the zero end-row test of _modes; a 0-size chain has no rows, and its operator no modes
+        self._singular = all(K.size > 0 and not (K[0].sum() or K[-1].sum()) for K in stiffness)
         self._plan = []  # per axis: its modes, its length, the sizes of the axes before and after it
         lam = 0.0
         for a, (K, B) in enumerate(zip(stiffness, mass)):
@@ -133,7 +140,7 @@ class SeparableSolver:
             self._plan.append((vecs, shape[a], math.prod(shape[:a]), math.prod(shape[a + 1 :])))
             lam = np.add.outer(lam, vals) if a else vals
         self._eigenvalues = lam
-        self._reciprocal = None  # (shift, drop_constant, 1 / (shift + eigenvalues))
+        self._reciprocal = None  # (shift, 1 / (shift + eigenvalues))
 
     def _transform(self, x, transpose):
         """(x)_a W_a x for W_a = V_a^T (transpose) or V_a; x may have any shape of the solver's size."""
@@ -148,21 +155,16 @@ class SeparableSolver:
                 x = np.matmul(W, x.reshape(before, n, after))
         return x
 
-    def solve(self, b, shift=0.0, drop_constant=False):
-        """Apply the inverse to b.
-
-        drop_constant applies the pseudo-inverse of a singular all-Neumann
-        operator instead: the all-constant mode is dropped, which leaves the
-        result with zero mass-weighted mean.
-        """
+    def solve(self, b, shift=0.0):
+        """Apply the inverse to b, or the pseudo-inverse where the operator is singular."""
         cached = self._reciprocal
-        if cached is None or cached[0] != shift or cached[1] != drop_constant:
+        if cached is None or cached[0] != shift:
             denom = shift + self._eigenvalues
-            if drop_constant:
+            if self._singular and shift == 0:
                 denom[(0,) * len(self.shape)] = np.inf
-            cached = self._reciprocal = (shift, drop_constant, 1.0 / denom)
+            cached = self._reciprocal = (shift, 1.0 / denom)
         y = self._transform(b, True)
-        y *= cached[2].reshape(y.shape)
+        y *= cached[1].reshape(y.shape)
         return self._transform(y, False).ravel()
 
 

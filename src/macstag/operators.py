@@ -212,6 +212,10 @@ class Operators:
         """Mass-weighted inner product of two packed vectors (velocity_inner on fields)."""
         return float(a * b @ self.mass_velocity)
 
+    def norm(self, v: np.ndarray) -> float:
+        """Mass-weighted norm of a packed vector, sqrt(inner(v, v))."""
+        return math.sqrt(self.inner(v, v))
+
     def seminorm_sq(self, vec: np.ndarray) -> float:
         """Squared W^{1,2} seminorm sum_i v_i . S_i v_i of a packed vector (w1q_norm(., 2)**2 on fields)."""
         return float(sum(self.block(vec, i) @ (S @ self.block(vec, i)) for i, S in enumerate(self.laplace_blocks)))

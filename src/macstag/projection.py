@@ -10,8 +10,9 @@ On a tensor-product grid G^T M_v G = sum_a K_a (x) (x)_{b != a} H_b, a
 Kronecker sum of the 1D Neumann stiffness matrices K_a with the diagonal
 cell-width matrices H_b (Operators.poisson_factors), so
 linalg.SeparableSolver inverts it exactly by fast diagonalization. Its
-pseudo-inverse drops the all-constant mode, which leaves the result with
-zero volume mean.
+chains are all Neumann, so the solver sees the operator is singular and
+applies the pseudo-inverse: the all-constant mode is dropped, which leaves
+the result with zero volume mean.
 
 decompose works on the unknowns themselves: w and v are packed interior-face
 vectors (Operators.pack) and psi is the flat cell vector. It is iterative
@@ -54,7 +55,7 @@ class Projector:
     """Helmholtz decomposition bound to one assembled operator set.
 
     The pressure Poisson solve is exact: separable transform solves, one per
-    velocity-level pass.
+    velocity-level pass; the solver applies the pseudo-inverse by itself.
     """
 
     def __init__(self, ops: Operators):
@@ -75,7 +76,7 @@ class Projector:
         b = self._Gt @ (ops.mass_velocity * v)
         bnorm = float(np.linalg.norm(b)) or 1.0
         for _ in range(1 + REFINEMENT_SWEEPS):
-            phi = self._separable.solve(b, drop_constant=True)
+            phi = self._separable.solve(b)
             v -= ops.G @ phi
             psi += phi
             b = self._Gt @ (ops.mass_velocity * v)
@@ -90,7 +91,7 @@ class Projector:
         """
         ops = self.ops
         b = self._Gt @ (ops.mass_velocity * w)
-        x = self._separable.solve(b, drop_constant=True)
+        x = self._separable.solve(b)
         r = self._Gt @ (ops.mass_velocity * (w - ops.G @ x))
         return float(np.linalg.norm(r)) / (float(np.linalg.norm(b)) or 1.0)
 
@@ -104,8 +105,7 @@ class Projector:
         Equals sup <w, v> / ||v|| over discretely divergence-free v, and is
         zero exactly on discrete gradients.
         """
-        v = self.decompose(self.ops.pack(w))[0]
-        return math.sqrt(max(self.ops.inner(v, v), 0.0))
+        return self.ops.norm(self.decompose(self.ops.pack(w))[0])
 
 
 def dense_divfree_basis(ops: Operators) -> np.ndarray:

@@ -135,9 +135,9 @@ class SchemeState:
     u_tilde_prev, read only by the prediction's initial guess, and gp,
     gp_prev are the gradients G p^n and G p^{n-1} of the prediction, the
     energy terms and the momentum check. energy and gp_norm are
-    ||u^n||^2 / 2 and ||G p^n|| as the step that made level n computed
-    them; the next step's energy terms read them, and compute them from u
-    and gp where they are None (level 0, or a state built by hand).
+    ||u^n||^2 / 2 and ||G p^n||, which the next step's energy terms read:
+    initialize computes them for level 0 (gp_norm is 0.0 there), and each
+    step for the level it makes.
     """
 
     n: int
@@ -145,12 +145,12 @@ class SchemeState:
     u: np.ndarray
     p: PressureField
     gp: np.ndarray
+    energy: float
+    gp_norm: float
     dt: float = 0.0
     u_tilde_prev: np.ndarray | None = None
     u_tilde_prev2: np.ndarray | None = None
     gp_prev: np.ndarray | None = None
-    energy: float | None = None
-    gp_norm: float | None = None
 
 
 @dataclass
@@ -236,7 +236,8 @@ class ProjectionScheme:
         w = self.ops.pack(u0, "initial field")  # interior faces only: the boundary values are dropped
         _require_finite(w, 0, "initialize", "initial data")
         u = self.projector.decompose(w)[0]
-        return SchemeState(n=0, t=0.0, u=u, p=PressureField(g), gp=np.zeros(self.ops.n_velocity))
+        return SchemeState(n=0, t=0.0, u=u, p=PressureField(g), gp=np.zeros(self.ops.n_velocity),
+                           energy=0.5 * self.ops.inner(u, u), gp_norm=0.0)
 
     # -- one step ------------------------------------------------------------
 
@@ -328,13 +329,10 @@ class ProjectionScheme:
         # S_i utilde as the solver formed it for its last residual, shared with the momentum check
         lap_ut = np.concatenate([out.Sx for out in pstats.per_direction])
         dissipation = float(ut @ lap_ut)
-        u = state.u
-        e_new = 0.5 * ops.inner(u_new, u_new)
-        e_old = 0.5 * ops.inner(u, u) if state.energy is None else state.energy
+        e_new, e_old = 0.5 * ops.inner(u_new, u_new), state.energy
         gp_vec = ops.G @ p_new.data.ravel()
-        gp_new = self._l2(gp_vec)
-        gp_old = self._l2(state.gp) if state.gp_norm is None else state.gp_norm
-        coupling = self._l2(ut - u)
+        gp_new, gp_old = ops.norm(gp_vec), state.gp_norm
+        coupling = ops.norm(ut - state.u)
         work = ops.inner(f, ut)
 
         terms = (
@@ -389,10 +387,6 @@ class ProjectionScheme:
         )
         return new_state, diag
 
-    def _l2(self, v):
-        """The mass-weighted norm of a packed vector, 0 where roundoff makes its square negative."""
-        return math.sqrt(max(self.ops.inner(v, v), 0.0))
-
     def _momentum_check(self, state, ut, lap_ut, f, dt, pstats, diag):
         """Combined momentum identity across the previous correction, n >= 1.
 
@@ -409,10 +403,10 @@ class ProjectionScheme:
         t3 = (1.0 + r) * state.gp - r * state.gp_prev
         t4 = lap_ut / ops.mass_velocity
         res = t1 + t2 + t3 + t4 - f
-        l2 = self._l2
+        norm = ops.norm
 
-        diag.momentum_residual = l2(res)
-        diag.momentum_scale = max(l2(t1), l2(t2), l2(t3), l2(t4), l2(f))
+        diag.momentum_residual = norm(res)
+        diag.momentum_scale = max(norm(t1), norm(t2), norm(t3), norm(t4), norm(f))
         bound = 10.0 * pstats.residual_l2 + 1e-10 * max(diag.momentum_scale, 1e-30)
         if diag.momentum_residual > bound:
             raise SchemeError(

@@ -102,7 +102,12 @@ class PropertyReport:
 
 
 def property_suite(grid: MacGrid, *, seed=0, pairs=20, tol=1e-12) -> PropertyReport:
-    """Randomized structural checks of the assembled operators on one grid."""
+    """Randomized structural checks of the assembled operators on one grid.
+
+    pairs is the number of random draws per check; it must be a whole number
+    >= 1, or ValueError names it, since a check with no draws passes untested.
+    """
+    pairs = _whole("pairs", pairs)
     rng = np.random.default_rng(seed)
     ops = Operators(grid)
     proj = Projector(ops)
@@ -320,7 +325,7 @@ def convergence_study(problem, levels, t_final, *, quad_order=3, **scheme_kw) ->
             if state.n < steps:
                 l2l2_sq += dt * ops.inner(err, err)
             else:
-                err_final = math.sqrt(ops.inner(err, err))
+                err_final = ops.norm(err)
             if diag is not None:
                 h1_sq += dt * ops.seminorm_sq(state.u_tilde_prev - exact)
                 coupling_sq += dt * diag.coupling_norm**2
@@ -344,18 +349,9 @@ def convergence_study(problem, levels, t_final, *, quad_order=3, **scheme_kw) ->
 def coupling_study(problem, grid: MacGrid, steps_list, t_final, **scheme_kw):
     """Coupling norm ||u_N - utilde_N||_{L2 L2} on one grid for several step counts.
 
-    Returns (steps, coupling) pairs; the scheme's dt-coupling makes successive
+    Returns (steps, coupling) pairs: the coupling column of convergence_study
+    on the levels (grid, steps). The scheme's dt-coupling makes successive
     values shrink roughly linearly when the step count doubles.
     """
-    if isinstance(problem, str):
-        problem = mms_problem(problem)
-    rows = []
-    scheme = ProjectionScheme(grid, **scheme_kw)
-    for steps in steps_list:
-        dt = scheme.time_step(t_final, steps)
-        coupling_sq = 0.0
-        for _, diag in scheme.iterate(problem.initial, problem.forcing, t_final, steps):
-            if diag is not None:
-                coupling_sq += dt * diag.coupling_norm**2
-        rows.append((int(steps), math.sqrt(coupling_sq)))
-    return rows
+    report = convergence_study(problem, [(grid, steps) for steps in steps_list], t_final, **scheme_kw)
+    return [(int(steps), lv.coupling) for steps, lv in zip(steps_list, report.levels)]

@@ -231,22 +231,39 @@ def dense_pseudo_inverse_solve(stiffness, mass, b):
 
 
 def test_separable_solver_drops_constant_mode():
+    # the solver finds its null mode: at shift 0 it applies the
+    # pseudo-inverse when every chain is Neumann, 1-cell ones included, and
+    # the inverse when a chain has a wall (a nonzero end row), of several
+    # cells or of one
     rng = np.random.default_rng(97)
-    for sizes in [(5, 4), (3, 4, 2)]:
+    for sizes, walls in [((5, 4), ()), ((3, 4, 2), ()), ((1, 6), ()), ((4, 1, 3), ()),
+                         ((3, 5), (4,)), ((3, 5), (1,)), ((6,), (1, 4))]:
         stiffness, mass = neumann_factors(rng, sizes)
+        stiffness += [tridiagonal(rng.uniform(0.5, 2.0, m + 1)) for m in walls]
+        mass += [rng.uniform(0.1, 1.0, m) for m in walls]
         solver = SeparableSolver(stiffness, mass)
         A = kronecker_operator(stiffness, mass, 0.0)
         b = rng.standard_normal(A.shape[0])
-        b -= b.mean()
-        x = solver.solve(b, drop_constant=True)
+        if not walls:
+            b -= b.mean()
+        x = solver.solve(b)
         assert np.linalg.norm(A @ x - b) <= 1e-12 * np.linalg.norm(b)
-        weights = reduce(np.multiply, np.ix_(*mass)).ravel()
-        assert abs(weights @ x) <= 1e-12 * np.linalg.norm(x)
+        if not walls:
+            weights = reduce(np.multiply, np.ix_(*mass)).ravel()
+            assert abs(weights @ x) <= 1e-12 * np.linalg.norm(x)
+    # momentum block 0 on a 1-cell axis has a 0x0 chain: the solver builds
+    # without indexing it and maps the empty vector to itself
+    factors = Operators(MacGrid([[0.0, 1.0], [0.0, 0.25, 0.5, 1.0]])).laplace_factors[0]
+    assert factors[0][0].shape == (0, 0)
+    solver = SeparableSolver(*factors)
+    for shift in (0.0, 2.0):
+        assert solver.solve(np.zeros(0), shift).shape == (0,)
 
 
 def test_separable_solver_reciprocal_follows_shift():
     # one instance, the spectrum's reciprocal kept between calls: every
-    # change of shift or of drop_constant must be seen
+    # change of shift must be seen, to 0 (where the constant mode is
+    # dropped) and back
     rng = np.random.default_rng(163)
     stiffness, mass = neumann_factors(rng, (4, 3, 5))
     solver = SeparableSolver(stiffness, mass)
@@ -257,8 +274,10 @@ def test_separable_solver_reciprocal_follows_shift():
         assert np.linalg.norm(x - expect) <= 1e-12 * np.linalg.norm(expect)
     b -= b.mean()
     expect = dense_pseudo_inverse_solve(stiffness, mass, b)
-    x = solver.solve(b, drop_constant=True)
+    x = solver.solve(b)
     assert np.linalg.norm(x - expect) <= 1e-12 * np.linalg.norm(expect)
+    expect = np.linalg.solve(kronecker_operator(stiffness, mass, 3.0), b)
+    assert np.linalg.norm(solver.solve(b, 3.0) - expect) <= 1e-12 * np.linalg.norm(expect)
 
 
 # Strongly graded grids: h_max/h_min reaches 4.9e2, 1.8e5 and 2.5e5. The
@@ -295,7 +314,7 @@ def test_poisson_pseudo_inverse_accuracy_on_strong_grading(graded_operators):
     solver = SeparableSolver(*ops.poisson_factors)
     w = np.random.default_rng(173).standard_normal(ops.n_velocity)
     b = ops.G.T @ (ops.mass_velocity * w)
-    x = solver.solve(b, drop_constant=True)
+    x = solver.solve(b)
     residual = np.linalg.norm(ops.G.T @ (ops.mass_velocity * (ops.G @ x)) - b) / np.linalg.norm(b)
     assert residual <= GRADED_FDM_RESIDUAL
 

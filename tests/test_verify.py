@@ -49,6 +49,14 @@ def test_property_suite_summary_format():
     assert "convection skew-symmetry" in names
 
 
+@pytest.mark.parametrize("pairs", [0, -1, 2.5])
+def test_property_suite_rejects_pairs_below_one_or_fractional(pairs):
+    # with no draws every check would report worst residual 0 and pass untested
+    g = uniform_grid((0.0, 0.0), (1.0, 1.0), (4, 4))
+    with pytest.raises(ValueError, match="pairs"):
+        property_suite(g, pairs=pairs)
+
+
 @pytest.mark.parametrize(
     "shape",
     [
@@ -261,6 +269,8 @@ class TestStudies:
         rows = coupling_study(prob, g, [4, 8], 0.1)
         assert [n for n, _ in rows] == [4, 8]
         assert rows[1][1] < rows[0][1]
+        # the coupling column of the per-level convergence study, bit for bit
+        assert rows == [(n, convergence_study(prob, [(g, n)], 0.1).levels[0].coupling) for n in (4, 8)]
 
     def test_study_sums_match_stored_run(self, rng):
         # the sums the studies take level by level equal, bit for bit, the
