@@ -33,9 +33,9 @@ Operators.laplace_factors holds those (K_a, B_a) per block, once: they build
 S_i here, and the exact separable inverse of M_i/dt + S_i in the scheme.
 Operators.poisson_factors holds the Neumann chains over the cells (masses
 h_a) whose Kronecker sum is the pressure Poisson matrix G^T M_v G. _kron
-builds G, D and the convection maps from their 1D factors' nonzeros: one CSR
-construction per operator. _kron_sum writes a Kronecker sum straight onto
-its diagonals (below): S_i is a dia_matrix on the offsets that C_i uses.
+builds G and D from their 1D factors' nonzeros: one CSR construction per
+operator. _kron_sum writes a Kronecker sum straight onto its diagonals
+(below): S_i is a dia_matrix on the offsets that C_i uses.
 
 With cell volumes M_p and dual volumes M_v as weights, M_v G = -(M_p D)^T
 holds entrywise, which is the discrete duality the projection step relies
@@ -49,25 +49,29 @@ diagonals (DIA storage, Saad 2003, section 3.4), at the offsets 0 and
 +-stride_j of its interior-face shape, an axis with one entry dropped. S_i
 couples the same neighbours and is stored on the same offsets: band a of
 K_a, times the masses of the other axes, fills the slots 0 and +-stride_a,
-and the slots of a band that wrap across axis a hold zero. The operators
-build, once, a flux map Phi_i from the packed a (its interior faces; the
-boundary faces are zero) to the dual-face fluxes: per axis j, one Kronecker
-product on block j of a, at the columns from offsets[j]. With E_i the
-n_i x (n_i + 1) difference of the faces along axis i, it has |E_i|/2 without its two
-boundary columns (the mean of the two faces of a cell) on axis i if j == i,
-else |E_i|^T diag(h_i)/2 (the half cells beside a face) on axis i and the
-identity on the n_j - 1 interior faces of axis j; diag(h_a) on every other
-axis. A +-1/2 incidence scatters the fluxes onto the diagonals: entry (r, c)
-goes to row k * size + c, k the index of c - r among the ascending offsets.
-Per flux axis j and offset it is one Kronecker product: on axis j, Delta_i/2
-(j == i) or -Delta_j^T/2 for offset 0 and +-1/2 shifted identities for
-+-stride_j (none across a wall); on axis i if j != i, eye(n_i - 1, n_i + 1,
-k=1), which picks the interior faces; identities elsewhere. convection_blocks(a)
-is then two sparse matvecs per direction that fill the data of a dia_matrix.
-Its matvec, like that of S_i, adds the diagonals in ascending offset order,
-the sorted-column order of CSR, so it gives the same bits as the CSR form of
-the block. pack and unpack address the interior faces of direction i as the
-slab [1:-1] along axis i.
+and the slots of a band that wrap across axis a hold zero.
+
+convection_blocks(a) writes those diagonals by slab arithmetic on views of
+the packed a, whose wall faces are zero. With both factors 1/2 (the mean of
+two primal-face fluxes, and the half sum of the two velocities) folded into
+grid-only weights, 1/4 times products of cell widths, the flux axes go:
+
+    axis i     on the cells along i, F = c a_i[left face] + c a_i[right
+               face], a wall face adding nothing; then diag -= F[:-1],
+               diag += F[1:], slot +stride_i takes F[q] for q >= 1 and slot
+               -stride_i takes -F[q + 1] for q <= n_i - 3
+    axis j     (ascending, n_j > 1) on the dual faces across j, F = c_L
+               a_j[:-1 along i] + c_R a_j[1: along i]; then diag[1: along j]
+               -= F, diag[:-1 along j] += F, slot +stride_j [1:] = F and
+               slot -stride_j [:-1] = -F
+
+That order, axis i, the others ascending, the minus side before the plus
+side, is the column order of the block's CSR row, so the diagonal sums the
+same terms in the same order and gives its bits. Its matvec, like that of
+S_i, adds the diagonals in ascending offset order, the sorted-column order
+of CSR, so it gives the same bits as the CSR form of the block. pack and
+unpack address the interior faces of direction i as the slab [1:-1] along
+axis i.
 """
 
 from __future__ import annotations
@@ -87,7 +91,7 @@ __all__ = ["Operators"]
 
 
 def _kron(blocks, shape):
-    """One CSR matrix from blocks (factors, row, col): Kronecker products placed at (row, col).
+    """G or D, one CSR matrix from blocks (factors, row, col): Kronecker products placed at (row, col).
 
     A factor is a dense matrix or a 1D array for its diagonal, axis 0 outermost. Their
     nonzeros multiply in numpy from axis 0 on, as in reduce(sp.kron); shared entries add.
@@ -115,6 +119,11 @@ def _dia_offsets(shape):
     """The diagonals of a stencil on neighbours along each axis: 0 and +-stride_a for every axis longer than 1."""
     strides = [math.prod(shape[a + 1 :]) for a, n in enumerate(shape) if n > 1]
     return np.array(sorted({0, *strides, *(-s for s in strides)}))
+
+
+def _along(axis, s, dim):
+    """The index tuple that takes slice s along one axis and everything along the others."""
+    return tuple(s if a == axis else slice(None) for a in range(dim))
 
 
 def _kron_sum(stiffness, mass):
@@ -153,8 +162,11 @@ class Operators:
         self.n_cells = int(np.prod(grid.shape))
         self.cell_vol = grid.cell_volumes.ravel()
 
-        # the interior faces of direction i: every face but the two wall slabs along axis i
-        self._slabs = [tuple(slice(1, -1) if a == i else slice(None) for a in range(d)) for i in range(d)]
+        # per axis: the slabs [:-1], [1:] and [1:-1] along it; the interior faces of direction i are
+        # every face but the two wall slabs along axis i, its slab [1:-1]
+        self._cuts = [[_along(a, s, d) for s in (slice(None, -1), slice(1, None), slice(1, -1))] for a in range(d)]
+        self._slabs = [mid for _, _, mid in self._cuts]
+        self._block_shapes = [tuple(n - (a == i) for a, n in enumerate(grid.shape)) for i in range(d)]
         self.mass_blocks = [grid.dual_volumes(i)[slab].flatten() for i, slab in enumerate(self._slabs)]
         self.block_sizes = [m.size for m in self.mass_blocks]
         self.offsets = np.concatenate([[0], np.cumsum(self.block_sizes)])
@@ -176,8 +188,9 @@ class Operators:
         neumann = [np.concatenate([[0.0], 1.0 / dw[1:-1], [0.0]]) for dw in grid.dual_w]
         self.poisson_factors = ([tridiagonal(c) for c in neumann], grid.h)
 
-        maps = [self._convection_map(i) for i in range(d)]
-        self._flux_maps, self._incidences, self._dia_offsets = ([m[k] for m in maps] for k in range(3))
+        # per block i: the diagonals C_i is stored on, which S_i shares, and its flux axes
+        self.dia_offsets = [_dia_offsets(shape) for shape in self._block_shapes]
+        self._convection = [self._convection_plan(i) for i in range(d)]
 
     # -- vector packing ----------------------------------------------------
 
@@ -226,44 +239,30 @@ class Operators:
         """Factors of mat on axis i, identities on the others: a map between cells and direction-i faces."""
         return [mat if a == i else np.ones(n) for a, n in enumerate(self.grid.shape)]
 
-    def _convection_map(self, i):
-        """The map a -> C_i(a) on the diagonals of block i: flux map, incidence, offsets.
+    def _convection_plan(self, i):
+        """The flux axes j of block i, as (j, weights, stride_j, or 0 where no +-stride_j slot is written).
 
-        The flux map Phi_i is followed by a +-1/2 incidence onto the DIA
-        slots, a Kronecker product per flux axis j and offset: +F/2 on the
-        minus row and -F/2 on the plus row, both columns, none on a wall face.
+        The weights are grid-only: on axis i, a cell's weight is 1/4 of its
+        widths across i; across j, a dual face takes (c_L, c_R), 1/4 of the
+        widths of the cells left and right of it along i, none along j. Both
+        factors 1/2, of the mean of two primal-face fluxes and of the half
+        sum of two velocities, are folded in: scaling by 1/4 is exact.
         """
-        g = self.grid
-        size = self.block_sizes[i]
-        shape = [n - (a == i) for a, n in enumerate(g.shape)]  # interior faces of direction i
-        strides = {j: math.prod(shape[j + 1 :]) for j in range(g.dim) if shape[j] > 1}
-        offsets = _dia_offsets(shape)
-        slot = {offset: k * size for k, offset in enumerate(offsets)}
-        mean = 0.5 * abs(_difference(g.shape[i] + 1))
+        h, d, shape = self.grid.h, self.grid.dim, self._block_shapes[i]
 
-        fluxes, stencil = [], []
-        n_flux = 0
+        def quarter(factors):
+            return 0.25 * reduce(np.multiply.outer, factors)
+
+        def stride(j):
+            return math.prod(shape[j + 1 :]) if shape[j] > 1 else 0
+
+        ones = np.ones(1)
+        plan = [(i, quarter([ones if a == i else h[a] for a in range(d)]), stride(i))]
         # axes j with one cell have only wall planes across j, which carry no flux
-        for j in [i] + [j for j in range(g.dim) if j != i and g.shape[j] > 1]:
-            n = g.shape[j]
-            phi, incidence = list(g.h), [np.ones(s) for s in shape]
-            # the axis-j factors map dual face q to faces q (minus) and q + 1 (plus) of block i
-            if j == i:
-                phi[i] = mean[:, 1:-1]
-                centre, plus, minus = 0.5 * _difference(n), np.eye(n - 1, n), np.eye(n - 1, n, k=1)
-                plus[:1] = minus[-1:] = 0.0  # the other face of the pair is on a wall
-            else:
-                phi[i] = mean.T * g.h[i]
-                phi[j] = np.ones(n - 1)
-                incidence[i] = np.eye(shape[i], g.shape[i] + 1, k=1)  # the interior faces among all
-                centre, plus, minus = -0.5 * _difference(n).T, np.eye(n, n - 1, k=-1), np.eye(n, n - 1)
-            fluxes.append((phi, n_flux, self.offsets[j]))  # after earlier axes' fluxes
-            terms = [(0, centre)]
-            if j in strides:  # else every pair along j has a boundary face
-                terms += [(strides[j], 0.5 * plus), (-strides[j], -0.5 * minus)]
-            stencil += [(incidence[:j] + [F] + incidence[j + 1 :], slot[offset], n_flux) for offset, F in terms]
-            n_flux += math.prod(map(len, phi))
-        return _kron(fluxes, (n_flux, self.n_velocity)), _kron(stencil, (offsets.size * size, n_flux)), offsets
+        for j in (j for j in range(d) if j != i and shape[j] > 1):
+            cells = [[ones if a == j else w if a == i else h[a] for a in range(d)] for w in (h[i][:-1], h[i][1:])]
+            plan.append((j, [quarter(factors) for factors in cells], stride(j)))
+        return plan
 
     def convection_blocks(self, a: np.ndarray):
         """Per-direction weak convection matrices C_i(a), each on its fixed diagonals.
@@ -271,15 +270,39 @@ class Operators:
         a is a packed vector. Row sigma of block i applies sum over the dual
         faces of sigma of F_eps * (w_sigma + w_sigma')/2 with outward
         orientation; F_eps is the mean of the two primal-face fluxes of a
-        adjacent to the dual face, with zero boundary faces. The values are
-        two sparse matvecs on a, written straight into the data array of a
-        dia_matrix on the offsets of _convection_map.
+        adjacent to the dual face, with zero boundary faces. Each call writes
+        a fresh data array by slab arithmetic on views of a (see the module
+        docstring), flux axis i first, then the others ascending, the minus
+        side before the plus side: the column order of a CSR row, so every
+        diagonal entry is summed in the order, and to the bits, of the CSR
+        form of the block.
         """
-        maps = zip(self.block_sizes, self._flux_maps, self._incidences, self._dia_offsets)
-        return [
-            sp.dia_matrix(((incidence @ (phi @ a)).reshape(offsets.size, size), offsets), shape=(size, size))
-            for size, phi, incidence, offsets in maps
-        ]
+        blocks = []
+        for i, (shape, offsets, plan) in enumerate(zip(self._block_shapes, self.dia_offsets, self._convection)):
+            data = np.zeros((offsets.size, self.block_sizes[i]))
+            slots = dict(zip(offsets.tolist(), data.reshape(offsets.size, *shape)))
+            diag = slots[0]
+            for j, weights, stride in plan:
+                lo, hi, mid = self._cuts[j]
+                aj = self.block(a, j).reshape(self._block_shapes[j])
+                if j == i:
+                    # the cells along i: the left face's flux, then the right one's; a wall face adds nothing
+                    F, flux = np.zeros(self.grid.shape), weights * aj
+                    F[hi] += flux
+                    F[lo] += flux
+                    diag -= F[lo]
+                    diag += F[hi]
+                    F = F[mid]  # the cells between two interior faces
+                else:
+                    # the dual faces across j: the halves of the cells left and right along i
+                    F = weights[0] * aj[self._cuts[i][0]] + weights[1] * aj[self._cuts[i][1]]
+                    diag[hi] -= F
+                    diag[lo] += F
+                if stride:  # added to zeros, as a CSR row sum starts from 0.0, so a flux -0.0 is stored as +0.0
+                    slots[stride][hi] += F
+                    slots[-stride][lo] -= F
+            blocks.append(sp.dia_matrix((data, offsets), shape=(self.block_sizes[i], self.block_sizes[i])))
+        return blocks
 
     # -- operator application ----------------------------------------------
 

@@ -615,7 +615,7 @@ def test_prediction_pattern_is_built_once_per_grid(monkeypatch):
     prob = mms_problem("vortex2d")
     scheme = ProjectionScheme(MacGrid([graded_axis(0.0, 1.0, 12, 1.05)] * 2))
     state = scheme.initialize(prob.initial)
-    for S, offsets in zip(scheme.ops.laplace_blocks, scheme.ops._dia_offsets, strict=True):
+    for S, offsets in zip(scheme.ops.laplace_blocks, scheme.ops.dia_offsets, strict=True):
         assert isinstance(S, sp.dia_matrix)
         np.testing.assert_array_equal(S.offsets, offsets)
 
@@ -657,7 +657,7 @@ def test_prediction_pattern_is_built_once_per_grid(monkeypatch):
         state, _ = scheme.step(state, prob.forcing, 1.0 / 32)
     assert counts == {"coo": 0, "csr": 0, "tocsr": 0, "todia": 0, "diags": 0}
     for step in matrices:
-        for N, offsets in zip(step, scheme.ops._dia_offsets, strict=True):
+        for N, offsets in zip(step, scheme.ops.dia_offsets, strict=True):
             assert isinstance(N, sp.dia_matrix)
             np.testing.assert_array_equal(N.offsets, offsets)
     # each step's values are its own
