@@ -85,6 +85,8 @@ class MacGrid:
         for a, c in enumerate(axes):
             if c.ndim != 1 or c.size < 2:
                 raise ValueError(f"axis {a}: need at least two face coordinates")
+            if not np.isfinite(c).all():
+                raise ValueError(f"axis {a}: face coordinates must be finite")
             if not np.all(np.diff(c) > 0):
                 raise ValueError(f"axis {a}: face coordinates must be strictly increasing")
         self.dim = len(axes)

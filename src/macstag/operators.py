@@ -13,15 +13,14 @@ value and are eliminated). Conventions:
                sum_eps F_eps (w_sigma + w_neighbor)/2 with F_eps the mean of
                the two adjacent primal-face fluxes of the advecting field a.
 
-The grid is a tensor product of 1D partitions, and so are G, D and S_i.
-Vectors are raveled in 'ij' order, axis 0 outermost. With Delta_i the
-(n_i - 1) x n_i difference (Delta p)_k = p_{k+1} - p_k along axis i, block i
-of the gradient and of the divergence are
-
-    G_i = (x)_{a<i} I  (x)  diag(1/dual_w_i[1:-1]) Delta_i  (x)  (x)_{a>i} I
-    D_i = (x)_{a<i} I  (x)  -diag(1/h_i) Delta_i^T          (x)  (x)_{a>i} I
-
-and the stiffness block is the Kronecker sum
+Vectors are raveled in 'ij' order, axis 0 outermost. An interior face of
+direction i, in the slab [1:-1] along axis i, lies between the cells [:-1]
+and [1:] along i. _face_cell gathers G and D from those slabs, each one
+CSR construction with two entries per face row in ascending columns: G
+weights them -1/dual_w_i and +1/dual_w_i of the face, and D is the
+transpose of the same gather with the weights +1/h_i and -1/h_i of the row
+cell. The grid is a tensor product of 1D partitions, and the stiffness
+block is the Kronecker sum
 
     S_i = sum_a K_a (x) (x)_{b != a} B_b
 
@@ -32,10 +31,9 @@ sit half a cell from a Dirichlet wall (conductances 1/dual_w_a, masses h_a).
 Operators.laplace_factors holds those (K_a, B_a) per block, once: they build
 S_i here, and the exact separable inverse of M_i/dt + S_i in the scheme.
 Operators.poisson_factors holds the Neumann chains over the cells (masses
-h_a) whose Kronecker sum is the pressure Poisson matrix G^T M_v G. _kron
-builds G and D from their 1D factors' nonzeros: one CSR construction per
-operator. _kron_sum writes a Kronecker sum straight onto its diagonals
-(below): S_i is a dia_matrix on the offsets that C_i uses.
+h_a) whose Kronecker sum is the pressure Poisson matrix G^T M_v G.
+_kron_sum writes a Kronecker sum straight onto its diagonals (below): S_i
+is a dia_matrix on the offsets that C_i uses.
 
 With cell volumes M_p and dual volumes M_v as weights, M_v G = -(M_p D)^T
 holds entrywise, which is the discrete duality the projection step relies
@@ -88,31 +86,6 @@ from .grid import MacGrid
 from .linalg import tridiagonal
 
 __all__ = ["Operators"]
-
-
-def _kron(blocks, shape):
-    """G or D, one CSR matrix from blocks (factors, row, col): Kronecker products placed at (row, col).
-
-    A factor is a dense matrix or a 1D array for its diagonal, axis 0 outermost. Their
-    nonzeros multiply in numpy from axis 0 on, as in reduce(sp.kron); shared entries add.
-    """
-    index = np.int32 if max(shape) < 2**31 else np.int64  # indices below 2**31 fit int32, which scipy keeps
-    parts = []
-    for factors, row, col in blocks:
-        rows, cols, vals = np.zeros(1, index), np.zeros(1, index), np.ones(1)
-        for F in factors:
-            r, c = np.nonzero(F) if F.ndim == 2 else (np.arange(F.size),) * 2
-            rows = (rows[:, None] * len(F) + r.astype(index)).ravel()
-            cols = (cols[:, None] * F.shape[-1] + c.astype(index)).ravel()
-            vals = (vals[:, None] * (F[r, c] if F.ndim == 2 else F)).ravel()
-        parts.append((rows + index(row), cols + index(col), vals))
-    rows, cols, vals = (np.concatenate(x) for x in zip(*parts))
-    return sp.csr_matrix((vals, (rows, cols)), shape=shape)
-
-
-def _difference(n):
-    """The dense (n - 1) x n difference along one axis: row k is p_{k+1} - p_k."""
-    return np.eye(n - 1, n, k=1) - np.eye(n - 1, n)
 
 
 def _dia_offsets(shape):
@@ -171,13 +144,11 @@ class Operators:
         self.block_sizes = [m.size for m in self.mass_blocks]
         self.offsets = np.concatenate([[0], np.cumsum(self.block_sizes)])
         self.n_velocity = int(self.offsets[-1])
-        self.mass_velocity = np.concatenate(self.mass_blocks) if d else np.zeros(0)
+        self.mass_velocity = np.concatenate(self.mass_blocks)
 
-        delta = [_difference(n) for n in grid.shape]
-        grad = [self._on_axis(i, (1.0 / grid.dual_w[i][1:-1])[:, None] * delta[i]) for i in range(d)]
-        div = [self._on_axis(i, -(1.0 / grid.h[i])[:, None] * delta[i].T) for i in range(d)]
-        self.G = _kron([(f, o, 0) for f, o in zip(grad, self.offsets)], (self.n_velocity, self.n_cells))
-        self.D = _kron([(f, 0, o) for f, o in zip(div, self.offsets)], (self.n_cells, self.n_velocity))
+        inv_dw, inv_h = [1.0 / dw[1:-1] for dw in grid.dual_w], [1.0 / h for h in grid.h]
+        self.G = self._face_cell([(-w, w) for w in inv_dw])
+        self.D = self._face_cell([(w[:-1], -w[1:]) for w in inv_h]).T.tocsr()
         # per block i: the 1D stiffness matrices K_a and masses B_a of S_i
         self.laplace_factors = []
         for i in range(d):
@@ -235,9 +206,19 @@ class Operators:
 
     # -- assembly ----------------------------------------------------------
 
-    def _on_axis(self, i, mat):
-        """Factors of mat on axis i, identities on the others: a map between cells and direction-i faces."""
-        return [mat if a == i else np.ones(n) for a, n in enumerate(self.grid.shape)]
+    def _face_cell(self, weights):
+        """The n_velocity x n_cells CSR matrix whose row for an interior face of direction i holds
+        weights[i] = (w_lo, w_hi), 1D along axis i, at the cells [:-1] and [1:] along i on its two sides.
+        scipy keeps the indices int32 where they fit, the dtype the sp.kron form has.
+        """
+        d, cells = self.grid.dim, np.arange(self.n_cells).reshape(self.grid.shape)
+        cols, vals = [], []
+        for i, ((lo, hi, _), pair) in enumerate(zip(self._cuts, weights)):
+            cols.append(np.stack([cells[lo], cells[hi]], axis=-1).ravel())
+            w = np.stack(pair, axis=-1).reshape([-1 if a == i else 1 for a in range(d)] + [2])
+            vals.append(np.broadcast_to(w, (*self._block_shapes[i], 2)).ravel())
+        indptr = np.arange(0, 2 * self.n_velocity + 1, 2)
+        return sp.csr_matrix((np.concatenate(vals), np.concatenate(cols), indptr), (self.n_velocity, self.n_cells))
 
     def _convection_plan(self, i):
         """The flux axes j of block i, as (j, weights, stride_j, or 0 where no +-stride_j slot is written).

@@ -131,6 +131,9 @@ def test_validation_errors():
         MacGrid([np.array([0.0, 1.0, 0.5]), np.array([0.0, 1.0, 2.0])])
     with pytest.raises(ValueError):
         MacGrid([np.array([0.0]), np.array([0.0, 1.0])])
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="axis 0: face coordinates must be finite"):
+            MacGrid([np.array([0.0, 1.0, bad]), np.array([0.0, 0.5, 1.0])])
     with pytest.raises(ValueError):
         uniform_axis(1.0, 0.0, 4)
     with pytest.raises(ValueError):

@@ -487,6 +487,9 @@ def assert_same_arrays(actual, expected):
 
 @settings(max_examples=60)
 @given(grid=mac_grids())
+@example(grid=MacGrid([[0.0, 1.0], [0.0, 0.25, 0.5, 1.0]]))
+@example(grid=MacGrid([uniform_axis(0.0, 1.0, 2), [0.0, 1.0], uniform_axis(0.0, 1.0, 2)]))
+@example(grid=MacGrid([graded_axis(0.0, 1.0, n, ratio) for n, ratio in ((5, 1.3), (4, 0.8), (6, 1.1))]))
 def test_assembly_matches_sp_kron_bitwise(grid):
     # the triplet assembly gives the arrays of the scipy products it
     # replaced, bit for bit, on graded and coords grids with 1-cell axes; the
