@@ -170,6 +170,11 @@ def cmd_convergence(cfg, args):
     if args.levels < 1:
         raise ConfigError([f"--levels must be >= 1, got {args.levels}"])
     grid = cfg.build_grid()
+    flat = [a for a, n in enumerate(grid.shape) if n == 1]
+    if args.levels > 1 and flat:
+        # its direction-a block is empty, while the refined levels' are not: their errors do not compare
+        raise ConfigError([f"convergence --levels {args.levels} cannot start from a grid with 1 cell along "
+                           f"axis {flat[0]}: that level's error does not compare with the refined levels'"])
     problem = _problem_on(cfg, grid)
     levels = []
     steps = cfg.steps

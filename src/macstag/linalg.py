@@ -24,6 +24,12 @@ H is given as its diagonal d plus a sparse S (M_i/dt and S_i in the scheme).
 A pure function of (d, S, N, b, x0, M), it reruns bitwise; its residuals
 b - H x - N x are recomputed fresh, and the S x and N x of the one it
 returns are handed out with it, so the caller need not form them again.
+
+Every 1D sum of the march is a numpy loop, never a BLAS one: dot is
+np.einsum("i,i->"), and a norm is sqrt(dot(v, v)). A threaded BLAS ddot or
+dnrm2 splits its sum by thread and so gives other bits under another
+OPENBLAS_NUM_THREADS (Demmel & Nguyen, ARITH 21, 2013); einsum sums in one
+thread. The GEMMs of the transforms give the same bits at any thread count.
 """
 
 from __future__ import annotations
@@ -34,12 +40,18 @@ import numpy as np
 import scipy.linalg
 from scipy.linalg.lapack import dpteqr, dstemr
 
-__all__ = ["SolveResult", "SolverError", "SeparableSolver", "tridiagonal", "solve_cgw"]
+__all__ = ["SolveResult", "SolverError", "SeparableSolver", "dot", "tridiagonal", "solve_cgw"]
 
 # Cap on CGW iterations per solve when the caller sets none: the prediction
 # needs 3-4 per component in 2D and 5-6 in 3D, and advecting fields 1000
 # times the manufactured ones converge in 142 (vortex2d, graded 128^2, dt 1/32).
 MAX_ITERATIONS = 500
+
+
+def dot(a, b) -> float:
+    """The plain dot product a . b of two 1D arrays, summed by a numpy loop: the same bits under any thread count."""
+    return float(np.einsum("i,i->", a, b))
+
 
 class SolverError(RuntimeError):
     """Raised when an iterative solve runs out of iterations or breaks down.
@@ -181,33 +193,38 @@ def solve_cgw(d, S, N, b, M, *, tol=1e-10, maxiter=None, x0=None):
     r_{k+1} = (1 - omega_{k+1}) r_{k-1} - omega_{k+1} N z_k, in place: the
     (H + N) z_k - r_k of the recurrence is N z_k as M is the exact H^-1.
     Once the recurrence residual reaches tol ||b||, b - H x - N x is
-    recomputed (an inexact M shows up here), and the recurrence restarts
-    from it while it stays above. The result hands out the S x and N x of
-    the last recomputed residual, the one it returns. maxiter caps the total
-    number of iterations (MAX_ITERATIONS when None). Raises SolverError when
+    recomputed in one buffer (an inexact M shows up here), and the
+    recurrence restarts from it while it stays above. The result hands out
+    the S x and N x of the last recomputed residual, the one it returns.
+    maxiter caps the total number of iterations (MAX_ITERATIONS when None). Raises SolverError when
     rho_k <= 0 (M is not positive definite) or when the recomputed
     relative residual stays above tol.
     """
     b = np.asarray(b, dtype=float)
-    bnorm = float(np.linalg.norm(b))
+    bnorm = math.sqrt(dot(b, b))
     if bnorm == 0.0:
         return SolveResult(np.zeros(b.size), 0, 0.0, np.zeros(b.size), np.zeros(b.size), np.zeros(b.size))
     maxiter = MAX_ITERATIONS if maxiter is None else maxiter
     x = np.zeros(b.size) if x0 is None else np.array(x0, dtype=float)
 
     def fresh_residual(x):
+        # b - (d * x + Sx) - Nx in that order, in one buffer
         Sx, Nx = S @ x, N @ x
-        return b - (d * x + Sx) - Nx, Sx, Nx
+        r = d * x
+        r += Sx
+        np.subtract(b, r, out=r)
+        r -= Nx
+        return r, Sx, Nx
 
     r, Sx, Nx = fresh_residual(x)
     target, iterations = tol * bnorm, 0
-    # ||r|| as np.linalg.norm forms it, sqrt(r . r), without its call overhead
-    while (rnorm := math.sqrt(r @ r)) > target and iterations < maxiter:
-        # a (re)start: omega_1 = 1 drops x_{k-1} and r_{k-1} from the first update
-        x_prev, r_prev, rho_prev = x.copy(), r.copy(), None
+    while (rnorm := math.sqrt(dot(r, r))) > target and iterations < maxiter:
+        # a (re)start: omega_1 = 1 drops x_{k-1} and r_{k-1} from the first update; the products
+        # of the last fresh residual are not held through the iterations, which form new ones
+        x_prev, r_prev, rho_prev, Sx, Nx = x.copy(), r.copy(), None, None, None
         while rnorm > target and iterations < maxiter:
             z = M(r)
-            rho = float(z @ r)
+            rho = dot(z, r)
             if not rho > 0.0:
                 raise SolverError(f"CGW broke down: z.r = {rho:.3e} <= 0, the preconditioner is not positive definite",
                                   iterations, rnorm / bnorm)
@@ -223,7 +240,7 @@ def solve_cgw(d, S, N, b, M, *, tol=1e-10, maxiter=None, x0=None):
             x_prev += z
             x, x_prev, r, r_prev, rho_prev = x_prev, x, r_prev, r, rho
             iterations += 1
-            rnorm = math.sqrt(r @ r)
+            rnorm = math.sqrt(dot(r, r))
         r, Sx, Nx = fresh_residual(x)
     residual = rnorm / bnorm
     if not residual <= tol:

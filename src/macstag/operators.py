@@ -28,10 +28,12 @@ of 1D chain stiffness matrices K_a and diagonal masses B_b. Along axis i the
 unknowns are the interior faces, coupled through the cells (conductances
 1/h_i, masses dual_w_i[1:-1]); across it they are cell rows whose outer ones
 sit half a cell from a Dirichlet wall (conductances 1/dual_w_a, masses h_a).
-Operators.laplace_factors holds those (K_a, B_a) per block, once: they build
-S_i here, and the exact separable inverse of M_i/dt + S_i in the scheme.
-Operators.poisson_factors holds the Neumann chains over the cells (masses
-h_a) whose Kronecker sum is the pressure Poisson matrix G^T M_v G.
+An Operators keeps those conductances and masses, not the dense n x n chain
+matrices: Operators.laplace_factors builds the (K_a, B_a) of each block on
+access, to build S_i here and the exact separable inverse of M_i/dt + S_i in
+the scheme. Operators.poisson_factors builds the Neumann chains over the
+cells (masses h_a) whose Kronecker sum is the pressure Poisson matrix
+G^T M_v G.
 _kron_sum writes a Kronecker sum straight onto its diagonals (below): S_i
 is a dia_matrix on the offsets that C_i uses.
 
@@ -49,10 +51,12 @@ couples the same neighbours and is stored on the same offsets: band a of
 K_a, times the masses of the other axes, fills the slots 0 and +-stride_a,
 and the slots of a band that wrap across axis a hold zero.
 
-convection_blocks(a) writes those diagonals by slab arithmetic on views of
-the packed a, whose wall faces are zero. With both factors 1/2 (the mean of
-two primal-face fluxes, and the half sum of the two velocities) folded into
-grid-only weights, 1/4 times products of cell widths, the flux axes go:
+convection_block(a, i) writes the diagonals of block i by slab arithmetic on
+views of the packed a, whose wall faces are zero; convection_blocks(a) lists
+every block, and the prediction fills one block at a time. With both factors
+1/2 (the mean of two primal-face fluxes, and the half sum of the two
+velocities) folded into grid-only weights, 1/4 times products of cell
+widths, the flux axes go:
 
     axis i     on the cells along i, F = c a_i[left face] + c a_i[right
                face], a wall face adding nothing; then diag -= F[:-1],
@@ -70,6 +74,9 @@ S_i, adds the diagonals in ascending offset order, the sorted-column order
 of CSR, so it gives the same bits as the CSR form of the block. pack and
 unpack address the interior faces of direction i as the slab [1:-1] along
 axis i.
+
+inner, seminorm_sq and convection_form sum by numpy loops (np.einsum,
+linalg.dot), so they give the same bits under any BLAS thread count.
 """
 
 from __future__ import annotations
@@ -83,7 +90,7 @@ import scipy.sparse as sp
 
 from .fields import PressureField, VelocityField
 from .grid import MacGrid
-from .linalg import tridiagonal
+from .linalg import dot, tridiagonal
 
 __all__ = ["Operators"]
 
@@ -149,19 +156,29 @@ class Operators:
         inv_dw, inv_h = [1.0 / dw[1:-1] for dw in grid.dual_w], [1.0 / h for h in grid.h]
         self.G = self._face_cell([(-w, w) for w in inv_dw])
         self.D = self._face_cell([(w[:-1], -w[1:]) for w in inv_h]).T.tocsr()
-        # per block i: the 1D stiffness matrices K_a and masses B_a of S_i
-        self.laplace_factors = []
+        # per block i: the edge conductances and masses B_a of the 1D chains whose Kronecker sum is S_i
+        self._laplace_chains = []
         for i in range(d):
             conductances = [1.0 / (grid.h[a] if a == i else grid.dual_w[a]) for a in range(d)]
             mass = [grid.dual_w[a][1:-1] if a == i else grid.h[a] for a in range(d)]
-            self.laplace_factors.append(([tridiagonal(c) for c in conductances], mass))
+            self._laplace_chains.append((conductances, mass))
         self.laplace_blocks = [_kron_sum(*f) for f in self.laplace_factors]
-        neumann = [np.concatenate([[0.0], 1.0 / dw[1:-1], [0.0]]) for dw in grid.dual_w]
-        self.poisson_factors = ([tridiagonal(c) for c in neumann], grid.h)
+        self._poisson_chains = ([np.concatenate([[0.0], 1.0 / dw[1:-1], [0.0]]) for dw in grid.dual_w], grid.h)
 
         # per block i: the diagonals C_i is stored on, which S_i shares, and its flux axes
         self.dia_offsets = [_dia_offsets(shape) for shape in self._block_shapes]
         self._convection = [self._convection_plan(i) for i in range(d)]
+
+    @property
+    def laplace_factors(self):
+        """Per block i: the dense 1D stiffness matrices K_a and the masses B_a of S_i, built on each access."""
+        return [([tridiagonal(c) for c in conductances], mass) for conductances, mass in self._laplace_chains]
+
+    @property
+    def poisson_factors(self):
+        """The dense 1D Neumann stiffness matrices K_a over the cells and their masses h_a, built on each access."""
+        neumann, mass = self._poisson_chains
+        return [tridiagonal(c) for c in neumann], mass
 
     # -- vector packing ----------------------------------------------------
 
@@ -193,8 +210,9 @@ class Operators:
         return vec[self.offsets[i] : self.offsets[i + 1]]
 
     def inner(self, a: np.ndarray, b: np.ndarray) -> float:
-        """Mass-weighted inner product of two packed vectors (velocity_inner on fields)."""
-        return float(a * b @ self.mass_velocity)
+        """Mass-weighted inner product of two packed vectors (velocity_inner on fields), by one
+        numpy loop over the three vectors: no temporary, and the same bits under any thread count."""
+        return float(np.einsum("i,i,i->", a, b, self.mass_velocity))
 
     def norm(self, v: np.ndarray) -> float:
         """Mass-weighted norm of a packed vector, sqrt(inner(v, v))."""
@@ -202,7 +220,7 @@ class Operators:
 
     def seminorm_sq(self, vec: np.ndarray) -> float:
         """Squared W^{1,2} seminorm sum_i v_i . S_i v_i of a packed vector (w1q_norm(., 2)**2 on fields)."""
-        return float(sum(self.block(vec, i) @ (S @ self.block(vec, i)) for i, S in enumerate(self.laplace_blocks)))
+        return sum(dot(self.block(vec, i), S @ self.block(vec, i)) for i, S in enumerate(self.laplace_blocks))
 
     # -- assembly ----------------------------------------------------------
 
@@ -245,8 +263,8 @@ class Operators:
             plan.append((j, [quarter(factors) for factors in cells], stride(j)))
         return plan
 
-    def convection_blocks(self, a: np.ndarray):
-        """Per-direction weak convection matrices C_i(a), each on its fixed diagonals.
+    def convection_block(self, a: np.ndarray, i: int):
+        """The weak convection matrix C_i(a) of direction i, on its fixed diagonals.
 
         a is a packed vector. Row sigma of block i applies sum over the dual
         faces of sigma of F_eps * (w_sigma + w_sigma')/2 with outward
@@ -256,34 +274,37 @@ class Operators:
         docstring), flux axis i first, then the others ascending, the minus
         side before the plus side: the column order of a CSR row, so every
         diagonal entry is summed in the order, and to the bits, of the CSR
-        form of the block.
+        form of the block. The prediction fills one block just before its
+        solve, so no two blocks are held at once.
         """
-        blocks = []
-        for i, (shape, offsets, plan) in enumerate(zip(self._block_shapes, self.dia_offsets, self._convection)):
-            data = np.zeros((offsets.size, self.block_sizes[i]))
-            slots = dict(zip(offsets.tolist(), data.reshape(offsets.size, *shape)))
-            diag = slots[0]
-            for j, weights, stride in plan:
-                lo, hi, mid = self._cuts[j]
-                aj = self.block(a, j).reshape(self._block_shapes[j])
-                if j == i:
-                    # the cells along i: the left face's flux, then the right one's; a wall face adds nothing
-                    F, flux = np.zeros(self.grid.shape), weights * aj
-                    F[hi] += flux
-                    F[lo] += flux
-                    diag -= F[lo]
-                    diag += F[hi]
-                    F = F[mid]  # the cells between two interior faces
-                else:
-                    # the dual faces across j: the halves of the cells left and right along i
-                    F = weights[0] * aj[self._cuts[i][0]] + weights[1] * aj[self._cuts[i][1]]
-                    diag[hi] -= F
-                    diag[lo] += F
-                if stride:  # added to zeros, as a CSR row sum starts from 0.0, so a flux -0.0 is stored as +0.0
-                    slots[stride][hi] += F
-                    slots[-stride][lo] -= F
-            blocks.append(sp.dia_matrix((data, offsets), shape=(self.block_sizes[i], self.block_sizes[i])))
-        return blocks
+        shape, offsets, size = self._block_shapes[i], self.dia_offsets[i], self.block_sizes[i]
+        data = np.zeros((offsets.size, size))
+        slots = dict(zip(offsets.tolist(), data.reshape(offsets.size, *shape)))
+        diag = slots[0]
+        for j, weights, stride in self._convection[i]:
+            lo, hi, mid = self._cuts[j]
+            aj = self.block(a, j).reshape(self._block_shapes[j])
+            if j == i:
+                # the cells along i: the left face's flux, then the right one's; a wall face adds nothing
+                F, flux = np.zeros(self.grid.shape), weights * aj
+                F[hi] += flux
+                F[lo] += flux
+                diag -= F[lo]
+                diag += F[hi]
+                F = F[mid]  # the cells between two interior faces
+            else:
+                # the dual faces across j: the halves of the cells left and right along i
+                F = weights[0] * aj[self._cuts[i][0]] + weights[1] * aj[self._cuts[i][1]]
+                diag[hi] -= F
+                diag[lo] += F
+            if stride:  # added to zeros, as a CSR row sum starts from 0.0, so a flux -0.0 is stored as +0.0
+                slots[stride][hi] += F
+                slots[-stride][lo] -= F
+        return sp.dia_matrix((data, offsets), shape=(size, size))
+
+    def convection_blocks(self, a: np.ndarray):
+        """Every direction's C_i(a) (convection_block), direction 0 first."""
+        return [self.convection_block(a, i) for i in range(self.grid.dim)]
 
     # -- operator application ----------------------------------------------
 
@@ -308,7 +329,7 @@ class Operators:
         vv = self.pack(v)
         total = 0.0
         for i, C in enumerate(blocks):
-            total += float(self.block(vv, i) @ (C @ self.block(wv, i)))
+            total += dot(self.block(vv, i), C @ self.block(wv, i))
         return total
 
     # -- debugging exports ---------------------------------------------------

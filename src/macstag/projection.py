@@ -22,9 +22,12 @@ G^T M_v G phi = G^T M_v v and moves G phi from v to psi; the second pass
 takes off the rounding of the first, which grows with the grading of the
 grid, so D v ends at roundoff of v. The G^T M_v v left in v is the Poisson
 residual of psi in exact arithmetic, returned relative to G^T M_v w: no
-Poisson matrix is assembled. G^T is stored once as CSR, since the transpose
-view of G would be a fresh CSC matrix, and the slower CSC matvec, on every
-pass. project and divfree_seminorm take velocity fields and pack them once.
+Poisson matrix is assembled. Its norms and recentering, and those of
+separable_residual, sum by linalg.dot: whether the scheme's probe rejects a
+grid cannot depend on the BLAS thread count. G^T is stored once as CSR,
+since the transpose view of G would be a fresh CSC matrix, and the slower
+CSC matvec, on every pass. project and divfree_seminorm take velocity fields
+and pack them once.
 
 The projection w -> v is the discrete Leray projection. Its L2 norm is the
 seminorm |w|_* = sup over divergence-free test fields of <w, v>/||v||, the
@@ -40,7 +43,7 @@ import numpy as np
 import scipy.linalg
 
 from .fields import VelocityField
-from .linalg import SeparableSolver
+from .linalg import SeparableSolver, dot
 from .operators import Operators
 
 __all__ = ["Projector", "dense_divfree_basis", "seminorm_by_basis"]
@@ -74,15 +77,15 @@ class Projector:
         v = np.array(w, dtype=float)
         psi = np.zeros(ops.n_cells)
         b = self._Gt @ (ops.mass_velocity * v)
-        bnorm = float(np.linalg.norm(b)) or 1.0
+        bnorm = math.sqrt(dot(b, b)) or 1.0
         for _ in range(1 + REFINEMENT_SWEEPS):
             phi = self._separable.solve(b)
             v -= ops.G @ phi
             psi += phi
             b = self._Gt @ (ops.mass_velocity * v)
         vol = ops.cell_vol
-        psi -= (vol @ psi) / vol.sum()
-        return v, psi, float(np.linalg.norm(b)) / bnorm
+        psi -= dot(vol, psi) / vol.sum()
+        return v, psi, math.sqrt(dot(b, b)) / bnorm
 
     def separable_residual(self, w: np.ndarray) -> float:
         """||b - G^T M_v G x|| / ||b|| for one separable solve x on b = G^T M_v w.
@@ -93,7 +96,7 @@ class Projector:
         b = self._Gt @ (ops.mass_velocity * w)
         x = self._separable.solve(b)
         r = self._Gt @ (ops.mass_velocity * (w - ops.G @ x))
-        return float(np.linalg.norm(r)) / (float(np.linalg.norm(b)) or 1.0)
+        return math.sqrt(dot(r, r)) / (math.sqrt(dot(b, b)) or 1.0)
 
     def project(self, w: VelocityField) -> VelocityField:
         """Divergence-free part of w (discrete Leray projection)."""

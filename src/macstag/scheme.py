@@ -26,10 +26,12 @@ the same way), which is O(dt^2) from utilde^{n+1} on smooth solutions. The
 stop stays at prediction_tol ||b||, so only the iteration count falls.
 No system matrix is assembled during a step: the solver takes the split
 itself, H = M_i/dt + S_i as the diagonal M_i/dt plus S_i, and N = C_i(u^n),
-S_i and C_i both stored on the same fixed diagonals. The solver hands out
-the S_i utilde and C_i(u^n) utilde of the last residual it recomputed; the
-energy terms and the momentum check reuse them, so a step forms each of
-these products once after the solve.
+S_i and C_i both stored on the same fixed diagonals. C_i(u^n) is filled
+just before direction i's solve and dropped after it. Of each solve the
+step keeps its iteration count and the S_i utilde and C_i(u^n) utilde of
+the last residual the solver recomputed (DirectionSolve); the energy terms
+and the momentum check reuse them, so a step forms each of these products
+once after the solve, and holds at most 12 velocity vectors beyond its state.
 Every step records the terms of the discrete energy inequality
 
     (1/2dt)(||u^{n+1}||^2 - ||u^n||^2) + (dt/2)(||grad p^{n+1}||^2
@@ -49,6 +51,8 @@ Every velocity of the march is a packed interior-face vector
 (Operators.pack), the unknowns of the fully discrete scheme, from
 initialize to the last level. A step packs one field, the forcing, unpacks
 none, and takes the energy terms as mass-weighted dots (Operators.inner).
+Every 1D sum of a step is a numpy loop (Operators.inner, linalg.dot), so
+the diagnostics keep their bits under any BLAS thread count.
 """
 
 from __future__ import annotations
@@ -62,7 +66,7 @@ import numpy as np
 
 from .fields import PressureField, Trajectory, VelocityField, face_average
 from .grid import MacGrid
-from .linalg import SeparableSolver, SolverError, solve_cgw
+from .linalg import SeparableSolver, SolverError, dot, solve_cgw
 from .mms import Separable
 from .operators import Operators
 from .projection import REFINEMENT_SWEEPS, Projector
@@ -154,11 +158,21 @@ class SchemeState:
 
 
 @dataclass
+class DirectionSolve:
+    """What the step keeps of one direction's prediction solve: its CGW iteration count, and
+    the S_i utilde_i and C_i(u^n) utilde_i the solver formed for its last residual."""
+
+    iterations: int
+    Sx: np.ndarray
+    Nx: np.ndarray
+
+
+@dataclass
 class PredictionStats:
     iterations: int
     residual: float
     residual_l2: float
-    # one SolveResult per direction; its Sx and Nx are the step's S_i utilde and C_i(u^n) utilde
+    # one DirectionSolve per direction, direction 0 first
     per_direction: list = field(default_factory=list)
 
 
@@ -254,21 +268,18 @@ class ProjectionScheme:
 
         f is the packed forcing; u^n and utilde^n come from the state.
         Returns the packed utilde and the solver stats, whose per_direction
-        results carry S_i utilde_i and C_i(u^n) utilde_i. Each system is
-        solved by CGW on its split H = M_i/dt + S_i, N = C_i(u^n), with the
-        exact separable inverse of H, and started from the extrapolated
-        guess 2 utilde^n - utilde^{n-1}; while fewer earlier predictions
-        exist it starts from utilde^n, then from u^n.
+        entries carry the iteration count, S_i utilde_i and C_i(u^n) utilde_i
+        of each direction (DirectionSolve). Each system is solved by CGW on
+        its split H = M_i/dt + S_i, N = C_i(u^n), with the exact separable
+        inverse of H, and started from the extrapolated guess
+        2 utilde^n - utilde^{n-1}; while fewer earlier predictions exist it
+        starts from utilde^n, then from u^n. Each solution is written into
+        the packed utilde, which held the extrapolated guess: the solver
+        copies its start, so a block is read before it is overwritten.
         """
         ops = self.ops
         dt = float(dt)
         u = state.u
-        if state.u_tilde_prev is None:
-            guess = u
-        elif state.u_tilde_prev2 is None:
-            guess = state.u_tilde_prev
-        else:
-            guess = 2.0 * state.u_tilde_prev - state.u_tilde_prev2
         # CGW sums the squares of each right-hand side M_i (u^n/dt + f - G p^n): a step so
         # short that they can overflow is named before any of them is formed
         u_peak, f_peak, gp_peak = (float(np.abs(v).max()) for v in (u, f, state.gp))
@@ -276,26 +287,34 @@ class ProjectionScheme:
         if not bound * bound * ops.n_velocity < _FLOAT_MAX:
             raise SchemeError(f"step {state.n + 1}, prediction: dt = {dt:.3e} is too small: the right-hand "
                               f"side can reach {bound:.3e}, and the solver's sum of its squares can overflow")
-        conv = ops.convection_blocks(u)
-        parts = []
+        ut = np.empty(ops.n_velocity)
+        if state.u_tilde_prev is None:
+            guess = u
+        elif state.u_tilde_prev2 is None:
+            guess = state.u_tilde_prev
+        else:
+            guess = np.multiply(state.u_tilde_prev, 2.0, out=ut)
+            guess -= state.u_tilde_prev2
         res_sq = 0.0
         stats = PredictionStats(0, 0.0, 0.0)
-        for i, (C, S, mass) in enumerate(zip(conv, ops.laplace_blocks, ops.mass_blocks)):
+        for i, (S, mass) in enumerate(zip(ops.laplace_blocks, ops.mass_blocks)):
             rhs = mass * (ops.block(u, i) / dt + ops.block(f, i) - ops.block(state.gp, i))
             try:
-                out = solve_cgw(mass / dt, S, C, rhs, M=partial(self._momentum_solvers[i].solve, shift=1.0 / dt),
-                                tol=self.prediction_tol, maxiter=self.max_iterations, x0=ops.block(guess, i))
+                out = solve_cgw(mass / dt, S, ops.convection_block(u, i), rhs, tol=self.prediction_tol,
+                                M=partial(self._momentum_solvers[i].solve, shift=1.0 / dt),
+                                maxiter=self.max_iterations, x0=ops.block(guess, i))
             except SolverError as err:
                 where = f"step {state.n + 1}, prediction, direction {i}"
                 raise SolverError(f"{where}: {err.message}", err.iterations, err.residual) from err
-            parts.append(out.x)
+            ops.block(ut, i)[:] = out.x
             r = out.residual_vector
             res_sq += float(np.sum(r * r / mass))
             stats.iterations += out.iterations
             stats.residual = max(stats.residual, out.residual)
-            stats.per_direction.append(out)
+            stats.per_direction.append(DirectionSolve(out.iterations, out.Sx, out.Nx))
+            del out, r, rhs  # the solution is in ut, and the block's solver data are dropped before the next one
         stats.residual_l2 = math.sqrt(res_sq)
-        return np.concatenate(parts), stats
+        return ut, stats
 
     def correction(self, state: SchemeState, ut: np.ndarray, dt: float):
         """Pressure increment and divergence-free update; returns (u, p, residual, div_max).
@@ -327,8 +346,7 @@ class ProjectionScheme:
         u_new, p_new, corr_residual, div_max = self.correction(state, ut, dt)
 
         # S_i utilde as the solver formed it for its last residual, shared with the momentum check
-        lap_ut = np.concatenate([out.Sx for out in pstats.per_direction])
-        dissipation = float(ut @ lap_ut)
+        dissipation = dot(ut, np.concatenate([out.Sx for out in pstats.per_direction]))
         e_new, e_old = 0.5 * ops.inner(u_new, u_new), state.energy
         gp_vec = ops.G @ p_new.data.ravel()
         gp_new, gp_old = ops.norm(gp_vec), state.gp_norm
@@ -370,7 +388,7 @@ class ProjectionScheme:
         )
 
         if state.u_tilde_prev is not None:
-            self._momentum_check(state, ut, lap_ut, f, dt, pstats, diag)
+            self._momentum_check(state, ut, f, dt, pstats, diag)
 
         new_state = SchemeState(
             n=state.n + 1,
@@ -387,26 +405,36 @@ class ProjectionScheme:
         )
         return new_state, diag
 
-    def _momentum_check(self, state, ut, lap_ut, f, dt, pstats, diag):
+    def _momentum_check(self, state, ut, f, dt, pstats, diag):
         """Combined momentum identity across the previous correction, n >= 1.
 
-        ut is the packed utilde^{n+1}, lap_ut its S_i utilde^{n+1} and f the
-        packed forcing; utilde^n comes from the state, and the products
-        C_i(u^n) utilde^{n+1} are the ones the prediction solver formed for
-        its last residual (pstats). The correction that made u^n put
-        dt_n G(p^n - p^{n-1}) into it.
+        ut is the packed utilde^{n+1} and f the packed forcing; utilde^n
+        comes from the state, and the products C_i(u^n) utilde^{n+1} and
+        S_i utilde^{n+1} are the ones the prediction solver formed for its
+        last residual (pstats). The correction that made u^n put
+        dt_n G(p^n - p^{n-1}) into it. The residual
+        (((t1 + t2) + t3) + t4) - f is summed in one buffer, each term formed
+        in a second one, normed and added in turn.
         """
-        ops = self.ops
-        t1 = (ut - state.u_tilde_prev) / dt
-        t2 = np.concatenate([out.Nx / mass for out, mass in zip(pstats.per_direction, ops.mass_blocks)])
+        ops, norm = self.ops, self.ops.norm
+        res = np.subtract(ut, state.u_tilde_prev)
+        res /= dt
+        norms = [norm(res)]
+        term = np.empty(ops.n_velocity)
         r = state.dt / dt
-        t3 = (1.0 + r) * state.gp - r * state.gp_prev
-        t4 = lap_ut / ops.mass_velocity
-        res = t1 + t2 + t3 + t4 - f
-        norm = ops.norm
+        for k in (2, 3, 4):  # t2 = C utilde / M, t3 = (1 + r) G p^n - r G p^{n-1}, t4 = S utilde / M
+            if k == 3:
+                np.multiply(state.gp, 1.0 + r, out=term)
+                term -= r * state.gp_prev
+            else:
+                for i, (out, mass) in enumerate(zip(pstats.per_direction, ops.mass_blocks)):
+                    np.divide(out.Nx if k == 2 else out.Sx, mass, out=ops.block(term, i))
+            norms.append(norm(term))
+            res += term
+        res -= f
 
         diag.momentum_residual = norm(res)
-        diag.momentum_scale = max(norm(t1), norm(t2), norm(t3), norm(t4), norm(f))
+        diag.momentum_scale = max(*norms, norm(f))
         bound = 10.0 * pstats.residual_l2 + 1e-10 * max(diag.momentum_scale, 1e-30)
         if diag.momentum_residual > bound:
             raise SchemeError(

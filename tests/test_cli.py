@@ -9,10 +9,12 @@ import math
 import os
 import shutil
 import subprocess
+import sys
 import time
 
 import pytest
 
+import macstag
 from macstag import linalg as linalg_module
 from macstag.cli import main
 from macstag.config import parse_config
@@ -58,6 +60,46 @@ def test_run_rerun_byte_identical(small_config, tmp_path):
     da = (tmp_path / "a" / "diagnostics.csv").read_bytes()
     db = (tmp_path / "b" / "diagnostics.csv").read_bytes()
     assert da == db
+
+
+# graded 128^2 and 24^3: every vector the march reduces is longer than the
+# size from which OpenBLAS splits a 1D sum between threads
+THREAD_MARCHES = {
+    "2d": "[grid]\nkind = graded\nn = 128 128\nratio = 1.03\n",
+    "3d": "[domain]\nlo = 0 0 0\nhi = 1 1 1\n[grid]\nkind = graded\nn = 24 24 24\nratio = 1.03\n"
+          "[problem]\nname = vortex3d\n",
+}
+
+
+def test_diagnostics_keep_their_bits_under_any_blas_thread_count(tmp_path):
+    # each 1D sum of the march is a numpy loop, so a march under one BLAS
+    # thread and under two writes the same diagnostics.csv; the GEMMs of the
+    # separable solves, the 3D middle axis's stacked matmul among them, give
+    # the same bits at both
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    if cpus < 2:
+        pytest.skip(f"{cpus} CPU: the thread counts 1 and 2 cannot be told apart")
+    configs = []
+    for name, text in THREAD_MARCHES.items():
+        path = tmp_path / f"{name}.ini"
+        path.write_text(text + "[time]\nfinal = 0.09375\nsteps = 3\n")
+        configs.append((name, str(path)))
+    src = os.path.dirname(os.path.dirname(macstag.__file__))
+    procs = {}
+    for threads in ("1", "2"):
+        runs = [["run", "--config", path, "--out", str(tmp_path / f"{name}_{threads}")] for name, path in configs]
+        code = f"from macstag.cli import main\nfor argv in {runs!r}:\n    assert main(argv) == 0"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        procs[threads] = subprocess.Popen([sys.executable, "-c", code], env=env, stdout=subprocess.DEVNULL,
+                                          stderr=subprocess.PIPE, text=True)
+    for proc in procs.values():
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0, err
+    for name, _ in configs:
+        one, two = ((tmp_path / f"{name}_{t}" / "diagnostics.csv").read_bytes() for t in ("1", "2"))
+        assert one.count(b"\n") == 4
+        assert one == two, name
 
 
 def test_streamed_diagnostics_match_list_writer(tmp_path):
@@ -229,6 +271,31 @@ def test_convergence(small_config, tmp_path, capsys):
     assert os.path.exists(os.path.join(out, "study.csv"))
     text = capsys.readouterr().out
     assert "verdict: pass" in text
+
+
+def test_convergence_rejects_a_ladder_from_a_1_cell_axis(tmp_path, monkeypatch, capsys):
+    # a 1-cell level has an empty direction-1 block, so its error does not
+    # compare with the refined levels': with two or more levels the grid is
+    # a configuration error naming the axis, before any level runs
+    path = tmp_path / "flat.ini"
+    path.write_text("[domain]\nlo = 0 0 0\nhi = 1 1 1\n[grid]\nkind = graded\nn = 8 1 6\nratio = 1.05\n"
+                    "[time]\nfinal = 0.25\nsteps = 6\n[problem]\nname = vortex3d\n")
+
+    def no_step(*args):
+        raise AssertionError("the grid is checked before any level runs")
+
+    with monkeypatch.context() as m:
+        m.setattr(ProjectionScheme, "step", no_step)
+        for levels in ("2", "3"):
+            out = tmp_path / f"levels{levels}"
+            assert main(["convergence", "--config", str(path), "--levels", levels, "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert "1 cell along axis 1" in err and "Traceback" not in err
+            assert not (out / "study.csv").exists()
+    # one level has no refined level to compare with, and runs
+    out = tmp_path / "levels1"
+    assert main(["convergence", "--config", str(path), "--levels", "1", "--out", str(out)]) == 0
+    assert (out / "study.csv").exists()
 
 
 def test_translate(tmp_path, capsys):
