@@ -3,17 +3,18 @@
 On a tensor-product grid the pressure Poisson matrix and the symmetric part
 M_i/dt + S_i of every prediction block are separable: shift * (x)_a B_a +
 sum_a K_a (x) (x)_{b != a} B_b, with 1D tridiagonal stiffness matrices K_a
-and diagonal masses B_a. The fast diagonalization method (Lynch, Rice &
-Thomas 1964) inverts such an operator exactly: with K_a V_a = B_a V_a L_a and
-V_a^T B_a V_a = I, its inverse is (x)V_a diag(1/(shift + sum_a L_a)) (x)V_a^T.
-Each transform (x)W_a is one BLAS matrix product per axis on the contiguous
-array: the first axis multiplies from the left, the last from the right, and
-only a middle axis in 3D needs a stacked matmul, so no axis is ever moved.
-The reciprocal spectrum 1/(shift + sum_a L_a) is kept for the last shift.
-When every chain is Neumann (zero end rows) the operator at shift 0 is
-singular on the constants, and the solver applies its pseudo-inverse: the
-all-constant mode is dropped, which leaves the result with zero
-mass-weighted mean.
+and diagonal masses B_a. A chain comes as (c_a, B_a), its edge conductances
+and masses, the format Operators keeps: K_a = tridiagonal(c_a). The fast
+diagonalization method (Lynch, Rice & Thomas 1964) inverts such an operator
+exactly: with K_a V_a = B_a V_a L_a and V_a^T B_a V_a = I, its inverse is
+(x)V_a diag(1/(shift + sum_a L_a)) (x)V_a^T. Each transform (x)W_a is one
+BLAS matrix product per axis on the contiguous array: the first axis
+multiplies from the left, the last from the right, and only a middle axis in
+3D needs a stacked matmul, so no axis is ever moved. The reciprocal spectrum
+1/(shift + sum_a L_a) is kept for the last shift. When every chain is Neumann
+(zero end conductances) the operator at shift 0 is singular on the
+constants, and the solver applies its pseudo-inverse: the all-constant mode
+is dropped, which leaves the result with zero mass-weighted mean.
 
 The convection block of a prediction system is skew when the advecting field
 is divergence free. For H + N, H symmetric positive definite and N skew,
@@ -102,27 +103,28 @@ def tridiagonal(c):
     return K
 
 
-def _modes(K, B):
-    """Eigenpairs (ascending) of K v = lam diag(B) v with V^T diag(B) V = I.
+def _modes(c, B):
+    """Eigenpairs (ascending) of K v = lam diag(B) v with V^T diag(B) V = I, K = tridiagonal(c).
 
-    A chain with a wall (a nonzero end row sum) and two or more cells is
-    positive definite: MRRR (dstemr, O(n^2)) on T = B^-1/2 K B^-1/2, then
-    V = B^-1/2 Z. On some mildly graded long chains (256 cells at 1.075-1.09)
-    its small eigenvalues are wrong, and K^-1 1 through the modes leaves a
-    relative residual near 1, not <= 5e-10. Above 1e-6, dpteqr (relatively
-    accurate on every such T, Demmel & Kahan 1990, but O(n^3)) redoes the
-    chain; LinAlgError if it fails. Neumann and 1-cell chains keep eigh.
+    A chain with a wall (a nonzero end conductance) and two or more cells is
+    positive definite: MRRR (dstemr, O(n^2)) on T = B^-1/2 K B^-1/2, read off
+    c, then V = B^-1/2 Z. On some mildly graded long chains (256 cells at
+    1.075-1.09) its small eigenvalues are wrong, and K^-1 1 through the modes
+    leaves a relative residual near 1, not <= 5e-10. Above 1e-6, dpteqr
+    (relatively accurate on every such T, Demmel & Kahan 1990, but O(n^3))
+    redoes the chain; LinAlgError if it fails. Neumann and 1-cell chains keep
+    eigh; only eigh and the probe need the dense K.
     """
-    if B.size < 2 or not (K[0].sum() or K[-1].sum()):
-        return scipy.linalg.eigh(K, np.diag(B))
+    if B.size < 2 or not (c[0] or c[-1]):
+        return scipy.linalg.eigh(tridiagonal(c), np.diag(B))
     s = 1.0 / np.sqrt(B)
-    d, e = np.diag(K) * s * s, np.diag(K, 1) * s[:-1] * s[1:]
+    d, e = (c[:-1] + c[1:]) * s * s, -c[1:-1] * s[:-1] * s[1:]
     m, vals, Z, info = dstemr(d, np.append(e, 0.0), 0, 0.0, 0.0, 0, 0)
     if info == 0 and m == B.size:
         V, ones = s[:, None] * Z, np.ones(B.size)
-        if np.linalg.norm(K @ (V @ (V.T @ ones / vals)) - ones) <= 1e-6 * math.sqrt(B.size):
+        if np.linalg.norm(tridiagonal(c) @ (V @ (V.T @ ones / vals)) - ones) <= 1e-6 * math.sqrt(B.size):
             return vals, V
-    vals, _, Z, info = dpteqr(d, e, np.empty(K.shape), compute_z=2)
+    vals, _, Z, info = dpteqr(d, e, np.empty((B.size, B.size)), compute_z=2)
     if info:
         raise np.linalg.LinAlgError(f"dpteqr failed (info={info}) on a positive definite chain of {B.size} cells")
     return vals[::-1], s[:, None] * Z[:, ::-1]
@@ -131,41 +133,31 @@ def _modes(K, B):
 class SeparableSolver:
     """Exact inverse of shift * (x)B_a + sum_a K_a (x) (x)_{b != a} B_b.
 
-    stiffness[a] is the dense 1D matrix K_a, mass[a] the diagonal of B_a;
-    vectors are raveled in 'ij' order over the axes. The generalized
-    eigenpairs of each axis are computed once, here, and so are the sizes
-    the transforms reshape to: explicit ones (math.prod) rather than -1,
-    because an axis of 0 cells makes a 0-size block whose other extent -1
-    cannot infer. When every chain is Neumann and non-empty, solve at
-    shift 0 drops the all-constant mode: the pseudo-inverse.
+    K_a = tridiagonal(conductances[a]) from the m_a + 1 edge conductances of
+    axis a, whose m_a masses mass[a] are the diagonal of B_a (else ValueError
+    naming the axis). Vectors are raveled in 'ij' order over the axes. The
+    generalized eigenpairs of each axis are computed once, here, and so are
+    the sizes the transforms reshape to: explicit ones (math.prod) rather
+    than -1, because an axis of 0 cells makes a 0-size block whose other
+    extent -1 cannot infer. When every chain is Neumann and non-empty, solve
+    at shift 0 drops the all-constant mode: the pseudo-inverse.
     """
 
-    def __init__(self, stiffness, mass):
-        self.shape = shape = tuple(b.size for b in mass)
-        # the zero end-row test of _modes; a 0-size chain has no rows, and its operator no modes
-        self._singular = all(K.size > 0 and not (K[0].sum() or K[-1].sum()) for K in stiffness)
+    def __init__(self, conductances, mass):
+        self.shape = shape = tuple(B.size for B in mass)
         self._plan = []  # per axis: its modes, its length, the sizes of the axes before and after it
         lam = 0.0
-        for a, (K, B) in enumerate(zip(stiffness, mass)):
+        for a, (c, B) in enumerate(zip(conductances, mass, strict=True)):
+            if c.size != B.size + 1:
+                raise ValueError(f"axis {a}: a chain of {B.size} masses needs {B.size + 1} conductances, got {c.size}")
             # ascending, so mode 0 of a Neumann axis is the constant one
-            vals, vecs = _modes(K, B)
+            vals, vecs = _modes(c, B)
             self._plan.append((vecs, shape[a], math.prod(shape[:a]), math.prod(shape[a + 1 :])))
             lam = np.add.outer(lam, vals) if a else vals
         self._eigenvalues = lam
+        # the zero end-conductance test of _modes; a 0-size chain has no modes
+        self._singular = all(B.size > 0 and not (c[0] or c[-1]) for c, B in zip(conductances, mass))
         self._reciprocal = None  # (shift, 1 / (shift + eigenvalues))
-
-    def _transform(self, x, transpose):
-        """(x)_a W_a x for W_a = V_a^T (transpose) or V_a; x may have any shape of the solver's size."""
-        last = len(self.shape) - 1
-        for a, (vecs, n, before, after) in enumerate(self._plan):
-            W = vecs.T if transpose else vecs
-            if a == 0:
-                x = W @ x.reshape(n, after)
-            elif a == last:
-                x = x.reshape(before, n) @ W.T
-            else:
-                x = np.matmul(W, x.reshape(before, n, after))
-        return x
 
     def solve(self, b, shift=0.0):
         """Apply the inverse to b, or the pseudo-inverse where the operator is singular."""
@@ -175,9 +167,20 @@ class SeparableSolver:
             if self._singular and shift == 0:
                 denom[(0,) * len(self.shape)] = np.inf
             cached = self._reciprocal = (shift, 1.0 / denom)
-        y = self._transform(b, True)
-        y *= cached[1].reshape(y.shape)
-        return self._transform(y, False).ravel()
+        # (x)V_a^T b, scaled, then (x)V_a of it; x alone holds each product's input, dropped once it is used
+        x, last = b, len(self.shape) - 1
+        for transpose in (True, False):
+            for a, (vecs, n, before, after) in enumerate(self._plan):
+                W = vecs.T if transpose else vecs
+                if a == 0:
+                    x = W @ x.reshape(n, after)
+                elif a == last:
+                    x = x.reshape(before, n) @ W.T
+                else:
+                    x = np.matmul(W, x.reshape(before, n, after))
+            if transpose:
+                x *= cached[1].reshape(x.shape)
+        return x.ravel()
 
 
 def solve_cgw(d, S, N, b, M, *, tol=1e-10, maxiter=None, x0=None):
@@ -238,9 +241,11 @@ def solve_cgw(d, S, N, b, M, *, tol=1e-10, maxiter=None, x0=None):
             z *= omega
             x_prev *= 1.0 - omega
             x_prev += z
+            del z, Nz  # not held through the next M call
             x, x_prev, r, r_prev, rho_prev = x_prev, x, r_prev, r, rho
             iterations += 1
             rnorm = math.sqrt(dot(r, r))
+        del x_prev, r_prev, r  # the fresh residual reads x alone
         r, Sx, Nx = fresh_residual(x)
     residual = rnorm / bnorm
     if not residual <= tol:

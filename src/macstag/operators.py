@@ -24,18 +24,20 @@ block is the Kronecker sum
 
     S_i = sum_a K_a (x) (x)_{b != a} B_b
 
-of 1D chain stiffness matrices K_a and diagonal masses B_b. Along axis i the
-unknowns are the interior faces, coupled through the cells (conductances
-1/h_i, masses dual_w_i[1:-1]); across it they are cell rows whose outer ones
-sit half a cell from a Dirichlet wall (conductances 1/dual_w_a, masses h_a).
-An Operators keeps those conductances and masses, not the dense n x n chain
-matrices: Operators.laplace_factors builds the (K_a, B_a) of each block on
-access, to build S_i here and the exact separable inverse of M_i/dt + S_i in
-the scheme. Operators.poisson_factors builds the Neumann chains over the
-cells (masses h_a) whose Kronecker sum is the pressure Poisson matrix
-G^T M_v G.
-_kron_sum writes a Kronecker sum straight onto its diagonals (below): S_i
-is a dia_matrix on the offsets that C_i uses.
+of 1D chain stiffness matrices K_a and diagonal masses B_b. Every chain is
+kept as its (conductances, masses), the one format from here to LAPACK:
+K_a = linalg.tridiagonal(c_a) has the diagonal c_a[:-1] + c_a[1:] and the
+off-diagonals -c_a[1:-1]. Along axis i the unknowns are the interior faces,
+coupled through the cells (conductances 1/h_i, masses dual_w_i[1:-1]);
+across it they are cell rows whose outer ones sit half a cell from a
+Dirichlet wall (conductances 1/dual_w_a, masses h_a). laplace_chains[i]
+holds block i's chains: S_i, its mass M_i (the outer product of the
+masses) and the separable inverse of M_i/dt + S_i in the scheme all come
+from it. poisson_chains holds the Neumann chains over the cells (zero end
+conductances, masses h_a) whose Kronecker sum is the pressure Poisson
+matrix G^T M_v G. _kron_sum writes a Kronecker sum straight from the
+conductances onto its diagonals (below): S_i is a dia_matrix on the offsets
+that C_i uses.
 
 With cell volumes M_p and dual volumes M_v as weights, M_v G = -(M_p D)^T
 holds entrywise, which is the discrete duality the projection step relies
@@ -90,7 +92,7 @@ import scipy.sparse as sp
 
 from .fields import PressureField, VelocityField
 from .grid import MacGrid
-from .linalg import dot, tridiagonal
+from .linalg import dot
 
 __all__ = ["Operators"]
 
@@ -106,8 +108,8 @@ def _along(axis, s, dim):
     return tuple(s if a == axis else slice(None) for a in range(dim))
 
 
-def _kron_sum(stiffness, mass):
-    """sum_a K_a (x) (x)_{b != a} B_b as a dia_matrix on _dia_offsets of the shape of the B_a.
+def _kron_sum(conductances, mass):
+    """sum_a K_a (x) (x)_{b != a} B_b, K_a of conductances[a], as a dia_matrix on _dia_offsets of the B_a.
 
     Each term's bands multiply from axis 0 on and the diagonal adds the terms
     in axis order, as the CSR sum of sp.kron products does; the slots of a
@@ -117,12 +119,12 @@ def _kron_sum(stiffness, mass):
     size, offsets = math.prod(shape), _dia_offsets(shape)
     data = np.zeros((offsets.size, size))
     slot = {offset: k for k, offset in enumerate(offsets)}
-    for a, K in enumerate(stiffness):
+    for a, c in enumerate(conductances):
         # column k of a band holds K[k, k], K[k - 1, k] (offset +stride) or K[k + 1, k] (offset -stride)
-        bands = [(0, np.diag(K))]
+        bands = [(0, c[:-1] + c[1:])]
         if shape[a] > 1:
             stride = math.prod(shape[a + 1 :])
-            bands += [(stride, np.append(0.0, np.diag(K, 1))), (-stride, np.append(np.diag(K, -1), 0.0))]
+            bands += [(stride, np.append(0.0, -c[1:-1])), (-stride, np.append(-c[1:-1], 0.0))]
         for offset, band in bands:
             factors = [band if b == a else B for b, B in enumerate(mass)]
             data[slot[offset]] += reduce(np.multiply.outer, factors).ravel()
@@ -147,7 +149,13 @@ class Operators:
         self._cuts = [[_along(a, s, d) for s in (slice(None, -1), slice(1, None), slice(1, -1))] for a in range(d)]
         self._slabs = [mid for _, _, mid in self._cuts]
         self._block_shapes = [tuple(n - (a == i) for a, n in enumerate(grid.shape)) for i in range(d)]
-        self.mass_blocks = [grid.dual_volumes(i)[slab].flatten() for i, slab in enumerate(self._slabs)]
+        # per block i: the edge conductances and masses of the 1D chains whose Kronecker sum is S_i
+        self.laplace_chains = []
+        for i in range(d):
+            conductances = [1.0 / (grid.h[a] if a == i else grid.dual_w[a]) for a in range(d)]
+            mass = [grid.dual_w[a][1:-1] if a == i else grid.h[a] for a in range(d)]
+            self.laplace_chains.append((conductances, mass))
+        self.mass_blocks = [reduce(np.multiply.outer, mass).ravel() for _, mass in self.laplace_chains]
         self.block_sizes = [m.size for m in self.mass_blocks]
         self.offsets = np.concatenate([[0], np.cumsum(self.block_sizes)])
         self.n_velocity = int(self.offsets[-1])
@@ -156,29 +164,12 @@ class Operators:
         inv_dw, inv_h = [1.0 / dw[1:-1] for dw in grid.dual_w], [1.0 / h for h in grid.h]
         self.G = self._face_cell([(-w, w) for w in inv_dw])
         self.D = self._face_cell([(w[:-1], -w[1:]) for w in inv_h]).T.tocsr()
-        # per block i: the edge conductances and masses B_a of the 1D chains whose Kronecker sum is S_i
-        self._laplace_chains = []
-        for i in range(d):
-            conductances = [1.0 / (grid.h[a] if a == i else grid.dual_w[a]) for a in range(d)]
-            mass = [grid.dual_w[a][1:-1] if a == i else grid.h[a] for a in range(d)]
-            self._laplace_chains.append((conductances, mass))
-        self.laplace_blocks = [_kron_sum(*f) for f in self.laplace_factors]
-        self._poisson_chains = ([np.concatenate([[0.0], 1.0 / dw[1:-1], [0.0]]) for dw in grid.dual_w], grid.h)
+        self.laplace_blocks = [_kron_sum(*chains) for chains in self.laplace_chains]
+        self.poisson_chains = ([np.concatenate([[0.0], 1.0 / dw[1:-1], [0.0]]) for dw in grid.dual_w], grid.h)
 
         # per block i: the diagonals C_i is stored on, which S_i shares, and its flux axes
         self.dia_offsets = [_dia_offsets(shape) for shape in self._block_shapes]
         self._convection = [self._convection_plan(i) for i in range(d)]
-
-    @property
-    def laplace_factors(self):
-        """Per block i: the dense 1D stiffness matrices K_a and the masses B_a of S_i, built on each access."""
-        return [([tridiagonal(c) for c in conductances], mass) for conductances, mass in self._laplace_chains]
-
-    @property
-    def poisson_factors(self):
-        """The dense 1D Neumann stiffness matrices K_a over the cells and their masses h_a, built on each access."""
-        neumann, mass = self._poisson_chains
-        return [tridiagonal(c) for c in neumann], mass
 
     # -- vector packing ----------------------------------------------------
 

@@ -7,12 +7,12 @@ the constant pressure; the right-hand side is compatible by construction
 because column sums of the divergence vanish.
 
 On a tensor-product grid G^T M_v G = sum_a K_a (x) (x)_{b != a} H_b, a
-Kronecker sum of the 1D Neumann stiffness matrices K_a with the diagonal
-cell-width matrices H_b (Operators.poisson_factors), so
-linalg.SeparableSolver inverts it exactly by fast diagonalization. Its
-chains are all Neumann, so the solver sees the operator is singular and
-applies the pseudo-inverse: the all-constant mode is dropped, which leaves
-the result with zero volume mean.
+Kronecker sum of 1D Neumann chains K_a with the diagonal cell-width
+matrices H_b. Operators.poisson_chains gives them as (conductances, masses),
+and linalg.SeparableSolver inverts their sum exactly by fast
+diagonalization. Every chain has zero end conductances, so the solver sees
+the operator is singular and applies the pseudo-inverse: the all-constant
+mode is dropped, which leaves the result with zero volume mean.
 
 decompose works on the unknowns themselves: w and v are packed interior-face
 vectors (Operators.pack) and psi is the flat cell vector. It is iterative
@@ -63,7 +63,7 @@ class Projector:
 
     def __init__(self, ops: Operators):
         self.ops = ops
-        self._separable = SeparableSolver(*ops.poisson_factors)
+        self._separable = SeparableSolver(*ops.poisson_chains)
         self._Gt = ops.G.T.tocsr()
 
     def decompose(self, w: np.ndarray):

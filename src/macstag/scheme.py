@@ -209,7 +209,7 @@ class ProjectionScheme:
         try:
             self.projector = Projector(self.ops)
             self._check_resolution()
-            self._momentum_solvers = [SeparableSolver(*factors) for factors in self.ops.laplace_factors]
+            self._momentum_solvers = [SeparableSolver(*chains) for chains in self.ops.laplace_chains]
         except np.linalg.LinAlgError as err:
             raise SchemeError(f"building the separable solvers failed: LinAlgError: {err}") from err
         self._mass_peak = float(self.ops.mass_velocity.max())  # read by the prediction's overflow guard

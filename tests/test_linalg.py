@@ -196,13 +196,13 @@ def test_tridiagonal_chain():
     assert tridiagonal(np.array([4.0])).shape == (0, 0)
 
 
-def kronecker_operator(stiffness, mass, shift):
-    """Dense shift * (x)B_a + sum_a K_a (x) (x)_{b != a} B_b."""
+def kronecker_operator(conductances, mass, shift):
+    """Dense shift * (x)B_a + sum_a K_a (x) (x)_{b != a} B_b, K_a = tridiagonal(conductances[a])."""
     out = shift * np.diag(reduce(np.multiply, np.ix_(*mass)).ravel())
     for a in range(len(mass)):
         term = np.ones((1, 1))
         for b in range(len(mass)):
-            term = np.kron(term, stiffness[a] if b == a else np.diag(mass[b]))
+            term = np.kron(term, tridiagonal(conductances[a]) if b == a else np.diag(mass[b]))
         out = out + term
     return out
 
@@ -212,25 +212,25 @@ def test_separable_solver_inverts_kronecker_sum(sizes):
     # (2, 5, 3): a middle axis longer than the outer ones; a 0-cell axis
     # leaves nothing to solve for
     rng = np.random.default_rng(89)
-    stiffness = [tridiagonal(rng.uniform(0.5, 2.0, m + 1)) for m in sizes]
+    conductances = [rng.uniform(0.5, 2.0, m + 1) for m in sizes]
     mass = [rng.uniform(0.1, 1.0, m) for m in sizes]
-    solver = SeparableSolver(stiffness, mass)
-    A = kronecker_operator(stiffness, mass, 3.0)
+    solver = SeparableSolver(conductances, mass)
+    A = kronecker_operator(conductances, mass, 3.0)
     b = rng.standard_normal(A.shape[0])
     x = solver.solve(b, 3.0)
     assert x.shape == (math.prod(sizes),)
     assert np.linalg.norm(A @ x - b) <= 1e-12 * np.linalg.norm(b)
 
 
-def neumann_factors(rng, sizes):
+def neumann_chains(rng, sizes):
     # zero end conductances: an all-Neumann operator, singular on constants
-    stiffness = [tridiagonal(np.concatenate([[0.0], rng.uniform(0.5, 2.0, m - 1), [0.0]])) for m in sizes]
-    return stiffness, [rng.uniform(0.1, 1.0, m) for m in sizes]
+    conductances = [np.concatenate([[0.0], rng.uniform(0.5, 2.0, m - 1), [0.0]]) for m in sizes]
+    return conductances, [rng.uniform(0.1, 1.0, m) for m in sizes]
 
 
-def dense_pseudo_inverse_solve(stiffness, mass, b):
+def dense_pseudo_inverse_solve(conductances, mass, b):
     """Solution of the singular all-Neumann system with zero mass-weighted mean."""
-    x = np.linalg.pinv(kronecker_operator(stiffness, mass, 0.0)) @ b
+    x = np.linalg.pinv(kronecker_operator(conductances, mass, 0.0)) @ b
     weights = reduce(np.multiply, np.ix_(*mass)).ravel()
     return x - (weights @ x) / weights.sum()
 
@@ -238,16 +238,16 @@ def dense_pseudo_inverse_solve(stiffness, mass, b):
 def test_separable_solver_drops_constant_mode():
     # the solver finds its null mode: at shift 0 it applies the
     # pseudo-inverse when every chain is Neumann, 1-cell ones included, and
-    # the inverse when a chain has a wall (a nonzero end row), of several
-    # cells or of one
+    # the inverse when a chain has a wall (a nonzero end conductance), of
+    # several cells or of one
     rng = np.random.default_rng(97)
     for sizes, walls in [((5, 4), ()), ((3, 4, 2), ()), ((1, 6), ()), ((4, 1, 3), ()),
                          ((3, 5), (4,)), ((3, 5), (1,)), ((6,), (1, 4))]:
-        stiffness, mass = neumann_factors(rng, sizes)
-        stiffness += [tridiagonal(rng.uniform(0.5, 2.0, m + 1)) for m in walls]
+        conductances, mass = neumann_chains(rng, sizes)
+        conductances += [rng.uniform(0.5, 2.0, m + 1) for m in walls]
         mass += [rng.uniform(0.1, 1.0, m) for m in walls]
-        solver = SeparableSolver(stiffness, mass)
-        A = kronecker_operator(stiffness, mass, 0.0)
+        solver = SeparableSolver(conductances, mass)
+        A = kronecker_operator(conductances, mass, 0.0)
         b = rng.standard_normal(A.shape[0])
         if not walls:
             b -= b.mean()
@@ -258,11 +258,21 @@ def test_separable_solver_drops_constant_mode():
             assert abs(weights @ x) <= 1e-12 * np.linalg.norm(x)
     # momentum block 0 on a 1-cell axis has a 0x0 chain: the solver builds
     # without indexing it and maps the empty vector to itself
-    factors = Operators(MacGrid([[0.0, 1.0], [0.0, 0.25, 0.5, 1.0]])).laplace_factors[0]
-    assert factors[0][0].shape == (0, 0)
-    solver = SeparableSolver(*factors)
+    chains = Operators(MacGrid([[0.0, 1.0], [0.0, 0.25, 0.5, 1.0]])).laplace_chains[0]
+    assert tridiagonal(chains[0][0]).shape == (0, 0)
+    solver = SeparableSolver(*chains)
     for shift in (0.0, 2.0):
         assert solver.solve(np.zeros(0), shift).shape == (0,)
+
+
+@pytest.mark.parametrize("lengths, axis", [([(4, 4), (3, 2)], 0), ([(5, 4), (3, 3)], 1), ([(5, 4), (4, 3), (1, 1)], 2)])
+def test_separable_solver_rejects_malformed_chains(lengths, axis):
+    # a chain of m masses has m + 1 conductances; any other pair is named by
+    # its axis before numpy or LAPACK sees it
+    conductances = [np.ones(nc) for nc, _ in lengths]
+    mass = [np.ones(nm) for _, nm in lengths]
+    with pytest.raises(ValueError, match=rf"^axis {axis}: a chain of {lengths[axis][1]} masses needs"):
+        SeparableSolver(conductances, mass)
 
 
 def test_separable_solver_reciprocal_follows_shift():
@@ -270,18 +280,18 @@ def test_separable_solver_reciprocal_follows_shift():
     # change of shift must be seen, to 0 (where the constant mode is
     # dropped) and back
     rng = np.random.default_rng(163)
-    stiffness, mass = neumann_factors(rng, (4, 3, 5))
-    solver = SeparableSolver(stiffness, mass)
+    conductances, mass = neumann_chains(rng, (4, 3, 5))
+    solver = SeparableSolver(conductances, mass)
     b = rng.standard_normal(60)
     for shift in (3.0, 7.0, 3.0):
-        expect = np.linalg.solve(kronecker_operator(stiffness, mass, shift), b)
+        expect = np.linalg.solve(kronecker_operator(conductances, mass, shift), b)
         x = solver.solve(b, shift)
         assert np.linalg.norm(x - expect) <= 1e-12 * np.linalg.norm(expect)
     b -= b.mean()
-    expect = dense_pseudo_inverse_solve(stiffness, mass, b)
+    expect = dense_pseudo_inverse_solve(conductances, mass, b)
     x = solver.solve(b)
     assert np.linalg.norm(x - expect) <= 1e-12 * np.linalg.norm(expect)
-    expect = np.linalg.solve(kronecker_operator(stiffness, mass, 3.0), b)
+    expect = np.linalg.solve(kronecker_operator(conductances, mass, 3.0), b)
     assert np.linalg.norm(solver.solve(b, 3.0) - expect) <= 1e-12 * np.linalg.norm(expect)
 
 
@@ -305,7 +315,7 @@ def graded_operators(request):
 def test_separable_solver_accuracy_on_strong_grading(graded_operators):
     # momentum block 0 at shift 32, residual by the operator's own matvec
     ops = graded_operators
-    solver = SeparableSolver(*ops.laplace_factors[0])
+    solver = SeparableSolver(*ops.laplace_chains[0])
     S, mass = ops.laplace_blocks[0], ops.mass_blocks[0]
     b = np.random.default_rng(167).standard_normal(mass.size)
     x = solver.solve(b, 32.0)
@@ -316,7 +326,7 @@ def test_separable_solver_accuracy_on_strong_grading(graded_operators):
 def test_poisson_pseudo_inverse_accuracy_on_strong_grading(graded_operators):
     # G^T M_v G psi = G^T M_v w, as the projection solves it
     ops = graded_operators
-    solver = SeparableSolver(*ops.poisson_factors)
+    solver = SeparableSolver(*ops.poisson_chains)
     w = np.random.default_rng(173).standard_normal(ops.n_velocity)
     b = ops.G.T @ (ops.mass_velocity * w)
     x = solver.solve(b)
@@ -325,13 +335,14 @@ def test_poisson_pseudo_inverse_accuracy_on_strong_grading(graded_operators):
 
 
 def momentum_chains(n, ratio):
-    """The component and transverse 1D chains (K, B) of a graded axis of n cells."""
+    """The component and transverse 1D chains (c, B) of a graded axis of n cells."""
     g = MacGrid([graded_axis(0.0, 1.0, n, ratio), graded_axis(0.0, 1.0, 2, 1.0)])
-    return [(tridiagonal(1.0 / g.h[0]), g.dual_w[0][1:-1]), (tridiagonal(1.0 / g.dual_w[0]), g.h[0])]
+    return [(1.0 / g.h[0], g.dual_w[0][1:-1]), (1.0 / g.dual_w[0], g.h[0])]
 
 
-def chain_inverse_residual(K, B, vals, V):
-    """Worst relative residual of (shift B + K)^-1 through the modes, shifts 1, 32 and 1e4."""
+def chain_inverse_residual(c, B, vals, V):
+    """Worst relative residual of (shift B + K)^-1 through the modes, shifts 1, 32 and 1e4, K = tridiagonal(c)."""
+    K = tridiagonal(c)
     rng = np.random.default_rng(179)
     worst = 0.0
     for shift in (1.0, 32.0, 1e4):
@@ -358,10 +369,10 @@ def dpteqr_calls(monkeypatch):
 def test_modes_take_positive_definite_chains_from_mrrr(dpteqr_calls, n, ratio):
     # O(n^2) dstemr resolves these chains to roundoff (3e-12 at 512 cells,
     # as dpteqr's); the O(n^3) dpteqr is not called
-    for K, B in momentum_chains(n, ratio):
-        vals, V = linalg_module._modes(K, B)
+    for c, B in momentum_chains(n, ratio):
+        vals, V = linalg_module._modes(c, B)
         assert np.all(np.diff(vals) > 0)
-        assert chain_inverse_residual(K, B, vals, V) <= 1e-11
+        assert chain_inverse_residual(c, B, vals, V) <= 1e-11
     assert dpteqr_calls == []
 
 
@@ -376,24 +387,24 @@ def test_modes_redo_a_chain_whose_mrrr_modes_are_wrong(monkeypatch, dpteqr_calls
         return m, vals, Z, info
 
     monkeypatch.setattr(linalg_module, "dstemr", wrong)
-    (K, B), _ = momentum_chains(64, 1.1)
-    vals, V = linalg_module._modes(K, B)
+    (c, B), _ = momentum_chains(64, 1.1)
+    vals, V = linalg_module._modes(c, B)
     assert dpteqr_calls == [B.size]
     assert np.all(np.diff(vals) > 0)
-    assert chain_inverse_residual(K, B, vals, V) <= 1e-12
+    assert chain_inverse_residual(c, B, vals, V) <= 1e-12
 
 
 def test_modes_resolve_a_chain_mrrr_gets_wrong():
     # 256 cells at ratio 1.08: dstemr's own modes leave a residual near 1
     # here; whichever routine resolves the chain, its inverse is exact
-    for K, B in momentum_chains(256, 1.08):
-        assert chain_inverse_residual(K, B, *linalg_module._modes(K, B)) <= 1e-12
+    for c, B in momentum_chains(256, 1.08):
+        assert chain_inverse_residual(c, B, *linalg_module._modes(c, B)) <= 1e-12
 
 
 def test_modes_raise_when_dpteqr_fails(monkeypatch):
     # no silent fallback to eigh: CGW needs the exact inverse
     monkeypatch.setattr(linalg_module, "dstemr", lambda d, *args: (0, d, None, 1))
     monkeypatch.setattr(linalg_module, "dpteqr", lambda d, *args, **kwargs: (d, None, None, 3))
-    (K, B), _ = momentum_chains(16, 1.1)
+    (c, B), _ = momentum_chains(16, 1.1)
     with pytest.raises(np.linalg.LinAlgError, match=r"dpteqr failed \(info=3\) on a positive definite chain of 15 cells"):
-        linalg_module._modes(K, B)
+        linalg_module._modes(c, B)

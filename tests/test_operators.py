@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from macstag.fields import VelocityField, _bcast, face_average, l2_norm, velocity_inner, w1q_norm
 from macstag.grid import MacGrid, graded_axis, uniform_axis, uniform_grid
+from macstag.linalg import tridiagonal
 from macstag.operators import Operators
 from macstag.projection import Projector
 from macstag.scheme import ProjectionScheme
@@ -455,8 +456,9 @@ def sp_kron_assembly(ops):
     G = sp.vstack([on_axis(i, sp.diags(1.0 / g.dual_w[i][1:-1]) @ delta[i]) for i in range(d)], format="csr")
     D = sp.hstack([on_axis(i, -sp.diags(1.0 / g.h[i]) @ delta[i].T) for i in range(d)], format="csr")
     laplace = []
-    for stiffness, mass in ops.laplace_factors:
-        terms = [_sp_kron([K if b == a else sp.diags(B) for b, B in enumerate(mass)]) for a, K in enumerate(stiffness)]
+    for conductances, mass in ops.laplace_chains:
+        terms = [_sp_kron([tridiagonal(c) if b == a else sp.diags(B) for b, B in enumerate(mass)])
+                 for a, c in enumerate(conductances)]
         laplace.append(reduce(operator.add, terms).tocsr())
     base = np.cumsum([0] + [int(np.prod(g.face_shape(j))) for j in range(d)])
     flux_maps = []
@@ -559,6 +561,27 @@ def test_operators_memory_is_pinned(n, dim):
     # convection flux maps and incidences that once filled C_i took 40-49
     ops = Operators(MacGrid([graded_axis(0.0, 1.0, n, 1.05)] * dim))
     assert reachable_bytes(ops) <= 20 * ops.n_velocity * 8
+
+
+@pytest.mark.parametrize("axes", [[graded_axis(0.0, 1.0, 12, 1.05)] * 2,
+                                  [graded_axis(0.0, 1.0, 5, 1.1), [0.0, 1.0], uniform_axis(0.0, 1.0, 4)]],
+                         ids=["graded-2d", "one-cell-axis-3d"])
+def test_operators_build_no_dense_chain(monkeypatch, axes):
+    # every chain stays (conductances, masses): S_i and M_i are read off
+    # them, so building the operators forms no dense n x n chain matrix
+    import macstag.linalg
+    import macstag.operators
+
+    calls = []
+
+    def spy(c):
+        calls.append(c.size)
+        return tridiagonal(c)
+
+    monkeypatch.setattr(macstag.linalg, "tridiagonal", spy)
+    monkeypatch.setattr(macstag.operators, "tridiagonal", spy, raising=False)
+    Operators(MacGrid(axes))
+    assert calls == []
 
 
 @settings(max_examples=60)

@@ -191,11 +191,11 @@ def test_decompose_matches_dense_pseudoinverse(grid):
 
 
 @pytest.mark.parametrize("grid", ORACLE_GRIDS.values(), ids=ORACLE_GRIDS.keys())
-def test_poisson_factors_build_the_poisson_matrix(grid):
-    # the 1D factors the projector's separable solver inverts, against the
+def test_poisson_chains_build_the_poisson_matrix(grid):
+    # the 1D chains the projector's separable solver inverts, against the
     # assembled G^T M_v G: same pattern, values to rounding
     ops = Operators(grid)
-    kron = _kron_sum(*ops.poisson_factors).tocsr()
+    kron = _kron_sum(*ops.poisson_chains).tocsr()
     ref = _poisson_matrix(ops)
     for mat in (kron, ref):
         mat.sum_duplicates()

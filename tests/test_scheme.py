@@ -422,14 +422,14 @@ SEPARABLE_GRIDS = _separable_grids()
 def _momentum_inverses(name):
     """The operators of a SEPARABLE_GRIDS grid and the separable solver of each block, built once."""
     ops = Operators(SEPARABLE_GRIDS[name])
-    return ops, [SeparableSolver(*factors) for factors in ops.laplace_factors]
+    return ops, [SeparableSolver(*chains) for chains in ops.laplace_chains]
 
 
 @pytest.mark.parametrize("name", SEPARABLE_GRIDS.keys())
 @pytest.mark.parametrize("dt", [1.0, 1.0 / 32, 1e-4])
 def test_prediction_preconditioner_is_exact_symmetric_inverse(name, dt):
-    # the separable solver built from the 1D factors of block i inverts
-    # M_i/dt + S_i as assembled from the same factors; CGW needs it exact
+    # the separable solver built from the 1D chains of block i inverts
+    # M_i/dt + S_i as assembled from the same chains; CGW needs it exact
     ops, solvers = _momentum_inverses(name)
     rng = np.random.default_rng(7)
     for i, solver in enumerate(solvers):
@@ -735,8 +735,9 @@ def test_step_working_set_is_pinned(problem, axes):
     # one step holds at most 12 full-length velocity vectors beyond the
     # state it starts from: one convection block at a time, each direction's
     # solution written into the packed utilde, and the momentum check in two
-    # buffers. Measured 11.0 (128^2) and 9.5 (16^3); holding every C_i and a
-    # concatenated copy of the solutions reads 16.0 and 16.5
+    # buffers. Measured 9.5 (128^2) and 9.5 (16^3); holding every C_i and a
+    # concatenated copy of the solutions reads 16.0 and 16.5, and the solver
+    # vectors of the last CGW iteration held through the next one 11.0 (128^2)
     prob = mms_problem(problem)
     scheme = ProjectionScheme(MacGrid(axes))
     state = scheme.initialize(prob.initial)
