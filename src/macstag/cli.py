@@ -93,7 +93,6 @@ def cmd_run(cfg):
     scheme = ProjectionScheme(grid, **cfg.scheme_kwargs())
     levels = scheme.iterate(problem.initial, problem.forcing, cfg.t_final, cfg.steps)
 
-    os.makedirs(cfg.out_dir, exist_ok=True)
     output.write_text(os.path.join(cfg.out_dir, "config.resolved.ini"), cfg.to_ini())
     # each row and snapshot is written as its level arrives, so a failed step keeps the ones before it
     with output.open_diagnostics_csv(os.path.join(cfg.out_dir, "diagnostics.csv")) as csv_file:
@@ -176,12 +175,10 @@ def cmd_convergence(cfg, args):
         raise ConfigError([f"convergence --levels {args.levels} cannot start from a grid with 1 cell along "
                            f"axis {flat[0]}: that level's error does not compare with the refined levels'"])
     problem = _problem_on(cfg, grid)
-    levels = []
-    steps = cfg.steps
-    for _ in range(args.levels):
-        levels.append((grid, steps))
-        grid = midpoint_refined(grid)
-        steps *= 2
+    levels = [(grid, cfg.steps)]
+    while len(levels) < args.levels:
+        grid, steps = levels[-1]
+        levels.append((midpoint_refined(grid), 2 * steps))
     report = convergence_study(problem, levels, cfg.t_final, **cfg.scheme_kwargs())
     print(report.summary())
     output.write_study_csv(os.path.join(cfg.out_dir, "study.csv"), report)

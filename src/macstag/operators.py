@@ -33,11 +33,12 @@ across it they are cell rows whose outer ones sit half a cell from a
 Dirichlet wall (conductances 1/dual_w_a, masses h_a). laplace_chains[i]
 holds block i's chains: S_i, its mass M_i (the outer product of the
 masses) and the separable inverse of M_i/dt + S_i in the scheme all come
-from it. poisson_chains holds the Neumann chains over the cells (zero end
-conductances, masses h_a) whose Kronecker sum is the pressure Poisson
-matrix G^T M_v G. _kron_sum writes a Kronecker sum straight from the
-conductances onto its diagonals (below): S_i is a dia_matrix on the offsets
-that C_i uses.
+from it. The masses are held once, packed in mass_velocity; mass_blocks[i]
+is a view of its block i. poisson_chains holds the Neumann chains over the
+cells (zero end conductances, masses h_a) whose Kronecker sum is the
+pressure Poisson matrix G^T M_v G. _kron_sum writes a Kronecker sum
+straight from the conductances onto its diagonals (below): S_i is a
+dia_matrix on the offsets that C_i uses.
 
 With cell volumes M_p and dual volumes M_v as weights, M_v G = -(M_p D)^T
 holds entrywise, which is the discrete duality the projection step relies
@@ -54,11 +55,10 @@ K_a, times the masses of the other axes, fills the slots 0 and +-stride_a,
 and the slots of a band that wrap across axis a hold zero.
 
 convection_block(a, i) writes the diagonals of block i by slab arithmetic on
-views of the packed a, whose wall faces are zero; convection_blocks(a) lists
-every block, and the prediction fills one block at a time. With both factors
-1/2 (the mean of two primal-face fluxes, and the half sum of the two
-velocities) folded into grid-only weights, 1/4 times products of cell
-widths, the flux axes go:
+views of the packed a, whose wall faces are zero; the prediction and
+convection_form fill one block at a time. With both factors 1/2 (the mean
+of two primal-face fluxes, and the half sum of the two velocities) folded
+into grid-only weights, 1/4 times products of cell widths, the flux axes go:
 
     axis i     on the cells along i, F = c a_i[left face] + c a_i[right
                face], a wall face adding nothing; then diag -= F[:-1],
@@ -155,11 +155,11 @@ class Operators:
             conductances = [1.0 / (grid.h[a] if a == i else grid.dual_w[a]) for a in range(d)]
             mass = [grid.dual_w[a][1:-1] if a == i else grid.h[a] for a in range(d)]
             self.laplace_chains.append((conductances, mass))
-        self.mass_blocks = [reduce(np.multiply.outer, mass).ravel() for _, mass in self.laplace_chains]
-        self.block_sizes = [m.size for m in self.mass_blocks]
+        self.block_sizes = [math.prod(shape) for shape in self._block_shapes]
         self.offsets = np.concatenate([[0], np.cumsum(self.block_sizes)])
         self.n_velocity = int(self.offsets[-1])
-        self.mass_velocity = np.concatenate(self.mass_blocks)
+        self.mass_velocity = np.concatenate([reduce(np.multiply.outer, m).ravel() for _, m in self.laplace_chains])
+        self.mass_blocks = [self.block(self.mass_velocity, i) for i in range(d)]
 
         inv_dw, inv_h = [1.0 / dw[1:-1] for dw in grid.dual_w], [1.0 / h for h in grid.h]
         self.G = self._face_cell([(-w, w) for w in inv_dw])
@@ -293,10 +293,6 @@ class Operators:
                 slots[-stride][lo] -= F
         return sp.dia_matrix((data, offsets), shape=(size, size))
 
-    def convection_blocks(self, a: np.ndarray):
-        """Every direction's C_i(a) (convection_block), direction 0 first."""
-        return [self.convection_block(a, i) for i in range(self.grid.dim)]
-
     # -- operator application ----------------------------------------------
 
     def grad(self, p: PressureField) -> VelocityField:
@@ -310,17 +306,15 @@ class Operators:
     def neg_laplacian(self, u: VelocityField) -> VelocityField:
         """Minus the discrete vector Laplacian with zero wall values."""
         vec = self.pack(u)
-        blocks = zip(self.laplace_blocks, self.mass_blocks)
-        return self.unpack(np.concatenate([(S @ self.block(vec, i)) / m for i, (S, m) in enumerate(blocks)]))
+        return self.unpack(np.concatenate([S @ self.block(vec, i) for i, S in enumerate(self.laplace_blocks)])
+                           / self.mass_velocity)
 
     def convection_form(self, a: VelocityField, w: VelocityField, v: VelocityField) -> float:
-        """Trilinear form: the weak convection of w by a tested against v."""
-        blocks = self.convection_blocks(self.pack(a))
-        wv = self.pack(w)
-        vv = self.pack(v)
+        """Trilinear form: the weak convection of w by a tested against v, one C_i(a) at a time."""
+        av, wv, vv = self.pack(a), self.pack(w), self.pack(v)
         total = 0.0
-        for i, C in enumerate(blocks):
-            total += dot(self.block(vv, i), C @ self.block(wv, i))
+        for i in range(self.grid.dim):
+            total += dot(self.block(vv, i), self.convection_block(av, i) @ self.block(wv, i))
         return total
 
     # -- debugging exports ---------------------------------------------------

@@ -64,12 +64,15 @@ def diagnostics_row(d) -> str:
 
 
 def write_diagnostics_csv(path, diagnostics):
-    """One row per step with the ten contract columns."""
-    return write_text(path, "\n".join([_DIAGNOSTICS_HEADER] + [diagnostics_row(d) for d in diagnostics]))
+    """One row per step with the ten contract columns, written as open_diagnostics_csv writes them."""
+    with open_diagnostics_csv(path) as fh:
+        fh.writelines(diagnostics_row(d) + "\n" for d in diagnostics)
+    return path
 
 
 def open_diagnostics_csv(path):
     """diagnostics.csv opened with its header written, for rows written as the steps arrive."""
+    _make_parent(path)
     fh = open(path, "w", newline="\n")
     fh.write(_DIAGNOSTICS_HEADER + "\n")
     return fh

@@ -29,9 +29,11 @@ itself, H = M_i/dt + S_i as the diagonal M_i/dt plus S_i, and N = C_i(u^n),
 S_i and C_i both stored on the same fixed diagonals. C_i(u^n) is filled
 just before direction i's solve and dropped after it. Of each solve the
 step keeps its iteration count and the S_i utilde and C_i(u^n) utilde of
-the last residual the solver recomputed (DirectionSolve); the energy terms
-and the momentum check reuse them, so a step forms each of these products
-once after the solve, and holds at most 12 velocity vectors beyond its state.
+the last residual the solver recomputed, packed once after the last solve
+into S utilde and C(u^n) utilde (Prediction); the energy terms and the
+momentum check read those packed vectors, so a step forms none of these
+products after the solves, and holds at most 12 velocity vectors beyond its
+state. Only the prediction's loop splits a vector by direction.
 Every step records the terms of the discrete energy inequality
 
     (1/2dt)(||u^{n+1}||^2 - ||u^n||^2) + (dt/2)(||grad p^{n+1}||^2
@@ -59,7 +61,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from functools import partial
 
 import numpy as np
@@ -158,22 +160,16 @@ class SchemeState:
 
 
 @dataclass
-class DirectionSolve:
-    """What the step keeps of one direction's prediction solve: its CGW iteration count, and
-    the S_i utilde_i and C_i(u^n) utilde_i the solver formed for its last residual."""
+class Prediction:
+    """What the step keeps of the prediction solves: the packed S utilde and C(u^n) utilde the
+    solver formed for its last residuals, the CGW iteration count of each direction, direction 0
+    first, and the largest relative and the mass-weighted residual."""
 
-    iterations: int
-    Sx: np.ndarray
-    Nx: np.ndarray
-
-
-@dataclass
-class PredictionStats:
-    iterations: int
+    Su: np.ndarray
+    Nu: np.ndarray
+    iterations: list
     residual: float
     residual_l2: float
-    # one DirectionSolve per direction, direction 0 first
-    per_direction: list = field(default_factory=list)
 
 
 class ProjectionScheme:
@@ -267,11 +263,11 @@ class ProjectionScheme:
         """Solve the implicit momentum systems, one per component direction.
 
         f is the packed forcing; u^n and utilde^n come from the state.
-        Returns the packed utilde and the solver stats, whose per_direction
-        entries carry the iteration count, S_i utilde_i and C_i(u^n) utilde_i
-        of each direction (DirectionSolve). Each system is solved by CGW on
-        its split H = M_i/dt + S_i, N = C_i(u^n), with the exact separable
-        inverse of H, and started from the extrapolated guess
+        Returns the packed utilde and its Prediction, which packs the S_i
+        utilde_i and C_i(u^n) utilde_i of every direction once, after the
+        last solve, and lists their iteration counts. Each system is solved
+        by CGW on its split H = M_i/dt + S_i, N = C_i(u^n), with the exact
+        separable inverse of H, and started from the extrapolated guess
         2 utilde^n - utilde^{n-1}; while fewer earlier predictions exist it
         starts from utilde^n, then from u^n. Each solution is written into
         the packed utilde, which held the extrapolated guess: the solver
@@ -295,8 +291,8 @@ class ProjectionScheme:
         else:
             guess = np.multiply(state.u_tilde_prev, 2.0, out=ut)
             guess -= state.u_tilde_prev2
-        res_sq = 0.0
-        stats = PredictionStats(0, 0.0, 0.0)
+        res_sq, residual = 0.0, 0.0
+        Su, Nu, iterations = [], [], []
         for i, (S, mass) in enumerate(zip(ops.laplace_blocks, ops.mass_blocks)):
             rhs = mass * (ops.block(u, i) / dt + ops.block(f, i) - ops.block(state.gp, i))
             try:
@@ -309,12 +305,12 @@ class ProjectionScheme:
             ops.block(ut, i)[:] = out.x
             r = out.residual_vector
             res_sq += float(np.sum(r * r / mass))
-            stats.iterations += out.iterations
-            stats.residual = max(stats.residual, out.residual)
-            stats.per_direction.append(DirectionSolve(out.iterations, out.Sx, out.Nx))
+            residual = max(residual, out.residual)
+            Su.append(out.Sx)
+            Nu.append(out.Nx)
+            iterations.append(out.iterations)
             del out, r, rhs  # the solution is in ut, and the block's solver data are dropped before the next one
-        stats.residual_l2 = math.sqrt(res_sq)
-        return ut, stats
+        return ut, Prediction(np.concatenate(Su), np.concatenate(Nu), iterations, residual, math.sqrt(res_sq))
 
     def correction(self, state: SchemeState, ut: np.ndarray, dt: float):
         """Pressure increment and divergence-free update; returns (u, p, residual, div_max).
@@ -342,11 +338,11 @@ class ProjectionScheme:
         ops = self.ops
         f = ops.pack(self._forcing_field(forcing, state.t + 0.5 * dt))
         _require_finite(f, state.n + 1, "forcing", "forcing")
-        ut, pstats = self.prediction(state, f, dt)
+        ut, pred = self.prediction(state, f, dt)
         u_new, p_new, corr_residual, div_max = self.correction(state, ut, dt)
 
-        # S_i utilde as the solver formed it for its last residual, shared with the momentum check
-        dissipation = dot(ut, np.concatenate([out.Sx for out in pstats.per_direction]))
+        # S utilde as the solver formed it for its last residuals, shared with the momentum check
+        dissipation = dot(ut, pred.Su)
         e_new, e_old = 0.5 * ops.inner(u_new, u_new), state.energy
         gp_vec = ops.G @ p_new.data.ravel()
         gp_new, gp_old = ops.norm(gp_vec), state.gp_norm
@@ -380,15 +376,15 @@ class ProjectionScheme:
             coupling_norm=coupling,
             div_max=div_max,
             energy_residual=energy_residual,
-            pred_iters=pstats.iterations,
+            pred_iters=sum(pred.iterations),
             corr_iters=REFINEMENT_SWEEPS,
             energy_scale=energy_scale,
-            pred_residual=pstats.residual,
+            pred_residual=pred.residual,
             corr_residual=corr_residual,
         )
 
         if state.u_tilde_prev is not None:
-            self._momentum_check(state, ut, f, dt, pstats, diag)
+            self._momentum_check(state, ut, f, dt, pred, diag)
 
         new_state = SchemeState(
             n=state.n + 1,
@@ -405,13 +401,13 @@ class ProjectionScheme:
         )
         return new_state, diag
 
-    def _momentum_check(self, state, ut, f, dt, pstats, diag):
+    def _momentum_check(self, state, ut, f, dt, pred, diag):
         """Combined momentum identity across the previous correction, n >= 1.
 
         ut is the packed utilde^{n+1} and f the packed forcing; utilde^n
-        comes from the state, and the products C_i(u^n) utilde^{n+1} and
-        S_i utilde^{n+1} are the ones the prediction solver formed for its
-        last residual (pstats). The correction that made u^n put
+        comes from the state, and the packed products C(u^n) utilde^{n+1}
+        and S utilde^{n+1} are the ones the prediction solver formed for its
+        last residuals (pred). The correction that made u^n put
         dt_n G(p^n - p^{n-1}) into it. The residual
         (((t1 + t2) + t3) + t4) - f is summed in one buffer, each term formed
         in a second one, normed and added in turn.
@@ -427,15 +423,14 @@ class ProjectionScheme:
                 np.multiply(state.gp, 1.0 + r, out=term)
                 term -= r * state.gp_prev
             else:
-                for i, (out, mass) in enumerate(zip(pstats.per_direction, ops.mass_blocks)):
-                    np.divide(out.Nx if k == 2 else out.Sx, mass, out=ops.block(term, i))
+                np.divide(pred.Nu if k == 2 else pred.Su, ops.mass_velocity, out=term)
             norms.append(norm(term))
             res += term
         res -= f
 
         diag.momentum_residual = norm(res)
         diag.momentum_scale = max(*norms, norm(f))
-        bound = 10.0 * pstats.residual_l2 + 1e-10 * max(diag.momentum_scale, 1e-30)
+        bound = 10.0 * pred.residual_l2 + 1e-10 * max(diag.momentum_scale, 1e-30)
         if diag.momentum_residual > bound:
             raise SchemeError(
                 f"step {diag.n}, momentum check: combined momentum residual "

@@ -15,10 +15,12 @@ import time
 import pytest
 
 import macstag
+from macstag import cli as cli_module
 from macstag import linalg as linalg_module
 from macstag.cli import main
 from macstag.config import parse_config
 from macstag.fields import velocity_inner
+from macstag.grid import midpoint_refined
 from macstag.mms import mms_problem
 from macstag.operators import Operators
 from macstag.output import write_diagnostics_csv, write_translate_csv
@@ -265,9 +267,18 @@ def test_operators_check(tmp_path, capsys):
     assert any(n.startswith("diffusion_") for n in names)
 
 
-def test_convergence(small_config, tmp_path, capsys):
+def test_convergence(small_config, tmp_path, monkeypatch, capsys):
+    # K levels refine K - 1 times: no grid is built past the finest level
+    refined = []
+
+    def spy_refined(grid):
+        refined.append(grid.shape)
+        return midpoint_refined(grid)
+
+    monkeypatch.setattr(cli_module, "midpoint_refined", spy_refined)
     out = str(tmp_path / "conv")
     assert main(["convergence", "--config", small_config, "--levels", "2", "--out", out]) == 0
+    assert refined == [(4, 4)]
     assert os.path.exists(os.path.join(out, "study.csv"))
     text = capsys.readouterr().out
     assert "verdict: pass" in text

@@ -259,7 +259,7 @@ def test_convect_matches_form(rng):
     a = random_velocity(g, rng)
     w = random_velocity(g, rng)
     v = random_velocity(g, rng)
-    blocks = ops.convection_blocks(ops.pack(a))
+    blocks = [ops.convection_block(ops.pack(a), i) for i in range(3)]
     total = float(
         ops.pack(v) @ np.concatenate([blocks[i] @ ops.block(ops.pack(w), i) for i in range(3)])
     )
@@ -389,7 +389,7 @@ def test_convection_scatter_matches_assembly(grid, seed):
     # field, whose boundary faces are zero
     ops = ProjectionScheme(grid).ops
     a = random_velocity(grid, np.random.default_rng(seed))
-    conv = ops.convection_blocks(ops.pack(a))
+    conv = [ops.convection_block(ops.pack(a), i) for i in range(grid.dim)]
     for C, expected in zip(conv, assembled_convection_blocks(ops, a), strict=True):
         assert_same_block(C, expected)
         # dia_matvec adds the diagonals in ascending offset order, CSR's
@@ -523,7 +523,7 @@ def test_convection_fill_matches_flux_map_oracle_bitwise(grid, seed):
     a[rng.random(a.size) < 0.2] = -0.0
     cols = np.flatnonzero(np.concatenate([grid.interior_mask(j).ravel() for j in range(grid.dim)]))
     flux_maps = sp_kron_assembly(ops)[3]
-    for i, C in enumerate(ops.convection_blocks(a)):
+    for i, C in enumerate(ops.convection_block(a, j) for j in range(grid.dim)):
         offsets, incidence = sentinel_incidence(grid, i)
         expected = incidence @ (flux_maps[i][:, cols] @ a)
         np.testing.assert_array_equal(C.offsets, offsets)
@@ -605,6 +605,7 @@ def test_pack_and_unpack_match_interior_mask(grid, seed):
         assert c.tobytes() == expected.tobytes()
         assert ops.block_sizes[i] == np.count_nonzero(mask)
         assert ops.mass_blocks[i].tobytes() == grid.dual_volumes(i)[mask].tobytes()
+        assert ops.mass_blocks[i].base is ops.mass_velocity  # a view, empty blocks too
 
 
 def test_export_matrices(tmp_path):

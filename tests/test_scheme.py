@@ -457,8 +457,7 @@ def test_prediction_iterations_bounded(axes, name):
     for _ in range(2):
         f_field = scheme._forcing_field(prob.forcing, state.t + 0.5 * dt)
         _, stats = scheme.prediction(state, scheme.ops.pack(f_field), dt)
-        iterations = [out.iterations for out in stats.per_direction]
-        assert max(iterations) <= 8, iterations
+        assert max(stats.iterations) <= 8, stats.iterations
         state, _ = scheme.step(state, prob.forcing, dt)
 
 
@@ -481,7 +480,7 @@ def test_prediction_converges_under_strong_advection(vortex):
     state.u = 1000.0 * state.u
     f = scheme.ops.pack(scheme._forcing_field(vortex.forcing, 1.0 / 64))
     _, stats = scheme.prediction(state, f, 1.0 / 32)
-    assert all(out.iterations <= 160 for out in stats.per_direction), stats.per_direction
+    assert max(stats.iterations) <= 160, stats.iterations
     assert stats.residual <= scheme.prediction_tol
 
 
@@ -705,12 +704,25 @@ def test_step_reuses_the_prediction_products(monkeypatch, name):
         solves.append((S, N, out))
         return out
 
+    predictions, prediction = [], scheme.prediction
+
+    def spy_prediction(*args):
+        ut, pred = prediction(*args)
+        predictions.append(pred)
+        return ut, pred
+
     monkeypatch.setattr(sp.dia_matrix, "_matmul_vector", spy_matvec)
     monkeypatch.setattr(scheme_module, "solve_cgw", spy_solve)
+    monkeypatch.setattr(scheme, "prediction", spy_prediction)
     new_state, diag = scheme.step(state, prob.forcing, dt)
     monkeypatch.undo()
     assert calls and [matrix for matrix, solving in calls if not solving] == []
     assert len(solves) == ops.grid.dim
+    # the Prediction packs the solver's products once, direction 0 first, and lists its counts
+    (pred,) = predictions
+    assert pred.Su.tobytes() == np.concatenate([out.Sx for _, _, out in solves]).tobytes()
+    assert pred.Nu.tobytes() == np.concatenate([out.Nx for _, _, out in solves]).tobytes()
+    assert pred.iterations == [out.iterations for _, _, out in solves]
 
     ut = new_state.u_tilde_prev
     for i, (S, C, out) in enumerate(solves):
