@@ -10,8 +10,9 @@ exactly: with K_a V_a = B_a V_a L_a and V_a^T B_a V_a = I, its inverse is
 (x)V_a diag(1/(shift + sum_a L_a)) (x)V_a^T. Each transform (x)W_a is one
 BLAS matrix product per axis on the contiguous array: the first axis
 multiplies from the left, the last from the right, and only a middle axis in
-3D needs a stacked matmul, so no axis is ever moved. The reciprocal spectrum
-1/(shift + sum_a L_a) is kept for the last shift. When every chain is Neumann
+3D needs a stacked matmul, so no axis is ever moved. The solver keeps each
+axis's 1D eigenvalues L_a, and from them the reciprocal spectrum
+1/(shift + sum_a L_a) on the grid for the last shift alone. When every chain is Neumann
 (zero end conductances) the operator at shift 0 is singular on the
 constants, and the solver applies its pseudo-inverse: the all-constant mode
 is dropped, which leaves the result with zero mass-weighted mean.
@@ -36,6 +37,7 @@ thread. The GEMMs of the transforms give the same bits at any thread count.
 from __future__ import annotations
 
 import math
+from functools import reduce
 
 import numpy as np
 import scipy.linalg
@@ -139,22 +141,24 @@ class SeparableSolver:
     generalized eigenpairs of each axis are computed once, here, and so are
     the sizes the transforms reshape to: explicit ones (math.prod) rather
     than -1, because an axis of 0 cells makes a 0-size block whose other
-    extent -1 cannot infer. When every chain is Neumann and non-empty, solve
-    at shift 0 drops the all-constant mode: the pseudo-inverse.
+    extent -1 cannot infer. Of the spectrum only the 1D eigenvalues of each
+    axis are kept: a new shift sums them over the grid once, by nested
+    np.add.outer in axis order, into the one grid array held, the reciprocal.
+    When every chain is Neumann and non-empty, solve at shift 0 drops the
+    all-constant mode: the pseudo-inverse.
     """
 
     def __init__(self, conductances, mass):
         self.shape = shape = tuple(B.size for B in mass)
         self._plan = []  # per axis: its modes, its length, the sizes of the axes before and after it
-        lam = 0.0
+        self._spectra = []  # per axis: its eigenvalues
         for a, (c, B) in enumerate(zip(conductances, mass, strict=True)):
             if c.size != B.size + 1:
                 raise ValueError(f"axis {a}: a chain of {B.size} masses needs {B.size + 1} conductances, got {c.size}")
             # ascending, so mode 0 of a Neumann axis is the constant one
             vals, vecs = _modes(c, B)
             self._plan.append((vecs, shape[a], math.prod(shape[:a]), math.prod(shape[a + 1 :])))
-            lam = np.add.outer(lam, vals) if a else vals
-        self._eigenvalues = lam
+            self._spectra.append(vals)
         # the zero end-conductance test of _modes; a 0-size chain has no modes
         self._singular = all(B.size > 0 and not (c[0] or c[-1]) for c, B in zip(conductances, mass))
         self._reciprocal = None  # (shift, 1 / (shift + eigenvalues))
@@ -163,10 +167,11 @@ class SeparableSolver:
         """Apply the inverse to b, or the pseudo-inverse where the operator is singular."""
         cached = self._reciprocal
         if cached is None or cached[0] != shift:
-            denom = shift + self._eigenvalues
+            self._reciprocal = None  # the old grid array goes before the new one is formed
+            denom = shift + reduce(np.add.outer, self._spectra)
             if self._singular and shift == 0:
                 denom[(0,) * len(self.shape)] = np.inf
-            cached = self._reciprocal = (shift, 1.0 / denom)
+            cached = self._reciprocal = (shift, np.divide(1.0, denom, out=denom))
         # (x)V_a^T b, scaled, then (x)V_a of it; x alone holds each product's input, dropped once it is used
         x, last = b, len(self.shape) - 1
         for transpose in (True, False):
