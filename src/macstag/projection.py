@@ -4,7 +4,10 @@ Any admissible velocity w splits as w = v + grad psi with div v = 0 and psi
 unique up to a constant (pinned by zero volume-weighted mean). psi solves
 the cell-centered Poisson problem G^T M_v G psi = G^T M_v w, whose kernel is
 the constant pressure; the right-hand side is compatible by construction
-because column sums of the divergence vanish.
+because column sums of the divergence vanish. G^T M_v is never formed: the
+discrete duality M_v G = -(M_p D)^T (Operators) gives G^T M_v v = -M_p (D v),
+one matvec of the divergence the operators hold anyway, weighted by the cell
+volumes. So the projector holds no matrix of its own.
 
 On a tensor-product grid G^T M_v G = sum_a K_a (x) (x)_{b != a} H_b, a
 Kronecker sum of 1D Neumann chains K_a with the diagonal cell-width
@@ -20,14 +23,14 @@ refinement on v rather than on psi (Higham, Accuracy and Stability of
 Numerical Algorithms, ch. 12). From v = w and psi = 0, each pass solves
 G^T M_v G phi = G^T M_v v and moves G phi from v to psi; the second pass
 takes off the rounding of the first, which grows with the grading of the
-grid, so D v ends at roundoff of v. The G^T M_v v left in v is the Poisson
-residual of psi in exact arithmetic, returned relative to G^T M_v w: no
-Poisson matrix is assembled. Its norms and recentering, and those of
-separable_residual, sum by linalg.dot: whether the scheme's probe rejects a
-grid cannot depend on the BLAS thread count. G^T is stored once as CSR,
-since the transpose view of G would be a fresh CSC matrix, and the slower
-CSC matvec, on every pass. project and divfree_seminorm take velocity fields
-and pack them once.
+grid, so D v ends at roundoff of v. The M_p D v left in v is the Poisson
+residual of psi in exact arithmetic, returned relative to M_p D w: no
+Poisson matrix is assembled, and the refinement drives D v itself. Its norms
+and recentering, and those of separable_residual, sum by linalg.dot: whether
+the scheme's probe rejects a grid cannot depend on the BLAS thread count.
+The CSR matvec of D is also faster than that of G^T, whose transpose view
+is a CSC matrix. project and divfree_seminorm take velocity fields and pack
+them once.
 
 The projection w -> v is the discrete Leray projection. Its L2 norm is the
 seminorm |w|_* = sup over divergence-free test fields of <w, v>/||v||, the
@@ -64,25 +67,28 @@ class Projector:
     def __init__(self, ops: Operators):
         self.ops = ops
         self._separable = SeparableSolver(*ops.poisson_chains)
-        self._Gt = ops.G.T.tocsr()
+
+    def _rhs(self, v):
+        """G^T M_v v of the packed v, as -M_p (D v)."""
+        return -self.ops.cell_vol * (self.ops.D @ v)
 
     def decompose(self, w: np.ndarray):
         """Split the packed w = v + G psi with D v = 0; returns (v, psi, residual).
 
         v is packed like w, psi is the flat cell vector with zero volume
         mean, and residual is the relative Poisson residual of psi,
-        ||G^T M_v v|| / ||G^T M_v w||.
+        ||M_p D v|| / ||M_p D w||.
         """
         ops = self.ops
         v = np.array(w, dtype=float)
         psi = np.zeros(ops.n_cells)
-        b = self._Gt @ (ops.mass_velocity * v)
+        b = self._rhs(v)
         bnorm = math.sqrt(dot(b, b)) or 1.0
         for _ in range(1 + REFINEMENT_SWEEPS):
             phi = self._separable.solve(b)
             v -= ops.G @ phi
             psi += phi
-            b = self._Gt @ (ops.mass_velocity * v)
+            b = self._rhs(v)
         vol = ops.cell_vol
         psi -= dot(vol, psi) / vol.sum()
         return v, psi, math.sqrt(dot(b, b)) / bnorm
@@ -92,10 +98,9 @@ class Projector:
 
         The Poisson matrix is applied by matvecs: b - G^T M_v G x = G^T M_v (w - G x).
         """
-        ops = self.ops
-        b = self._Gt @ (ops.mass_velocity * w)
+        b = self._rhs(w)
         x = self._separable.solve(b)
-        r = self._Gt @ (ops.mass_velocity * (w - ops.G @ x))
+        r = self._rhs(w - self.ops.G @ x)
         return math.sqrt(dot(r, r)) / (math.sqrt(dot(b, b)) or 1.0)
 
     def project(self, w: VelocityField) -> VelocityField:

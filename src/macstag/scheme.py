@@ -11,8 +11,8 @@ One step from level n to n+1, all operators discrete:
 The correction is the discrete Helmholtz decomposition utilde = u^{n+1} +
 grad phi of Projector.decompose, with psi = phi/dt (exact when dt is a power
 of two). Its second velocity-level pass leaves div u^{n+1} at roundoff, and
-its residual ||G^T M_v u^{n+1}|| / ||G^T M_v utilde|| is the Poisson residual
-of the returned phi in exact arithmetic.
+its residual ||M_p D u^{n+1}|| / ||M_p D utilde|| is the Poisson residual
+of the returned phi in exact arithmetic (G^T M_v = -M_p D).
 
 The convection uses the level-n corrected velocity as advecting field, so
 the implicit prediction system is linear in utilde and its convection block
@@ -115,7 +115,7 @@ class StepDiagnostics:
     momentum_residual: float = float("nan")
     momentum_scale: float = float("nan")
     pred_residual: float = 0.0
-    # Poisson residual of the returned psi: ||G^T M_v u^{n+1}|| / ||G^T M_v utilde||
+    # Poisson residual of the returned psi: ||M_p D u^{n+1}|| / ||M_p D utilde||
     corr_residual: float = 0.0
 
     @property

@@ -173,9 +173,10 @@ def test_decompose_matches_dense_pseudoinverse(grid):
         rhs = ops.G.T @ (ops.mass_velocity * wv)
         v, x, residual = proj.decompose(wv)
         assert REFINEMENT_SWEEPS >= 1
-        # the reported residual is recomputed from the returned v: G^T M_v v
-        # is the Poisson residual of psi, G^T M_v (w - G psi), in exact arithmetic
-        reported = np.linalg.norm(ops.G.T @ (ops.mass_velocity * v)) / np.linalg.norm(rhs)
+        # the reported residual is recomputed from the returned v: M_p D v
+        # = -G^T M_v v is the Poisson residual of psi, G^T M_v (w - G psi),
+        # in exact arithmetic
+        reported = np.linalg.norm(vol * (ops.D @ v)) / np.linalg.norm(vol * (ops.D @ wv))
         assert residual == pytest.approx(reported, rel=1e-12, abs=0.0)
         assert residual <= 1e-12
         # the Poisson residual of psi itself, against the assembled matrix
