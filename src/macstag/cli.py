@@ -60,7 +60,14 @@ def _load(args):
         overrides[("output", "directory")] = args.out
     if args.seed is not None:
         overrides[("output", "seed")] = args.seed
-    return parse_config(args.config, env=os.environ, overrides=overrides)
+    cfg = parse_config(args.config, env=os.environ, overrides=overrides)
+    # the output directory's nearest existing ancestor must be a writable directory; nothing is created yet
+    probe = os.path.abspath(cfg.out_dir)
+    while not os.path.exists(probe):
+        probe = os.path.dirname(probe)
+    if not (os.path.isdir(probe) and os.access(probe, os.W_OK | os.X_OK)):
+        raise ConfigError([f"output directory {cfg.out_dir!r} cannot be used: {probe!r} is not a writable directory"])
+    return cfg
 
 
 def _print_step(diag):
@@ -87,7 +94,7 @@ def _problem_on(cfg, grid):
     return problem
 
 
-def cmd_run(cfg):
+def cmd_run(cfg, args):
     grid = cfg.build_grid()
     problem = _problem_on(cfg, grid)
     scheme = ProjectionScheme(grid, **cfg.scheme_kwargs())
@@ -214,6 +221,10 @@ def cmd_translate(cfg, args):
     return 0 if all(r.bounded for r in rows) else 1
 
 
+_COMMANDS = {"run": cmd_run, "verify": cmd_verify, "operators-check": cmd_operators_check,
+             "convergence": cmd_convergence, "translate": cmd_translate}
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -222,17 +233,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         cfg = _load(args)
-        if args.command == "run":
-            return cmd_run(cfg)
-        if args.command == "verify":
-            return cmd_verify(cfg, args)
-        if args.command == "operators-check":
-            return cmd_operators_check(cfg, args)
-        if args.command == "convergence":
-            return cmd_convergence(cfg, args)
-        if args.command == "translate":
-            return cmd_translate(cfg, args)
-        raise AssertionError(f"unhandled command {args.command}")
+        return _COMMANDS[args.command](cfg, args)
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return 2

@@ -10,9 +10,8 @@ exactly: with K_a V_a = B_a V_a L_a and V_a^T B_a V_a = I, its inverse is
 (x)V_a diag(1/(shift + sum_a L_a)) (x)V_a^T. Each transform (x)W_a is one
 BLAS matrix product per axis on the contiguous array: the first axis
 multiplies from the left, the last from the right, and only a middle axis in
-3D needs a stacked matmul, so no axis is ever moved. The solver keeps each
-axis's 1D eigenvalues L_a, and from them the reciprocal spectrum
-1/(shift + sum_a L_a) on the grid for the last shift alone. When every chain is Neumann
+3D needs a stacked matmul, so no axis is ever moved. Of the spectrum only the
+per-axis L_a are kept, and 1/(shift + sum_a L_a) for the last shift. When every chain is Neumann
 (zero end conductances) the operator at shift 0 is singular on the
 constants, and the solver applies its pseudo-inverse: the all-constant mode
 is dropped, which leaves the result with zero mass-weighted mean.
@@ -141,9 +140,8 @@ class SeparableSolver:
     generalized eigenpairs of each axis are computed once, here, and so are
     the sizes the transforms reshape to: explicit ones (math.prod) rather
     than -1, because an axis of 0 cells makes a 0-size block whose other
-    extent -1 cannot infer. Of the spectrum only the 1D eigenvalues of each
-    axis are kept: a new shift sums them over the grid once, by nested
-    np.add.outer in axis order, into the one grid array held, the reciprocal.
+    extent -1 cannot infer. A new shift sums the per-axis eigenvalues over the
+    grid (np.add.outer in axis order) into the one grid array held, its reciprocal.
     When every chain is Neumann and non-empty, solve at shift 0 drops the
     all-constant mode: the pseudo-inverse.
     """
@@ -167,7 +165,6 @@ class SeparableSolver:
         """Apply the inverse to b, or the pseudo-inverse where the operator is singular."""
         cached = self._reciprocal
         if cached is None or cached[0] != shift:
-            self._reciprocal = None  # the old grid array goes before the new one is formed
             denom = shift + reduce(np.add.outer, self._spectra)
             if self._singular and shift == 0:
                 denom[(0,) * len(self.shape)] = np.inf

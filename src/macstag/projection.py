@@ -4,10 +4,8 @@ Any admissible velocity w splits as w = v + grad psi with div v = 0 and psi
 unique up to a constant (pinned by zero volume-weighted mean). psi solves
 the cell-centered Poisson problem G^T M_v G psi = G^T M_v w, whose kernel is
 the constant pressure; the right-hand side is compatible by construction
-because column sums of the divergence vanish. G^T M_v is never formed: the
-discrete duality M_v G = -(M_p D)^T (Operators) gives G^T M_v v = -M_p (D v),
-one matvec of the divergence the operators hold anyway, weighted by the cell
-volumes. So the projector holds no matrix of its own.
+because column sums of the divergence vanish. By the duality M_v G =
+-(M_p D)^T, G^T M_v v is formed as -M_p (D v): the projector holds no matrix.
 
 On a tensor-product grid G^T M_v G = sum_a K_a (x) (x)_{b != a} H_b, a
 Kronecker sum of 1D Neumann chains K_a with the diagonal cell-width
@@ -25,12 +23,10 @@ G^T M_v G phi = G^T M_v v and moves G phi from v to psi; the second pass
 takes off the rounding of the first, which grows with the grading of the
 grid, so D v ends at roundoff of v. The M_p D v left in v is the Poisson
 residual of psi in exact arithmetic, returned relative to M_p D w: no
-Poisson matrix is assembled, and the refinement drives D v itself. Its norms
-and recentering, and those of separable_residual, sum by linalg.dot: whether
-the scheme's probe rejects a grid cannot depend on the BLAS thread count.
-The CSR matvec of D is also faster than that of G^T, whose transpose view
-is a CSC matrix. project and divfree_seminorm take velocity fields and pack
-them once.
+Poisson matrix is assembled. Its norms and recentering, and those of
+separable_residual, sum by linalg.dot: whether the scheme's probe rejects a
+grid cannot depend on the BLAS thread count. project and divfree_seminorm
+take velocity fields and pack them once.
 
 The projection w -> v is the discrete Leray projection. Its L2 norm is the
 seminorm |w|_* = sup over divergence-free test fields of <w, v>/||v||, the

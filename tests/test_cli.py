@@ -222,6 +222,23 @@ def test_unresolvable_grid_exits_1_before_writing(tmp_path, capsys):
     assert not os.path.exists(tmp_path / "o")
 
 
+@pytest.mark.parametrize("command, out", [(["run"], "blocker"), (["run"], "blocker/sub"),
+                                          (["convergence", "--levels", "2"], "blocker/sub")])
+def test_unusable_output_directory_is_a_config_error(tmp_path, capsys, command, out):
+    # a path that is, or lies under, a regular file is rejected before any
+    # step runs, where each subcommand once failed with a traceback at its
+    # first write (convergence after its whole ladder)
+    (tmp_path / "blocker").write_text("")
+    path = tmp_path / "case.ini"
+    path.write_text(SMALL)
+    out = str(tmp_path / out)
+    assert main([*command, "--config", str(path), "--out", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("invalid configuration:") and repr(out) in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_lapack_failure_exits_1_before_writing(tmp_path, monkeypatch, capsys):
     # dstemr fails and so does dpteqr on the first momentum chain
     monkeypatch.setattr(linalg_module, "dstemr", lambda d, *args: (0, d, None, 1))
