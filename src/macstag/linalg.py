@@ -141,9 +141,8 @@ class SeparableSolver:
     the sizes the transforms reshape to: explicit ones (math.prod) rather
     than -1, because an axis of 0 cells makes a 0-size block whose other
     extent -1 cannot infer. A new shift sums the per-axis eigenvalues over the
-    grid (np.add.outer in axis order) into the one grid array held, its reciprocal.
-    When every chain is Neumann and non-empty, solve at shift 0 drops the
-    all-constant mode: the pseudo-inverse.
+    grid into the one grid array held, its reciprocal. When every chain is
+    Neumann and non-empty, solve at shift 0 drops the constant mode: the pseudo-inverse.
     """
 
     def __init__(self, conductances, mass):

@@ -64,10 +64,6 @@ class Projector:
         self.ops = ops
         self._separable = SeparableSolver(*ops.poisson_chains)
 
-    def _rhs(self, v):
-        """G^T M_v v of the packed v, as -M_p (D v)."""
-        return -self.ops.cell_vol * (self.ops.D @ v)
-
     def decompose(self, w: np.ndarray):
         """Split the packed w = v + G psi with D v = 0; returns (v, psi, residual).
 
@@ -78,13 +74,13 @@ class Projector:
         ops = self.ops
         v = np.array(w, dtype=float)
         psi = np.zeros(ops.n_cells)
-        b = self._rhs(v)
+        b = -ops.cell_vol * (ops.D @ v)  # G^T M_v v
         bnorm = math.sqrt(dot(b, b)) or 1.0
         for _ in range(1 + REFINEMENT_SWEEPS):
             phi = self._separable.solve(b)
             v -= ops.G @ phi
             psi += phi
-            b = self._rhs(v)
+            b = -ops.cell_vol * (ops.D @ v)
         vol = ops.cell_vol
         psi -= dot(vol, psi) / vol.sum()
         return v, psi, math.sqrt(dot(b, b)) / bnorm
@@ -94,9 +90,10 @@ class Projector:
 
         The Poisson matrix is applied by matvecs: b - G^T M_v G x = G^T M_v (w - G x).
         """
-        b = self._rhs(w)
+        ops = self.ops
+        b = -ops.cell_vol * (ops.D @ w)
         x = self._separable.solve(b)
-        r = self._rhs(w - self.ops.G @ x)
+        r = -ops.cell_vol * (ops.D @ (w - ops.G @ x))
         return math.sqrt(dot(r, r)) / (math.sqrt(dot(b, b)) or 1.0)
 
     def project(self, w: VelocityField) -> VelocityField:

@@ -121,7 +121,8 @@ def property_suite(grid: MacGrid, *, seed=0, pairs=20, tol=1e-12) -> PropertyRep
         worst = max(worst, abs(lhs) / (l2_norm(p) * l2_norm(v)))
     report.checks.append(CheckResult("gradient/divergence duality", worst, tol))
 
-    worst = worst_id = 0.0
+    worst = 0.0
+    worst_id = 0.0
     for _ in range(pairs):
         u = random_velocity(grid, rng)
         v = random_velocity(grid, rng)
@@ -145,7 +146,10 @@ def property_suite(grid: MacGrid, *, seed=0, pairs=20, tol=1e-12) -> PropertyRep
         skew.worst = max(skew.worst, abs(b) / (l2_norm(a) * l2_norm(w) ** 2))
     report.checks.append(skew)
 
-    worst_idem = worst_pyth = worst_div = worst_grad = 0.0
+    worst_idem = 0.0
+    worst_pyth = 0.0
+    worst_div = 0.0
+    worst_grad = 0.0
     for _ in range(pairs):
         w = random_velocity(grid, rng)
         v, psi, _ = proj.decompose(ops.pack(w))
