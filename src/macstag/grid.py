@@ -121,8 +121,6 @@ class MacGrid:
                 best = max(best, float(amax / amin))
         self.theta = best
 
-        self._dual_volumes = [self._measure(i, self.dual_w[i]) for i in range(self.dim)]
-
     def _measure(self, i, along_i):
         """Outer product of along_i on axis i with cell widths on the others."""
         factors = [along_i if a == i else self.h[a] for a in range(self.dim)]
@@ -135,8 +133,8 @@ class MacGrid:
         return tuple(s)
 
     def dual_volumes(self, i):
-        """|D_sigma| for every direction-i face, shape face_shape(i)."""
-        return self._dual_volumes[i]
+        """|D_sigma| for every direction-i face, shape face_shape(i), computed on each call."""
+        return self._measure(i, self.dual_w[i])
 
     def face_center_axes(self, i):
         """Per-axis coordinates of direction-i face centers."""

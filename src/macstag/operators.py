@@ -15,12 +15,15 @@ value and are eliminated). Conventions:
 
 Vectors are raveled in 'ij' order, axis 0 outermost. An interior face of
 direction i, in the slab [1:-1] along axis i, lies between the cells [:-1]
-and [1:] along i. _face_cell gathers G and D from those slabs, each one
-CSR construction with two entries per face row in ascending columns: G
-weights them -1/dual_w_i and +1/dual_w_i of the face, and D is the
-transpose of the same gather with the weights +1/h_i and -1/h_i of the row
-cell. The grid is a tensor product of 1D partitions, and the stiffness
-block is the Kronecker sum
+and [1:] along i. G and D are FaceCell operators on those slabs, held as
+their per-axis 1D weights: a face row of G weights them -1/dual_w_i and
++1/dual_w_i of the face, and D is the transpose of the same pattern with
+the weights +1/h_i and -1/h_i of the row cell. Their products are slab
+arithmetic that sums each row in the column order of its CSR row, so they
+give the bits of the CSR matvec; the CSR matrix itself (two entries per
+face row in ascending columns) is built only by tocsr(), for the exported
+matrices and the dense oracles. The grid is a tensor product of 1D
+partitions, and the stiffness block is the Kronecker sum
 
     S_i = sum_a K_a (x) (x)_{b != a} B_b
 
@@ -94,7 +97,7 @@ from .fields import PressureField, VelocityField
 from .grid import MacGrid
 from .linalg import dot
 
-__all__ = ["Operators"]
+__all__ = ["FaceCell", "Operators"]
 
 
 def _dia_offsets(shape):
@@ -131,6 +134,65 @@ def _kron_sum(conductances, mass):
     return sp.dia_matrix((data, offsets), shape=(size, size))
 
 
+class FaceCell:
+    """A two-point operator between the cells and the interior faces, held as its per-axis 1D weights.
+
+    The row of an interior face of direction i holds weights[i] = (w_lo,
+    w_hi), 1D along axis i, at the cells [:-1] and [1:] along i on its two
+    sides; with transposed=True the operator is that matrix's transpose,
+    from faces to cells. `@` applies it to a vector by slabs and tocsr()
+    builds its matrix, which nothing holds. A product sums each row in the
+    column order of its CSR row, from 0.0, so it gives the bits of the CSR
+    product: a face row adds w_hi P[hi] to w_lo P[lo]; a cell row takes the
+    directions ascending and, in each, its left face (the cell is the hi
+    side) before its right one.
+    """
+
+    def __init__(self, ops: Operators, weights, transposed=False):
+        d = ops.grid.dim
+        self.transposed = transposed
+        self.shape = (ops.n_cells, ops.n_velocity) if transposed else (ops.n_velocity, ops.n_cells)
+        self._cells = ops.grid.shape
+        # per direction: its cell slabs, its weights shaped along its axis, and its face block's slice and
+        # shape; ops itself is not held, so building one leaves no reference cycle
+        self._planes = [(cuts, tuple(w.reshape([-1 if a == i else 1 for a in range(d)]) for w in pair),
+                         slice(ops.offsets[i], ops.offsets[i + 1]), shape)
+                        for i, (cuts, pair, shape) in enumerate(zip(ops._cuts, weights, ops._block_shapes))]
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        if x.shape != self.shape[1:]:
+            raise ValueError(f"operator of shape {self.shape} applied to an array of shape {x.shape}")
+        if self.transposed:
+            out = np.zeros(self._cells)
+            for (lo, hi, _), (w_lo, w_hi), faces, shape in self._planes:
+                v = x[faces].reshape(shape)
+                out[hi] += w_hi * v
+                out[lo] += w_lo * v
+            return out.ravel()
+        P, out = x.reshape(self._cells), np.empty(self.shape[0])
+        for (lo, hi, _), (w_lo, w_hi), faces, shape in self._planes:
+            block = out[faces].reshape(shape)
+            np.multiply(P[lo], w_lo, out=block)
+            block += w_hi * P[hi]
+        out += 0.0  # as a CSR row sum starts from 0.0: a sum -0.0 of two -0.0 terms is stored as +0.0
+        return out
+
+    def tocsr(self) -> sp.csr_matrix:
+        """The operator's CSR matrix, built afresh: two entries per face row, in ascending columns.
+
+        scipy keeps the indices int32 where they fit, the dtype the sp.kron form has.
+        """
+        n_faces, n_cells = self.shape[::-1] if self.transposed else self.shape
+        cells = np.arange(n_cells).reshape(self._cells)
+        cols, vals = [], []
+        for (lo, hi, _), pair, _, shape in self._planes:
+            cols.append(np.stack([cells[lo], cells[hi]], axis=-1).ravel())
+            vals.append(np.broadcast_to(np.stack(pair, axis=-1), (*shape, 2)).ravel())
+        indptr = np.arange(0, 2 * n_faces + 1, 2)
+        faces = sp.csr_matrix((np.concatenate(vals), np.concatenate(cols), indptr), (n_faces, n_cells))
+        return faces.T.tocsr() if self.transposed else faces
+
+
 class Operators:
     """Assembled discrete operators bound to one grid."""
 
@@ -162,8 +224,8 @@ class Operators:
         self.mass_blocks = [self.block(self.mass_velocity, i) for i in range(d)]
 
         inv_dw, inv_h = [1.0 / dw[1:-1] for dw in grid.dual_w], [1.0 / h for h in grid.h]
-        self.G = self._face_cell([(-w, w) for w in inv_dw])
-        self.D = self._face_cell([(w[:-1], -w[1:]) for w in inv_h]).T.tocsr()
+        self.G = FaceCell(self, [(-w, w) for w in inv_dw])
+        self.D = FaceCell(self, [(w[:-1], -w[1:]) for w in inv_h], transposed=True)
         self.laplace_blocks = [_kron_sum(*chains) for chains in self.laplace_chains]
         self.poisson_chains = ([np.concatenate([[0.0], 1.0 / dw[1:-1], [0.0]]) for dw in grid.dual_w], grid.h)
 
@@ -192,8 +254,8 @@ class Operators:
     def unpack(self, vec: np.ndarray) -> VelocityField:
         """Velocity field with the given interior values and zero boundary faces."""
         comps = [np.zeros(self.grid.face_shape(i)) for i in range(self.grid.dim)]
-        for i, (full, slab) in enumerate(zip(comps, self._slabs)):
-            full[slab].flat = self.block(vec, i)
+        for i, (full, slab, shape) in enumerate(zip(comps, self._slabs, self._block_shapes)):
+            full[slab] = self.block(vec, i).reshape(shape)
         return VelocityField(self.grid, comps)
 
     def block(self, vec: np.ndarray, i: int) -> np.ndarray:
@@ -214,20 +276,6 @@ class Operators:
         return sum(dot(self.block(vec, i), S @ self.block(vec, i)) for i, S in enumerate(self.laplace_blocks))
 
     # -- assembly ----------------------------------------------------------
-
-    def _face_cell(self, weights):
-        """The n_velocity x n_cells CSR matrix whose row for an interior face of direction i holds
-        weights[i] = (w_lo, w_hi), 1D along axis i, at the cells [:-1] and [1:] along i on its two sides.
-        scipy keeps the indices int32 where they fit, the dtype the sp.kron form has.
-        """
-        d, cells = self.grid.dim, np.arange(self.n_cells).reshape(self.grid.shape)
-        cols, vals = [], []
-        for i, ((lo, hi, _), pair) in enumerate(zip(self._cuts, weights)):
-            cols.append(np.stack([cells[lo], cells[hi]], axis=-1).ravel())
-            w = np.stack(pair, axis=-1).reshape([-1 if a == i else 1 for a in range(d)] + [2])
-            vals.append(np.broadcast_to(w, (*self._block_shapes[i], 2)).ravel())
-        indptr = np.arange(0, 2 * self.n_velocity + 1, 2)
-        return sp.csr_matrix((np.concatenate(vals), np.concatenate(cols), indptr), (self.n_velocity, self.n_cells))
 
     def _convection_plan(self, i):
         """The flux axes j of block i, as (j, weights, stride_j, or 0 where no +-stride_j slot is written).
@@ -322,7 +370,7 @@ class Operators:
     def export_matrices(self, out_dir):
         """Write the assembled matrices as 'row col value' text files."""
         os.makedirs(out_dir, exist_ok=True)
-        items = [("gradient", self.G), ("divergence", self.D)]
+        items = [("gradient", self.G.tocsr()), ("divergence", self.D.tocsr())]
         items += [(f"diffusion_{i}", b) for i, b in enumerate(self.laplace_blocks)]
         paths = []
         for name, mat in items:

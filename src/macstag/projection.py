@@ -65,11 +65,11 @@ class Projector:
         self._separable = SeparableSolver(*ops.poisson_chains)
 
     def decompose(self, w: np.ndarray):
-        """Split the packed w = v + G psi with D v = 0; returns (v, psi, residual).
+        """Split the packed w = v + G psi with D v = 0; returns (v, psi, residual, div).
 
         v is packed like w, psi is the flat cell vector with zero volume
-        mean, and residual is the relative Poisson residual of psi,
-        ||M_p D v|| / ||M_p D w||.
+        mean, residual is the relative Poisson residual of psi,
+        ||M_p D v|| / ||M_p D w||, and div is the D v the last pass formed.
         """
         ops = self.ops
         v = np.array(w, dtype=float)
@@ -80,10 +80,11 @@ class Projector:
             phi = self._separable.solve(b)
             v -= ops.G @ phi
             psi += phi
-            b = -ops.cell_vol * (ops.D @ v)
+            div = ops.D @ v
+            b = -ops.cell_vol * div
         vol = ops.cell_vol
         psi -= dot(vol, psi) / vol.sum()
-        return v, psi, math.sqrt(dot(b, b)) / bnorm
+        return v, psi, math.sqrt(dot(b, b)) / bnorm, div
 
     def separable_residual(self, w: np.ndarray) -> float:
         """||b - G^T M_v G x|| / ||b|| for one separable solve x on b = G^T M_v w.
@@ -115,7 +116,7 @@ def dense_divfree_basis(ops: Operators) -> np.ndarray:
     Columns span the kernel of the divergence matrix. Desk-scale only: the
     dense SVD behind null_space is the independent oracle for the projector.
     """
-    return scipy.linalg.null_space(ops.D.toarray())
+    return scipy.linalg.null_space(ops.D.tocsr().toarray())
 
 
 def seminorm_by_basis(ops: Operators, w: VelocityField, basis=None) -> float:

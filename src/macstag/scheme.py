@@ -317,11 +317,12 @@ class ProjectionScheme:
 
         ut and u are packed. The update is the Helmholtz decomposition
         ut = u + G(dt psi), p = p^n + psi recentered; residual is its
-        relative Poisson residual and div_max is max |D u|.
+        relative Poisson residual and div_max is max |D u|, of the D u that
+        decompose formed in its last pass.
         """
         dt = float(dt)
-        u, phi, residual = self.projector.decompose(ut)
-        div_max = float(np.abs(self.ops.D @ u).max())
+        u, phi, residual, div = self.projector.decompose(ut)
+        div_max = float(np.abs(div).max())
         if div_max > 10.0 * self.poisson_tol:
             raise SchemeError(
                 f"step {state.n + 1}, correction: post-correction divergence {div_max:.3e} "

@@ -95,8 +95,8 @@ def test_gradient_divergence_matrix_adjointness(rng):
     for dim in (2, 3):
         g = random_nonuniform_grid(rng, dim, max_cells=5)
         ops = Operators(g)
-        lhs = sp.diags(ops.mass_velocity) @ ops.G
-        rhs = -(sp.diags(ops.cell_vol) @ ops.D).T
+        lhs = sp.diags(ops.mass_velocity) @ ops.G.tocsr()
+        rhs = -(sp.diags(ops.cell_vol) @ ops.D.tocsr()).T
         diff = (lhs - rhs).tocoo()
         scale = max(abs(lhs).max(), abs(rhs).max())
         assert (np.abs(diff.data).max() if diff.nnz else 0.0) <= 1e-13 * scale
@@ -500,8 +500,8 @@ def test_assembly_matches_sp_kron_bitwise(grid):
     # compared
     ops = Operators(grid)
     G, D, laplace, _ = sp_kron_assembly(ops)
-    assert_same_arrays(ops.G, G)
-    assert_same_arrays(ops.D, D)
+    assert_same_arrays(ops.G.tocsr(), G)
+    assert_same_arrays(ops.D.tocsr(), D)
     for actual, expected in zip(ops.laplace_blocks, laplace, strict=True):
         assert_same_arrays(actual.tocsr(), expected)
 
@@ -532,6 +532,31 @@ def test_convection_fill_matches_flux_map_oracle_bitwise(grid, seed):
         assert C.data.tobytes() == expected.tobytes()
 
 
+@settings(max_examples=60)
+@given(grid=mac_grids(), seed=st.integers(0, 2**32 - 1))
+@example(grid=MacGrid([[0.0, 1.0], [0.0, 0.25, 0.5, 1.0]]), seed=0)
+@example(grid=MacGrid([uniform_axis(0.0, 1.0, 2), [0.0, 1.0], uniform_axis(0.0, 1.0, 2)]), seed=1)
+@example(grid=MacGrid([graded_axis(0.0, 1.0, n, ratio) for n, ratio in ((5, 1.3), (4, 0.8), (6, 1.1))]), seed=2)
+def test_slab_products_match_csr_bitwise(grid, seed):
+    # G and D hold no matrix: their slab products sum each row in the column
+    # order of its CSR row, from 0.0, so they give the bytes of the products
+    # of the matrices tocsr() builds. A cell row of D adds its faces
+    # direction by direction, the left face first; a face row of G holds two
+    # terms, and where both are -0.0 the CSR sum stores +0.0, so p and v
+    # hold zeros of both signs
+    ops = Operators(grid)
+    rng = np.random.default_rng(seed)
+    p, v = rng.standard_normal(ops.n_cells), rng.standard_normal(ops.n_velocity)
+    for x in (p, v):
+        x[rng.random(x.size) < 0.2] = 0.0
+        x[rng.random(x.size) < 0.2] = -0.0
+    G, D = ops.G.tocsr(), ops.D.tocsr()
+    assert G.shape == ops.G.shape == (ops.n_velocity, ops.n_cells)
+    assert D.shape == ops.D.shape == (ops.n_cells, ops.n_velocity)
+    assert (ops.G @ p).tobytes() == (G @ p).tobytes()
+    assert (ops.D @ v).tobytes() == (D @ v).tobytes()
+
+
 def reachable_bytes(obj):
     """Bytes of every ndarray, and of every sparse matrix's data, indices,
     indptr and offsets, reachable from obj's attributes through lists,
@@ -557,27 +582,30 @@ def reachable_bytes(obj):
 
 @pytest.mark.parametrize("n, dim", [(64, 2), (12, 3)])
 def test_operators_memory_is_pinned(n, dim):
-    # G, D, the stiffness diagonals, the masses and the convection weights
-    # measure 18.4-19.0 doubles per velocity unknown on these grids; the
+    # the stiffness diagonals, the masses, the convection weights and the
+    # 1D weights of G and D measure 8.26 (64^2) and 10.26 (12^3) doubles per
+    # velocity unknown; G and D as CSR matrices read 15.98 and 18.09, and the
     # convection flux maps and incidences that once filled C_i took 40-49
     ops = Operators(MacGrid([graded_axis(0.0, 1.0, n, 1.05)] * dim))
-    assert reachable_bytes(ops) <= 20 * ops.n_velocity * 8
+    doubles = reachable_bytes(ops) / (8 * ops.n_velocity)
+    assert doubles <= 11.0, doubles
 
 
 @pytest.mark.parametrize("n, dim", [(64, 2), (12, 3)])
 def test_scheme_memory_is_pinned(n, dim):
     # a stepped scheme holds its operators and its separable solvers: the
     # per-axis modes and eigenvalues and one reciprocal spectrum each. Measured
-    # 20.55 (64^2) and 19.84 (12^3) doubles per velocity unknown; a CSR copy
+    # 12.83 (64^2) and 12.00 (12^3) doubles per velocity unknown; CSR G and D
+    # and the grid's dual volumes read 20.55 and 19.84, and with a CSR copy
     # of G^T in the projector and a full-grid eigenvalue array next to each
-    # reciprocal read 25.26 and 24.35
+    # reciprocal 25.26 and 24.35
     prob = mms_problem(f"vortex{dim}d")
     scheme = ProjectionScheme(MacGrid([graded_axis(0.0, 1.0, n, 1.05)] * dim))
     state = scheme.initialize(prob.initial)
     for _ in range(2):
         state, _ = scheme.step(state, prob.forcing, 1.0 / 32)
     doubles = reachable_bytes(scheme) / (8 * scheme.ops.n_velocity)
-    assert doubles <= 21.0, doubles
+    assert doubles <= 13.0, doubles
 
 
 @pytest.mark.parametrize("axes", [[graded_axis(0.0, 1.0, 12, 1.05)] * 2,

@@ -10,7 +10,7 @@ import scipy.sparse.linalg as spla
 from macstag.fields import PressureField, l2_norm, velocity_inner
 from macstag.grid import MacGrid, graded_axis, uniform_axis, uniform_grid
 from macstag.linalg import SeparableSolver
-from macstag.operators import Operators, _kron_sum
+from macstag.operators import FaceCell, Operators, _kron_sum
 from macstag.projection import REFINEMENT_SWEEPS, Projector, dense_divfree_basis, seminorm_by_basis
 from macstag.verify import random_pressure, random_velocity
 
@@ -19,7 +19,8 @@ from conftest import random_nonuniform_grid
 
 def _poisson_matrix(ops):
     """The pressure Poisson matrix G^T M_v G, assembled here as the oracle."""
-    return (ops.G.T @ sp.diags(ops.mass_velocity) @ ops.G).tocsr()
+    G = ops.G.tocsr()
+    return (G.T @ sp.diags(ops.mass_velocity) @ G).tocsr()
 
 
 def _reference_pressure(poisson, ops, solver, w):
@@ -28,7 +29,7 @@ def _reference_pressure(poisson, ops, solver, w):
     solver="cg" runs scipy's conjugate gradients on the compatible singular
     system; solver="direct" grounds cell 0 and factorizes the rest.
     """
-    rhs = ops.G.T @ (ops.mass_velocity * w)
+    rhs = ops.G.tocsr().T @ (ops.mass_velocity * w)
     b = rhs - rhs.mean()
     if solver == "cg":
         x, info = spla.cg(poisson, b, rtol=1e-13, maxiter=10 * poisson.shape[0])
@@ -78,7 +79,7 @@ def test_pythagoras(projector, rng):
     g = projector.ops.grid
     ops = projector.ops
     w = random_velocity(g, rng)
-    v, psi, _ = projector.decompose(ops.pack(w))
+    v, psi, _, _ = projector.decompose(ops.pack(w))
     v = ops.unpack(v)
     grad_part = w - v
     lhs = l2_norm(w) ** 2
@@ -113,7 +114,7 @@ def test_decompose_recovers_potential(projector, rng):
     ops = projector.ops
     q = random_pressure(g, rng).recentered()
     w = ops.grad(q)
-    v, psi, residual = projector.decompose(ops.pack(w))
+    v, psi, residual, _ = projector.decompose(ops.pack(w))
     psi = PressureField(g, psi.reshape(g.shape))
     np.testing.assert_allclose(psi.recentered().data, q.data, rtol=1e-8, atol=1e-10)
 
@@ -170,9 +171,10 @@ def test_decompose_matches_dense_pseudoinverse(grid):
     rng = np.random.default_rng(109)
     for _ in range(3):
         wv = rng.standard_normal(ops.n_velocity)
-        rhs = ops.G.T @ (ops.mass_velocity * wv)
-        v, x, residual = proj.decompose(wv)
+        rhs = ops.G.tocsr().T @ (ops.mass_velocity * wv)
+        v, x, residual, div = proj.decompose(wv)
         assert REFINEMENT_SWEEPS >= 1
+        assert div.tobytes() == (ops.D @ v).tobytes()  # the last pass's D v, handed back
         # the reported residual is recomputed from the returned v: M_p D v
         # = -G^T M_v v is the Poisson residual of psi, G^T M_v (w - G psi),
         # in exact arithmetic
@@ -209,7 +211,7 @@ def test_poisson_chains_build_the_poisson_matrix(grid):
 def test_decompose_makes_one_solve_per_pass(monkeypatch, rng):
     # decompose is 1 + REFINEMENT_SWEEPS velocity-level passes of one
     # separable solve each, and no Poisson matrix is ever assembled: the
-    # projector builds no sparse product and a call applies only G and G^T
+    # projector builds no sparse product and a call applies only G and D
     ops = Operators(MacGrid([graded_axis(0.0, 1.0, 12, 1.05)] * 2))
     w = ops.pack(random_velocity(ops.grid, rng))
     counts = {"solve": 0, "product": 0, "matvec": 0}
@@ -222,7 +224,7 @@ def test_decompose_makes_one_solve_per_pass(monkeypatch, rng):
         return call
 
     for cls in (sp.coo_matrix, sp.csr_matrix, sp.csc_matrix, sp.dia_matrix,
-                sp.coo_array, sp.csr_array, sp.csc_array, sp.dia_array):
+                sp.coo_array, sp.csr_array, sp.csc_array, sp.dia_array, FaceCell):
         monkeypatch.setattr(cls, "__matmul__", counted_matmul(cls.__matmul__))
     solve = SeparableSolver.solve
 
@@ -235,5 +237,5 @@ def test_decompose_makes_one_solve_per_pass(monkeypatch, rng):
     assert counts == {"solve": 0, "product": 0, "matvec": 0}
     proj.decompose(w)
     passes = 1 + REFINEMENT_SWEEPS
-    # per pass one solve, G phi and G^T M_v v; one G^T M_v w before them
+    # per pass one solve, G phi and D v; one D w before them
     assert counts == {"solve": passes, "product": 0, "matvec": 2 * passes + 1}

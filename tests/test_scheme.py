@@ -84,7 +84,7 @@ def test_correction_matches_decomposition(vortex, rng):
     psi = p_new - state.p  # the increment, recentered with p_new
 
     proj = Projector(ops)
-    v_ref, phi_ref, _ = proj.decompose(u_tilde)
+    v_ref, phi_ref, _, _ = proj.decompose(u_tilde)
     phi_ref = PressureField(g, phi_ref.reshape(g.shape))
     # u_new = P(u_tilde) and dt * psi = potential of the gradient part
     assert l2_norm(ops.unpack(u_new - v_ref)) <= 1e-9 * max(l2_norm(ops.unpack(u_tilde)), 1e-30)
@@ -803,7 +803,7 @@ def _dense_march(scheme, problem, dts):
     """
     ops, grid = scheme.ops, scheme.grid
     M = ops.mass_velocity
-    G = ops.G.toarray()
+    G = ops.G.tocsr().toarray()
     S = _dense_blocks(ops, ops.laplace_blocks)
     GtM = G.T * M
     pinv = np.linalg.pinv(GtM @ G)
