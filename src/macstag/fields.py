@@ -231,10 +231,9 @@ class Trajectory:
     trajectory carries the intermediate field of level n+1.
     """
 
-    def __init__(self, grid: MacGrid, dt: float, t_final: float):
+    def __init__(self, grid: MacGrid, dt: float):
         self.grid = grid
         self.dt = float(dt)
-        self.t_final = float(t_final)
         self.times = [0.0]
         self.velocities = []
         self.predicted = []

@@ -121,11 +121,6 @@ class MacGrid:
                 best = max(best, float(amax / amin))
         self.theta = best
 
-    def _measure(self, i, along_i):
-        """Outer product of along_i on axis i with cell widths on the others."""
-        factors = [along_i if a == i else self.h[a] for a in range(self.dim)]
-        return reduce(np.multiply, np.ix_(*factors))
-
     def face_shape(self, i):
         """Array shape of direction-i face values."""
         s = list(self.shape)
@@ -134,7 +129,8 @@ class MacGrid:
 
     def dual_volumes(self, i):
         """|D_sigma| for every direction-i face, shape face_shape(i), computed on each call."""
-        return self._measure(i, self.dual_w[i])
+        factors = [self.dual_w[a] if a == i else self.h[a] for a in range(self.dim)]
+        return reduce(np.multiply, np.ix_(*factors))
 
     def face_center_axes(self, i):
         """Per-axis coordinates of direction-i face centers."""
@@ -149,11 +145,6 @@ class MacGrid:
         index[i] = self.shape[i]
         mask[tuple(index)] = False
         return mask
-
-    def cell_center_points(self):
-        """All cell centers as an (n_cells, dim) array, C order."""
-        grids = np.meshgrid(*self.centers, indexing="ij")
-        return np.stack([g.ravel() for g in grids], axis=-1)
 
     def __repr__(self):
         return f"MacGrid(shape={self.shape}, theta={self.theta:.3g})"

@@ -140,13 +140,12 @@ class ManufacturedProblem:
     on points and face-averaged from 1D Gauss means.
     """
 
-    def __init__(self, name, dim, velocity, pressure, forcing, description, initial):
+    def __init__(self, name, dim, velocity, pressure, forcing, initial):
         self.name = name
         self.dim = dim
         self.velocity = velocity
         self.pressure = pressure
         self.forcing = forcing
-        self.description = description
         self.initial = initial
 
     def velocity_at(self, t):
@@ -171,12 +170,10 @@ def mms_problem(name: str) -> ManufacturedProblem:
     dim = 2 if name.endswith("2d") else 3
     if name.startswith("rest"):
         U, P = [[] for _ in range(dim)], []
-        desc = f"{dim}D rest state: u = 0, p = 0, f = 0 (exact discrete fixed point)"
     elif dim == 2:
         phi = [(16.0, (_Q2, _Q2))]
         U = [_d(phi, 1), _scale(_d(phi, 0), -1.0)]
         P = [(1.0, (_CENTERED, _CENTERED))]
-        desc = "2D decaying polynomial vortex from a biquartic stream potential"
     else:
         phi = [(512.0, (_Q2, _Q2, _Q2))]
         a = [phi, _scale(phi, 2.0), _scale(phi, 3.0)]
@@ -186,7 +183,6 @@ def mms_problem(name: str) -> ManufacturedProblem:
             _d(a[1], 0) + _scale(_d(a[0], 1), -1.0),
         ]
         P = [(1.0, (_CENTERED, _CENTERED, _CENTERED))]
-        desc = "3D decaying polynomial vortex from a curl of scaled potentials"
 
     # e^{-t} part: du/dt - Lap u + grad p; e^{-2t} part: (u . grad) u. Both
     # share the first derivatives of U.
@@ -203,6 +199,5 @@ def mms_problem(name: str) -> ManufacturedProblem:
         Separable([(1, velocity)]),
         Separable([(1, partial(_evaluate, P))]),
         Separable([(1, TensorField(linear)), (2, TensorField(convective))]),
-        desc,
         velocity,
     )

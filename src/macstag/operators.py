@@ -209,7 +209,6 @@ class Operators:
         # per axis: the slabs [:-1], [1:] and [1:-1] along it; the interior faces of direction i are
         # every face but the two wall slabs along axis i, its slab [1:-1]
         self._cuts = [[_along(a, s, d) for s in (slice(None, -1), slice(1, None), slice(1, -1))] for a in range(d)]
-        self._slabs = [mid for _, _, mid in self._cuts]
         self._block_shapes = [tuple(n - (a == i) for a, n in enumerate(grid.shape)) for i in range(d)]
         # per block i: the edge conductances and masses of the 1D chains whose Kronecker sum is S_i
         self.laplace_chains = []
@@ -249,13 +248,13 @@ class Operators:
             moved = [a for a, (x, y) in enumerate(zip(u.grid.axes, self.grid.axes)) if not np.array_equal(x, y)]
             if moved:
                 raise ValueError(f"{what} is on another grid: face coordinates differ along axis {moved[0]}")
-        return np.concatenate([c[slab].ravel() for c, slab in zip(u.components, self._slabs)])
+        return np.concatenate([c[mid].ravel() for c, (_, _, mid) in zip(u.components, self._cuts)])
 
     def unpack(self, vec: np.ndarray) -> VelocityField:
         """Velocity field with the given interior values and zero boundary faces."""
         comps = [np.zeros(self.grid.face_shape(i)) for i in range(self.grid.dim)]
-        for i, (full, slab, shape) in enumerate(zip(comps, self._slabs, self._block_shapes)):
-            full[slab] = self.block(vec, i).reshape(shape)
+        for i, (full, (_, _, mid), shape) in enumerate(zip(comps, self._cuts, self._block_shapes)):
+            full[mid] = self.block(vec, i).reshape(shape)
         return VelocityField(self.grid, comps)
 
     def block(self, vec: np.ndarray, i: int) -> np.ndarray:

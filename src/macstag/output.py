@@ -98,7 +98,7 @@ def write_fields_csv(out_dir, basename, grid, u, p):
     return p_path, u_path
 
 
-def write_vtk(path, grid, u, p, title="macstag fields"):
+def write_vtk(path, grid, u, p):
     """Legacy BINARY rectilinear-grid file with cell pressure and cell-mean velocity.
 
     The header lines are ASCII. Each data section (the X, Y and Z coordinates,
@@ -115,7 +115,7 @@ def write_vtk(path, grid, u, p, title="macstag fields"):
     def block(header, values):
         return header.encode() + b"\n" + np.ascontiguousarray(values, dtype=">f8").tobytes() + b"\n"
 
-    head = ["# vtk DataFile Version 3.0", title, "BINARY", "DATASET RECTILINEAR_GRID",
+    head = ["# vtk DataFile Version 3.0", "macstag fields", "BINARY", "DATASET RECTILINEAR_GRID",
             "DIMENSIONS " + " ".join(str(c.size) for c in coords)]
     parts = [("\n".join(head) + "\n").encode()]
     parts += [block(f"{label}_COORDINATES {c.size} double", c) for label, c in zip("XYZ", coords)]

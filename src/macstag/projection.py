@@ -23,10 +23,11 @@ G^T M_v G phi = G^T M_v v and moves G phi from v to psi; the second pass
 takes off the rounding of the first, which grows with the grading of the
 grid, so D v ends at roundoff of v. The M_p D v left in v is the Poisson
 residual of psi in exact arithmetic, returned relative to M_p D w: no
-Poisson matrix is assembled. Its norms and recentering, and those of
-separable_residual, sum by linalg.dot: whether the scheme's probe rejects a
-grid cannot depend on the BLAS thread count. project and divfree_seminorm
-take velocity fields and pack them once.
+Poisson matrix is assembled. With passes=1 that residual is the one-solve
+probe by which the scheme rejects a grid the separable solve cannot
+resolve. Its norms and recentering sum by linalg.dot: whether the probe
+rejects a grid cannot depend on the BLAS thread count. project and
+divfree_seminorm take velocity fields and pack them once.
 
 The projection w -> v is the discrete Leray projection. Its L2 norm is the
 seminorm |w|_* = sup over divergence-free test fields of <w, v>/||v||, the
@@ -64,19 +65,20 @@ class Projector:
         self.ops = ops
         self._separable = SeparableSolver(*ops.poisson_chains)
 
-    def decompose(self, w: np.ndarray):
+    def decompose(self, w: np.ndarray, *, passes=1 + REFINEMENT_SWEEPS):
         """Split the packed w = v + G psi with D v = 0; returns (v, psi, residual, div).
 
         v is packed like w, psi is the flat cell vector with zero volume
         mean, residual is the relative Poisson residual of psi,
-        ||M_p D v|| / ||M_p D w||, and div is the D v the last pass formed.
+        ||M_p D v|| / ||M_p D w||, and div is the D v the last of the
+        passes formed.
         """
         ops = self.ops
         v = np.array(w, dtype=float)
         psi = np.zeros(ops.n_cells)
         b = -ops.cell_vol * (ops.D @ v)  # G^T M_v v
         bnorm = math.sqrt(dot(b, b)) or 1.0
-        for _ in range(1 + REFINEMENT_SWEEPS):
+        for _ in range(passes):
             phi = self._separable.solve(b)
             v -= ops.G @ phi
             psi += phi
@@ -85,17 +87,6 @@ class Projector:
         vol = ops.cell_vol
         psi -= dot(vol, psi) / vol.sum()
         return v, psi, math.sqrt(dot(b, b)) / bnorm, div
-
-    def separable_residual(self, w: np.ndarray) -> float:
-        """||b - G^T M_v G x|| / ||b|| for one separable solve x on b = G^T M_v w.
-
-        The Poisson matrix is applied by matvecs: b - G^T M_v G x = G^T M_v (w - G x).
-        """
-        ops = self.ops
-        b = -ops.cell_vol * (ops.D @ w)
-        x = self._separable.solve(b)
-        r = -ops.cell_vol * (ops.D @ (w - ops.G @ x))
-        return math.sqrt(dot(r, r)) / (math.sqrt(dot(b, b)) or 1.0)
 
     def project(self, w: VelocityField) -> VelocityField:
         """Divergence-free part of w (discrete Leray projection)."""

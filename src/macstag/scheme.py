@@ -180,8 +180,8 @@ class ProjectionScheme:
     (0, 1), and max_iterations and quad_order must be whole numbers; a bad
     argument raises ValueError before any operator is built. A grid graded
     beyond what the separable pressure solve resolves at poisson_tol raises
-    SchemeError once the pressure solver is built (_check_resolution), before
-    the momentum solvers are; so does a LAPACK failure in either build.
+    SchemeError by the residual of one projection pass (_check_resolution),
+    before the momentum solvers are built; so does a LAPACK failure in either build.
     """
 
     def __init__(
@@ -213,15 +213,15 @@ class ProjectionScheme:
     def _check_resolution(self):
         """Raise SchemeError when the separable pressure solve cannot resolve the grid.
 
-        One solve on b = G^T M_v w, w fixed-seed normal, leaves the relative
-        residual r. decompose refines twice, and on graded 2D grids a march
-        either left div_max >= 10 r^2 or failed in the prediction (vortex2d,
-        4 steps): so r^2 > poisson_tol means the 10 x poisson_tol divergence
-        guard would fail. The momentum solves are not probed here:
-        linalg._modes checks each of their chains as it builds it.
+        One pass of decompose (one solve on b = G^T M_v w, w fixed-seed
+        normal) leaves the relative residual r. The correction makes two, and
+        on graded 2D grids a march either left div_max >= 10 r^2 or failed in
+        the prediction (vortex2d, 4 steps): so r^2 > poisson_tol means the
+        10 x poisson_tol divergence guard would fail. The momentum solves are
+        not probed here: linalg._modes checks each chain as it builds it.
         """
         w = np.random.default_rng(0).standard_normal(self.ops.n_velocity)
-        residual = self.projector.separable_residual(w)
+        residual = self.projector.decompose(w, passes=1)[2]
         limit = math.sqrt(self.poisson_tol)
         if not residual <= limit:
             widths = np.concatenate(self.grid.h)
@@ -470,7 +470,7 @@ class ProjectionScheme:
 
     def run(self, u0, forcing, t_final, steps) -> Trajectory:
         """Record every level of iterate() in a Trajectory of fields."""
-        traj = Trajectory(self.grid, self.time_step(t_final, steps), t_final)
+        traj = Trajectory(self.grid, self.time_step(t_final, steps))
         unpack = self.ops.unpack
         for state, diag in self.iterate(u0, forcing, t_final, steps):
             if diag is None:

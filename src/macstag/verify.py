@@ -101,13 +101,14 @@ class PropertyReport:
         return "\n".join(lines)
 
 
-def property_suite(grid: MacGrid, *, seed=0, pairs=20, tol=1e-12) -> PropertyReport:
+def property_suite(grid: MacGrid, *, seed=0, pairs=20) -> PropertyReport:
     """Randomized structural checks of the assembled operators on one grid.
 
     pairs is the number of random draws per check; it must be a whole number
     >= 1, or ValueError names it, since a check with no draws passes untested.
     """
     pairs = _whole("pairs", pairs)
+    tol = 1e-12  # every check's bound on its worst relative residual
     rng = np.random.default_rng(seed)
     ops = Operators(grid)
     proj = Projector(ops)
@@ -279,8 +280,9 @@ class StudyReport:
 
     @property
     def ratios(self):
+        """err_l2l2 of each level over the level before; over a zero error, nan for 0/0 and inf otherwise."""
         errs = [lv.err_l2l2 for lv in self.levels]
-        return [errs[k + 1] / errs[k] for k in range(len(errs) - 1)]
+        return [e1 / e0 if e0 else math.inf if e1 else math.nan for e0, e1 in zip(errs, errs[1:])]
 
     def passed(self, factor=0.8) -> bool:
         errs = [lv.err_l2l2 for lv in self.levels]

@@ -326,6 +326,22 @@ def test_convergence_rejects_a_ladder_from_a_1_cell_axis(tmp_path, monkeypatch, 
     assert (out / "study.csv").exists()
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_convergence_on_a_zero_error_ladder(tmp_path, capsys, dim):
+    # the rest state is an exact discrete fixed point: every level's error is
+    # 0, so the ratio is 0/0 = nan, and the errors do not strictly decrease
+    path = tmp_path / "rest.ini"
+    path.write_text(f"[domain]\nlo = {' 0' * dim}\nhi = {' 1' * dim}\n[grid]\nn = {' 4' * dim}\n"
+                    f"[time]\nfinal = 0.05\nsteps = 2\n[problem]\nname = rest{dim}d\n")
+    out = tmp_path / "conv"
+    assert main(["convergence", "--config", str(path), "--levels", "2", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert "ratios: nan" in captured.out and "verdict: FAIL" in captured.out
+    assert "Traceback" not in captured.err
+    assert "ratios: nan" in (out / "study_summary.txt").read_text()
+    assert len((out / "study.csv").read_text().splitlines()) == 3
+
+
 def test_translate(tmp_path, capsys):
     path = tmp_path / "case.ini"
     path.write_text("[grid]\nn = 4 4\n[time]\nfinal = 0.1\nsteps = 4\n")

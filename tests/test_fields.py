@@ -146,7 +146,7 @@ class TestSobolevSeminorm:
 
 class TestTrajectory:
     def make(self, g, dt, n_steps):
-        traj = Trajectory(g, dt, dt * n_steps)
+        traj = Trajectory(g, dt)
         u0 = VelocityField(g)
         p0 = PressureField(g)
         traj.append_initial(u0, p0)

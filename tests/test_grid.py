@@ -150,13 +150,3 @@ def test_midpoint_refinement():
     assert r.h_max == pytest.approx(g.h_max / 2, rel=1e-12)
     for i in range(g.dim):
         np.testing.assert_allclose(r.axes[i][::2], g.axes[i], rtol=1e-15)
-
-
-def test_cell_center_points_order():
-    g = uniform_grid((0.0, 0.0), (1.0, 1.0), (2, 3))
-    pts = g.cell_center_points()
-    assert pts.shape == (6, 2)
-    # C order over the (i, j) index grid
-    np.testing.assert_allclose(pts[0], [0.25, 1.0 / 6.0])
-    np.testing.assert_allclose(pts[1], [0.25, 0.5])
-    np.testing.assert_allclose(pts[3], [0.75, 1.0 / 6.0])

@@ -33,7 +33,7 @@ def test_gradient_of_linear_pressure_is_one():
     ops = Operators(g)
     from macstag.fields import PressureField
 
-    p = PressureField(g, g.cell_center_points()[:, 0].reshape(g.shape))
+    p = PressureField(g, np.meshgrid(*g.centers, indexing="ij")[0])
     gp = ops.grad(p)
     # interior x-faces see the exact slope, the difference of adjacent cell
     # centers over the dual width is 1 by construction

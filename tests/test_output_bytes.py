@@ -48,7 +48,7 @@ def reference_fields_csv(out_dir, basename, grid, u, p):
     _write(os.path.join(out_dir, f"{basename}_velocity.csv"), lines)
 
 
-def reference_vtk(path, grid, u, p, title="macstag fields"):
+def reference_vtk(path, grid, u, p):
     """Rectilinear-grid VTK file in the legacy BINARY encoding, written element by element."""
     dim = grid.dim
     coords = [grid.axes[a] for a in range(dim)] + [np.zeros(1)] * (3 - dim)
@@ -70,7 +70,7 @@ def reference_vtk(path, grid, u, p, title="macstag fields"):
 
     out = [
         text("# vtk DataFile Version 3.0"),
-        text(title),
+        text("macstag fields"),
         text("BINARY"),
         text("DATASET RECTILINEAR_GRID"),
         text(f"DIMENSIONS {dims[0]} {dims[1]} {dims[2]}"),
@@ -131,10 +131,10 @@ def test_vtk_decodes_to_the_field_bits(tmp_path, rng, dim):
     for n, grid in enumerate(grids(rng, dim)):
         u, p = awkward_fields(grid, rng)
         path = str(tmp_path / f"g{n}.vtk")
-        write_vtk(path, grid, u, p, title=f"grid {n}")
+        write_vtk(path, grid, u, p)
         title, coords, pressure, velocity = read_vtk(path)
         want_coords, want_pressure, want_velocity = vtk_arrays(grid, u, p)
-        assert title == f"grid {n}"
+        assert title == "macstag fields"
         for got, want in zip(coords, want_coords):
             assert_same_bits(got, want)
         assert_same_bits(pressure, want_pressure)

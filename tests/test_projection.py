@@ -2,6 +2,8 @@
 # Discrete Helmholtz decomposition and the divergence-free projection.
 #
 
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -9,7 +11,7 @@ import scipy.sparse.linalg as spla
 
 from macstag.fields import PressureField, l2_norm, velocity_inner
 from macstag.grid import MacGrid, graded_axis, uniform_axis, uniform_grid
-from macstag.linalg import SeparableSolver
+from macstag.linalg import SeparableSolver, dot
 from macstag.operators import FaceCell, Operators, _kron_sum
 from macstag.projection import REFINEMENT_SWEEPS, Projector, dense_divfree_basis, seminorm_by_basis
 from macstag.verify import random_pressure, random_velocity
@@ -206,6 +208,37 @@ def test_poisson_chains_build_the_poisson_matrix(grid):
     np.testing.assert_array_equal(kron.indptr, ref.indptr)
     np.testing.assert_array_equal(kron.indices, ref.indices)
     assert np.abs(kron.data - ref.data).max() <= 1e-15 * np.abs(ref.data).max()
+
+
+_probe_rng = np.random.default_rng(113)
+PROBE_GRIDS = {
+    "graded-2d": MacGrid([graded_axis(0.0, 1.0, n, r) for n, r in ((24, 1.1), (17, 1.2))]),
+    "graded-3d": MacGrid([graded_axis(0.0, 1.0, n, r) for n, r in ((9, 1.3), (7, 1.05), (6, 1.5))]),
+    "coords-2d": random_nonuniform_grid(_probe_rng, 2, max_cells=12),
+    "coords-3d": random_nonuniform_grid(_probe_rng, 3, max_cells=7),
+    "one-cell-axis-3d": MacGrid(
+        [random_nonuniform_grid(_probe_rng, 2, max_cells=9).axes[0], uniform_axis(0.0, 1.0, 1),
+         graded_axis(0.0, 1.0, 6, 1.05)]
+    ),
+    # a residual far from roundoff: the scheme rejects this grid by it
+    "graded-128-1.14": MacGrid([graded_axis(0.0, 1.0, 128, 1.14)] * 2),
+}
+
+
+@pytest.mark.parametrize("grid", PROBE_GRIDS.values(), ids=PROBE_GRIDS.keys())
+def test_one_pass_residual_is_the_one_solve_probe(grid):
+    # decompose(w, passes=1) reports ||M_p D (w - G x)|| / ||M_p D w|| for
+    # the one separable solve x on b = G^T M_v w = -M_p D w, bit for bit
+    ops = Operators(grid)
+    proj = Projector(ops)
+    rng = np.random.default_rng(127)
+    for _ in range(3):
+        w = rng.standard_normal(ops.n_velocity)
+        b = -ops.cell_vol * (ops.D @ w)
+        x = proj._separable.solve(b)
+        r = -ops.cell_vol * (ops.D @ (w - ops.G @ x))
+        probe = math.sqrt(dot(r, r)) / (math.sqrt(dot(b, b)) or 1.0)
+        assert proj.decompose(w, passes=1)[2].hex() == probe.hex()
 
 
 def test_decompose_makes_one_solve_per_pass(monkeypatch, rng):

@@ -336,6 +336,23 @@ def test_unresolvable_grading_is_rejected_when_built(n, ratio, resolved):
     assert time.perf_counter() - start < 1.0
 
 
+# graded n x n grids next to the default admission limit sqrt(1e-10) = 1e-5,
+# with the probe residual each rejected one leaves; 128/1.13 leaves 9.7e-7
+# and is built (its march then fails at step 1), and the other side of
+# 256/1.06 is 256/1.05 of GRADED_GRIDS (8.1e-9)
+ADMISSION_BOUNDARY = [(128, 1.13, None), (128, 1.14, "1.8e-02"), (256, 1.06, "1.4e-03")]
+
+
+@pytest.mark.parametrize("n, ratio, residual", ADMISSION_BOUNDARY, ids=str)
+def test_admission_boundary_is_pinned_on_both_sides(n, ratio, residual):
+    grid = MacGrid([graded_axis(0.0, 1.0, n, ratio)] * 2)
+    if residual is None:
+        ProjectionScheme(grid)
+        return
+    with pytest.raises(SchemeError, match=rf"probe residual {residual} > sqrt\(poisson_tol\) = 1.0e-05"):
+        ProjectionScheme(grid)
+
+
 def test_rejected_grid_builds_no_momentum_solver(monkeypatch):
     # the pressure probe runs before the momentum chains are diagonalized,
     # so a grid it rejects never reaches dstemr or dpteqr

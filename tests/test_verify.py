@@ -127,7 +127,7 @@ class TestTranslate:
 def test_summed_step_increments_synthetic():
     g = uniform_grid((0.0, 0.0), (1.0, 1.0), (3, 3))
     dt = 0.5
-    traj = Trajectory(g, dt, 2 * dt)
+    traj = Trajectory(g, dt)
     traj.append_initial(VelocityField(g), PressureField(g))
     one = VelocityField(g)
     one.components[0][1, 1] = 1.0
@@ -228,6 +228,21 @@ class TestStudies:
         assert not flat.passed()  # decreasing but slower than the factor
         up = StudyReport("demo", [level(1.0), level(1.2)])
         assert not up.passed()
+
+    def test_ratio_over_a_zero_error(self):
+        # 0/0 is nan and a nonzero error over 0 is inf; neither ladder
+        # decreases strictly, so neither passes
+        def level(err):
+            return StudyLevel(
+                shape=(4, 4), h_max=0.1, dt=0.1, theta=1.0, err_l2l2=err,
+                err_final=err, err_h1=err, coupling=err, min_energy_margin=0.0,
+            )
+
+        for errs, want in (([0.0, 0.0], "nan"), ([0.0, 0.5], "inf")):
+            report = StudyReport("demo", [level(e) for e in errs])
+            assert [str(r) for r in report.ratios] == [want]
+            assert not report.passed()
+            assert f"ratios: {want}" in report.summary()
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_study_sums_match_field_norms(self, rng, dim):
