@@ -31,7 +31,6 @@ from .verify import (
     PropertyReport,
     StudyReport,
     convergence_study,
-    coupling_study,
     property_suite,
     random_pressure,
     random_velocity,
@@ -74,7 +73,6 @@ __all__ = [
     "PropertyReport",
     "StudyReport",
     "convergence_study",
-    "coupling_study",
     "property_suite",
     "random_pressure",
     "random_velocity",

@@ -200,6 +200,8 @@ def cmd_translate(cfg, args):
         raise ConfigError([f"cannot parse --taus {args.taus!r} as integers"]) from None
     if not multiples or any(k < 1 for k in multiples):
         raise ConfigError([f"--taus must be positive integers, got {args.taus!r}"])
+    if len(set(multiples)) < len(multiples):
+        raise ConfigError([f"--taus repeats a multiple, got {args.taus!r}"])
     bad = [k for k in multiples if k >= cfg.steps]
     if bad:
         raise ConfigError([f"translates {bad} do not fit a {cfg.steps}-step trajectory"])

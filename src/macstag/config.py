@@ -207,9 +207,9 @@ def parse_config(path=None, *, text=None, env=None, overrides=None) -> RunConfig
     source = text
     if path is not None:
         try:
-            with open(path, "r") as fh:
+            with open(path, "r", encoding="utf-8") as fh:
                 source = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError([f"cannot read config file {path}: {exc}"]) from exc
 
     given, errors = {}, []  # (section, key) -> text set by the file, the environment or an override

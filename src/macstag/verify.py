@@ -37,7 +37,7 @@ from .grid import MacGrid
 from .mms import mms_problem
 from .operators import Operators
 from .projection import Projector
-from .scheme import ProjectionScheme, _whole
+from .scheme import ProjectionScheme, SchemeError, _whole
 
 __all__ = [
     "CheckResult",
@@ -52,7 +52,6 @@ __all__ = [
     "StudyLevel",
     "StudyReport",
     "convergence_study",
-    "coupling_study",
 ]
 
 
@@ -106,71 +105,64 @@ def property_suite(grid: MacGrid, *, seed=0, pairs=20) -> PropertyReport:
 
     pairs is the number of random draws per check; it must be a whole number
     >= 1, or ValueError names it, since a check with no draws passes untested.
+    Each draw gives every check a (numerator, denominator) pair, and its worst
+    residual is the largest quotient: NaN if any is NaN (0/0 too) and inf over
+    a zero denominator, either of which fails. A LAPACK failure while the
+    projector is built is a SchemeError.
     """
     pairs = _whole("pairs", pairs)
     tol = 1e-12  # every check's bound on its worst relative residual
     rng = np.random.default_rng(seed)
     ops = Operators(grid)
-    proj = Projector(ops)
-    report = PropertyReport(grid)
+    try:
+        proj = Projector(ops)
+    except np.linalg.LinAlgError as err:
+        raise SchemeError(f"building the separable solvers failed: LinAlgError: {err}") from err
 
-    worst = 0.0
-    for _ in range(pairs):
-        p = random_pressure(grid, rng)
-        v = random_velocity(grid, rng)
+    def duality():
+        p, v = random_pressure(grid, rng), random_velocity(grid, rng)
         lhs = velocity_inner(ops.grad(p), v) + pressure_inner(p, ops.div(v))
-        worst = max(worst, abs(lhs) / (l2_norm(p) * l2_norm(v)))
-    report.checks.append(CheckResult("gradient/divergence duality", worst, tol))
+        return [(abs(lhs), l2_norm(p) * l2_norm(v))]
 
-    worst = 0.0
-    worst_id = 0.0
-    for _ in range(pairs):
-        u = random_velocity(grid, rng)
-        v = random_velocity(grid, rng)
-        su = w1q_norm(u, 2.0)
-        sv = w1q_norm(v, 2.0)
+    def diffusion():
+        u, v = random_velocity(grid, rng), random_velocity(grid, rng)
+        su, sv = w1q_norm(u, 2.0), w1q_norm(v, 2.0)
         sym = velocity_inner(ops.neg_laplacian(u), v) - velocity_inner(u, ops.neg_laplacian(v))
-        worst = max(worst, abs(sym) / (su * sv))
         ident = velocity_inner(ops.neg_laplacian(u), u) - su**2
-        worst_id = max(worst_id, abs(ident) / su**2)
-    report.checks.append(CheckResult("diffusion symmetry", worst, tol))
-    report.checks.append(CheckResult("diffusion / W12 seminorm identity", worst_id, tol))
+        return [(abs(sym), su * sv), (abs(ident), su**2)]
 
-    skew = CheckResult("convection skew-symmetry", 0.0, tol)
-    # the divergence has rank n_cells - 1; its kernel holds the advecting fields
-    if ops.n_velocity == ops.n_cells - 1:
-        skew.skipped = "no divergence-free field on this grid"
-    for _ in range(0 if skew.skipped else pairs):
-        a = proj.project(random_velocity(grid, rng))
-        w = random_velocity(grid, rng)
-        b = ops.convection_form(a, w, w)
-        skew.worst = max(skew.worst, abs(b) / (l2_norm(a) * l2_norm(w) ** 2))
-    report.checks.append(skew)
+    def skew():
+        a, w = proj.project(random_velocity(grid, rng)), random_velocity(grid, rng)
+        return [(abs(ops.convection_form(a, w, w)), l2_norm(a) * l2_norm(w) ** 2)]
 
-    worst_idem = 0.0
-    worst_pyth = 0.0
-    worst_div = 0.0
-    worst_grad = 0.0
-    for _ in range(pairs):
+    def projection():
         w = random_velocity(grid, rng)
         v, psi = proj.decompose(ops.pack(w))[:2]
-        v = ops.unpack(v)
-        gpsi = ops.unpack(ops.G @ psi)
-        wn = l2_norm(w)
-        pyth = wn**2 - l2_norm(v) ** 2 - l2_norm(gpsi) ** 2
-        worst_pyth = max(worst_pyth, abs(pyth) / wn**2)
-        v2 = proj.project(v)
-        worst_idem = max(worst_idem, l2_norm(v2 - v) / wn)
-        div_scale = wn / grid.h_min
-        worst_div = max(worst_div, float(np.abs(ops.div(v).data).max()) / div_scale)
-        q = random_pressure(grid, rng)
-        gq = ops.grad(q)
-        worst_grad = max(worst_grad, proj.divfree_seminorm(gq) / l2_norm(gq))
-    report.checks.append(CheckResult("projection idempotence", worst_idem, tol))
-    report.checks.append(CheckResult("decomposition Pythagoras", worst_pyth, tol))
-    report.checks.append(CheckResult("projected divergence", worst_div, tol))
-    report.checks.append(CheckResult("seminorm kills gradients", worst_grad, tol))
+        v, gpsi, wn = ops.unpack(v), ops.unpack(ops.G @ psi), l2_norm(w)
+        gq = ops.grad(random_pressure(grid, rng))
+        return [
+            (l2_norm(proj.project(v) - v), wn),
+            (abs(wn**2 - l2_norm(v) ** 2 - l2_norm(gpsi) ** 2), wn**2),
+            (float(np.abs(ops.div(v).data).max()), wn / grid.h_min),
+            (proj.divfree_seminorm(gq), l2_norm(gq)),
+        ]
 
+    report = PropertyReport(grid)
+    for draw, names in [
+        (duality, ["gradient/divergence duality"]),
+        (diffusion, ["diffusion symmetry", "diffusion / W12 seminorm identity"]),
+        # the divergence has rank n_cells - 1; its kernel holds the advecting fields
+        (None if ops.n_velocity == ops.n_cells - 1 else skew, ["convection skew-symmetry"]),
+        (projection, ["projection idempotence", "decomposition Pythagoras", "projected divergence",
+                      "seminorm kills gradients"]),
+    ]:
+        if draw is None:
+            report.checks.append(CheckResult(names[0], 0.0, tol, "no divergence-free field on this grid"))
+            continue
+        num, den = np.array([draw() for _ in range(pairs)], dtype=np.float64).T
+        with np.errstate(all="ignore"):
+            worst = np.max(num / den, axis=1)
+        report.checks += [CheckResult(name, float(w), tol) for name, w in zip(names, worst)]
     return report
 
 
@@ -346,14 +338,3 @@ def convergence_study(problem, levels, t_final, *, quad_order=3, **scheme_kw) ->
             )
         )
     return report
-
-
-def coupling_study(problem, grid: MacGrid, steps_list, t_final, **scheme_kw):
-    """Coupling norm ||u_N - utilde_N||_{L2 L2} on one grid for several step counts.
-
-    Returns (steps, coupling) pairs: the coupling column of convergence_study
-    on the levels (grid, steps). The scheme's dt-coupling makes successive
-    values shrink roughly linearly when the step count doubles.
-    """
-    report = convergence_study(problem, [(grid, steps) for steps in steps_list], t_final, **scheme_kw)
-    return [(int(steps), lv.coupling) for steps, lv in zip(steps_list, report.levels)]

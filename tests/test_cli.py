@@ -250,6 +250,56 @@ def test_lapack_failure_exits_1_before_writing(tmp_path, monkeypatch, capsys):
     assert not os.path.exists(tmp_path / "o")
 
 
+# a 4 x 4 grid of [0, L]^2
+SCALED = "[domain]\nlo = 0 0\nhi = {0} {0}\n[grid]\nn = 4 4\n"
+
+
+@pytest.mark.parametrize("command", ["verify", "operators-check"])
+def test_property_suite_lapack_failure_exits_1(tmp_path, capsys, command):
+    # at L = 1e-200 eigh fails on a Neumann chain of the projector the
+    # property suite builds: one error line names it, as for run
+    path = tmp_path / "tiny.ini"
+    path.write_text(SCALED.format("1e-200"))
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: building the separable solvers failed: LinAlgError: ")
+    assert not os.path.exists(tmp_path / "o")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_operators_check_fails_nan_residuals(tmp_path, capsys):
+    # at L = 1e200 the cell volumes overflow and every residual is NaN, which
+    # once passed as a worst residual of 0
+    path = tmp_path / "huge.ini"
+    path.write_text(SCALED.format("1e200"))
+    out = tmp_path / "o"
+    assert main(["operators-check", "--config", str(path), "--out", str(out)]) == 1
+    lines = (out / "operators_report.txt").read_text().splitlines()
+    assert len(lines) == 10 and lines[-1] == "overall: FAIL"
+    assert all(line.startswith("  FAIL  ") and line.endswith(": worst residual nan (tolerance 1.0e-12)")
+               for line in lines[1:-1])
+
+
+@pytest.mark.parametrize("command, report", [("verify", "verify_report.txt"),
+                                             ("operators-check", "operators_report.txt")])
+def test_zero_denominators_fail_in_the_report(tmp_path, capsys, command, report):
+    # at L = 1e-150 the skew check's denominator underflows to 0: its 0/0 is
+    # NaN and fails, where both commands once died with a ZeroDivisionError
+    path = tmp_path / "small.ini"
+    path.write_text(SCALED.format("1e-150"))
+    out = tmp_path / "o"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    lines = (out / report).read_text().splitlines()
+    assert captured.out.splitlines()[:len(lines)] == lines
+    assert "  FAIL  convection skew-symmetry: worst residual nan (tolerance 1.0e-12)" in lines
+    assert "  FAIL  gradient/divergence duality" in "\n".join(lines)
+    assert "overall: FAIL" in lines
+
+
 def test_prediction_failure_names_step_and_direction(tmp_path, capsys):
     path = tmp_path / "capped.ini"
     path.write_text("[grid]\nn = 8 8\n[time]\nfinal = 0.05\nsteps = 1\n[solver]\nmax_iterations = 1\n")
@@ -365,6 +415,21 @@ def test_translate_rejects_oversized_tau(tmp_path, monkeypatch, capsys):
     assert main(["translate", "--config", str(path), "--taus", "0"]) == 2
 
 
+
+def test_translate_rejects_a_repeated_multiple(tmp_path, monkeypatch, capsys):
+    # a repeated multiple would print and write the same row twice
+    path = tmp_path / "case.ini"
+    path.write_text("[grid]\nn = 4 4\n[time]\nfinal = 0.1\nsteps = 4\n")
+
+    def no_step(*args):
+        raise AssertionError("taus are checked before any step runs")
+
+    monkeypatch.setattr(ProjectionScheme, "step", no_step)
+    for taus in ("1,1", "2,1,2"):
+        assert main(["translate", "--config", str(path), "--taus", taus, "--out", str(tmp_path / "o")]) == 2
+        assert f"--taus repeats a multiple, got {taus!r}" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "o")
+
 TRANSLATE = "[grid]\nkind = graded\nn = 6 5\nratio = 1.1\n[time]\nfinal = 0.1\nsteps = 6\n"
 
 
@@ -450,6 +515,16 @@ def test_config_errors(tmp_path, capsys):
         assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2, text
         err = capsys.readouterr().err
         assert key in err and "Traceback" not in err, text
+    assert not os.path.exists(tmp_path / "o")
+
+
+def test_config_that_is_not_utf8_exits_2(tmp_path, capsys):
+    path = tmp_path / "latin1.ini"
+    path.write_bytes(b"# caf\xe9\n[grid]\nn = 4 4\n")
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid configuration:")
+    assert f"cannot read config file {path}: 'utf-8' codec can't decode byte 0xe9" in err
     assert not os.path.exists(tmp_path / "o")
 
 

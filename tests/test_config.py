@@ -167,6 +167,17 @@ def test_missing_file():
         parse_config("/no/such/file.ini")
 
 
+def test_file_is_read_as_utf8(tmp_path):
+    # whatever the locale: a UTF-8 comment parses, and a byte that is not
+    # UTF-8 is reported like an unreadable file
+    path = tmp_path / "case.ini"
+    path.write_text("# café\n[grid]\nn = 4 4\n", encoding="utf-8")
+    assert parse_config(str(path)).grid_n == (4, 4)
+    path.write_bytes(b"# caf\xe9\n[grid]\nn = 4 4\n")
+    with pytest.raises(ConfigError, match=r"cannot read config file .*'utf-8' codec can't decode byte 0xe9"):
+        parse_config(str(path))
+
+
 def test_defaults_table_is_complete():
     # every key in the defaults table parses cleanly on its own
     for (section, key), value in DEFAULTS.items():

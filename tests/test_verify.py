@@ -9,19 +9,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from macstag.fields import PressureField, Trajectory, VelocityField, l2_norm, velocity_inner, w1q_norm
+from macstag import verify as verify_module
+from macstag.fields import (
+    PressureField,
+    Trajectory,
+    VelocityField,
+    l2_norm,
+    pressure_inner,
+    velocity_inner,
+    w1q_norm,
+)
 from macstag.grid import MacGrid, graded_axis, midpoint_refined, uniform_axis, uniform_grid
 from macstag.mms import mms_problem
 from macstag.operators import Operators
 from macstag.projection import Projector
 from macstag.scheme import ProjectionScheme
 from macstag.verify import (
+    CheckResult,
+    PropertyReport,
     TranslateAccumulator,
     StudyLevel,
     StudyReport,
     convergence_study,
-    coupling_study,
     property_suite,
+    random_pressure,
+    random_velocity,
     summed_step_increments,
     translate_diagnostic,
 )
@@ -87,6 +99,133 @@ def test_property_suite_thin_grids(shape):
     skew = next(c for c in report.checks if c.name == "convection skew-symmetry")
     assert bool(skew.skipped) == (g.shape not in [(1, 4, 4), (3, 1, 5)])
     assert ("skip  convection skew-symmetry" in report.summary()) == bool(skew.skipped)
+
+
+def reference_suite(grid, *, seed=0, pairs=20):
+    """The property suite as four loops of running maxima, kept as the
+    reference for the draws, the order and the bits of every finite residual."""
+    tol = 1e-12
+    rng = np.random.default_rng(seed)
+    ops = Operators(grid)
+    proj = Projector(ops)
+    report = PropertyReport(grid)
+
+    worst = 0.0
+    for _ in range(pairs):
+        p = random_pressure(grid, rng)
+        v = random_velocity(grid, rng)
+        lhs = velocity_inner(ops.grad(p), v) + pressure_inner(p, ops.div(v))
+        worst = max(worst, abs(lhs) / (l2_norm(p) * l2_norm(v)))
+    report.checks.append(CheckResult("gradient/divergence duality", worst, tol))
+
+    worst = 0.0
+    worst_id = 0.0
+    for _ in range(pairs):
+        u = random_velocity(grid, rng)
+        v = random_velocity(grid, rng)
+        su = w1q_norm(u, 2.0)
+        sv = w1q_norm(v, 2.0)
+        sym = velocity_inner(ops.neg_laplacian(u), v) - velocity_inner(u, ops.neg_laplacian(v))
+        worst = max(worst, abs(sym) / (su * sv))
+        ident = velocity_inner(ops.neg_laplacian(u), u) - su**2
+        worst_id = max(worst_id, abs(ident) / su**2)
+    report.checks.append(CheckResult("diffusion symmetry", worst, tol))
+    report.checks.append(CheckResult("diffusion / W12 seminorm identity", worst_id, tol))
+
+    skew = CheckResult("convection skew-symmetry", 0.0, tol)
+    # the divergence has rank n_cells - 1; its kernel holds the advecting fields
+    if ops.n_velocity == ops.n_cells - 1:
+        skew.skipped = "no divergence-free field on this grid"
+    for _ in range(0 if skew.skipped else pairs):
+        a = proj.project(random_velocity(grid, rng))
+        w = random_velocity(grid, rng)
+        b = ops.convection_form(a, w, w)
+        skew.worst = max(skew.worst, abs(b) / (l2_norm(a) * l2_norm(w) ** 2))
+    report.checks.append(skew)
+
+    worst_idem = 0.0
+    worst_pyth = 0.0
+    worst_div = 0.0
+    worst_grad = 0.0
+    for _ in range(pairs):
+        w = random_velocity(grid, rng)
+        v, psi = proj.decompose(ops.pack(w))[:2]
+        v = ops.unpack(v)
+        gpsi = ops.unpack(ops.G @ psi)
+        wn = l2_norm(w)
+        pyth = wn**2 - l2_norm(v) ** 2 - l2_norm(gpsi) ** 2
+        worst_pyth = max(worst_pyth, abs(pyth) / wn**2)
+        v2 = proj.project(v)
+        worst_idem = max(worst_idem, l2_norm(v2 - v) / wn)
+        div_scale = wn / grid.h_min
+        worst_div = max(worst_div, float(np.abs(ops.div(v).data).max()) / div_scale)
+        q = random_pressure(grid, rng)
+        gq = ops.grad(q)
+        worst_grad = max(worst_grad, proj.divfree_seminorm(gq) / l2_norm(gq))
+    report.checks.append(CheckResult("projection idempotence", worst_idem, tol))
+    report.checks.append(CheckResult("decomposition Pythagoras", worst_pyth, tol))
+    report.checks.append(CheckResult("projected divergence", worst_div, tol))
+    report.checks.append(CheckResult("seminorm kills gradients", worst_grad, tol))
+
+    return report
+
+
+def _reference_grids():
+    rng = np.random.default_rng(353)
+
+    def graded(dim):
+        return MacGrid([graded_axis(0.0, 1.0, int(rng.integers(2, 7)), float(rng.uniform(0.7, 1.4)))
+                        for _ in range(dim)])
+
+    return [
+        pytest.param(graded(2), id="graded-2d"),
+        pytest.param(graded(3), id="graded-3d"),
+        pytest.param(random_nonuniform_grid(rng, 2, max_cells=7), id="coords-2d"),
+        pytest.param(random_nonuniform_grid(rng, 3, max_cells=5), id="coords-3d"),
+        pytest.param(MacGrid([graded_axis(0.0, 1.0, 4, 1.3), uniform_axis(0.0, 1.0, 1),
+                              random_nonuniform_grid(rng, 2, max_cells=5).axes[0]]), id="one-cell-axis-3d"),
+        pytest.param(uniform_grid((0.0, 0.0), (1.0, 1.0), (2, 1)), id="skew-skipped-2x1"),
+    ]
+
+
+@pytest.mark.parametrize("seed", [0, 2**40 + 17])
+@pytest.mark.parametrize("grid", _reference_grids())
+def test_property_suite_matches_running_maxima(grid, seed):
+    # one draw group per loop of the reference and one reduction: the same
+    # draws in the same order give every check the same worst residual, bit
+    # for bit, and the same skip
+    got = property_suite(grid, seed=seed).checks
+    want = reference_suite(grid, seed=seed).checks
+    assert [(c.name, c.worst, c.tolerance, c.skipped) for c in got] == \
+        [(c.name, c.worst, c.tolerance, c.skipped) for c in want]
+
+
+@pytest.mark.parametrize("value, finite_draws", [(math.nan, 0), (math.nan, 1), (0.0, 0)])
+def test_property_suite_fails_nan_and_zero_denominators(monkeypatch, value, finite_draws):
+    # w1q_norm is the denominator of both diffusion checks. A NaN quotient
+    # makes the worst residual NaN wherever it falls among the draws (Python's
+    # max would keep a finite value drawn before it), and a zero denominator
+    # reads inf, or NaN for 0/0; either fails
+    calls = []
+
+    def seminorm(u, q=2.0):
+        calls.append(u)
+        return w1q_norm(u, q) if len(calls) <= 2 * finite_draws else value
+
+    monkeypatch.setattr(verify_module, "w1q_norm", seminorm)
+    report = property_suite(uniform_grid((0.0, 0.0), (1.0, 1.0), (4, 4)), seed=3, pairs=5)
+    assert len(calls) == 2 * 5
+    diffusion = [c for c in report.checks if c.name.startswith("diffusion")]
+    assert [c.name for c in diffusion] == ["diffusion symmetry", "diffusion / W12 seminorm identity"]
+    for check in diffusion:
+        assert not check.passed and check.line().startswith(f"FAIL  {check.name}: worst residual ")
+    if math.isnan(value):
+        assert all(math.isnan(c.worst) for c in diffusion)
+        assert all(" worst residual nan " in c.line() for c in diffusion)
+    else:
+        assert diffusion[1].worst == math.inf
+    assert all(c.passed for c in report.checks if c not in diffusion)
+    assert not report.passed and report.summary().endswith("overall: FAIL")
 
 
 @pytest.fixture(scope="module")
@@ -279,13 +418,14 @@ class TestStudies:
         assert "ratios" in text and "verdict" in text
 
     def test_coupling_study_shrinks(self):
+        # the coupling study is the coupling column of a study on one grid
+        # with several step counts
         prob = mms_problem("vortex2d")
         g = uniform_grid((0.0, 0.0), (1.0, 1.0), (8, 8))
-        rows = coupling_study(prob, g, [4, 8], 0.1)
-        assert [n for n, _ in rows] == [4, 8]
-        assert rows[1][1] < rows[0][1]
-        # the coupling column of the per-level convergence study, bit for bit
-        assert rows == [(n, convergence_study(prob, [(g, n)], 0.1).levels[0].coupling) for n in (4, 8)]
+        rows = [lv.coupling for lv in convergence_study(prob, [(g, n) for n in (4, 8)], 0.1).levels]
+        assert rows[1] < rows[0]
+        # each level's coupling is that of a study of the level alone, bit for bit
+        assert rows == [convergence_study(prob, [(g, n)], 0.1).levels[0].coupling for n in (4, 8)]
 
     def test_study_sums_match_stored_run(self, rng):
         # the sums the studies take level by level equal, bit for bit, the
@@ -312,7 +452,6 @@ class TestStudies:
         assert lv.min_energy_margin == min(
             d.energy_residual / max(d.energy_scale, 1e-300) for d in traj.diagnostics
         )
-        assert coupling_study(prob, g, [4], 0.1) == [(4, coupling)]
 
 
 # ---------------------------------------------------------------------------
@@ -345,13 +484,45 @@ def test_convergence_on_random_nonuniform_ladders(dim, levels, max_cells, seed):
     assert report.passed(0.8), report.summary()
     h1 = [lv.err_h1 for lv in report.levels]
     assert all(e1 < e0 for e0, e1 in zip(h1, h1[1:])), report.summary()
+    margins = [lv.min_energy_margin for lv in report.levels]
+    assert min(margins) >= -1e-9, margins
+
+
+def jittered_ladder(seed, dim, n, levels):
+    """Levels drawn independently: n 2^l cells per axis, each interior node of
+    the uniform partition moved by up to 0.35 h, and 4 2^l steps.
+
+    No level's faces need lie on the next one's, unlike nonuniform_ladder.
+    """
+    rng = np.random.default_rng(seed)
+    ladder = []
+    for level in range(levels):
+        cells = n << level
+        axes = []
+        for _ in range(dim):
+            nodes = uniform_axis(0.0, 1.0, cells)
+            nodes[1:-1] += rng.uniform(-0.35, 0.35, cells - 1) / cells
+            axes.append(nodes)
+        ladder.append((MacGrid(axes), 4 << level))
+    return ladder
+
+
+@pytest.mark.parametrize("dim, n, levels", [(2, 8, 4), (3, 6, 3)])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_convergence_on_non_nested_nonuniform_ladders(dim, n, levels, seed):
+    # criterion 7's rule on 8^2 -> 64^2 and 6^3 -> 24^3, with the energy
+    # inequality held on every step of every level; no rate is claimed
+    report = convergence_study(f"vortex{dim}d", jittered_ladder(seed, dim, n, levels), 0.5)
+    assert report.passed(0.8), report.summary()
+    margins = [lv.min_energy_margin for lv in report.levels]
+    assert min(margins) >= -1e-9, margins
 
 
 def test_coupling_halves_on_nonuniform_grid():
     # criterion 6 on a random non-uniform grid: doubling the step count
     # halves the dt-coupling norm
     g = random_nonuniform_grid(np.random.default_rng(181), 2, max_cells=12)
-    rows = coupling_study("vortex2d", g, [16, 32, 64], 0.5)
-    couplings = [c for _, c in rows]
+    study = convergence_study("vortex2d", [(g, steps) for steps in (16, 32, 64)], 0.5)
+    couplings = [lv.coupling for lv in study.levels]
     ratios = [c1 / c0 for c0, c1 in zip(couplings, couplings[1:])]
     assert all(0.4 <= r <= 0.6 for r in ratios), ratios
