@@ -73,7 +73,8 @@ class MacGrid:
         of the dual cell of face k (half cells at the two boundary faces,
         center-to-center distances in between)
     shape : cell counts per axis
-    cell_volumes : ndarray of cell volumes, shape == shape
+    cell_volumes : ndarray of cell volumes, shape == shape; these, the box
+        volume and h_max must be finite, or ValueError names the overflow
     theta : mesh regularity, the largest ratio |sigma| / |sigma'| over all
         pairs of faces from two different directions
     """
@@ -102,9 +103,15 @@ class MacGrid:
             dw[-1] = 0.5 * h[-1]
             self.dual_w.append(dw)
 
-        self.cell_volumes = reduce(np.multiply, np.ix_(*self.h))
-        self.volume = float(np.prod([c[-1] - c[0] for c in axes]))
-        self.h_max = math.sqrt(sum(h.max() ** 2 for h in self.h))
+        with np.errstate(over="ignore"):  # an overflow is named below, not warned about
+            self.cell_volumes = reduce(np.multiply, np.ix_(*self.h))
+            self.volume = float(np.prod([c[-1] - c[0] for c in axes]))
+            self.h_max = math.sqrt(sum(h.max() ** 2 for h in self.h))
+        for what, value in [("cell volumes overflow", self.cell_volumes.max()),
+                            ("the box volume overflows", self.volume), ("h_max overflows", self.h_max)]:
+            if not math.isfinite(value):
+                extents = " x ".join(f"{c[-1] - c[0]:.3g}" for c in axes)
+                raise ValueError(f"{what}: the box measures {extents}")
         self.h_min = min(h.min() for h in self.h)
 
         # theta: every cross-direction pair of face measures occurs, so the

@@ -31,6 +31,8 @@ np.einsum("i,i->"), and a norm is sqrt(dot(v, v)). A threaded BLAS ddot or
 dnrm2 splits its sum by thread and so gives other bits under another
 OPENBLAS_NUM_THREADS (Demmel & Nguyen, ARITH 21, 2013); einsum sums in one
 thread. The GEMMs of the transforms give the same bits at any thread count.
+Every failure here is a SchemeError, LAPACK's wrapped once in SeparableSolver;
+a failed iterative solve is the subclass SolverError.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ import numpy as np
 import scipy.linalg
 from scipy.linalg.lapack import dpteqr, dstemr
 
-__all__ = ["SolveResult", "SolverError", "SeparableSolver", "dot", "tridiagonal", "solve_cgw"]
+__all__ = ["SchemeError", "SolveResult", "SolverError", "SeparableSolver", "dot", "tridiagonal", "solve_cgw"]
 
 # Cap on CGW iterations per solve when the caller sets none: the prediction
 # needs 3-4 per component in 2D and 5-6 in 3D, and advecting fields 1000
@@ -55,7 +57,13 @@ def dot(a, b) -> float:
     return float(np.einsum("i,i->", a, b))
 
 
-class SolverError(RuntimeError):
+class SchemeError(RuntimeError):
+    """Raised when a step violates one of the scheme's structural guarantees, when a step is too
+    short for the prediction solve's sums of squares, when the separable pressure solve cannot
+    resolve the grid the scheme is built on, or when LAPACK fails on a chain of a SeparableSolver."""
+
+
+class SolverError(SchemeError):
     """Raised when an iterative solve runs out of iterations or breaks down.
 
     message is the text before the iteration count and residual, so a caller
@@ -143,6 +151,7 @@ class SeparableSolver:
     extent -1 cannot infer. A new shift sums the per-axis eigenvalues over the
     grid into the one grid array held, its reciprocal. When every chain is
     Neumann and non-empty, solve at shift 0 drops the constant mode: the pseudo-inverse.
+    LAPACK's LinAlgError on a chain is raised on as a SchemeError.
     """
 
     def __init__(self, conductances, mass):
@@ -153,7 +162,10 @@ class SeparableSolver:
             if c.size != B.size + 1:
                 raise ValueError(f"axis {a}: a chain of {B.size} masses needs {B.size + 1} conductances, got {c.size}")
             # ascending, so mode 0 of a Neumann axis is the constant one
-            vals, vecs = _modes(c, B)
+            try:
+                vals, vecs = _modes(c, B)
+            except np.linalg.LinAlgError as err:
+                raise SchemeError(f"building the separable solvers failed: LinAlgError: {err}") from err
             self._plan.append((vecs, shape[a], math.prod(shape[:a]), math.prod(shape[a + 1 :])))
             self._spectra.append(vals)
         # the zero end-conductance test of _modes; a 0-size chain has no modes

@@ -54,7 +54,8 @@ Every velocity of the march is a packed interior-face vector
 initialize to the last level. A step packs one field, the forcing, unpacks
 none, and takes the energy terms as mass-weighted dots (Operators.inner).
 Every 1D sum of a step is a numpy loop (Operators.inner, linalg.dot), so
-the diagnostics keep their bits under any BLAS thread count.
+the diagnostics keep their bits under any BLAS thread count. A failing
+build or step raises linalg's SchemeError, which this module re-exports.
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ import numpy as np
 
 from .fields import PressureField, Trajectory, VelocityField, face_average
 from .grid import MacGrid
-from .linalg import SeparableSolver, SolverError, dot, solve_cgw
+from .linalg import SchemeError, SeparableSolver, SolverError, dot, solve_cgw
 from .mms import Separable
 from .operators import Operators
 from .projection import REFINEMENT_SWEEPS, Projector
@@ -76,13 +77,6 @@ from .projection import REFINEMENT_SWEEPS, Projector
 __all__ = ["ProjectionScheme", "SchemeState", "StepDiagnostics", "SchemeError", "DIAGNOSTIC_COLUMNS"]
 
 _FLOAT_MAX = np.finfo(float).max
-
-
-class SchemeError(RuntimeError):
-    """Raised when a step violates one of the scheme's structural guarantees,
-    when a step is too short for the prediction solve's sums of squares,
-    when the separable pressure solve cannot resolve the grid the scheme is built on,
-    or when LAPACK fails on a chain while the separable solvers are built."""
 
 
 def _whole(name, value, least=1) -> int:
@@ -181,7 +175,8 @@ class ProjectionScheme:
     argument raises ValueError before any operator is built. A grid graded
     beyond what the separable pressure solve resolves at poisson_tol raises
     SchemeError by the residual of one projection pass (_check_resolution),
-    before the momentum solvers are built; so does a LAPACK failure in either build.
+    before the momentum solvers are built, and so does a LAPACK failure in
+    either build. A failing step raises SchemeError (SolverError from a solve).
     """
 
     def __init__(
@@ -202,12 +197,9 @@ class ProjectionScheme:
         self.ops = Operators(grid)
         self.prediction_tol = float(prediction_tol)
         self.poisson_tol = float(poisson_tol)
-        try:
-            self.projector = Projector(self.ops)
-            self._check_resolution()
-            self._momentum_solvers = [SeparableSolver(*chains) for chains in self.ops.laplace_chains]
-        except np.linalg.LinAlgError as err:
-            raise SchemeError(f"building the separable solvers failed: LinAlgError: {err}") from err
+        self.projector = Projector(self.ops)
+        self._check_resolution()
+        self._momentum_solvers = [SeparableSolver(*chains) for chains in self.ops.laplace_chains]
         self._mass_peak = float(self.ops.mass_velocity.max())  # read by the prediction's overflow guard
 
     def _check_resolution(self):
@@ -323,7 +315,7 @@ class ProjectionScheme:
         dt = float(dt)
         u, phi, residual, div = self.projector.decompose(ut)
         div_max = float(np.abs(div).max())
-        if div_max > 10.0 * self.poisson_tol:
+        if not div_max <= 10.0 * self.poisson_tol:  # a NaN fails too
             raise SchemeError(
                 f"step {state.n + 1}, correction: post-correction divergence {div_max:.3e} "
                 f"exceeds 10 x poisson_tol = {10.0 * self.poisson_tol:.1e}"

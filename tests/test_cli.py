@@ -25,7 +25,7 @@ from macstag.mms import mms_problem
 from macstag.operators import Operators
 from macstag.output import write_diagnostics_csv, write_translate_csv
 from macstag.projection import Projector
-from macstag.scheme import ProjectionScheme, SchemeError
+from macstag.scheme import DIAGNOSTIC_COLUMNS, ProjectionScheme, SchemeError
 from macstag.verify import translate_diagnostic
 
 from conftest import BAD_NUMERIC_VALUES, assert_same_bits, read_vtk, vtk_arrays
@@ -268,18 +268,19 @@ def test_property_suite_lapack_failure_exits_1(tmp_path, capsys, command):
     assert not os.path.exists(tmp_path / "o")
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_operators_check_fails_nan_residuals(tmp_path, capsys):
-    # at L = 1e200 the cell volumes overflow and every residual is NaN, which
-    # once passed as a worst residual of 0
+def test_overflowing_box_is_rejected_at_parse(tmp_path, capsys):
+    # at L = 1e200 the cell volumes overflow: MacGrid names it with no
+    # RuntimeWarning, and both commands exit 2 before they write anything,
+    # where operators-check once reported every residual as NaN (exit 1)
     path = tmp_path / "huge.ini"
     path.write_text(SCALED.format("1e200"))
-    out = tmp_path / "o"
-    assert main(["operators-check", "--config", str(path), "--out", str(out)]) == 1
-    lines = (out / "operators_report.txt").read_text().splitlines()
-    assert len(lines) == 10 and lines[-1] == "overall: FAIL"
-    assert all(line.startswith("  FAIL  ") and line.endswith(": worst residual nan (tolerance 1.0e-12)")
-               for line in lines[1:-1])
+    for command in ("operators-check", "run"):
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("invalid configuration:\n  - grid.kind = uniform cannot be built: "
+                                "cell volumes overflow: the box measures 1e+200 x 1e+200\n")
+        assert not os.path.exists(tmp_path / "o")
 
 
 @pytest.mark.parametrize("command, report", [("verify", "verify_report.txt"),
@@ -298,6 +299,22 @@ def test_zero_denominators_fail_in_the_report(tmp_path, capsys, command, report)
     assert "  FAIL  convection skew-symmetry: worst residual nan (tolerance 1.0e-12)" in lines
     assert "  FAIL  gradient/divergence duality" in "\n".join(lines)
     assert "overall: FAIL" in lines
+
+
+def test_divergence_guard_exits_1_after_the_echo(tmp_path, capsys):
+    # the probe admits the default grid at poisson_tol = 1e-24, and step 1
+    # fails the 10 x poisson_tol divergence guard: one error line, the
+    # resolved config and a diagnostics.csv with its header alone
+    path = tmp_path / "strict.ini"
+    path.write_text("[solver]\npoisson_tol = 1e-24\n")
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: step 1, correction: post-correction divergence ")
+    assert "Traceback" not in err
+    assert (out / "config.resolved.ini").exists()
+    assert (out / "diagnostics.csv").read_text() == ",".join(DIAGNOSTIC_COLUMNS) + "\n"
 
 
 def test_prediction_failure_names_step_and_direction(tmp_path, capsys):
@@ -349,6 +366,15 @@ def test_convergence(small_config, tmp_path, monkeypatch, capsys):
     assert os.path.exists(os.path.join(out, "study.csv"))
     text = capsys.readouterr().out
     assert "verdict: pass" in text
+
+
+def test_convergence_rejects_zero_levels(small_config, tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main(["convergence", "--levels", "0", "--config", small_config, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "invalid configuration:\n  - --levels must be >= 1, got 0\n"
+    assert not os.path.exists(out)
 
 
 def test_convergence_rejects_a_ladder_from_a_1_cell_axis(tmp_path, monkeypatch, capsys):

@@ -106,6 +106,24 @@ def test_dimension_mismatch():
         parse_config(None, text=text)
 
 
+@pytest.mark.parametrize("axes", [1, 4])
+def test_grid_must_be_2d_or_3d(axes):
+    text = f"[domain]\nlo = {' 0' * axes}\nhi = {' 1' * axes}\n[grid]\nn = {' 4' * axes}\n"
+    with pytest.raises(ConfigError) as err:
+        parse_config(None, text=text)
+    assert err.value.errors == [f"grid must be 2D or 3D, got {axes} axes"]
+
+
+def test_unparsable_file_and_bad_calls():
+    with pytest.raises(ConfigError, match="cannot parse config: File contains no section headers"):
+        parse_config(None, text="n = 4 4\n")
+    # a bad call is a programming error, not a configuration one
+    with pytest.raises(ValueError, match="pass either path or text, not both"):
+        parse_config("case.ini", text="[grid]\nn = 4 4\n")
+    with pytest.raises(ValueError, match="unknown override grid.bogus"):
+        parse_config(None, overrides={("grid", "bogus"): "1"})
+
+
 def test_coords_grid():
     text = (
         "[domain]\nlo = 0 0\nhi = 1 1\n"

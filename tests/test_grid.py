@@ -3,6 +3,7 @@
 #
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -138,6 +139,17 @@ def test_validation_errors():
         uniform_axis(1.0, 0.0, 4)
     with pytest.raises(ValueError):
         graded_axis(0.0, 1.0, 3, 0.0)
+
+
+def test_overflowing_measures_are_named():
+    # named, with no RuntimeWarning (an error under pytest); a measure that
+    # underflows to 0 is finite and is not rejected here
+    for hi, what in [(1e200, "cell volumes overflow"), (1.5e154, "the box volume overflows")]:
+        with pytest.raises(ValueError, match=re.escape(f"{what}: the box measures {hi:.3g} x {hi:.3g}")):
+            uniform_grid((0.0, 0.0), (hi, hi), (4, 4))
+    with pytest.raises(ValueError, match="h_max overflows"):
+        MacGrid([np.array([0.0, 1e200]), np.array([0.0, 1e-200])])
+    assert uniform_grid((0.0, 0.0), (1e-200, 1e-200), (4, 4)).volume == 0.0
 
 
 def test_midpoint_refinement():

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import macstag
 from macstag.fields import PressureField, VelocityField, face_average, l2_norm
 from macstag.grid import MacGrid, graded_axis, uniform_axis, uniform_grid
 from macstag.linalg import SeparableSolver, SolverError, dot
@@ -377,6 +378,46 @@ def test_lapack_failure_while_building_is_a_scheme_error(monkeypatch):
     with pytest.raises(SchemeError, match=message) as err:
         ProjectionScheme(uniform_grid((0.0, 0.0), (1.0, 1.0), (8, 8)))
     assert isinstance(err.value.__cause__, np.linalg.LinAlgError)
+
+
+def test_solver_error_is_the_one_scheme_error():
+    # a caller catches SchemeError alone: a failed solve is its subclass, and
+    # every import path names the one class linalg defines
+    assert issubclass(SolverError, SchemeError)
+    assert macstag.SchemeError is scheme_module.SchemeError is linalg_module.SchemeError
+
+
+def test_divergence_guard_fires(vortex):
+    # the probe admits the grid, its limit being sqrt(1e-24) = 1e-12; the
+    # roundoff divergence step 1 leaves is then above 10 x poisson_tol
+    scheme = ProjectionScheme(uniform_grid((0.0, 0.0), (1.0, 1.0), (8, 8)), poisson_tol=1e-24)
+    state = scheme.initialize(vortex.initial)
+    message = "step 1, correction: post-correction divergence 2.220e-16 exceeds 10 x poisson_tol = 1.0e-23"
+    with pytest.raises(SchemeError, match=re.escape(message)):
+        scheme.step(state, vortex.forcing, 1.0 / 32)
+
+
+def test_divergence_guard_fails_a_nan(vortex, monkeypatch):
+    # a NaN divergence is no pass: the guard reads "not <=", not ">"
+    scheme = ProjectionScheme(uniform_grid((0.0, 0.0), (1.0, 1.0), (8, 8)))
+    state = scheme.initialize(vortex.initial)
+    decompose, nan_div = scheme.projector.decompose, np.full(scheme.ops.n_cells, np.nan)
+    monkeypatch.setattr(scheme.projector, "decompose", lambda w: (*decompose(w)[:3], nan_div))
+    with pytest.raises(SchemeError, match="step 1, correction: post-correction divergence nan exceeds"):
+        scheme.step(state, vortex.forcing, 1.0 / 32)
+
+
+def test_momentum_check_fires_on_a_perturbed_history(vortex):
+    scheme = ProjectionScheme(uniform_grid((0.0, 0.0), (1.0, 1.0), (8, 8)))
+    state = scheme.initialize(vortex.initial)
+    for _ in range(2):
+        state, diag = scheme.step(state, vortex.forcing, 1.0 / 32)
+    assert diag.momentum_residual < 1e-10  # 2.8e-11
+    # G p^{n-1} 1% off: the identity across the correction that made u^n breaks
+    state = dataclasses.replace(state, gp_prev=1.01 * state.gp_prev)
+    message = "step 3, momentum check: combined momentum residual 1.280e-03 exceeds solver-residual bound 9.927e-10"
+    with pytest.raises(SchemeError, match=re.escape(message)):
+        scheme.step(state, vortex.forcing, 1.0 / 32)
 
 
 def test_loose_poisson_tol_admits_the_grading_it_runs(vortex):
