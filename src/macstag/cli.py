@@ -180,6 +180,12 @@ def cmd_convergence(cfg, args):
         raise ConfigError([f"convergence --levels {args.levels} cannot start from a grid with 1 cell along "
                            f"axis {flat[0]}: that level's error does not compare with the refined levels'"])
     problem = _problem_on(cfg, grid)
+    spans = tuple((c[0], c[-1]) for c in grid.axes)
+    if problem.box is not None and spans != problem.box:
+        # every level's error is measured against the triple, which is the exact solution on its box only
+        exact, have = (" x ".join(f"[{lo:g}, {hi:g}]" for lo, hi in box) for box in (problem.box, spans))
+        raise ConfigError([f"convergence measures errors against problem {cfg.problem!r}, which is exact only "
+                           f"on {exact}; the grid spans {have}"])
     levels = [(grid, cfg.steps)]
     while len(levels) < args.levels:
         grid, steps = levels[-1]

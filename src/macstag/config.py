@@ -70,7 +70,6 @@ _KEYS = {
     ("problem", "name"): ("problem", "vortex2d", str.strip),
     ("solver", "prediction_tol"): ("prediction_tol", "1e-10", _float),
     ("solver", "poisson_tol"): ("poisson_tol", "1e-10", _float),
-    ("solver", "max_iterations"): ("max_iterations", "0", _int),
     ("solver", "quad_order"): ("quad_order", "3", _int),
     ("output", "directory"): ("out_dir", "out", str.strip),
     ("output", "cadence"): ("cadence", "0", _int),
@@ -113,7 +112,6 @@ class RunConfig:
     problem: str
     prediction_tol: float
     poisson_tol: float
-    max_iterations: int
     quad_order: int
     out_dir: str
     cadence: int
@@ -122,8 +120,6 @@ class RunConfig:
 
     @property
     def dim(self) -> int:
-        if self.grid_kind == "coords":
-            return len(self.grid_coords)
         return len(self.grid_n)
 
     def build_grid(self) -> MacGrid:
@@ -142,7 +138,6 @@ class RunConfig:
         return {
             "prediction_tol": self.prediction_tol,
             "poisson_tol": self.poisson_tol,
-            "max_iterations": self.max_iterations or None,
             "quad_order": self.quad_order,
         }
 
@@ -286,7 +281,6 @@ def parse_config(path=None, *, text=None, env=None, overrides=None) -> RunConfig
             f"problem.name {c['problem']!r} is not registered; have {sorted(PROBLEM_NAMES)}",
         ),
         *((not 0 < c[k] < 1, f"solver.{k} must lie in (0, 1), got {c[k]}") for k in ("prediction_tol", "poisson_tol")),
-        (c["max_iterations"] < 0, f"solver.max_iterations must be >= 0 (0 means automatic), got {c['max_iterations']}"),
         (c["quad_order"] < 1, f"solver.quad_order must be >= 1, got {c['quad_order']}"),
         (not c["out_dir"], "output.directory must not be empty"),
         (c["cadence"] < 0, f"output.cadence must be >= 0, got {c['cadence']}"),

@@ -41,9 +41,6 @@ class PressureField:
             if self.data.shape != grid.shape:
                 raise ValueError(f"pressure data shape {self.data.shape} != grid shape {grid.shape}")
 
-    def copy(self):
-        return PressureField(self.grid, self.data.copy())
-
     def volume_mean(self) -> float:
         """Cell-volume weighted mean, the quantity pinned to zero for pressures."""
         return float(np.sum(self.grid.cell_volumes * self.data) / self.grid.volume)

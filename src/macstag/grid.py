@@ -73,10 +73,12 @@ class MacGrid:
         of the dual cell of face k (half cells at the two boundary faces,
         center-to-center distances in between)
     shape : cell counts per axis
-    cell_volumes : ndarray of cell volumes, shape == shape; these, the box
-        volume and h_max must be finite, or ValueError names the overflow
+    cell_volumes : ndarray of cell volumes, shape == shape
     theta : mesh regularity, the largest ratio |sigma| / |sigma'| over all
         pairs of faces from two different directions
+
+    The cell volumes, the box volume, h_max and theta must be finite, or
+    ValueError names the first that is not, with no RuntimeWarning.
     """
 
     def __init__(self, axis_coords):
@@ -103,30 +105,23 @@ class MacGrid:
             dw[-1] = 0.5 * h[-1]
             self.dual_w.append(dw)
 
-        with np.errstate(over="ignore"):  # an overflow is named below, not warned about
+        # theta: every cross-direction pair of face measures occurs, so the
+        # extreme ratio is attained at per-axis width extremes
+        hmax = [h.max() for h in self.h]
+        hmin = [h.min() for h in self.h]
+        with np.errstate(all="ignore"):  # an overflow, or a 0/0 of underflowed faces, is named below
             self.cell_volumes = reduce(np.multiply, np.ix_(*self.h))
             self.volume = float(np.prod([c[-1] - c[0] for c in axes]))
-            self.h_max = math.sqrt(sum(h.max() ** 2 for h in self.h))
+            self.h_max = math.sqrt(sum(h ** 2 for h in hmax))
+            self.theta = float(np.max([np.prod(np.delete(hmax, i)) / np.prod(np.delete(hmin, j))
+                                       for i in range(self.dim) for j in range(self.dim) if j != i]))
         for what, value in [("cell volumes overflow", self.cell_volumes.max()),
-                            ("the box volume overflows", self.volume), ("h_max overflows", self.h_max)]:
+                            ("the box volume overflows", self.volume), ("h_max overflows", self.h_max),
+                            ("theta is not finite", self.theta)]:
             if not math.isfinite(value):
                 extents = " x ".join(f"{c[-1] - c[0]:.3g}" for c in axes)
                 raise ValueError(f"{what}: the box measures {extents}")
         self.h_min = min(h.min() for h in self.h)
-
-        # theta: every cross-direction pair of face measures occurs, so the
-        # extreme ratio is attained at per-axis width extremes.
-        hmax = [h.max() for h in self.h]
-        hmin = [h.min() for h in self.h]
-        best = 0.0
-        for i in range(self.dim):
-            amax = np.prod([hmax[j] for j in range(self.dim) if j != i])
-            for j in range(self.dim):
-                if j == i:
-                    continue
-                amin = np.prod([hmin[m] for m in range(self.dim) if m != j])
-                best = max(best, float(amax / amin))
-        self.theta = best
 
     def face_shape(self, i):
         """Array shape of direction-i face values."""

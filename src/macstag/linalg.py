@@ -46,9 +46,9 @@ from scipy.linalg.lapack import dpteqr, dstemr
 
 __all__ = ["SchemeError", "SolveResult", "SolverError", "SeparableSolver", "dot", "tridiagonal", "solve_cgw"]
 
-# Cap on CGW iterations per solve when the caller sets none: the prediction
-# needs 3-4 per component in 2D and 5-6 in 3D, and advecting fields 1000
-# times the manufactured ones converge in 142 (vortex2d, graded 128^2, dt 1/32).
+# The one cap on CGW iterations per solve, read by solve_cgw at each call: the prediction
+# needs 3-4 per component in 2D and 5-6 in 3D, and advecting fields 1000 times the
+# manufactured ones converge in 142 (vortex2d, graded 128^2, dt 1/32).
 MAX_ITERATIONS = 500
 
 
@@ -196,7 +196,7 @@ class SeparableSolver:
         return x.ravel()
 
 
-def solve_cgw(d, S, N, b, M, *, tol=1e-10, maxiter=None, x0=None):
+def solve_cgw(d, S, N, b, M, *, tol=1e-10, x0=None):
     """Generalized conjugate gradients (Concus & Golub 1976, Widlund 1978) for (diag(d) + S + N) x = b, N skew.
 
     H = diag(d) + S is the symmetric positive definite part, with d its
@@ -212,7 +212,7 @@ def solve_cgw(d, S, N, b, M, *, tol=1e-10, maxiter=None, x0=None):
     recomputed in one buffer (an inexact M shows up here), and the
     recurrence restarts from it while it stays above. The result hands out
     the S x and N x of the last recomputed residual, the one it returns.
-    maxiter caps the total number of iterations (MAX_ITERATIONS when None). Raises SolverError when
+    MAX_ITERATIONS caps the total number of iterations. Raises SolverError when
     rho_k <= 0 (M is not positive definite) or when the recomputed
     relative residual stays above tol.
     """
@@ -220,7 +220,6 @@ def solve_cgw(d, S, N, b, M, *, tol=1e-10, maxiter=None, x0=None):
     bnorm = math.sqrt(dot(b, b))
     if bnorm == 0.0:
         return SolveResult(np.zeros(b.size), 0, 0.0, np.zeros(b.size), np.zeros(b.size), np.zeros(b.size))
-    maxiter = MAX_ITERATIONS if maxiter is None else maxiter
     x = np.zeros(b.size) if x0 is None else np.array(x0, dtype=float)
 
     def fresh_residual(x):
@@ -234,11 +233,11 @@ def solve_cgw(d, S, N, b, M, *, tol=1e-10, maxiter=None, x0=None):
 
     r, Sx, Nx = fresh_residual(x)
     target, iterations = tol * bnorm, 0
-    while (rnorm := math.sqrt(dot(r, r))) > target and iterations < maxiter:
+    while (rnorm := math.sqrt(dot(r, r))) > target and iterations < MAX_ITERATIONS:
         # a (re)start: omega_1 = 1 drops x_{k-1} and r_{k-1} from the first update; the products
         # of the last fresh residual are not held through the iterations, which form new ones
         x_prev, r_prev, rho_prev, Sx, Nx = x.copy(), r.copy(), None, None, None
-        while rnorm > target and iterations < maxiter:
+        while rnorm > target and iterations < MAX_ITERATIONS:
             z = M(r)
             rho = dot(z, r)
             if not rho > 0.0:

@@ -1,9 +1,9 @@
 """Manufactured solutions on the unit square / cube with exact forcing.
 
 The velocity comes from a stream potential (2D) or vector potential (3D)
-whose factors vanish to second order on the boundary, so the exact field is
-divergence free, has zero trace, and its components are polynomials of
-degree at most five per axis times a smooth decay e^{-t}. Face means of
+whose factors vanish to second order on the walls of [0, 1]^d, so the exact
+field is divergence free, has zero trace there, and its components are
+polynomials of degree at most five per axis times a smooth decay e^{-t}. Face means of
 such components are exact under the default 3-point Gauss rule, which makes
 the interpolated initial data exactly divergence free in the discrete sense.
 
@@ -137,16 +137,21 @@ class ManufacturedProblem:
     velocity, pressure and forcing are Separable fields: velocity/forcing
     map (t, points (m, dim)) to (m, dim) arrays, pressure to (m,). initial
     is the velocity at t = 0, its spatial part U: a TensorField, callable
-    on points and face-averaged from 1D Gauss means.
+    on points and face-averaged from 1D Gauss means. box holds the (lo, hi)
+    span of each axis of the one box on whose walls the velocity vanishes, so
+    that the triple solves the no-slip problem there, or None when it does so
+    on any box. On another box the data are a valid forced run, but the triple is
+    not its exact solution.
     """
 
-    def __init__(self, name, dim, velocity, pressure, forcing, initial):
+    def __init__(self, name, dim, velocity, pressure, forcing, initial, box=None):
         self.name = name
         self.dim = dim
         self.velocity = velocity
         self.pressure = pressure
         self.forcing = forcing
         self.initial = initial
+        self.box = box
 
     def velocity_at(self, t):
         """Spatial slice u(t, .) for interpolation helpers."""
@@ -200,4 +205,5 @@ def mms_problem(name: str) -> ManufacturedProblem:
         Separable([(1, partial(_evaluate, P))]),
         Separable([(1, TensorField(linear)), (2, TensorField(convective))]),
         velocity,
+        None if name.startswith("rest") else ((0.0, 1.0),) * dim,
     )

@@ -169,10 +169,10 @@ class Prediction:
 class ProjectionScheme:
     """Incremental projection stepper bound to one grid.
 
-    max_iterations caps the CGW iterations of each prediction solve; None
-    leaves linalg.MAX_ITERATIONS in force. Both tolerances must lie in
-    (0, 1), and max_iterations and quad_order must be whole numbers; a bad
-    argument raises ValueError before any operator is built. A grid graded
+    The scheme owns the default of every solver setting; each prediction
+    solve stops at linalg.MAX_ITERATIONS CGW iterations. Both tolerances must
+    lie in (0, 1), and quad_order must be a whole number; a bad argument
+    raises ValueError before any operator is built. A grid graded
     beyond what the separable pressure solve resolves at poisson_tol raises
     SchemeError by the residual of one projection pass (_check_resolution),
     before the momentum solvers are built, and so does a LAPACK failure in
@@ -185,13 +185,11 @@ class ProjectionScheme:
         *,
         prediction_tol=1e-10,
         poisson_tol=1e-10,
-        max_iterations=None,
         quad_order=3,
     ):
         for name, tol in (("prediction_tol", prediction_tol), ("poisson_tol", poisson_tol)):
             if not 0.0 < float(tol) < 1.0:
                 raise ValueError(f"{name} must lie in (0, 1), got {tol}")
-        self.max_iterations = None if max_iterations is None else _whole("max_iterations", max_iterations)
         self.quad_order = _whole("quad_order", quad_order)
         self.grid = grid
         self.ops = Operators(grid)
@@ -289,8 +287,7 @@ class ProjectionScheme:
             rhs = mass * (ops.block(u, i) / dt + ops.block(f, i) - ops.block(state.gp, i))
             try:
                 out = solve_cgw(mass / dt, S, ops.convection_block(u, i), rhs, tol=self.prediction_tol,
-                                M=partial(self._momentum_solvers[i].solve, shift=1.0 / dt),
-                                maxiter=self.max_iterations, x0=ops.block(guess, i))
+                                M=partial(self._momentum_solvers[i].solve, shift=1.0 / dt), x0=ops.block(guess, i))
             except SolverError as err:
                 where = f"step {state.n + 1}, prediction, direction {i}"
                 raise SolverError(f"{where}: {err.message}", err.iterations, err.residual) from err

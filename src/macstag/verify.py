@@ -291,9 +291,11 @@ class StudyReport:
         return "\n".join(lines)
 
 
-def convergence_study(problem, levels, t_final, *, quad_order=3, **scheme_kw) -> StudyReport:
+def convergence_study(problem, levels, t_final, **scheme_kw) -> StudyReport:
     """Run a refinement ladder; levels is a list of (grid, steps) pairs.
 
+    scheme_kw goes to every level's ProjectionScheme, which owns the defaults;
+    the exact face averages are taken at the scheme's quad_order.
     Errors are summed level by level against the exact face averages that
     problem.velocity.face_average combines from its per-grid averages. The
     corrected trajectory carries u^n on (t^n, t^{n+1}], so the L2(0,T;L2)
@@ -305,13 +307,13 @@ def convergence_study(problem, levels, t_final, *, quad_order=3, **scheme_kw) ->
         problem = mms_problem(problem)
     report = StudyReport(problem.name)
     for grid, steps in levels:
-        scheme = ProjectionScheme(grid, quad_order=quad_order, **scheme_kw)
+        scheme = ProjectionScheme(grid, **scheme_kw)
         ops = scheme.ops
         dt = scheme.time_step(t_final, steps)
         l2l2_sq = h1_sq = coupling_sq = 0.0
         margin = math.inf
         for state, diag in scheme.iterate(problem.initial, problem.forcing, t_final, steps):
-            exact = ops.pack(problem.velocity.face_average(grid, state.n * dt, quad_order))
+            exact = ops.pack(problem.velocity.face_average(grid, state.n * dt, scheme.quad_order))
             err = state.u - exact
             if state.n < steps:
                 l2l2_sq += dt * ops.inner(err, err)

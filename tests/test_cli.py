@@ -183,11 +183,12 @@ def test_verify_flags_loose_solves(tmp_path):
     assert main(["verify", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
 
 
-def test_verify_keeps_its_report_when_the_march_fails(tmp_path, capsys):
+def test_verify_keeps_its_report_when_the_march_fails(tmp_path, monkeypatch, capsys):
     # the property suite is computed before the short march: a failed solve
     # adds a FAIL line naming it, and the report is still printed and written
+    monkeypatch.setattr(linalg_module, "MAX_ITERATIONS", 1)
     path = tmp_path / "capped.ini"
-    path.write_text("[solver]\nmax_iterations = 1\n")
+    path.write_text("[solver]\n")
     out = tmp_path / "o"
     assert main(["verify", "--config", str(path), "--out", str(out)]) == 1
     captured = capsys.readouterr()
@@ -202,11 +203,12 @@ def test_verify_keeps_its_report_when_the_march_fails(tmp_path, capsys):
     assert captured.out.splitlines() == lines
 
 
-def test_solver_failure_exits_1(tmp_path, capsys):
+def test_solver_failure_exits_1(tmp_path, monkeypatch, capsys):
     # one CGW iteration per prediction solve cannot reach the tolerance
+    monkeypatch.setattr(linalg_module, "MAX_ITERATIONS", 1)
     for n in (32, 8):
         path = tmp_path / "capped.ini"
-        path.write_text(f"[grid]\nn = {n} {n}\n[time]\nfinal = 0.05\nsteps = 1\n[solver]\nmax_iterations = 1\n")
+        path.write_text(f"[grid]\nn = {n} {n}\n[time]\nfinal = 0.05\nsteps = 1\n")
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "did not converge" in err
@@ -283,6 +285,21 @@ def test_overflowing_box_is_rejected_at_parse(tmp_path, capsys):
         assert not os.path.exists(tmp_path / "o")
 
 
+def test_overflowing_theta_is_rejected_at_parse(tmp_path, capsys):
+    # on [0, 1e154] x [0, 1e-160] only the face-measure ratio overflows: it
+    # is named at parse with no RuntimeWarning, where run once warned twice
+    # and exited 1 when LAPACK failed on a chain
+    path = tmp_path / "flat.ini"
+    path.write_text("[domain]\nlo = 0 0\nhi = 1e154 1e-160\n[grid]\nn = 4 4\n")
+    for command in ("operators-check", "run"):
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("invalid configuration:\n  - grid.kind = uniform cannot be built: "
+                                "theta is not finite: the box measures 1e+154 x 1e-160\n")
+        assert not os.path.exists(tmp_path / "o")
+
+
 @pytest.mark.parametrize("command, report", [("verify", "verify_report.txt"),
                                              ("operators-check", "operators_report.txt")])
 def test_zero_denominators_fail_in_the_report(tmp_path, capsys, command, report):
@@ -317,12 +334,43 @@ def test_divergence_guard_exits_1_after_the_echo(tmp_path, capsys):
     assert (out / "diagnostics.csv").read_text() == ",".join(DIAGNOSTIC_COLUMNS) + "\n"
 
 
-def test_prediction_failure_names_step_and_direction(tmp_path, capsys):
+def test_prediction_failure_names_step_and_direction(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(linalg_module, "MAX_ITERATIONS", 1)
     path = tmp_path / "capped.ini"
-    path.write_text("[grid]\nn = 8 8\n[time]\nfinal = 0.05\nsteps = 1\n[solver]\nmax_iterations = 1\n")
+    path.write_text("[grid]\nn = 8 8\n[time]\nfinal = 0.05\nsteps = 1\n")
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: step 1, prediction, direction 0: CGW did not converge (iterations=1, ")
+
+
+def test_unreachable_tolerance_fails_at_the_fixed_cap(tmp_path, capsys):
+    # the CGW cap is the one constant linalg.MAX_ITERATIONS: a prediction
+    # tolerance below roundoff fails there, by name and within seconds
+    path = tmp_path / "absurd.ini"
+    path.write_text("[grid]\nn = 32 32\n[solver]\nprediction_tol = 1e-300\n")
+    start = time.perf_counter()
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    assert time.perf_counter() - start < 2.0
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: step 1, prediction, direction 0: CGW did not converge (iterations=500, ")
+    assert "Traceback" not in err
+
+
+def test_the_iteration_cap_is_not_a_setting(tmp_path, monkeypatch, capsys):
+    # solver.max_iterations is an unknown key like any other, and its
+    # environment variable is ignored like any other unknown one
+    path = tmp_path / "capped.ini"
+    path.write_text("[solver]\nmax_iterations = 1\n")
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "invalid configuration:\n  - unknown key 'max_iterations' in section [solver]\n"
+    assert not os.path.exists(tmp_path / "o")
+    monkeypatch.setenv("MACSTAG_SOLVER_MAX_ITERATIONS", "1")
+    path.write_text(SMALL)
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+    assert "max_iterations" not in (tmp_path / "o" / "config.resolved.ini").read_text()
 
 
 @pytest.mark.parametrize("final, dt", [(1e-300, "1.250e-301"), (1e-160, "1.250e-161")])
@@ -400,6 +448,39 @@ def test_convergence_rejects_a_ladder_from_a_1_cell_axis(tmp_path, monkeypatch, 
     out = tmp_path / "levels1"
     assert main(["convergence", "--config", str(path), "--levels", "1", "--out", str(out)]) == 0
     assert (out / "study.csv").exists()
+
+
+@pytest.mark.parametrize("lo, hi, spans", [("0 0", "2 2", "[0, 2] x [0, 2]"),
+                                           ("-1 0", "1 1", "[-1, 1] x [0, 1]"),
+                                           ("0 0 0", "1 1 0.5", "[0, 1] x [0, 1] x [0, 0.5]")])
+def test_convergence_needs_the_problems_box(tmp_path, monkeypatch, capsys, lo, hi, spans):
+    # the vortices are exact only on the unit box, whose walls their velocity
+    # vanishes on: elsewhere the ladder would be measured against a wrong
+    # solution (on [0, 2]^2 its errors grew), so the box is a configuration
+    # error before any level runs
+    dim = len(lo.split())
+    path = tmp_path / "box.ini"
+    path.write_text(f"[domain]\nlo = {lo}\nhi = {hi}\n[grid]\nn = {' 4' * dim}\n[problem]\nname = vortex{dim}d\n")
+    monkeypatch.setattr(cli_module, "midpoint_refined", None)  # no ladder is built
+    out = tmp_path / "o"
+    assert main(["convergence", "--config", str(path), "--levels", "2", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"invalid configuration:\n  - convergence measures errors against problem "
+                            f"'vortex{dim}d', which is exact only on {' x '.join(['[0, 1]'] * dim)}; "
+                            f"the grid spans {spans}\n")
+    assert not os.path.exists(out)
+
+
+def test_rest_convergence_runs_on_any_box(tmp_path, capsys):
+    # the rest state is exact on every box
+    path = tmp_path / "rest.ini"
+    path.write_text("[domain]\nlo = -1 0\nhi = 1 2\n[grid]\nn = 4 4\n[time]\nfinal = 0.05\nsteps = 2\n"
+                    "[problem]\nname = rest2d\n")
+    out = tmp_path / "conv"
+    assert main(["convergence", "--config", str(path), "--levels", "2", "--out", str(out)]) == 1
+    assert "ratios: nan" in capsys.readouterr().out
+    assert len((out / "study.csv").read_text().splitlines()) == 3
 
 
 @pytest.mark.parametrize("dim", [2, 3])

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from macstag.cli import main
 from macstag.config import DEFAULTS, ENV_PREFIX, ConfigError, parse_config
 
 from conftest import BAD_NUMERIC_VALUES
@@ -180,6 +181,33 @@ def test_resolved_echo_roundtrip(tmp_path):
     assert cfg2.to_ini() == echo
 
 
+@pytest.mark.parametrize("shape", [(5, 4), (4, 3, 5)], ids=["2d", "3d"])
+def test_coords_echo_roundtrip(tmp_path, shape):
+    # uneven widths written by repr, as a benchmark grid is: the echo, and the
+    # config.resolved.ini that run writes, parse back to the same RunConfig
+    rng = np.random.default_rng(len(shape))
+    axes = []
+    for n in shape:
+        coords = np.concatenate([[0.0], np.cumsum(rng.uniform(0.3, 1.7, n))])
+        axes.append(coords / coords[-1])
+    dim = len(shape)
+    keys = "".join(f"coords_{a} = {' '.join(repr(float(x)) for x in c)}\n" for a, c in enumerate(axes))
+    text = f"[grid]\nkind = coords\n{keys}[time]\nfinal = 0.05\nsteps = 2\n[problem]\nname = vortex{dim}d\n"
+    out = str(tmp_path / "o")
+    cfg = parse_config(None, text=text, overrides={("output", "directory"): out})
+    assert cfg.dim == dim and cfg.grid_n == shape
+    assert cfg.domain_lo == (0.0,) * dim and cfg.domain_hi == (1.0,) * dim
+    echo = cfg.to_ini()
+    again = parse_config(None, text=echo)
+    assert again == cfg and again.to_ini() == echo
+    for a, c in enumerate(axes):
+        np.testing.assert_array_equal(again.build_grid().axes[a], c)
+    path = tmp_path / "case.ini"
+    path.write_text(text)
+    assert main(["run", "--config", str(path), "--out", out]) == 0
+    assert parse_config(str(tmp_path / "o" / "config.resolved.ini")) == cfg
+
+
 def test_missing_file():
     with pytest.raises(ConfigError):
         parse_config("/no/such/file.ini")
@@ -221,7 +249,6 @@ CONFIG_TOKENS = {
     ("problem", "name"): ["vortex2d", "vortex3d", " rest2d ", "bogus"],
     ("solver", "prediction_tol"): ["1e-10", "0.5", "0", "1", "nan", "x"],
     ("solver", "poisson_tol"): ["1e-12", "1e-300", "1", "inf", "-1e-3"],
-    ("solver", "max_iterations"): ["0", "7", "-1", "1.5"],
     ("solver", "quad_order"): ["3", "1", "0", "x"],
     ("output", "directory"): ["out", "a b", ""],
     ("output", "cadence"): ["0", "4", "-1", "x"],

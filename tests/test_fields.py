@@ -2,6 +2,8 @@
 # Fields, interpolation, norms, and trajectory containers.
 #
 
+import re
+
 import numpy as np
 import pytest
 
@@ -177,3 +179,27 @@ def test_field_arithmetic(rng):
     np.testing.assert_allclose((p * 3.0).data, 3.0 * p.data)
     r = p.recentered()
     assert r.volume_mean() == pytest.approx(0.0, abs=1e-15)
+
+
+def _twice_initial(g):
+    traj = Trajectory(g, 0.1)
+    traj.append_initial(VelocityField(g), PressureField(g))
+    traj.append_initial(VelocityField(g), PressureField(g))
+
+
+FIELD_INPUT_CHECKS = {
+    "pressure-shape": (lambda g: PressureField(g, np.zeros((3, 4))), ValueError,
+                       "pressure data shape (3, 4) != grid shape (4, 3)"),
+    "velocity-shape": (lambda g: VelocityField(g, [np.zeros((5, 3)), np.zeros((5, 3))]), ValueError,
+                       "component 1 shape (5, 3) != face shape (4, 4)"),
+    "face-average-order-0": (lambda g: face_average(g, shear, order=0), ValueError,
+                             "quadrature order must be >= 1, got 0"),
+    "l2-norm-of-an-array": (lambda g: l2_norm(np.zeros(g.shape)), TypeError, "expected a field, got ndarray"),
+    "second-initial-state": (_twice_initial, ValueError, "initial state already recorded"),
+}
+
+
+@pytest.mark.parametrize("call, error, message", FIELD_INPUT_CHECKS.values(), ids=FIELD_INPUT_CHECKS.keys())
+def test_field_input_checks(call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call(uniform_grid((0.0, 0.0), (1.0, 1.0), (4, 3)))

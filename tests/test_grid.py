@@ -150,6 +150,11 @@ def test_overflowing_measures_are_named():
     with pytest.raises(ValueError, match="h_max overflows"):
         MacGrid([np.array([0.0, 1e200]), np.array([0.0, 1e-200])])
     assert uniform_grid((0.0, 0.0), (1e-200, 1e-200), (4, 4)).volume == 0.0
+    # theta overflows where every other measure is finite, and in 3D the face
+    # measures of a tiny box underflow to 0, so their ratio is 0/0
+    for hi, extents in [((1e154, 1e-160), "1e+154 x 1e-160"), ((1e-170,) * 3, "1e-170 x 1e-170 x 1e-170")]:
+        with pytest.raises(ValueError, match=re.escape(f"theta is not finite: the box measures {extents}")):
+            uniform_grid((0.0,) * len(hi), hi, (4,) * len(hi))
 
 
 def test_midpoint_refinement():
@@ -162,3 +167,18 @@ def test_midpoint_refinement():
     assert r.h_max == pytest.approx(g.h_max / 2, rel=1e-12)
     for i in range(g.dim):
         np.testing.assert_allclose(r.axes[i][::2], g.axes[i], rtol=1e-15)
+
+
+GRID_INPUT_CHECKS = {
+    "uniform-n-0": (lambda: uniform_axis(0.0, 1.0, 0), "axis needs at least one cell, got n=0"),
+    "graded-n-0": (lambda: graded_axis(0.0, 1.0, 0, 1.1), "axis needs at least one cell, got n=0"),
+    "graded-empty": (lambda: graded_axis(1.0, 1.0, 4, 1.1), "axis extent [1.0, 1.0] is empty"),
+    "uniform-grid-lengths": (lambda: uniform_grid((0.0, 0.0), (1.0, 1.0, 1.0), (4, 4)),
+                             "lo, hi, n must have the same length"),
+}
+
+
+@pytest.mark.parametrize("call, message", GRID_INPUT_CHECKS.values(), ids=GRID_INPUT_CHECKS.keys())
+def test_grid_input_checks(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()

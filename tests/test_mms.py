@@ -90,6 +90,20 @@ def test_velocity_vanishes_on_boundary(name):
             assert np.abs(u).max() <= 1e-13
 
 
+@pytest.mark.parametrize("name", PROBLEM_NAMES)
+def test_box_is_where_the_velocity_vanishes(name):
+    # the vortices name the unit box, the one box whose walls their velocity
+    # vanishes on: on the walls of [0, 2]^d it does not; the rest states name none
+    prob = mms_problem(name)
+    if name.startswith("rest"):
+        assert prob.box is None
+        return
+    assert prob.box == ((0.0, 1.0),) * prob.dim
+    pts = np.random.default_rng(113).uniform(0.1, 1.9, size=(30, prob.dim))
+    pts[:, 0] = 2.0
+    assert np.abs(prob.velocity(0.5, pts)).max() > 1.0
+
+
 @pytest.mark.parametrize("name", ["vortex2d", "vortex3d"])
 def test_pressure_has_zero_mean(name):
     # odd symmetry about the domain center makes the mean vanish; check by

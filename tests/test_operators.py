@@ -731,3 +731,12 @@ def test_field_from_another_grid_is_rejected(call, other):
         message = "velocity field is on another grid: face coordinates differ along axis 1"
     with pytest.raises(ValueError, match=re.escape(message)):
         call(ops, own, foreign)
+
+
+@pytest.mark.parametrize("name, size", [("G", 15), ("G", 17), ("D", 23), ("D", 25)])
+def test_slab_product_rejects_a_wrong_size_vector(name, size):
+    # G maps the 16 cells of a 4x4 grid to its 24 interior faces, D back
+    op = getattr(Operators(uniform_grid((0.0, 0.0), (1.0, 1.0), (4, 4))), name)
+    message = f"operator of shape {op.shape} applied to an array of shape ({size},)"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        op @ np.zeros(size)

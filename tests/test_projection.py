@@ -272,3 +272,12 @@ def test_decompose_makes_one_solve_per_pass(monkeypatch, rng):
     passes = 1 + REFINEMENT_SWEEPS
     # per pass one solve, G phi and D v; one D w before them
     assert counts == {"solve": passes, "product": 0, "matvec": 2 * passes + 1}
+
+
+@pytest.mark.parametrize("shape", [(3, 4), (2, 3, 2)])
+def test_seminorm_oracle_builds_its_own_basis(shape):
+    # without a basis the oracle computes the dense one, with the same value
+    g = uniform_grid((0.0,) * len(shape), (1.0,) * len(shape), shape)
+    ops = Operators(g)
+    w = random_velocity(g, np.random.default_rng(7))
+    assert seminorm_by_basis(ops, w) == seminorm_by_basis(ops, w, dense_divfree_basis(ops))

@@ -291,7 +291,6 @@ BAD_ARGUMENTS = {
         r"prediction_tol .* got 1000000",
     ),
     "prediction_tol=0": (lambda g, prob: ProjectionScheme(g, prediction_tol=0.0), r"prediction_tol .* got 0"),
-    "max_iterations=0": (lambda g, prob: ProjectionScheme(g, max_iterations=0), r"max_iterations .* got 0"),
     "quad_order=0": (lambda g, prob: ProjectionScheme(g, quad_order=0), r"quad_order .* got 0"),
     "t_final=inf": (
         lambda g, prob: ProjectionScheme(g).iterate(prob.initial, _forcing_never_evaluated, np.inf, 4),
@@ -306,10 +305,6 @@ BAD_ARGUMENTS = {
         r"need at least one step, got inf",
     ),
     "step-dt=nan": (_step_with_dt(np.nan), r"dt .* got nan"),
-    "max_iterations=2.5": (
-        lambda g, prob: ProjectionScheme(g, max_iterations=2.5),
-        r"max_iterations .* got 2.5",
-    ),
     "quad_order=2.7": (lambda g, prob: ProjectionScheme(g, quad_order=2.7), r"quad_order .* got 2.7"),
     "time_step-steps=2.5": (lambda g, prob: ProjectionScheme.time_step(1.0, 2.5), r"steps .* got 2.5"),
     "steps=2.5": (
@@ -441,11 +436,10 @@ def test_bad_arguments_are_rejected_before_any_step(vortex, call, match):
 
 
 def test_integral_float_counts_are_accepted(vortex):
-    # whole numbers given as floats are counts like their ints, down to the
-    # CGW iteration cap a step uses
+    # whole numbers given as floats are counts like their ints
     g = uniform_grid((0.0, 0.0), (1.0, 1.0), (4, 4))
-    scheme = ProjectionScheme(g, max_iterations=8.0, quad_order=3.0)
-    assert type(scheme.max_iterations) is type(scheme.quad_order) is int
+    scheme = ProjectionScheme(g, quad_order=3.0)
+    assert type(scheme.quad_order) is int
     assert ProjectionScheme.time_step(1.0, 8.0) == 0.125
     levels = list(scheme.iterate(vortex.initial, vortex.forcing, 0.1, 2.0))
     assert [state.n for state, _ in levels] == [0, 1, 2]
@@ -580,12 +574,12 @@ def test_prediction_iterations_of_a_3d_episode():
     assert sum(diag.pred_iters for _, diag in levels if diag is not None) <= 132
 
 
-def test_prediction_failure_names_step_and_direction(vortex):
+def test_prediction_failure_names_step_and_direction(vortex, monkeypatch):
     scheme = ProjectionScheme(uniform_grid((0.0, 0.0), (1.0, 1.0), (8, 8)))
     state = scheme.initialize(vortex.initial)
     for _ in range(2):
         state, _ = scheme.step(state, vortex.forcing, 1.0 / 32)
-    scheme.max_iterations = 1
+    monkeypatch.setattr(linalg_module, "MAX_ITERATIONS", 1)
     with pytest.raises(SolverError) as err:
         scheme.step(state, vortex.forcing, 1.0 / 32)
     assert str(err.value).startswith("step 3, prediction, direction 0: CGW did not converge (iterations=1, ")
