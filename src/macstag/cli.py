@@ -17,7 +17,7 @@ import sys
 
 from . import output
 from .config import ConfigError, parse_config
-from .grid import midpoint_refined, uniform_grid
+from .grid import midpoint_refined
 from .mms import mms_problem
 from .operators import Operators
 from .scheme import ProjectionScheme, SchemeError
@@ -116,18 +116,11 @@ def cmd_run(cfg, args):
     return 0
 
 
-def _default_verify_grid():
-    return uniform_grid((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (4, 4, 4))
-
-
 def cmd_verify(cfg, args):
-    grid = _default_verify_grid() if args.config is None else cfg.build_grid()
+    grid = cfg.build_grid()
+    problem = _problem_on(cfg, grid)
     report = property_suite(grid, seed=cfg.seed)
     lines = [report.summary()]
-
-    problem = mms_problem(cfg.problem)
-    if problem.dim != grid.dim:
-        problem = mms_problem("vortex2d" if grid.dim == 2 else "vortex3d")
     steps = min(cfg.steps, 8)
     margin, div_worst, failure = float("inf"), 0.0, None
     try:
@@ -161,7 +154,7 @@ def cmd_verify(cfg, args):
 
 
 def cmd_operators_check(cfg, args):
-    grid = _default_verify_grid() if args.config is None else cfg.build_grid()
+    grid = cfg.build_grid()
     report = property_suite(grid, seed=cfg.seed)
     print(report.summary())
     paths = Operators(grid).export_matrices(os.path.join(cfg.out_dir, "matrices"))
@@ -212,11 +205,13 @@ def cmd_translate(cfg, args):
     grid = cfg.build_grid()
     problem = _problem_on(cfg, grid)
     scheme = ProjectionScheme(grid, **cfg.scheme_kwargs())
-    sums = TranslateAccumulator(scheme.time_step(cfg.t_final, cfg.steps), multiples, scheme.projector)
-    # a failed step raises out of this loop, before any table is printed or written
+    sums = TranslateAccumulator(scheme.time_step(cfg.t_final, cfg.steps), multiples)
+    unpack = scheme.ops.unpack
+    # a failed step raises out of this loop, before any table is printed or written; the
+    # corrected u^n is the projection of its prediction, which the seminorm column reads
     for state, diag in scheme.iterate(problem.initial, problem.forcing, cfg.t_final, cfg.steps):
         if diag is not None:
-            sums.add(scheme.ops.unpack(state.u_tilde_prev))
+            sums.add(unpack(state.u_tilde_prev), unpack(state.u))
     rows = sums.rows()
     print(f"translate table for {cfg.problem} ({cfg.steps} steps, dt={sums.dt:.5g})")
     print("tau        steps  l2_translate_sq   star_translate_sq")

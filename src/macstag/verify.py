@@ -12,8 +12,9 @@ The translate diagnostic evaluates time-translate integrals of the
 predicted trajectory exactly (piecewise-constant fields make them finite
 sums), in both the L2 norm and the weaker seminorm that measures only the
 divergence-free part. Both shrink with the translate; the seminorm column
-never exceeds the L2 column. They are summed level by level as the
-predictions arrive (TranslateAccumulator); the march need not be stored.
+never exceeds the L2 column. The correction is the projection, so the seminorm
+column is the L2 column of the corrected velocities. Both are summed level by
+level (TranslateAccumulator); the march need not be stored.
 """
 
 from __future__ import annotations
@@ -182,31 +183,29 @@ class TranslateRow:
 class TranslateAccumulator:
     """Translate integrals of the predicted trajectory, summed level by level.
 
-    add() takes utilde^1, utilde^2, ... in order, keeps the last max(k), and adds
-    dt ||utilde^m - utilde^{m-k}||^2 to l2[k] (|.|_*^2 to star[k]) over ascending
+    add() takes each prediction utilde^m with its projection u^m in order, keeps the
+    last max(k) pairs, and adds dt ||utilde^m - utilde^{m-k}||^2 to l2[k] and
+    dt ||u^m - u^{m-k}||^2 = dt |utilde^m - utilde^{m-k}|_*^2 to star[k] over ascending
     n = m - k. l2[1] is the summed step increments. Each multiple must be a whole
-    number >= 1 and needs the projector, or ValueError names it.
+    number >= 1, or ValueError names it.
     """
 
-    def __init__(self, dt: float, multiples, projector: Projector | None = None):
-        multiples = [_whole("translate multiple", k) for k in multiples]
-        if multiples and projector is None:
-            raise ValueError(f"translate multiples {multiples} need a projector for their |.|_* column")
-        self.dt, self.multiples, self.projector = float(dt), multiples, projector
+    def __init__(self, dt: float, multiples):
+        self.dt, self.multiples = float(dt), [_whole("translate multiple", k) for k in multiples]
         self.l2 = dict.fromkeys([1, *self.multiples], 0.0)
         self.star = dict.fromkeys(self.multiples, 0.0)
         self._recent = deque(maxlen=max(self.l2))
 
-    def add(self, *u_tildes: VelocityField):
-        for u_tilde in u_tildes:
-            for k in self.l2:
-                if k <= len(self._recent):
-                    diff = u_tilde - self._recent[-k]
-                    self.l2[k] += self.dt * velocity_inner(diff, diff)
-                    if k in self.star:
-                        self.star[k] += self.dt * self.projector.divfree_seminorm(diff) ** 2
-            self._recent.append(u_tilde)
-        return self
+    def add(self, u_tilde: VelocityField, u: VelocityField):
+        for k in self.l2:
+            if k <= len(self._recent):
+                u_tilde_k, u_k = self._recent[-k]
+                diff = u_tilde - u_tilde_k
+                self.l2[k] += self.dt * velocity_inner(diff, diff)
+                if k in self.star:
+                    diff = u - u_k
+                    self.star[k] += self.dt * velocity_inner(diff, diff)
+        self._recent.append((u_tilde, u))
 
     def rows(self):
         return [TranslateRow(k * self.dt, k, self.l2[k], self.star[k]) for k in self.multiples]
@@ -218,25 +217,31 @@ def translate_diagnostic(traj: Trajectory, taus, projector: Projector | None = N
     Each tau must be a positive multiple of the step size (the trajectory is
     piecewise constant, so only those translates have exact finite-sum
     integrals). Returns one row per tau with the integral of the squared L2
-    norm and of the squared divergence-free seminorm of the difference.
+    norm and of the squared seminorm of the difference; projector projects each stored prediction once.
     """
     dt = traj.dt
     multiples = []
     for tau in taus:
         k = tau / dt
-        k_int = int(round(k))
+        k_int = int(round(k)) if math.isfinite(k) else 0
         if k_int < 1 or abs(k - k_int) > 1e-9 * max(1.0, abs(k)):
             raise ValueError(f"translate {tau} is not a positive multiple of dt={dt}")
         if k_int >= traj.steps:
             raise ValueError(f"translate {tau} exceeds the trajectory span")
         multiples.append(k_int)
     projector = projector or Projector(Operators(traj.grid))
-    return TranslateAccumulator(dt, multiples, projector).add(*traj.predicted).rows()
+    sums = TranslateAccumulator(dt, multiples)
+    for u_tilde in traj.predicted:
+        sums.add(u_tilde, projector.project(u_tilde))
+    return sums.rows()
 
 
 def summed_step_increments(traj: Trajectory) -> float:
     """sum_n dt ||utilde^{n+1} - utilde^n||^2, the exact tau = dt translate integral."""
-    return TranslateAccumulator(traj.dt, []).add(*traj.predicted).l2[1]
+    sums = TranslateAccumulator(traj.dt, [])
+    for u_tilde, u in zip(traj.predicted, traj.velocities[1:]):
+        sums.add(u_tilde, u)
+    return sums.l2[1]
 
 
 # ---------------------------------------------------------------------------

@@ -19,14 +19,13 @@ from macstag import cli as cli_module
 from macstag import linalg as linalg_module
 from macstag.cli import main
 from macstag.config import parse_config
-from macstag.fields import velocity_inner
 from macstag.grid import midpoint_refined
 from macstag.mms import mms_problem
 from macstag.operators import Operators
 from macstag.output import write_diagnostics_csv, write_translate_csv
 from macstag.projection import Projector
 from macstag.scheme import DIAGNOSTIC_COLUMNS, ProjectionScheme, SchemeError
-from macstag.verify import translate_diagnostic
+from macstag.verify import TranslateAccumulator, translate_diagnostic
 
 from conftest import BAD_NUMERIC_VALUES, assert_same_bits, read_vtk, vtk_arrays
 
@@ -171,6 +170,30 @@ def test_verify_default_grid(tmp_path, capsys):
     assert "gradient/divergence duality" in text
     assert "verify: pass" in text
     assert os.path.exists(os.path.join(out, "verify_report.txt"))
+
+
+def test_verify_and_operators_check_read_the_grid_from_the_environment(tmp_path, monkeypatch):
+    # with no --config both commands check the configured grid, as run does,
+    # where they once replaced it with a fixed 4 x 4 x 4 grid
+    monkeypatch.setenv("MACSTAG_GRID_N", "6 5")
+    monkeypatch.setenv("MACSTAG_GRID_KIND", "graded")
+    monkeypatch.setenv("MACSTAG_GRID_RATIO", "1.1")
+    for command, report in [("verify", "verify_report.txt"), ("operators-check", "operators_report.txt")]:
+        out = tmp_path / command
+        assert main([command, "--out", str(out)]) == 0
+        assert (out / report).read_text().startswith("structural property suite on grid (6, 5), theta=")
+
+
+def test_verify_needs_a_problem_of_the_grid_dimension(tmp_path, capsys):
+    # the short march runs the configured problem, as run does: a 3D grid
+    # with the default vortex2d is named before anything is checked or written
+    path = tmp_path / "cube.ini"
+    path.write_text("[domain]\nlo = 0 0 0\nhi = 1 1 1\n[grid]\nn = 4 4 4\n")
+    assert main(["verify", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "invalid configuration:\n  - problem 'vortex2d' is 2D but the grid is 3D\n"
+    assert not os.path.exists(tmp_path / "o")
 
 
 def test_verify_flags_loose_solves(tmp_path):
@@ -567,16 +590,35 @@ def test_translate_streams_with_one_operator_build(tmp_path, monkeypatch):
     assert (out / "translate.csv").read_bytes() == (tmp_path / "stored.csv").read_bytes()
 
 
+def test_translate_decomposes_only_in_the_march(tmp_path, monkeypatch):
+    # the seminorm column reads the corrected velocities the steps return: over
+    # N steps the only decompositions are the resolution probe, initialize and
+    # one correction per step
+    path = tmp_path / "case.ini"
+    path.write_text(TRANSLATE)
+    calls = []
+    decompose = Projector.decompose
+
+    def counted(self, w, **kwargs):
+        calls.append(kwargs)
+        return decompose(self, w, **kwargs)
+
+    monkeypatch.setattr(Projector, "decompose", counted)
+    assert main(["translate", "--config", str(path), "--taus", "1,2,5", "--out", str(tmp_path / "tr")]) == 0
+    assert len(calls) == parse_config(str(path)).steps + 2
+
+
 def test_translate_verdict_has_criterion_9_slack(tmp_path, monkeypatch):
     # a seminorm column 1e-9 above the L2 column, relative, breaks criterion 9
     # (slack 1e-13) however small the integrals are
     path = tmp_path / "case.ini"
     path.write_text(TRANSLATE)
+    add = TranslateAccumulator.add
 
-    def inflated(self, w):
-        return math.sqrt(velocity_inner(w, w) * (1.0 + 1e-9))
+    def inflated(self, u_tilde, u):
+        add(self, u_tilde, u_tilde * math.sqrt(1.0 + 1e-9))
 
-    monkeypatch.setattr(Projector, "divfree_seminorm", inflated)
+    monkeypatch.setattr(TranslateAccumulator, "add", inflated)
     assert main(["translate", "--config", str(path), "--taus", "1,2", "--out", str(tmp_path / "tr")]) == 1
     rows = (tmp_path / "tr" / "translate.csv").read_text().splitlines()[1:]
     for row in rows:

@@ -38,7 +38,7 @@ from macstag.verify import (
     translate_diagnostic,
 )
 
-from conftest import random_nonuniform_grid
+from conftest import assert_same_bits, random_nonuniform_grid
 
 
 def test_property_suite_random_grids():
@@ -253,6 +253,21 @@ class TestTranslate:
         # longer translates move more
         assert rows[0].l2_sq < rows[1].l2_sq < rows[2].l2_sq
 
+    def test_projects_each_prediction_once(self, short_run, monkeypatch):
+        # a stored trajectory's seminorm column projects every prediction once,
+        # whatever the number of translates
+        calls = []
+        decompose = Projector.decompose
+
+        def counted(self, w, **kwargs):
+            calls.append(kwargs)
+            return decompose(self, w, **kwargs)
+
+        monkeypatch.setattr(Projector, "decompose", counted)
+        dt = short_run.dt
+        translate_diagnostic(short_run, [dt, 2 * dt, 4 * dt])
+        assert len(calls) == short_run.steps
+
     def test_rejects_non_multiples(self, short_run):
         dt = short_run.dt
         with pytest.raises(ValueError):
@@ -261,6 +276,10 @@ class TestTranslate:
             translate_diagnostic(short_run, [-dt])
         with pytest.raises(ValueError):
             translate_diagnostic(short_run, [100 * dt])
+        # a non-finite tau is named too, where inf once raised OverflowError and nan an unnamed ValueError
+        for tau in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match=rf"^translate {tau} is not a positive multiple of dt={dt}$"):
+                translate_diagnostic(short_run, [tau])
 
 
 def test_summed_step_increments_synthetic():
@@ -292,38 +311,64 @@ def reference_translate_integral(traj, k, norm_sq):
     return total
 
 
-@pytest.mark.parametrize(
-    "grid",
-    [
-        MacGrid([graded_axis(0.0, 1.0, 12, 1.1), graded_axis(0.0, 1.0, 10, 0.9)]),
-        MacGrid([[0.0, 0.15, 0.4, 0.55, 1.0], [0.0, 0.3, 0.45, 0.8, 1.0], [0.0, 0.2, 0.35, 0.6, 0.7, 1.0]]),
-    ],
-    ids=["graded2d", "coords3d"],
-)
+STREAMED_GRIDS = {
+    "graded2d": MacGrid([graded_axis(0.0, 1.0, 12, 1.1), graded_axis(0.0, 1.0, 10, 0.9)]),
+    "coords3d": MacGrid([[0.0, 0.15, 0.4, 0.55, 1.0], [0.0, 0.3, 0.45, 0.8, 1.0], [0.0, 0.2, 0.35, 0.6, 0.7, 1.0]]),
+}
+
+
+@pytest.mark.parametrize("grid", STREAMED_GRIDS.values(), ids=STREAMED_GRIDS.keys())
 def test_streamed_translates_match_stored_sums_bitwise(grid):
     # the accumulator fed level by level from iterate() gives the very bits of
-    # the old trajectory-indexed sums over a stored run() on the same grid
+    # the trajectory-indexed L2 sums over a stored run() on the same grid and of
+    # the stored replay; its seminorm column, the L2 sums of the corrected
+    # velocities, matches the projected differences to roundoff
     prob = mms_problem(f"vortex{grid.dim}d")
     steps, t_final = 8, 0.25
     scheme = ProjectionScheme(grid)
-    proj = scheme.projector
+    proj, unpack = scheme.projector, scheme.ops.unpack
     multiples = [1, 2, 3, steps - 1]
-    acc = TranslateAccumulator(scheme.time_step(t_final, steps), multiples, proj)
+    acc = TranslateAccumulator(scheme.time_step(t_final, steps), multiples)
     for state, diag in scheme.iterate(prob.initial, prob.forcing, t_final, steps):
         if diag is not None:
-            acc.add(scheme.ops.unpack(state.u_tilde_prev))
+            acc.add(unpack(state.u_tilde_prev), unpack(state.u))
     traj = scheme.run(prob.initial, prob.forcing, t_final, steps)
-    assert len(acc._recent) == max(multiples)  # only the last max(k) predictions are kept
+    assert len(acc._recent) == max(multiples)  # only the last max(k) levels are kept
     stored = translate_diagnostic(traj, [k * traj.dt for k in multiples], projector=proj)
     for row, again in zip(acc.rows(), stored):
         k = row.steps
         l2 = reference_translate_integral(traj, k, lambda v: velocity_inner(v, v))
         star = reference_translate_integral(traj, k, lambda v: proj.divfree_seminorm(v) ** 2)
-        assert (row.tau, row.l2_sq, row.star_sq) == (k * traj.dt, l2, star)
+        assert (row.tau, row.l2_sq) == (k * traj.dt, l2)
+        assert row.star_sq == pytest.approx(star, rel=1e-13, abs=0.0)
         assert again == row
     assert acc.l2[1] == summed_step_increments(traj) == reference_translate_integral(
         traj, 1, lambda v: velocity_inner(v, v)
     )
+
+
+PROJECTED_GRIDS = {
+    **STREAMED_GRIDS,
+    "graded3d-one-cell-axis": MacGrid([graded_axis(0.0, 1.0, 8, 1.2), uniform_axis(0.0, 1.0, 1),
+                                       graded_axis(0.0, 1.0, 6, 0.9)]),
+}
+
+
+@pytest.mark.parametrize("grid", PROJECTED_GRIDS.values(), ids=PROJECTED_GRIDS.keys())
+def test_corrected_velocity_is_the_projected_prediction(grid):
+    # the streamed seminorm column reads u^m for the projection of utilde^m:
+    # projecting the prediction again gives the very bits of the corrected
+    # velocity at every level, packed and as the field project() returns
+    prob = mms_problem(f"vortex{grid.dim}d")
+    steps = 6
+    scheme = ProjectionScheme(grid)
+    proj, unpack = scheme.projector, scheme.ops.unpack
+    levels = [state for state, diag in scheme.iterate(prob.initial, prob.forcing, 0.25, steps) if diag is not None]
+    assert len(levels) == steps
+    for state in levels:
+        assert_same_bits(proj.decompose(state.u_tilde_prev)[0], state.u)
+        for got, want in zip(proj.project(unpack(state.u_tilde_prev)).components, unpack(state.u).components):
+            assert_same_bits(got, want)
 
 
 @pytest.mark.parametrize("multiples, bad", [([0], "0"), ([-1, 3], "-1"), ([2.5], "2.5")], ids=["0", "-1", "2.5"])
@@ -338,17 +383,12 @@ def test_accumulator_takes_whole_float_multiples():
     g = uniform_grid((0.0, 0.0), (1.0, 1.0), (3, 3))
     proj = Projector(Operators(g))
     levels = [VelocityField(g, [np.full(g.face_shape(i), m**2) for i in range(2)]).zero_exterior() for m in range(4)]
-    as_float = TranslateAccumulator(0.5, [2.0], proj).add(*levels)
-    as_int = TranslateAccumulator(0.5, [2], proj).add(*levels)
+    as_float, as_int = TranslateAccumulator(0.5, [2.0]), TranslateAccumulator(0.5, [2])
+    for u_tilde in levels:
+        as_float.add(u_tilde, proj.project(u_tilde))
+        as_int.add(u_tilde, proj.project(u_tilde))
     assert as_float.multiples == [2] and as_float.rows() == as_int.rows()
-
-
-def test_accumulator_rejects_multiples_without_projector():
-    # rows() holds a |.|_* column for every multiple, so multiples without a
-    # projector are named when the accumulator is made; without multiples
-    # it sums the step increments alone
-    with pytest.raises(ValueError, match=r"translate multiples \[2\] need a projector"):
-        TranslateAccumulator(0.5, [2])
+    # without multiples it sums the step increments alone
     assert TranslateAccumulator(0.5, []).rows() == []
 
 
