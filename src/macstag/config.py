@@ -3,14 +3,17 @@
 Each key is one entry of the table _KEYS, (section, key) -> (RunConfig
 field, default as it sits in the file, parser); DEFAULTS, the conversion in
 parse_config and the resolved echo RunConfig.to_ini are read off it. The
+[solver] defaults are ProjectionScheme's keyword defaults. The
 grid.coords_a keys fill the one field grid_coords: they are read for
 grid.kind = coords only, and start at coords_0 with no gap. Unknown sections
 or keys are hard errors, and any key can be overridden through the
 environment as MACSTAG_<SECTION>_<KEY> (e.g. MACSTAG_TIME_STEPS=32). All
 problems are itemized in one ConfigError; a value that does not parse is
 reported once, and later checks see the key's default in its place. The
-resolved configuration is echoed next to run outputs so a run can be
-reproduced from its artifacts alone.
+grid's rules are not restated here: the configured grid is built once during
+validation, and the first rule that grid.py or operators.py raises for it is
+one item. The resolved configuration is echoed next to run outputs so a run
+can be reproduced from its artifacts alone.
 """
 
 from __future__ import annotations
@@ -23,8 +26,10 @@ from functools import partial
 
 import numpy as np
 
-from .grid import MacGrid, graded_axis, uniform_axis
+from .grid import MacGrid, graded_axis
 from .mms import PROBLEM_NAMES
+from .operators import interior_face_problem
+from .scheme import ProjectionScheme
 
 __all__ = ["RunConfig", "ConfigError", "parse_config", "ENV_PREFIX", "DEFAULTS"]
 
@@ -55,6 +60,9 @@ def _word(text):
     return text.strip().lower()
 
 
+# the keyword defaults of ProjectionScheme, whose [solver] keys share their names
+_SOLVER = ProjectionScheme.__init__.__kwdefaults__
+
 # (section, key) -> (RunConfig field, default as it sits in the file, parser)
 _KEYS = {
     ("domain", "lo"): ("domain_lo", "0 0", _floats),
@@ -68,9 +76,9 @@ _KEYS = {
     ("time", "final"): ("t_final", "1.0", _float),
     ("time", "steps"): ("steps", "8", _int),
     ("problem", "name"): ("problem", "vortex2d", str.strip),
-    ("solver", "prediction_tol"): ("prediction_tol", "1e-10", _float),
-    ("solver", "poisson_tol"): ("poisson_tol", "1e-10", _float),
-    ("solver", "quad_order"): ("quad_order", "3", _int),
+    ("solver", "prediction_tol"): ("prediction_tol", repr(_SOLVER["prediction_tol"]), _float),
+    ("solver", "poisson_tol"): ("poisson_tol", repr(_SOLVER["poisson_tol"]), _float),
+    ("solver", "quad_order"): ("quad_order", repr(_SOLVER["quad_order"]), _int),
     ("output", "directory"): ("out_dir", "out", str.strip),
     ("output", "cadence"): ("cadence", "0", _int),
     ("output", "format"): ("output_format", "csv", _word),
@@ -123,23 +131,20 @@ class RunConfig:
         return len(self.grid_n)
 
     def build_grid(self) -> MacGrid:
+        """The configured grid; a ValueError that grid.py raises for one axis is prefixed with that axis."""
         if self.grid_kind == "coords":
             return MacGrid(self.grid_coords)
+        ratio = self.grid_ratio if self.grid_kind == "graded" else 1.0  # ratio 1 is uniform_axis bit for bit
         axes = []
-        for a in range(self.dim):
-            lo, hi, n = self.domain_lo[a], self.domain_hi[a], self.grid_n[a]
-            if self.grid_kind == "graded":
-                axes.append(graded_axis(lo, hi, n, self.grid_ratio))
-            else:
-                axes.append(uniform_axis(lo, hi, n))
+        for a, (lo, hi, n) in enumerate(zip(self.domain_lo, self.domain_hi, self.grid_n)):
+            try:
+                axes.append(graded_axis(lo, hi, n, ratio))
+            except ValueError as exc:
+                raise ValueError(f"axis {a}: {exc}") from None
         return MacGrid(axes)
 
     def scheme_kwargs(self) -> dict:
-        return {
-            "prediction_tol": self.prediction_tol,
-            "poisson_tol": self.poisson_tol,
-            "quad_order": self.quad_order,
-        }
+        return {name: getattr(self, name) for name in _SOLVER}
 
     def to_ini(self) -> str:
         """Resolved key=value echo, deterministic ordering."""
@@ -171,14 +176,6 @@ def _read_coords(values, declared, c, errors):
         gap = next(a for a in range(len(_COORDS)) if a not in present)
         errors.append(f"grid.coords_{gap} is missing: the coords keys start at coords_0 with no gap")
         return
-    if len(present) not in (2, 3):
-        errors.append(f"grid.kind=coords needs coords_0..coords_{{1,2}}, got {len(present)} axes")
-        return
-    for a, axis in axes.items():
-        if len(axis) < 2:
-            errors.append(f"grid.coords_{a}: need at least two coordinates")
-        elif any(b <= a_ for a_, b in zip(axis, axis[1:])):
-            errors.append(f"grid.coords_{a}: coordinates must be strictly increasing")
     if len(axes) < len(present):
         return
     ends = {"lo": tuple(x[0] for x in axes.values()), "hi": tuple(x[-1] for x in axes.values())}
@@ -248,30 +245,29 @@ def parse_config(path=None, *, text=None, env=None, overrides=None) -> RunConfig
             c[name] = parse(default)
             failed.add(name)
 
-    # validation, all problems reported together
-    kind = c["grid_kind"]
-    if kind not in ("uniform", "graded", "coords"):
+    # validation, all problems reported together; the grid's rules are those of grid.py and
+    # operators.py, itemized from one build of the configured grid
+    kind, lo, hi, n = c["grid_kind"], c["domain_lo"], c["domain_hi"], c["grid_n"]
+    known = kind in ("uniform", "graded", "coords")
+    if not known:
         errors.append(f"grid.kind must be uniform, graded or coords, got {kind!r}")
-    lo, hi, n = c["domain_lo"], c["domain_hi"], c["grid_n"]
-    shaped = not failed & {"domain_lo", "domain_hi", "grid_n"}  # no default stands in for a bad value
+    buildable = not failed & {"domain_lo", "domain_hi", "grid_n"}  # no default stands in for a bad value
     if kind == "coords":
         _read_coords(values, {f"domain_{k}" for s, k in given if s == "domain"} - failed, c, errors)
-        n = c["grid_n"]
-    elif shaped and not (len(lo) == len(hi) == len(n)):
+        buildable = c["grid_coords"] is not None
+    elif buildable and not (len(lo) == len(hi) == len(n)):
         errors.append(f"domain.lo, domain.hi and grid.n must agree in length, got {len(lo)}/{len(hi)}/{len(n)}")
-    elif shaped and len(n) not in (2, 3):
-        errors.append(f"grid must be 2D or 3D, got {len(n)} axes")
-    else:
-        for a in range(len(n)):
-            if shaped and hi[a] <= lo[a]:
-                errors.append(f"axis {a}: domain extent [{lo[a]}, {hi[a]}] is empty")
-            if n[a] < 1:
-                errors.append(f"axis {a}: need at least one cell, got {n[a]}")
-    if kind == "graded" and c["grid_ratio"] <= 0:
-        errors.append(f"grid.ratio must be positive, got {c['grid_ratio']}")
-    if (kind != "coords" or c["grid_coords"]) and n and all(k == 1 for k in n):
-        shape = "x".join(str(k) for k in n)
-        errors.append(f"grid {shape} has no interior face: need at least 2 cells along one axis")
+        buildable = False
+    cfg = RunConfig(**c)
+    if known and buildable:
+        try:
+            with np.errstate(all="ignore"):  # an absurd grid.ratio overflows before MacGrid rejects it
+                shape = cfg.build_grid().shape
+        except ValueError as exc:
+            errors.append(f"grid.kind = {kind} cannot be built: {exc}")
+        else:
+            if problem := interior_face_problem(shape):
+                errors.append(problem)
 
     checks = [
         (c["t_final"] <= 0, f"time.final must be positive, got {c['t_final']}"),
@@ -290,11 +286,4 @@ def parse_config(path=None, *, text=None, env=None, overrides=None) -> RunConfig
     errors.extend(message for bad, message in checks if bad)
     if errors:
         raise ConfigError(errors)
-
-    cfg = RunConfig(**c)
-    try:
-        with np.errstate(all="ignore"):  # an absurd grid.ratio overflows before MacGrid rejects it
-            cfg.build_grid()
-    except ValueError as exc:
-        raise ConfigError([f"grid.kind = {kind} cannot be built: {exc}"]) from exc
     return cfg

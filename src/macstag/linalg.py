@@ -212,13 +212,17 @@ def solve_cgw(d, S, N, b, M, *, tol=1e-10, x0=None):
     recomputed in one buffer (an inexact M shows up here), and the
     recurrence restarts from it while it stays above. The result hands out
     the S x and N x of the last recomputed residual, the one it returns.
-    MAX_ITERATIONS caps the total number of iterations. Raises SolverError when
-    rho_k <= 0 (M is not positive definite) or when the recomputed
-    relative residual stays above tol.
+    MAX_ITERATIONS caps the total number of iterations. A b that is exactly
+    zero (or empty) returns x = 0. Raises SolverError when b is nonzero but
+    its sum of squares underflows to 0, when rho_k <= 0 (M is not positive
+    definite) or when the recomputed relative residual stays above tol.
     """
     b = np.asarray(b, dtype=float)
     bnorm = math.sqrt(dot(b, b))
     if bnorm == 0.0:
+        if b.any():  # ||b|| = 0 would make any x pass the test below
+            raise SolverError(f"the right-hand side's sum of squares underflows: its largest entry is "
+                              f"{np.abs(b).max():.3e}", 0, 1.0)
         return SolveResult(np.zeros(b.size), 0, 0.0, np.zeros(b.size), np.zeros(b.size), np.zeros(b.size))
     x = np.zeros(b.size) if x0 is None else np.array(x0, dtype=float)
 

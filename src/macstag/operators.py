@@ -97,7 +97,14 @@ from .fields import PressureField, VelocityField
 from .grid import MacGrid
 from .linalg import dot
 
-__all__ = ["FaceCell", "Operators"]
+__all__ = ["FaceCell", "Operators", "interior_face_problem"]
+
+
+def interior_face_problem(shape):
+    """Why a grid of this cell shape has no velocity unknown, or None when some face is interior."""
+    if all(n == 1 for n in shape):
+        return f"grid {'x'.join(map(str, shape))} has no interior face: need at least 2 cells along one axis"
+    return None
 
 
 def _dia_offsets(shape):
@@ -197,9 +204,8 @@ class Operators:
     """Assembled discrete operators bound to one grid."""
 
     def __init__(self, grid: MacGrid):
-        if all(n == 1 for n in grid.shape):
-            shape = "x".join(str(n) for n in grid.shape)
-            raise ValueError(f"grid {shape} has no interior face: need at least 2 cells along one axis")
+        if problem := interior_face_problem(grid.shape):
+            raise ValueError(problem)
         self.grid = grid
         d = grid.dim
 

@@ -357,6 +357,21 @@ def test_divergence_guard_exits_1_after_the_echo(tmp_path, capsys):
     assert (out / "diagnostics.csv").read_text() == ",".join(DIAGNOSTIC_COLUMNS) + "\n"
 
 
+def test_underflowing_prediction_exits_1_after_the_echo(tmp_path, capsys):
+    # at L = 1e-150 the prediction's right-hand side is ~3e-302, nonzero, but
+    # its sum of squares underflows: step 1 fails by name, where run once
+    # solved it as zero and reported energy 0 on every step with exit 0
+    path = tmp_path / "small.ini"
+    path.write_text(SCALED.format("1e-150"))
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: step 1, prediction, direction 0: the right-hand side's sum of squares underflows")
+    assert (out / "config.resolved.ini").exists()
+    assert (out / "diagnostics.csv").read_text() == ",".join(DIAGNOSTIC_COLUMNS) + "\n"
+
+
 def test_prediction_failure_names_step_and_direction(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(linalg_module, "MAX_ITERATIONS", 1)
     path = tmp_path / "capped.ini"

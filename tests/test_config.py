@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from macstag.cli import main
 from macstag.config import DEFAULTS, ENV_PREFIX, ConfigError, parse_config
+from macstag.grid import MacGrid, graded_axis, uniform_axis, uniform_grid
+from macstag.operators import Operators
 
 from conftest import BAD_NUMERIC_VALUES
 
@@ -112,7 +114,43 @@ def test_grid_must_be_2d_or_3d(axes):
     text = f"[domain]\nlo = {' 0' * axes}\nhi = {' 1' * axes}\n[grid]\nn = {' 4' * axes}\n"
     with pytest.raises(ConfigError) as err:
         parse_config(None, text=text)
-    assert err.value.errors == [f"grid must be 2D or 3D, got {axes} axes"]
+    assert err.value.errors == [f"grid.kind = uniform cannot be built: grid must be 2D or 3D, got {axes} axes"]
+
+
+# one case per grid rule: a config, the same grid built through grid.py or
+# operators.py, and the axis prefix the config adds to a 1D builder's message
+LIBRARY_GRID_RULES = {
+    "no-cells": ("[grid]\nn = 4 0\n", lambda: uniform_axis(0.0, 1.0, 0), "axis 1: "),
+    "empty-extent": ("[domain]\nhi = -1 1\n", lambda: uniform_axis(0.0, -1.0, 8), "axis 0: "),
+    "first-rule-only": ("[domain]\nhi = -1 1\n[grid]\nn = 0 4\n", lambda: uniform_axis(0.0, -1.0, 0), "axis 0: "),
+    "graded-empty-extent": ("[domain]\nhi = 1 0\n[grid]\nkind = graded\nratio = 1.5\n",
+                            lambda: graded_axis(0.0, 0.0, 8, 1.5), "axis 1: "),
+    "ratio": ("[grid]\nkind = graded\nratio = -1\n", lambda: graded_axis(0.0, 1.0, 8, -1.0), "axis 0: "),
+    "1d": ("[domain]\nlo = 0\nhi = 1\n[grid]\nn = 4\n", lambda: MacGrid([uniform_axis(0.0, 1.0, 4)]), ""),
+    "4d": ("[domain]\nlo = 0 0 0 0\nhi = 1 1 1 1\n[grid]\nn = 2 2 2 2\n",
+           lambda: MacGrid([uniform_axis(0.0, 1.0, 2)] * 4), ""),
+    "coords-1d": ("[grid]\nkind = coords\ncoords_0 = 0 0.5 1\n", lambda: MacGrid([[0.0, 0.5, 1.0]]), ""),
+    "coords-one-coordinate": ("[grid]\nkind = coords\ncoords_0 = 0 1\ncoords_1 = 0.5\n",
+                              lambda: MacGrid([[0.0, 1.0], [0.5]]), ""),
+    "coords-not-increasing": ("[grid]\nkind = coords\ncoords_0 = 0 0.5 0.4 1\ncoords_1 = 0 1\n",
+                              lambda: MacGrid([[0.0, 0.5, 0.4, 1.0], [0.0, 1.0]]), ""),
+    "no-interior-face": ("[grid]\nn = 1 1\n", lambda: Operators(uniform_grid((0, 0), (1, 1), (1, 1))), ""),
+    "overflowing-box": ("[domain]\nhi = 1e200 1e200\n", lambda: uniform_grid((0, 0), (1e200, 1e200), (8, 8)), ""),
+    "overflowing-theta": ("[domain]\nhi = 1e154 1e-160\n",
+                          lambda: uniform_grid((0, 0), (1e154, 1e-160), (8, 8)), ""),
+}
+
+
+@pytest.mark.parametrize("text, build, prefix", LIBRARY_GRID_RULES.values(), ids=LIBRARY_GRID_RULES)
+def test_grid_rules_are_the_library_s(text, build, prefix):
+    # the config accepts the grids the library accepts: a rejected one is one
+    # item, ending in the message that grid.py or operators.py raise for it
+    with pytest.raises(ValueError) as raised, np.errstate(all="ignore"):
+        build()
+    with pytest.raises(ConfigError) as err:
+        parse_config(None, text=text)
+    (item,) = err.value.errors
+    assert item.endswith(prefix + str(raised.value)), item
 
 
 def test_unparsable_file_and_bad_calls():
@@ -261,7 +299,7 @@ CONFIG_TOKENS = {
 @given(st.fixed_dictionaries({}, optional={k: st.sampled_from(v) for k, v in CONFIG_TOKENS.items()}))
 def test_config_is_accepted_or_itemized(chosen):
     # every config either parses or raises the itemized ConfigError, and an
-    # accepted one is reproduced by its resolved echo
+    # accepted one is reproduced by its resolved echo and builds its operators
     sections = {}
     for (section, key), value in chosen.items():
         sections.setdefault(section, []).append(f"{key} = {value}\n")
@@ -275,3 +313,4 @@ def test_config_is_accepted_or_itemized(chosen):
     again = parse_config(None, text=echo)
     assert again == cfg
     assert again.to_ini() == echo
+    Operators(cfg.build_grid())

@@ -127,6 +127,18 @@ class TestGMRES:
             assert product.shape == (5,) and not product.any()
         assert S.calls == N.calls == 0
 
+    def test_underflowing_rhs_is_not_taken_for_zero(self):
+        # 1e-170 is a normal double, but its square is not: ||b|| reads 0, and
+        # x = 0 would pass any relative tolerance, so the solve raises
+        d, S, N, M, _ = split_system(83, 5)
+        M = counted(M)
+        b = np.full(5, 1e-170)
+        assert dot(b, b) == 0.0
+        with pytest.raises(SolverError, match=r"^the right-hand side's sum of squares underflows: "
+                                              r"its largest entry is 1\.000e-170 \(iterations=0, ") as err:
+            solve_cgw(d, S, N, b, M=M)
+        assert err.value.iterations == 0 and M.calls == []
+
 
 class TestCGW:
     # systems A = H + N, H = diag(d) + S symmetric positive definite and N
