@@ -10,10 +10,11 @@ or keys are hard errors, and any key can be overridden through the
 environment as MACSTAG_<SECTION>_<KEY> (e.g. MACSTAG_TIME_STEPS=32). All
 problems are itemized in one ConfigError; a value that does not parse is
 reported once, and later checks see the key's default in its place. The
-grid's rules are not restated here: the configured grid is built once during
-validation, and the first rule that grid.py or operators.py raises for it is
-one item. The resolved configuration is echoed next to run outputs so a run
-can be reproduced from its artifacts alone.
+library's rules are not restated here: the [time], [problem] and [solver]
+values pass through the checks of scheme.py and mms.py as they are parsed,
+and the configured grid is built once during validation; each ValueError is
+one item under its key. The resolved configuration is echoed next to run
+outputs so a run can be reproduced from its artifacts alone.
 """
 
 from __future__ import annotations
@@ -27,9 +28,9 @@ from functools import partial
 import numpy as np
 
 from .grid import MacGrid, graded_axis
-from .mms import PROBLEM_NAMES
+from .mms import _registered
 from .operators import interior_face_problem
-from .scheme import ProjectionScheme
+from .scheme import ProjectionScheme, _fraction, _positive, _whole
 
 __all__ = ["RunConfig", "ConfigError", "parse_config", "ENV_PREFIX", "DEFAULTS"]
 
@@ -60,6 +61,11 @@ def _word(text):
     return text.strip().lower()
 
 
+def _checked(check, name, parse):
+    """parse, then the library's own check of the value, which it calls name."""
+    return lambda text: check(name, parse(text))
+
+
 # the keyword defaults of ProjectionScheme, whose [solver] keys share their names
 _SOLVER = ProjectionScheme.__init__.__kwdefaults__
 
@@ -73,12 +79,12 @@ _KEYS = {
     ("grid", "coords_0"): ("grid_coords", "", _floats),
     ("grid", "coords_1"): ("grid_coords", "", _floats),
     ("grid", "coords_2"): ("grid_coords", "", _floats),
-    ("time", "final"): ("t_final", "1.0", _float),
-    ("time", "steps"): ("steps", "8", _int),
-    ("problem", "name"): ("problem", "vortex2d", str.strip),
-    ("solver", "prediction_tol"): ("prediction_tol", repr(_SOLVER["prediction_tol"]), _float),
-    ("solver", "poisson_tol"): ("poisson_tol", repr(_SOLVER["poisson_tol"]), _float),
-    ("solver", "quad_order"): ("quad_order", repr(_SOLVER["quad_order"]), _int),
+    ("time", "final"): ("t_final", "1.0", _checked(_positive, "t_final", _float)),
+    ("time", "steps"): ("steps", "8", _checked(_whole, "steps", _int)),
+    ("problem", "name"): ("problem", "vortex2d", lambda text: _registered(text.strip())),
+    **{("solver", tol): (tol, repr(_SOLVER[tol]), _checked(_fraction, tol, _float))
+       for tol in ("prediction_tol", "poisson_tol")},
+    ("solver", "quad_order"): ("quad_order", repr(_SOLVER["quad_order"]), _checked(_whole, "quad_order", _int)),
     ("output", "directory"): ("out_dir", "out", str.strip),
     ("output", "cadence"): ("cadence", "0", _int),
     ("output", "format"): ("output_format", "csv", _word),
@@ -125,10 +131,6 @@ class RunConfig:
     cadence: int
     output_format: str
     seed: int
-
-    @property
-    def dim(self) -> int:
-        return len(self.grid_n)
 
     def build_grid(self) -> MacGrid:
         """The configured grid; a ValueError that grid.py raises for one axis is prefixed with that axis."""
@@ -233,7 +235,8 @@ def parse_config(path=None, *, text=None, env=None, overrides=None) -> RunConfig
         raise ConfigError(errors)
     values = {**DEFAULTS, **given}
 
-    # conversion: a value that does not parse is itemized once and replaced by the key's default
+    # conversion: a value that does not parse, or that the library's check of it rejects, is
+    # itemized once and replaced by the key's default
     c, failed = {"grid_coords": None}, set()
     for (sec, key), (name, default, parse) in _KEYS.items():
         if (sec, key) in _COORDS:
@@ -270,14 +273,6 @@ def parse_config(path=None, *, text=None, env=None, overrides=None) -> RunConfig
                 errors.append(problem)
 
     checks = [
-        (c["t_final"] <= 0, f"time.final must be positive, got {c['t_final']}"),
-        (c["steps"] < 1, f"time.steps must be at least 1, got {c['steps']}"),
-        (
-            c["problem"] not in PROBLEM_NAMES,
-            f"problem.name {c['problem']!r} is not registered; have {sorted(PROBLEM_NAMES)}",
-        ),
-        *((not 0 < c[k] < 1, f"solver.{k} must lie in (0, 1), got {c[k]}") for k in ("prediction_tol", "poisson_tol")),
-        (c["quad_order"] < 1, f"solver.quad_order must be >= 1, got {c['quad_order']}"),
         (not c["out_dir"], "output.directory must not be empty"),
         (c["cadence"] < 0, f"output.cadence must be >= 0, got {c['cadence']}"),
         (c["output_format"] not in ("csv", "vtk"), f"output.format must be csv or vtk, got {c['output_format']!r}"),

@@ -85,7 +85,9 @@ class TensorField:
         return np.stack([_evaluate(terms, pts, values) for terms in self.components], axis=-1)
 
     def face_average(self, grid, order: int = 3) -> VelocityField:
-        """Face means as fields.face_average gives them, from 1D Gauss means per axis."""
+        """Face means as fields.face_average gives them, from 1D Gauss means per axis, on a grid of its dimension."""
+        if len(self.components) != grid.dim:
+            raise ValueError(f"a {len(self.components)}D field cannot be face-averaged on a {grid.dim}D grid")
         nodes, weights = _gauss_nodes(order)
         comps = []
         for i, terms in enumerate(self.components):
@@ -168,11 +170,16 @@ _Q2 = Polynomial([0.25, 0.0, -0.25], domain=[0, 1]) ** 2  # q(s)^2 with q(s) = s
 _CENTERED = Polynomial([0.0, 0.5], domain=[0, 1])  # s - 1/2
 
 
-def mms_problem(name: str) -> ManufacturedProblem:
-    """Build a registered manufactured problem by name; each call returns a fresh one."""
+def _registered(name: str) -> str:
+    """name, which must be in PROBLEM_NAMES, or ValueError lists the names there are."""
     if name not in PROBLEM_NAMES:
         raise ValueError(f"unknown manufactured problem {name!r}; have {sorted(PROBLEM_NAMES)}")
-    dim = 2 if name.endswith("2d") else 3
+    return name
+
+
+def mms_problem(name: str) -> ManufacturedProblem:
+    """Build a registered manufactured problem by name; each call returns a fresh one."""
+    dim = 2 if _registered(name).endswith("2d") else 3
     if name.startswith("rest"):
         U, P = [[] for _ in range(dim)], []
     elif dim == 2:

@@ -78,12 +78,31 @@ __all__ = ["ProjectionScheme", "SchemeState", "StepDiagnostics", "SchemeError", 
 
 _FLOAT_MAX = np.finfo(float).max
 
+DIVERGENCE_FACTOR = 10.0  # a step fails when max |div u| after its correction exceeds this x poisson_tol
+
 
 def _whole(name, value, least=1) -> int:
     """value as an int; a non-integral value or one below least raises ValueError naming it."""
-    if not (isinstance(value, numbers.Real) and float(value).is_integer() and value >= least):
+    whole = isinstance(value, numbers.Integral) or isinstance(value, numbers.Real) and float(value).is_integer()
+    if not (whole and value >= least):
         raise ValueError(f"{name} must be a whole number >= {least}, got {value}")
     return int(value)
+
+
+def _positive(name, value) -> float:
+    """value as a float; one that is not positive and finite raises ValueError naming it."""
+    value = float(value)
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+    return value
+
+
+def _fraction(name, value) -> float:
+    """value as a float; one outside (0, 1) raises ValueError naming it."""
+    value = float(value)
+    if not 0.0 < value < 1.0:
+        raise ValueError(f"{name} must lie in (0, 1), got {value}")
+    return value
 
 
 def _require_finite(vec: np.ndarray, n, phase, what):
@@ -187,14 +206,11 @@ class ProjectionScheme:
         poisson_tol=1e-10,
         quad_order=3,
     ):
-        for name, tol in (("prediction_tol", prediction_tol), ("poisson_tol", poisson_tol)):
-            if not 0.0 < float(tol) < 1.0:
-                raise ValueError(f"{name} must lie in (0, 1), got {tol}")
+        self.prediction_tol = _fraction("prediction_tol", prediction_tol)
+        self.poisson_tol = _fraction("poisson_tol", poisson_tol)
         self.quad_order = _whole("quad_order", quad_order)
         self.grid = grid
         self.ops = Operators(grid)
-        self.prediction_tol = float(prediction_tol)
-        self.poisson_tol = float(poisson_tol)
         self.projector = Projector(self.ops)
         self._check_resolution()
         self._momentum_solvers = [SeparableSolver(*chains) for chains in self.ops.laplace_chains]
@@ -312,19 +328,17 @@ class ProjectionScheme:
         dt = float(dt)
         u, phi, residual, div = self.projector.decompose(ut)
         div_max = float(np.abs(div).max())
-        if not div_max <= 10.0 * self.poisson_tol:  # a NaN fails too
+        if not div_max <= DIVERGENCE_FACTOR * self.poisson_tol:  # a NaN fails too
             raise SchemeError(
                 f"step {state.n + 1}, correction: post-correction divergence {div_max:.3e} "
-                f"exceeds 10 x poisson_tol = {10.0 * self.poisson_tol:.1e}"
+                f"exceeds {DIVERGENCE_FACTOR:g} x poisson_tol = {DIVERGENCE_FACTOR * self.poisson_tol:.1e}"
             )
         p = PressureField(self.grid, state.p.data + phi.reshape(self.grid.shape) / dt).recentered()
         return u, p, residual, div_max
 
     def step(self, state: SchemeState, forcing, dt: float):
         """Advance one level; returns (new state, diagnostics)."""
-        dt = float(dt)
-        if not 0.0 < dt < math.inf:
-            raise ValueError(f"dt must be positive and finite, got {dt}")
+        dt = _positive("dt", dt)
         ops = self.ops
         f = ops.pack(self._forcing_field(forcing, state.t + 0.5 * dt))
         _require_finite(f, state.n + 1, "forcing", "forcing")
@@ -431,14 +445,9 @@ class ProjectionScheme:
 
     @staticmethod
     def time_step(t_final, steps) -> float:
-        """Step size of a march from t=0 to t_final in `steps` equal steps."""
-        if not 1 <= float(steps) < math.inf:
-            raise ValueError(f"need at least one step, got {steps}")
+        """Step size of a march from t=0 to t_final in `steps` equal steps; ValueError names a bad one."""
         steps = _whole("steps", steps)
-        t_final = float(t_final)
-        if not 0.0 < t_final < math.inf:
-            raise ValueError(f"t_final must be positive and finite, got {t_final}")
-        return t_final / steps
+        return _positive("t_final", t_final) / steps
 
     def iterate(self, u0, forcing, t_final, steps):
         """March from t=0 to t_final in equal steps, one level at a time.

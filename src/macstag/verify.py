@@ -187,11 +187,17 @@ class TranslateAccumulator:
     last max(k) pairs, and adds dt ||utilde^m - utilde^{m-k}||^2 to l2[k] and
     dt ||u^m - u^{m-k}||^2 = dt |utilde^m - utilde^{m-k}|_*^2 to star[k] over ascending
     n = m - k. l2[1] is the summed step increments. Each multiple must be a whole
-    number >= 1, or ValueError names it.
+    number >= 1, none may repeat, and each must be below the trajectory's count
+    of steps, or ValueError names the multiples at fault.
     """
 
-    def __init__(self, dt: float, multiples):
-        self.dt, self.multiples = float(dt), [_whole("translate multiple", k) for k in multiples]
+    def __init__(self, dt: float, multiples, steps):
+        multiples = [_whole("translate multiple", k) for k in multiples]
+        if len(set(multiples)) < len(multiples):
+            raise ValueError(f"translate multiples repeat: {multiples}")
+        if too_long := [k for k in multiples if k >= steps]:
+            raise ValueError(f"translate multiples {too_long} do not fit a {steps}-step trajectory")
+        self.dt, self.multiples = float(dt), multiples
         self.l2 = dict.fromkeys([1, *self.multiples], 0.0)
         self.star = dict.fromkeys(self.multiples, 0.0)
         self._recent = deque(maxlen=max(self.l2))
@@ -216,8 +222,9 @@ def translate_diagnostic(traj: Trajectory, taus, projector: Projector | None = N
 
     Each tau must be a positive multiple of the step size (the trajectory is
     piecewise constant, so only those translates have exact finite-sum
-    integrals). Returns one row per tau with the integral of the squared L2
-    norm and of the squared seminorm of the difference; projector projects each stored prediction once.
+    integrals), and their multiples must suit TranslateAccumulator. Returns
+    one row per tau with the integral of the squared L2 norm and of the squared
+    seminorm of the difference; projector projects each stored prediction once.
     """
     dt = traj.dt
     multiples = []
@@ -226,11 +233,9 @@ def translate_diagnostic(traj: Trajectory, taus, projector: Projector | None = N
         k_int = int(round(k)) if math.isfinite(k) else 0
         if k_int < 1 or abs(k - k_int) > 1e-9 * max(1.0, abs(k)):
             raise ValueError(f"translate {tau} is not a positive multiple of dt={dt}")
-        if k_int >= traj.steps:
-            raise ValueError(f"translate {tau} exceeds the trajectory span")
         multiples.append(k_int)
+    sums = TranslateAccumulator(dt, multiples, traj.steps)
     projector = projector or Projector(Operators(traj.grid))
-    sums = TranslateAccumulator(dt, multiples)
     for u_tilde in traj.predicted:
         sums.add(u_tilde, projector.project(u_tilde))
     return sums.rows()
@@ -238,7 +243,7 @@ def translate_diagnostic(traj: Trajectory, taus, projector: Projector | None = N
 
 def summed_step_increments(traj: Trajectory) -> float:
     """sum_n dt ||utilde^{n+1} - utilde^n||^2, the exact tau = dt translate integral."""
-    sums = TranslateAccumulator(traj.dt, [])
+    sums = TranslateAccumulator(traj.dt, [], traj.steps)
     for u_tilde, u in zip(traj.predicted, traj.velocities[1:]):
         sums.add(u_tilde, u)
     return sums.l2[1]
@@ -297,8 +302,12 @@ class StudyReport:
 
 
 def convergence_study(problem, levels, t_final, **scheme_kw) -> StudyReport:
-    """Run a refinement ladder; levels is a list of (grid, steps) pairs.
+    """Run a refinement ladder; levels is an iterable of (grid, steps) pairs.
 
+    Every level is drawn and checked before any runs, or ValueError names the
+    first that fails: at least one level, a t_final and steps time_step takes,
+    grids that span problem.box if it has one (the exact solution's box), and
+    1 cell along the same axes as level 0 (an empty block's error does not compare).
     scheme_kw goes to every level's ProjectionScheme, which owns the defaults;
     the exact face averages are taken at the scheme's quad_order.
     Errors are summed level by level against the exact face averages that
@@ -310,11 +319,25 @@ def convergence_study(problem, levels, t_final, **scheme_kw) -> StudyReport:
     """
     if isinstance(problem, str):
         problem = mms_problem(problem)
+    checked = []
+    for k, (grid, steps) in enumerate(levels):
+        spans = tuple((c[0], c[-1]) for c in grid.axes)
+        if problem.box is not None and spans != problem.box:
+            exact, have = (" x ".join(f"[{lo:g}, {hi:g}]" for lo, hi in box) for box in (problem.box, spans))
+            raise ValueError(f"convergence errors are measured against problem {problem.name!r}, which is exact "
+                             f"only on {exact}; level {k} spans {have}")
+        flat = [a for a, n in enumerate(grid.shape) if n == 1]
+        flat0 = flat0 if k else flat
+        if flat != flat0:
+            raise ValueError(f"levels 0 and {k} have 1 cell along different axes, {flat0} and {flat}: "
+                             f"their errors do not compare")
+        checked.append((grid, steps, ProjectionScheme.time_step(t_final, steps)))
+    if not checked:
+        raise ValueError("a convergence study needs at least one level")
     report = StudyReport(problem.name)
-    for grid, steps in levels:
+    for grid, steps, dt in checked:
         scheme = ProjectionScheme(grid, **scheme_kw)
         ops = scheme.ops
-        dt = scheme.time_step(t_final, steps)
         l2l2_sq = h1_sq = coupling_sq = 0.0
         margin = math.inf
         for state, diag in scheme.iterate(problem.initial, problem.forcing, t_final, steps):

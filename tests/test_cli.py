@@ -19,13 +19,13 @@ from macstag import cli as cli_module
 from macstag import linalg as linalg_module
 from macstag.cli import main
 from macstag.config import parse_config
-from macstag.grid import midpoint_refined
+from macstag.grid import midpoint_refined, uniform_grid
 from macstag.mms import mms_problem
 from macstag.operators import Operators
 from macstag.output import write_diagnostics_csv, write_translate_csv
 from macstag.projection import Projector
 from macstag.scheme import DIAGNOSTIC_COLUMNS, ProjectionScheme, SchemeError
-from macstag.verify import TranslateAccumulator, translate_diagnostic
+from macstag.verify import TranslateAccumulator, convergence_study, translate_diagnostic
 
 from conftest import BAD_NUMERIC_VALUES, assert_same_bits, read_vtk, vtk_arrays
 
@@ -459,7 +459,7 @@ def test_convergence_rejects_zero_levels(small_config, tmp_path, capsys):
     assert main(["convergence", "--levels", "0", "--config", small_config, "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "invalid configuration:\n  - --levels must be >= 1, got 0\n"
+    assert captured.err == "invalid configuration:\n  - --levels 0: a convergence study needs at least one level\n"
     assert not os.path.exists(out)
 
 
@@ -480,7 +480,7 @@ def test_convergence_rejects_a_ladder_from_a_1_cell_axis(tmp_path, monkeypatch, 
             out = tmp_path / f"levels{levels}"
             assert main(["convergence", "--config", str(path), "--levels", levels, "--out", str(out)]) == 2
             err = capsys.readouterr().err
-            assert "1 cell along axis 1" in err and "Traceback" not in err
+            assert "have 1 cell along different axes, [1] and []" in err and "Traceback" not in err
             assert not (out / "study.csv").exists()
     # one level has no refined level to compare with, and runs
     out = tmp_path / "levels1"
@@ -499,14 +499,19 @@ def test_convergence_needs_the_problems_box(tmp_path, monkeypatch, capsys, lo, h
     dim = len(lo.split())
     path = tmp_path / "box.ini"
     path.write_text(f"[domain]\nlo = {lo}\nhi = {hi}\n[grid]\nn = {' 4' * dim}\n[problem]\nname = vortex{dim}d\n")
-    monkeypatch.setattr(cli_module, "midpoint_refined", None)  # no ladder is built
+    monkeypatch.setattr(cli_module, "midpoint_refined", None)  # level 0 is rejected before level 1 is built
+
+    def no_scheme(*args, **kwargs):
+        raise AssertionError("the levels are checked before any level runs")
+
+    monkeypatch.setattr(ProjectionScheme, "__init__", no_scheme)
     out = tmp_path / "o"
     assert main(["convergence", "--config", str(path), "--levels", "2", "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == (f"invalid configuration:\n  - convergence measures errors against problem "
-                            f"'vortex{dim}d', which is exact only on {' x '.join(['[0, 1]'] * dim)}; "
-                            f"the grid spans {spans}\n")
+    assert captured.err == (f"invalid configuration:\n  - --levels 2: convergence errors are measured against "
+                            f"problem 'vortex{dim}d', which is exact only on {' x '.join(['[0, 1]'] * dim)}; "
+                            f"level 0 spans {spans}\n")
     assert not os.path.exists(out)
 
 
@@ -570,10 +575,64 @@ def test_translate_rejects_a_repeated_multiple(tmp_path, monkeypatch, capsys):
         raise AssertionError("taus are checked before any step runs")
 
     monkeypatch.setattr(ProjectionScheme, "step", no_step)
-    for taus in ("1,1", "2,1,2"):
+    for taus, multiples in (("1,1", [1, 1]), ("2,1,2", [2, 1, 2])):
         assert main(["translate", "--config", str(path), "--taus", taus, "--out", str(tmp_path / "o")]) == 2
-        assert f"--taus repeats a multiple, got {taus!r}" in capsys.readouterr().err
+        assert f"--taus {taus!r}: translate multiples repeat: {multiples}" in capsys.readouterr().err
     assert not os.path.exists(tmp_path / "o")
+
+FOUR_STEPS = "[grid]\nn = 4 4\n[time]\nfinal = 0.1\nsteps = 4\n"
+FLAT = ("[domain]\nlo = 0 0 0\nhi = 1 1 1\n[grid]\nkind = graded\nn = 8 1 6\nratio = 1.05\n"
+        "[time]\nfinal = 0.25\nsteps = 6\n[problem]\nname = vortex3d\n")
+
+
+def _flat_ladder():
+    grid = parse_config(None, text=FLAT).build_grid()
+    return [(grid, 6), (midpoint_refined(grid), 12), (midpoint_refined(midpoint_refined(grid)), 24)]
+
+
+# rule: (config, subcommand and options, the library call that consumes the same input)
+LIBRARY_RULES = {
+    "time.final": ("[time]\nfinal = -2\n", ["run"], lambda: ProjectionScheme.time_step(-2.0, 8)),
+    "time.steps": ("[time]\nsteps = 0\n", ["run"], lambda: ProjectionScheme.time_step(1.0, 0)),
+    "solver.prediction_tol": ("[solver]\nprediction_tol = 2\n", ["run"],
+                              lambda: ProjectionScheme(uniform_grid((0, 0), (1, 1), (4, 4)), prediction_tol=2.0)),
+    "solver.poisson_tol": ("[solver]\npoisson_tol = 0\n", ["run"],
+                           lambda: ProjectionScheme(uniform_grid((0, 0), (1, 1), (4, 4)), poisson_tol=0.0)),
+    "solver.quad_order": ("[solver]\nquad_order = 0\n", ["run"],
+                          lambda: ProjectionScheme(uniform_grid((0, 0), (1, 1), (4, 4)), quad_order=0)),
+    "problem.name": ("[problem]\nname = bogus\n", ["run"], lambda: mms_problem("bogus")),
+    "taus-whole": (FOUR_STEPS, ["translate", "--taus", "1,0"], lambda: TranslateAccumulator(0.025, [1, 0], 4)),
+    "taus-repeat": (FOUR_STEPS, ["translate", "--taus", "2,1,2"], lambda: TranslateAccumulator(0.025, [2, 1, 2], 4)),
+    "taus-fit": (FOUR_STEPS, ["translate", "--taus", "1,4,9"], lambda: TranslateAccumulator(0.025, [1, 4, 9], 4)),
+    "levels-none": (SMALL, ["convergence", "--levels", "0"], lambda: convergence_study("vortex2d", [], 0.05)),
+    "levels-1-cell": (FLAT, ["convergence", "--levels", "3"],
+                      lambda: convergence_study("vortex3d", _flat_ladder(), 0.25)),
+    "levels-box": ("[domain]\nlo = 0 0\nhi = 2 2\n[grid]\nn = 4 4\n", ["convergence", "--levels", "2"],
+                   lambda: convergence_study("vortex2d", [(uniform_grid((0, 0), (2, 2), (4, 4)), 8)], 1.0)),
+}
+
+
+@pytest.mark.parametrize("text, argv, library", LIBRARY_RULES.values(), ids=LIBRARY_RULES.keys())
+def test_input_rules_are_the_library_s(tmp_path, monkeypatch, capsys, text, argv, library):
+    # each rule is stated once, in the library function that consumes the input:
+    # the config or the CLI reports that function's ValueError as its one item,
+    # under the key or the option, with exit 2, before any step and with nothing written
+    with pytest.raises(ValueError) as err:
+        library()
+
+    def no_step(*args):
+        raise AssertionError("the inputs are checked before any step runs")
+
+    monkeypatch.setattr(ProjectionScheme, "step", no_step)
+    path, out = tmp_path / "case.ini", tmp_path / "o"
+    path.write_text(text)
+    assert main([*argv, "--config", str(path), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    head, item = captured.err.splitlines()
+    assert head == "invalid configuration:" and item.startswith("  - ")
+    assert item.endswith(f": {err.value}"), item
+    assert captured.out == "" and not out.exists()
+
 
 TRANSLATE = "[grid]\nkind = graded\nn = 6 5\nratio = 1.1\n[time]\nfinal = 0.1\nsteps = 6\n"
 

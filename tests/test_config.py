@@ -17,7 +17,6 @@ from conftest import BAD_NUMERIC_VALUES
 
 def test_defaults():
     cfg = parse_config(None)
-    assert cfg.dim == 2
     assert cfg.grid_kind == "uniform"
     assert cfg.grid_n == (8, 8)
     assert cfg.t_final == 1.0
@@ -41,7 +40,7 @@ def test_file_values(tmp_path):
         "[output]\ndirectory = results\ncadence = 4\nformat = vtk\nseed = 7\n"
     )
     cfg = parse_config(str(path))
-    assert cfg.dim == 3
+    assert cfg.grid_n == (4, 4, 4)
     assert cfg.domain_hi == (2.0, 1.0, 1.0)
     assert cfg.grid_kind == "graded"
     assert cfg.grid_ratio == 1.5
@@ -233,7 +232,7 @@ def test_coords_echo_roundtrip(tmp_path, shape):
     text = f"[grid]\nkind = coords\n{keys}[time]\nfinal = 0.05\nsteps = 2\n[problem]\nname = vortex{dim}d\n"
     out = str(tmp_path / "o")
     cfg = parse_config(None, text=text, overrides={("output", "directory"): out})
-    assert cfg.dim == dim and cfg.grid_n == shape
+    assert cfg.grid_n == shape
     assert cfg.domain_lo == (0.0,) * dim and cfg.domain_hi == (1.0,) * dim
     echo = cfg.to_ini()
     again = parse_config(None, text=echo)

@@ -302,7 +302,7 @@ BAD_ARGUMENTS = {
     ),
     "steps=inf": (
         lambda g, prob: ProjectionScheme(g).iterate(prob.initial, _forcing_never_evaluated, 0.1, np.inf),
-        r"need at least one step, got inf",
+        r"steps must be a whole number >= 1, got inf",
     ),
     "step-dt=nan": (_step_with_dt(np.nan), r"dt .* got nan"),
     "quad_order=2.7": (lambda g, prob: ProjectionScheme(g, quad_order=2.7), r"quad_order .* got 2.7"),

@@ -328,7 +328,7 @@ def test_streamed_translates_match_stored_sums_bitwise(grid):
     scheme = ProjectionScheme(grid)
     proj, unpack = scheme.projector, scheme.ops.unpack
     multiples = [1, 2, 3, steps - 1]
-    acc = TranslateAccumulator(scheme.time_step(t_final, steps), multiples)
+    acc = TranslateAccumulator(scheme.time_step(t_final, steps), multiples, steps)
     for state, diag in scheme.iterate(prob.initial, prob.forcing, t_final, steps):
         if diag is not None:
             acc.add(unpack(state.u_tilde_prev), unpack(state.u))
@@ -376,20 +376,69 @@ def test_accumulator_rejects_multiples_that_are_not_whole(multiples, bad):
     # a multiple below 1 or with a fraction is named when the accumulator is
     # made, before any add() indexes the kept predictions with it
     with pytest.raises(ValueError, match=rf"translate multiple must be a whole number >= 1, got {bad}$"):
-        TranslateAccumulator(0.1, multiples)
+        TranslateAccumulator(0.1, multiples, 4)
 
 
 def test_accumulator_takes_whole_float_multiples():
     g = uniform_grid((0.0, 0.0), (1.0, 1.0), (3, 3))
     proj = Projector(Operators(g))
     levels = [VelocityField(g, [np.full(g.face_shape(i), m**2) for i in range(2)]).zero_exterior() for m in range(4)]
-    as_float, as_int = TranslateAccumulator(0.5, [2.0]), TranslateAccumulator(0.5, [2])
+    as_float, as_int = TranslateAccumulator(0.5, [2.0], 4), TranslateAccumulator(0.5, [2], 4)
     for u_tilde in levels:
         as_float.add(u_tilde, proj.project(u_tilde))
         as_int.add(u_tilde, proj.project(u_tilde))
     assert as_float.multiples == [2] and as_float.rows() == as_int.rows()
     # without multiples it sums the step increments alone
-    assert TranslateAccumulator(0.5, []).rows() == []
+    assert TranslateAccumulator(0.5, [], 4).rows() == []
+
+
+def test_accumulator_rejects_repeated_and_oversized_multiples():
+    # a repeated multiple gave its row twice, and a multiple of the whole
+    # trajectory or more has no pair of levels to sum
+    with pytest.raises(ValueError, match=r"^translate multiples repeat: \[1, 1\]$"):
+        TranslateAccumulator(0.1, [1, 1], 4)
+    with pytest.raises(ValueError, match=r"^translate multiples \[4, 6\] do not fit a 4-step trajectory$"):
+        TranslateAccumulator(0.1, [1, 4, 6], 4)
+    assert TranslateAccumulator(0.1, [3, 1], 4).multiples == [3, 1]
+
+
+def test_study_needs_a_level():
+    # an empty ladder has no error to judge; its report read "verdict: pass"
+    with pytest.raises(ValueError, match=r"^a convergence study needs at least one level$"):
+        convergence_study("vortex2d", [], 0.1)
+
+
+def test_study_checks_every_level_before_any_runs(monkeypatch):
+    def no_scheme(*args, **kwargs):
+        raise AssertionError("a level was built before every level was checked")
+
+    monkeypatch.setattr(ProjectionScheme, "__init__", no_scheme)
+    unit = uniform_grid((0.0, 0.0), (1.0, 1.0), (4, 4))
+    # the vortex is exact on the unit box only: on [0, 2]^2 its errors grew (ratio 1.20)
+    wide = [(uniform_grid((0.0, 0.0), (2.0, 2.0), (n, n)), n // 2) for n in (4, 8)]
+    with pytest.raises(ValueError, match=r"exact only on \[0, 1\] x \[0, 1\]; level 0 spans \[0, 2\] x \[0, 2\]$"):
+        convergence_study("vortex2d", wide, 0.1)
+    with pytest.raises(ValueError, match=r"; level 1 spans \[0, 2\] x \[0, 2\]$"):
+        convergence_study("vortex2d", [(unit, 2), wide[1]], 0.1)
+    # an empty direction-1 block's error does not compare with a full one's
+    flat = MacGrid([uniform_axis(0.0, 1.0, 4), uniform_axis(0.0, 1.0, 1)])
+    with pytest.raises(ValueError, match=r"^levels 0 and 1 have 1 cell along different axes, \[1\] and \[\]: "):
+        convergence_study("vortex2d", [(flat, 2), (midpoint_refined(flat), 4)], 0.1)
+    with pytest.raises(ValueError, match=r"^steps must be a whole number >= 1, got 0$"):
+        convergence_study("vortex2d", [(unit, 2), (unit, 0)], 0.1)
+
+
+@pytest.mark.parametrize("name, grid", [("vortex3d", uniform_grid((0, 0), (1, 1), (8, 8))),
+                                        ("rest2d", uniform_grid((0, 0, 0), (1, 1, 1), (4, 4, 4)))],
+                         ids=["3d-on-2d", "2d-on-3d"])
+def test_problem_of_another_dimension_is_named(name, grid):
+    # the face averages of a problem on a grid of another dimension raised IndexError
+    problem = mms_problem(name)
+    want = rf"^a {problem.dim}D field cannot be face-averaged on a {grid.dim}D grid$"
+    with pytest.raises(ValueError, match=want):
+        ProjectionScheme(grid).initialize(problem.initial)
+    with pytest.raises(ValueError, match=want):
+        convergence_study(f"rest{problem.dim}d", [(grid, 2)], 0.1)
 
 
 class TestStudies:
