@@ -248,6 +248,13 @@ def parse_config(path=None, *, text=None, env=None, overrides=None) -> RunConfig
             c[name] = parse(default)
             failed.add(name)
 
+    # the step t_final/steps, when both parsed: steps too many for t_final is itemized under steps
+    if not failed & {"t_final", "steps"}:
+        try:
+            ProjectionScheme.time_step(c["t_final"], c["steps"])
+        except ValueError as exc:
+            errors.append(f"time.steps: {exc}")
+
     # validation, all problems reported together; the grid's rules are those of grid.py and
     # operators.py, itemized from one build of the configured grid
     kind, lo, hi, n = c["grid_kind"], c["domain_lo"], c["domain_hi"], c["grid_n"]

@@ -10,6 +10,7 @@ in across the boundary slabs orthogonal to the component direction.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -101,12 +102,16 @@ class VelocityField:
 # ---------------------------------------------------------------------------
 # quadrature and interpolation
 
+@functools.cache
 def _gauss_nodes(order: int):
-    """Gauss-Legendre nodes and weights rescaled to mean-value form on [0, 1]."""
+    """Gauss-Legendre nodes and weights rescaled to mean-value form on [0, 1], read-only, computed once per order."""
     if order < 1:
         raise ValueError(f"quadrature order must be >= 1, got {order}")
     x, w = np.polynomial.legendre.leggauss(order)
-    return 0.5 * (x + 1.0), 0.5 * w
+    rule = 0.5 * (x + 1.0), 0.5 * w
+    for a in rule:
+        a.flags.writeable = False
+    return rule
 
 
 def face_average(grid: MacGrid, v, order: int = 3) -> VelocityField:
@@ -116,13 +121,14 @@ def face_average(grid: MacGrid, v, order: int = 3) -> VelocityField:
     Component i is averaged over each direction-i face with a tensoric
     Gauss-Legendre rule of the given order per transverse axis. Boundary
     faces keep their quadrature value, which is 0 for fields vanishing on
-    the boundary. A macstag.mms.TensorField averages itself with the same
-    rule from 1D Gauss means, without pointwise evaluation.
+    the boundary. A macstag.mms.TensorField takes no order: it averages
+    itself exactly, each 1D factor by the Gauss rule exact for its degree,
+    without pointwise evaluation.
     """
     from .mms import TensorField  # mms builds on this module
 
     if isinstance(v, TensorField):
-        return v.face_average(grid, order)
+        return v.face_average(grid)
     nodes, weights = _gauss_nodes(order)
     comps = []
     for i in range(grid.dim):

@@ -3,9 +3,10 @@
 The velocity comes from a stream potential (2D) or vector potential (3D)
 whose factors vanish to second order on the walls of [0, 1]^d, so the exact
 field is divergence free, has zero trace there, and its components are
-polynomials of degree at most five per axis times a smooth decay e^{-t}. Face means of
-such components are exact under the default 3-point Gauss rule, which makes
-the interpolated initial data exactly divergence free in the discrete sense.
+polynomials of degree at most five per axis times a smooth decay e^{-t}. Face
+means of every field here are exact: each 1D factor is averaged with the
+Gauss-Legendre rule exact for its degree, which makes the interpolated
+initial data exactly divergence free in the discrete sense.
 
 Every field is time-separable. With u = e^{-t} U(x) and p = e^{-t} P(x),
 the momentum equation in convective form, f = du/dt + (u . grad) u - Lap u
@@ -17,7 +18,11 @@ and every spatial part is a short sum of rank-1 terms c * prod_a p_a(x_a)
 with 1D polynomials p_a (tensor-product form). Derivatives and products act
 on the 1D factors, and the face mean of a term is its normal factor at the
 face coordinate times the 1D Gauss means of its transverse factors, so a
-Separable field face-averages its parts once per grid by outer products.
+TensorField face-averages once per grid by outer products, and a Separable
+field combines the face means of its parts for each t. A factor of degree k
+takes max(3, ceil((k + 1)/2)) Gauss points, exact for degree 2n - 1 (Davis &
+Rabinowitz 1984): the velocity's factors (k <= 5) keep 3, the convective
+forcing's (k <= 7 in 2D, 8 in 3D) take 4 or 5.
 The factors stay unexpanded across axes: multiplying them out into
 multivariate monomials would lose ~4 digits to cancellation near the
 boundary, where the factors vanish. Each 1D factor is a polynomial in the
@@ -73,34 +78,48 @@ def _evaluate(terms, pts, values=None):
     return out
 
 
+def _cell_means(p, grid, a):
+    """Mean of p over each cell of axis a by the Gauss rule exact for its degree, at least the 3-point one."""
+    nodes, weights = _gauss_nodes(max(3, (p.degree() + 2) // 2))
+    return sum(w * p(grid.axes[a][:-1] + x * grid.h[a]) for x, w in zip(nodes, weights))
+
+
 class TensorField:
-    """Spatial vector field whose components are sums of rank-1 polynomial terms."""
+    """Spatial vector field whose components are sums of rank-1 polynomial terms.
+
+    Its face means are computed once per grid: the last grid's are kept, and
+    a grid built afresh, even with the same coordinates, computes them anew.
+    """
 
     def __init__(self, components):
         self.components = components
+        self._memo = None  # (grid, read-only face means of each component)
 
     def __call__(self, pts):
         """Values (m, d) at points (m, d)."""
         values = {}
         return np.stack([_evaluate(terms, pts, values) for terms in self.components], axis=-1)
 
-    def face_average(self, grid, order: int = 3) -> VelocityField:
-        """Face means as fields.face_average gives them, from 1D Gauss means per axis, on a grid of its dimension."""
+    def _means(self, grid):
+        """Face means of each component on grid, exact, as read-only arrays kept for the grid."""
+        if self._memo is not None and self._memo[0] is grid:
+            return self._memo[1]
         if len(self.components) != grid.dim:
             raise ValueError(f"a {len(self.components)}D field cannot be face-averaged on a {grid.dim}D grid")
-        nodes, weights = _gauss_nodes(order)
         comps = []
         for i, terms in enumerate(self.components):
             acc = np.zeros(grid.face_shape(i))
             for c, ps in terms:
-                factors = [
-                    p(grid.axes[a]) if a == i
-                    else sum(w * p(grid.axes[a][:-1] + x * grid.h[a]) for x, w in zip(nodes, weights))
-                    for a, p in enumerate(ps)
-                ]
+                factors = [p(grid.axes[a]) if a == i else _cell_means(p, grid, a) for a, p in enumerate(ps)]
                 acc += c * reduce(np.multiply, np.ix_(*factors))
+            acc.flags.writeable = False
             comps.append(acc)
-        return VelocityField(grid, comps)
+        self._memo = (grid, comps)
+        return comps
+
+    def face_average(self, grid) -> VelocityField:
+        """Exact face means as fields.face_average defines them, on a grid of its dimension; a fresh field per call."""
+        return VelocityField(grid, [c.copy() for c in self._means(grid)])
 
 
 class Separable:
@@ -108,29 +127,21 @@ class Separable:
 
     terms is a list of (k, g_k); each g_k maps points (m, dim) to values
     (m, dim) or (m,). Calling the field as (t, pts) evaluates it pointwise.
-    face_average(grid, t, order) needs vector parts with their own
-    face_average(grid, order) (TensorField): it averages each g_k once per
-    (grid, order) and combines the stored averages for each t.
+    face_average(grid, t) needs TensorField parts: it combines, for each t,
+    the face means each part keeps for the grid, and keeps none itself.
     """
 
     def __init__(self, terms):
         self.terms = list(terms)
-        self._memo = None  # (grid, order, face averages of the g_k)
 
     def __call__(self, t, pts):
         return sum(math.exp(-k * t) * g(pts) for k, g in self.terms)
 
-    def face_average(self, grid, t, order: int = 3) -> VelocityField:
-        """Face means of the field at time t, as fields.face_average gives them."""
-        memo = self._memo
-        if memo is None or memo[0] is not grid or memo[1] != order:
-            memo = self._memo = (grid, order, [g.face_average(grid, order) for _, g in self.terms])
+    def face_average(self, grid, t) -> VelocityField:
+        """Exact face means of the field at time t, as fields.face_average defines them; a fresh field per call."""
         weights = [math.exp(-k * t) for k, _ in self.terms]
-        averages = memo[2]
-        return VelocityField(
-            grid,
-            [sum(w * a.components[i] for w, a in zip(weights, averages)) for i in range(grid.dim)],
-        )
+        means = [g._means(grid) for _, g in self.terms]
+        return VelocityField(grid, [sum(w * m[i] for w, m in zip(weights, means)) for i in range(grid.dim)])
 
 
 class ManufacturedProblem:
@@ -138,12 +149,12 @@ class ManufacturedProblem:
 
     velocity, pressure and forcing are Separable fields: velocity/forcing
     map (t, points (m, dim)) to (m, dim) arrays, pressure to (m,). initial
-    is the velocity at t = 0, its spatial part U: a TensorField, callable
-    on points and face-averaged from 1D Gauss means. box holds the (lo, hi)
-    span of each axis of the one box on whose walls the velocity vanishes, so
-    that the triple solves the no-slip problem there, or None when it does so
-    on any box. On another box the data are a valid forced run, but the triple is
-    not its exact solution.
+    is the velocity at t = 0, its spatial part U: the TensorField of
+    velocity's one term, so the two share their face means on a grid. box
+    holds the (lo, hi) span of each axis of the one box on whose walls the
+    velocity vanishes, so that the triple solves the no-slip problem there,
+    or None when it does so on any box. On another box the data are a valid
+    forced run, but the triple is not its exact solution.
     """
 
     def __init__(self, name, dim, velocity, pressure, forcing, initial, box=None):

@@ -77,6 +77,7 @@ from .projection import REFINEMENT_SWEEPS, Projector
 __all__ = ["ProjectionScheme", "SchemeState", "StepDiagnostics", "SchemeError", "DIAGNOSTIC_COLUMNS"]
 
 _FLOAT_MAX = np.finfo(float).max
+_FLOAT_TINY = np.finfo(float).tiny  # the smallest positive normal float
 
 DIVERGENCE_FACTOR = 10.0  # a step fails when max |div u| after its correction exceeds this x poisson_tol
 
@@ -191,11 +192,14 @@ class ProjectionScheme:
     The scheme owns the default of every solver setting; each prediction
     solve stops at linalg.MAX_ITERATIONS CGW iterations. Both tolerances must
     lie in (0, 1), and quad_order must be a whole number; a bad argument
-    raises ValueError before any operator is built. A grid graded
-    beyond what the separable pressure solve resolves at poisson_tol raises
-    SchemeError by the residual of one projection pass (_check_resolution),
-    before the momentum solvers are built, and so does a LAPACK failure in
-    either build. A failing step raises SchemeError (SolverError from a solve).
+    raises ValueError before any operator is built. quad_order is the Gauss
+    points per transverse axis of the pointwise face means of plain callables
+    (fields.face_average); a TensorField or Separable field averages itself
+    exactly and takes no order. A grid graded beyond what the separable
+    pressure solve resolves at poisson_tol raises SchemeError by the residual
+    of one projection pass (_check_resolution), before the momentum solvers
+    are built, and so does a LAPACK failure in either build. A failing step
+    raises SchemeError (SolverError from a solve).
     """
 
     def __init__(
@@ -258,11 +262,11 @@ class ProjectionScheme:
     # -- one step ------------------------------------------------------------
 
     def _forcing_field(self, forcing, t_mid):
-        """Face means of f(t_mid); a Separable forcing reuses its per-grid averages."""
+        """Face means of f(t_mid); a Separable forcing combines its parts' exact per-grid means."""
         if forcing is None:
             return VelocityField(self.grid)
         if isinstance(forcing, Separable):
-            return forcing.face_average(self.grid, t_mid, self.quad_order)
+            return forcing.face_average(self.grid, t_mid)
         return face_average(self.grid, lambda pts: forcing(t_mid, pts), order=self.quad_order)
 
     def prediction(self, state: SchemeState, f: np.ndarray, dt: float):
@@ -445,9 +449,21 @@ class ProjectionScheme:
 
     @staticmethod
     def time_step(t_final, steps) -> float:
-        """Step size of a march from t=0 to t_final in `steps` equal steps; ValueError names a bad one."""
+        """Step size of a march from t=0 to t_final in `steps` equal steps; ValueError names a bad one.
+
+        The step must be a positive normal float: steps so many that
+        t_final / steps underflows, or does not convert to a float, are named.
+        """
         steps = _whole("steps", steps)
-        return _positive("t_final", t_final) / steps
+        t_final = _positive("t_final", t_final)
+        try:
+            dt = t_final / steps
+        except OverflowError:
+            dt = 0.0
+        if not dt >= _FLOAT_TINY:
+            raise ValueError(f"steps = {steps} is too many for t_final = {t_final!r}: "
+                             f"the step t_final/steps is not a positive normal float")
+        return dt
 
     def iterate(self, u0, forcing, t_final, steps):
         """March from t=0 to t_final in equal steps, one level at a time.

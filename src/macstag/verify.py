@@ -308,10 +308,11 @@ def convergence_study(problem, levels, t_final, **scheme_kw) -> StudyReport:
     first that fails: at least one level, a t_final and steps time_step takes,
     grids that span problem.box if it has one (the exact solution's box), and
     1 cell along the same axes as level 0 (an empty block's error does not compare).
-    scheme_kw goes to every level's ProjectionScheme, which owns the defaults;
-    the exact face averages are taken at the scheme's quad_order.
+    scheme_kw goes to every level's ProjectionScheme, which owns the defaults.
     Errors are summed level by level against the exact face averages that
-    problem.velocity.face_average combines from its per-grid averages. The
+    problem.velocity.face_average combines from the per-grid means of its
+    spatial part, problem.initial: each refinement level's initialize
+    computes them, and its error sums reuse them. The
     corrected trajectory carries u^n on (t^n, t^{n+1}], so the L2(0,T;L2)
     error sums dt ||u^n - interp u(t^n)||^2 over n < N; the W^{1,2} error
     measures the predicted fields of levels 1..N. Both sum on packed unknowns:
@@ -341,7 +342,7 @@ def convergence_study(problem, levels, t_final, **scheme_kw) -> StudyReport:
         l2l2_sq = h1_sq = coupling_sq = 0.0
         margin = math.inf
         for state, diag in scheme.iterate(problem.initial, problem.forcing, t_final, steps):
-            exact = ops.pack(problem.velocity.face_average(grid, state.n * dt, scheme.quad_order))
+            exact = ops.pack(problem.velocity.face_average(grid, state.n * dt))
             err = state.u - exact
             if state.n < steps:
                 l2l2_sq += dt * ops.inner(err, err)

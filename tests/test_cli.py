@@ -411,6 +411,19 @@ def test_the_iteration_cap_is_not_a_setting(tmp_path, monkeypatch, capsys):
     assert "max_iterations" not in (tmp_path / "o" / "config.resolved.ini").read_text()
 
 
+def test_too_many_steps_exit_2_naming_steps(tmp_path, monkeypatch, capsys):
+    # 1 / 10^400 does not convert to a float: the step count is itemized
+    # under time.steps, where it raised OverflowError as a traceback
+    monkeypatch.setenv("MACSTAG_TIME_STEPS", "1" + "0" * 400)
+    path = tmp_path / "case.ini"
+    path.write_text(SMALL)
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("invalid configuration:\n  - time.steps: steps = 1000")
+    assert captured.err.endswith(" is too many for t_final = 0.05: the step t_final/steps is not a positive normal float\n")
+    assert captured.out == "" and not os.path.exists(tmp_path / "o")
+
+
 @pytest.mark.parametrize("final, dt", [(1e-300, "1.250e-301"), (1e-160, "1.250e-161")])
 def test_tiny_step_exits_1_naming_dt(tmp_path, capsys, final, dt):
     # the right-hand side's squares would overflow in the solver: the step is
@@ -594,6 +607,8 @@ def _flat_ladder():
 LIBRARY_RULES = {
     "time.final": ("[time]\nfinal = -2\n", ["run"], lambda: ProjectionScheme.time_step(-2.0, 8)),
     "time.steps": ("[time]\nsteps = 0\n", ["run"], lambda: ProjectionScheme.time_step(1.0, 0)),
+    "time.steps-too-many": ("[time]\nsteps = 1" + "0" * 400 + "\n", ["run"],
+                            lambda: ProjectionScheme.time_step(1.0, 10**400)),
     "solver.prediction_tol": ("[solver]\nprediction_tol = 2\n", ["run"],
                               lambda: ProjectionScheme(uniform_grid((0, 0), (1, 1), (4, 4)), prediction_tol=2.0)),
     "solver.poisson_tol": ("[solver]\npoisson_tol = 0\n", ["run"],

@@ -203,3 +203,28 @@ FIELD_INPUT_CHECKS = {
 def test_field_input_checks(call, error, message):
     with pytest.raises(error, match=re.escape(message)):
         call(uniform_grid((0.0, 0.0), (1.0, 1.0), (4, 3)))
+
+
+def test_gauss_rule_is_computed_once_per_order(monkeypatch):
+    # leggauss is an eigenvalue solve: each order's rule is computed once,
+    # and its arrays are shared, so no caller may write to them
+    from macstag import fields
+
+    calls = []
+    leggauss = np.polynomial.legendre.leggauss
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", lambda n: calls.append(n) or leggauss(n))
+    fields._gauss_nodes.cache_clear()
+    g = uniform_grid((0.0, 0.0), (1.0, 1.0), (4, 3))
+    first = face_average(g, shear, order=4)
+    assert fields._gauss_nodes(4) is fields._gauss_nodes(4)
+    second = face_average(g, shear, order=4)
+    assert calls == [4]
+    for a, b in zip(first.components, second.components, strict=True):
+        np.testing.assert_array_equal(a, b)
+    x, w = leggauss(4)
+    nodes, weights = fields._gauss_nodes(4)
+    np.testing.assert_array_equal(nodes, 0.5 * (x + 1.0))
+    np.testing.assert_array_equal(weights, 0.5 * w)
+    for a in (nodes, weights):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0

@@ -9,6 +9,7 @@
 # derives the spatial parts symbolically with sympy, a test-only dependency.
 #
 
+import math
 import os
 import subprocess
 import sys
@@ -22,8 +23,11 @@ from numpy.polynomial import Polynomial
 
 import macstag
 from macstag.fields import face_average
-from macstag.grid import MacGrid
+from macstag.grid import MacGrid, graded_axis
 from macstag.mms import PROBLEM_NAMES, mms_problem
+from macstag.scheme import ProjectionScheme
+
+from conftest import random_nonuniform_grid
 
 
 def fd_gradient(f, pts, eps=1e-5):
@@ -299,9 +303,10 @@ def coords_grids(draw):
     return MacGrid([coords_axis(draw(st.lists(width, min_size=n, max_size=n))) for n in shape])
 
 
-def assert_matches_pointwise(field, grid, t, order):
-    expected = face_average(grid, lambda pts: field(t, pts), order=order)
-    actual = field.face_average(grid, t, order)
+def assert_matches_pointwise(field, grid, t):
+    # 5 points per axis: the pointwise rule is exact for every factor's degree (<= 8)
+    expected = face_average(grid, lambda pts: field(t, pts), order=5)
+    actual = field.face_average(grid, t)
     # relative to the field's size on the box: faces of a 1-cell axis all lie
     # on the boundary, where the velocity averages to roundoff
     sample = np.random.default_rng(149).uniform(0.0, 1.0, size=(64, grid.dim))
@@ -320,23 +325,23 @@ def test_separable_face_average_matches_pointwise(grid, t, rest):
     name = ("rest" if rest else "vortex") + f"{grid.dim}d"
     prob = mms_problem(name)
     for field in (prob.velocity, prob.forcing):
-        assert_matches_pointwise(field, grid, t, order=3)
+        assert_matches_pointwise(field, grid, t)
 
 
 def test_separable_face_average_is_never_stale():
     # one problem object, alternating grids (same shape, other coords) and
-    # quadrature orders; every call must match a fresh pointwise average
+    # times; every call must match a fresh pointwise average
     prob = mms_problem("vortex2d")
     rng = np.random.default_rng(139)
     grids = [MacGrid([coords_axis(rng.uniform(0.2, 1.0, 5)) for _ in range(2)]) for _ in range(2)]
-    calls = [(0, 3, 0.1), (1, 3, 0.1), (0, 3, 0.2), (0, 5, 0.2), (1, 5, 0.3), (1, 3, 0.3), (0, 5, 0.1)]
-    for k, order, t in calls:
+    calls = [(0, 0.1), (1, 0.1), (0, 0.2), (1, 0.3), (0, 0.3), (1, 0.2)]
+    for k, t in calls:
         for field in (prob.velocity, prob.forcing):
-            assert_matches_pointwise(field, grids[k], t, order)
+            assert_matches_pointwise(field, grids[k], t)
     # a grid built afresh each time, as a study builds its levels
     for _ in range(3):
         grid = MacGrid([coords_axis(rng.uniform(0.2, 1.0, 4)) for _ in range(2)])
-        assert_matches_pointwise(prob.forcing, grid, 0.4, 3)
+        assert_matches_pointwise(prob.forcing, grid, 0.4)
 
 
 def test_separable_face_average_returns_fresh_fields():
@@ -363,3 +368,91 @@ def test_initial_data_takes_the_tensor_path(name, monkeypatch):
     scale = max(np.abs(c).max() for c in pointwise.components)
     for a, e in zip(tensor.components, pointwise.components):
         assert np.abs(a - e).max() <= 1e-15 * scale
+
+
+# ---------------------------------------------------------------------------
+# exact face means: each 1D factor by the Gauss rule exact for its degree
+
+EXACT_GRIDS = {
+    "graded-2d": MacGrid([graded_axis(0.0, 1.0, 16, 1.02)] * 2),
+    "graded-3d": MacGrid([graded_axis(0.0, 1.0, 8, 1.02)] * 3),
+    "coords-2d": random_nonuniform_grid(np.random.default_rng(163), 2, max_cells=9),
+    "coords-3d": random_nonuniform_grid(np.random.default_rng(167), 3, max_cells=6),
+}
+
+
+def vortex_parts(dim):
+    """The TensorFields of vortex{dim}d: the velocity, and the linear and convective forcing parts."""
+    prob = mms_problem(f"vortex{dim}d")
+    return {"velocity": prob.initial, "linear": prob.forcing.terms[0][1], "convective": prob.forcing.terms[1][1]}
+
+
+@pytest.mark.parametrize("grid", EXACT_GRIDS.values(), ids=EXACT_GRIDS.keys())
+def test_face_means_match_an_8_point_rule(grid):
+    # the convective factors reach degree 7 (2D) and 8 (3D), past the 3-point
+    # rule's degree 5: the 3-point means of vortex3d on 8^3 are off by 1.4e-7
+    for part, field in vortex_parts(grid.dim).items():
+        expected = face_average(grid, lambda pts: field(pts), order=8)  # a plain callable: the pointwise rule
+        scale = max(np.abs(c).max() for c in expected.components)
+        for a, e in zip(field.face_average(grid).components, expected.components, strict=True):
+            assert np.abs(a - e).max() <= 1e-15 * scale, part
+
+
+def three_point_means(field, grid):
+    """Face means of a TensorField with the 3-point rule on every transverse factor."""
+    x, w = np.polynomial.legendre.leggauss(3)
+    nodes, weights = 0.5 * (x + 1.0), 0.5 * w
+    comps = []
+    for i, terms in enumerate(field.components):
+        acc = np.zeros(grid.face_shape(i))
+        for c, ps in terms:
+            factors = [
+                p(grid.axes[a]) if a == i
+                else sum(wk * p(grid.axes[a][:-1] + xk * grid.h[a]) for xk, wk in zip(nodes, weights))
+                for a, p in enumerate(ps)
+            ]
+            acc += c * reduce(np.multiply, np.ix_(*factors))
+        comps.append(acc)
+    return comps
+
+
+@pytest.mark.parametrize("grid", EXACT_GRIDS.values(), ids=EXACT_GRIDS.keys())
+def test_velocity_means_keep_the_3_point_bits(grid):
+    # the velocity's factors have degree <= 5, where 3 points are already
+    # exact: they keep the 3-point rule and its bits, and so does the
+    # velocity at any t
+    prob = mms_problem(f"vortex{grid.dim}d")
+    expected = three_point_means(prob.initial, grid)
+    for a, e in zip(prob.initial.face_average(grid).components, expected, strict=True):
+        np.testing.assert_array_equal(a, e)
+    for a, e in zip(prob.velocity.face_average(grid, 0.3).components, expected, strict=True):
+        np.testing.assert_array_equal(a, math.exp(-0.3) * e)
+
+
+@pytest.mark.parametrize("name", ["vortex2d", "vortex3d"])
+def test_initialize_reuses_the_velocity_s_means(name, monkeypatch):
+    # problem.initial is the velocity's spatial part: after the velocity has
+    # been face-averaged on a grid, initializing on it evaluates no polynomial
+    prob = mms_problem(name)
+    grid = EXACT_GRIDS[f"coords-{name[-2:]}"]
+    scheme = ProjectionScheme(grid)
+    prob.velocity.face_average(grid, 0.0)
+    calls = []
+    evaluate = Polynomial.__call__
+    monkeypatch.setattr(Polynomial, "__call__", lambda p, x: calls.append(p) or evaluate(p, x))
+    scheme.initialize(prob.initial)
+    assert calls == []
+
+
+@pytest.mark.parametrize("part", ["velocity", "linear", "convective"])
+def test_tensor_face_average_returns_fresh_fields(part):
+    # the per-grid means are kept; what a call returns is the caller's own
+    grid = EXACT_GRIDS["coords-2d"]
+    field = vortex_parts(2)[part]
+    first = field.face_average(grid)
+    expected = [c.copy() for c in first.components]
+    for c in first.components:
+        c[:] = np.nan
+    second = field.face_average(grid)
+    for a, e in zip(second.components, expected, strict=True):
+        np.testing.assert_array_equal(a, e)

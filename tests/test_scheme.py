@@ -14,6 +14,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from numpy.polynomial import Polynomial
 
 import macstag
 from macstag.fields import PressureField, VelocityField, face_average, l2_norm
@@ -311,6 +312,13 @@ BAD_ARGUMENTS = {
         lambda g, prob: ProjectionScheme(g).iterate(prob.initial, _forcing_never_evaluated, 0.1, 2.5),
         r"steps .* got 2.5",
     ),
+    # t_final/steps does not convert to a float, or underflows below the normal range
+    "steps=10**400": (
+        lambda g, prob: ProjectionScheme(g).iterate(prob.initial, _forcing_never_evaluated, 0.1, 10**400),
+        r"steps = 10{400} is too many for t_final = 0.1: the step t_final/steps is not a positive normal float",
+    ),
+    "time_step-subnormal": (lambda g, prob: ProjectionScheme.time_step(1e-300, 10**20),
+                            r"steps = 100000000000000000000 is too many for t_final = 1e-300"),
 }
 
 
@@ -387,7 +395,7 @@ def test_divergence_guard_fires(vortex):
     # roundoff divergence step 1 leaves is then above 10 x poisson_tol
     scheme = ProjectionScheme(uniform_grid((0.0, 0.0), (1.0, 1.0), (8, 8)), poisson_tol=1e-24)
     state = scheme.initialize(vortex.initial)
-    message = "step 1, correction: post-correction divergence 2.220e-16 exceeds 10 x poisson_tol = 1.0e-23"
+    message = "step 1, correction: post-correction divergence 4.441e-16 exceeds 10 x poisson_tol = 1.0e-23"
     with pytest.raises(SchemeError, match=re.escape(message)):
         scheme.step(state, vortex.forcing, 1.0 / 32)
 
@@ -433,6 +441,13 @@ def test_bad_arguments_are_rejected_before_any_step(vortex, call, match):
     g = uniform_grid((0.0, 0.0), (1.0, 1.0), (16, 16))
     with pytest.raises(ValueError, match=match):
         call(g, vortex)
+
+
+def test_smallest_normal_step_is_accepted():
+    # the rule on t_final/steps rejects only steps below the normal range
+    assert ProjectionScheme.time_step(1.0, 2**1022) == np.finfo(float).tiny
+    with pytest.raises(ValueError, match=r"steps = 8988\d+ is too many for t_final = 1.0"):
+        ProjectionScheme.time_step(1.0, 2**1023)
 
 
 def test_integral_float_counts_are_accepted(vortex):
@@ -617,13 +632,14 @@ def test_step_packs_each_field_once(monkeypatch):
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_separable_forcing_matches_generic_path(rng, dim):
-    # the per-grid averages of a Separable forcing and the pointwise average
-    # of the same forcing as a plain callable drive the same march
+    # the exact per-grid averages of a Separable forcing and the pointwise
+    # average of the same forcing as a plain callable drive the same march;
+    # 5 points per axis make the pointwise rule exact for the degree-8 factors
     g = random_nonuniform_grid(rng, dim)
     prob = mms_problem(f"vortex{dim}d")
     levels = {}
     for path, forcing in (("separable", prob.forcing), ("generic", lambda t, pts: prob.forcing(t, pts))):
-        levels[path] = list(ProjectionScheme(g).iterate(prob.initial, forcing, 0.1, 4))
+        levels[path] = list(ProjectionScheme(g, quad_order=5).iterate(prob.initial, forcing, 0.1, 4))
     unpack = Operators(g).unpack
     for (sa, da), (sb, db) in zip(levels["separable"][1:], levels["generic"][1:]):
         assert l2_norm(unpack(sa.u - sb.u)) <= 1e-12 * l2_norm(unpack(sa.u))
@@ -638,26 +654,20 @@ def test_separable_forcing_matches_generic_path(rng, dim):
 
 
 def test_separable_forcing_is_evaluated_once_per_grid(rng, monkeypatch):
-    # counts the per-grid face averages of the forcing's spatial parts: one
-    # per part on the first step, none after
+    # the forcing's spatial parts compute their face means on the first step,
+    # each once, and no step after evaluates a polynomial
     prob = mms_problem("vortex2d")
     calls = []
-
-    def counted(average):
-        def call(grid, order):
-            calls.append(grid)
-            return average(grid, order)
-
-        return call
-
-    for _, g in prob.forcing.terms:
-        monkeypatch.setattr(g, "face_average", counted(g.face_average))
+    evaluate = Polynomial.__call__
+    monkeypatch.setattr(Polynomial, "__call__", lambda p, x: calls.append(p) or evaluate(p, x))
     grid = random_nonuniform_grid(rng, 2)  # a fresh grid: nothing is stored for it yet
     per_step = []
     for state, _ in ProjectionScheme(grid).iterate(prob.initial, prob.forcing, 0.1, 4):
         per_step.append(len(calls))
         calls.clear()
-    assert per_step[1] == len(prob.forcing.terms) == 2
+    for _, g in mms_problem("vortex2d").forcing.terms:  # each part averaged once, on a fresh problem
+        g.face_average(grid)
+    assert per_step[1] == len(calls) > 0
     assert per_step[2:] == [0, 0, 0]
 
 
@@ -851,7 +861,8 @@ def _dense_march(scheme, problem, dts):
     Per step: (M/dt + S + C(u^n)) utilde = M (u^n/dt + f - G p^n) by a dense
     solve, phi = pinv(G^T M G) G^T M utilde, u^{n+1} = utilde - G phi and
     p^{n+1} = p^n + phi/dt, recentered. f is the face mean of the forcing at
-    the step's midpoint, by the pointwise path.
+    the step's midpoint, by the pointwise path at 5 points per axis, exact
+    for its factors of degree <= 8.
     """
     ops, grid = scheme.ops, scheme.grid
     M = ops.mass_velocity
@@ -868,7 +879,7 @@ def _dense_march(scheme, problem, dts):
     u = project(ops.pack(face_average(grid, problem.initial)))[0]
     p, t, levels = np.zeros(ops.n_cells), 0.0, []
     for dt in dts:
-        f = ops.pack(face_average(grid, lambda pts: problem.forcing(t + 0.5 * dt, pts)))
+        f = ops.pack(face_average(grid, lambda pts: problem.forcing(t + 0.5 * dt, pts), order=5))
         C = _dense_blocks(ops, [ops.convection_block(u, i) for i in range(grid.dim)])
         ut = np.linalg.solve(np.diag(M / dt) + S + C, M * (u / dt + f - G @ p))
         u, phi = project(ut)
