@@ -133,14 +133,21 @@ class RunConfig:
     seed: int
 
     def build_grid(self) -> MacGrid:
-        """The configured grid; a ValueError that grid.py raises for one axis is prefixed with that axis."""
+        """The configured grid; a ValueError that grid.py raises for one axis is prefixed with that axis.
+
+        Outside grid.kind = coords, domain.lo, domain.hi and grid.n must
+        agree in length, or ValueError names their three lengths.
+        """
         if self.grid_kind == "coords":
             return MacGrid(self.grid_coords)
-        ratio = self.grid_ratio if self.grid_kind == "graded" else 1.0  # ratio 1 is uniform_axis bit for bit
+        lo, hi, n = self.domain_lo, self.domain_hi, self.grid_n
+        if not len(lo) == len(hi) == len(n):
+            raise ValueError(f"domain.lo, domain.hi and grid.n must agree in length, got {len(lo)}/{len(hi)}/{len(n)}")
+        ratio = self.grid_ratio if self.grid_kind == "graded" else 1.0  # ratio 1 is uniform_axis
         axes = []
-        for a, (lo, hi, n) in enumerate(zip(self.domain_lo, self.domain_hi, self.grid_n)):
+        for a, bounds in enumerate(zip(lo, hi, n)):
             try:
-                axes.append(graded_axis(lo, hi, n, ratio))
+                axes.append(graded_axis(*bounds, ratio))
             except ValueError as exc:
                 raise ValueError(f"axis {a}: {exc}") from None
         return MacGrid(axes)
@@ -257,7 +264,7 @@ def parse_config(path=None, *, text=None, env=None, overrides=None) -> RunConfig
 
     # validation, all problems reported together; the grid's rules are those of grid.py and
     # operators.py, itemized from one build of the configured grid
-    kind, lo, hi, n = c["grid_kind"], c["domain_lo"], c["domain_hi"], c["grid_n"]
+    kind = c["grid_kind"]
     known = kind in ("uniform", "graded", "coords")
     if not known:
         errors.append(f"grid.kind must be uniform, graded or coords, got {kind!r}")
@@ -265,9 +272,6 @@ def parse_config(path=None, *, text=None, env=None, overrides=None) -> RunConfig
     if kind == "coords":
         _read_coords(values, {f"domain_{k}" for s, k in given if s == "domain"} - failed, c, errors)
         buildable = c["grid_coords"] is not None
-    elif buildable and not (len(lo) == len(hi) == len(n)):
-        errors.append(f"domain.lo, domain.hi and grid.n must agree in length, got {len(lo)}/{len(hi)}/{len(n)}")
-        buildable = False
     cfg = RunConfig(**c)
     if known and buildable:
         try:

@@ -121,13 +121,11 @@ def face_average(grid: MacGrid, v, order: int = 3) -> VelocityField:
     Component i is averaged over each direction-i face with a tensoric
     Gauss-Legendre rule of the given order per transverse axis. Boundary
     faces keep their quadrature value, which is 0 for fields vanishing on
-    the boundary. A macstag.mms.TensorField takes no order: it averages
-    itself exactly, each 1D factor by the Gauss rule exact for its degree,
-    without pointwise evaluation.
+    the boundary. A v with a face_average(grid) method supplies its own
+    means and takes no order: a macstag.mms.TensorField averages itself
+    exactly, each 1D factor by the Gauss rule exact for its degree.
     """
-    from .mms import TensorField  # mms builds on this module
-
-    if isinstance(v, TensorField):
+    if hasattr(v, "face_average"):
         return v.face_average(grid)
     nodes, weights = _gauss_nodes(order)
     comps = []

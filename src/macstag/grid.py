@@ -32,16 +32,12 @@ __all__ = [
 
 
 def uniform_axis(lo: float, hi: float, n: int) -> np.ndarray:
-    """Face coordinates of n equal intervals on [lo, hi]."""
-    if n < 1:
-        raise ValueError(f"axis needs at least one cell, got n={n}")
-    if not hi > lo:
-        raise ValueError(f"axis extent [{lo}, {hi}] is empty")
-    return np.linspace(float(lo), float(hi), n + 1)
+    """Face coordinates of n equal intervals on [lo, hi]: graded_axis with ratio 1, and its checks."""
+    return graded_axis(lo, hi, n, 1.0)
 
 
 def graded_axis(lo: float, hi: float, n: int, ratio: float) -> np.ndarray:
-    """Face coordinates of n intervals on [lo, hi] with h_{k+1} = ratio * h_k."""
+    """Face coordinates of n intervals on [lo, hi] with h_{k+1} = ratio * h_k; a ratio within 1e-14 of 1 is uniform."""
     if n < 1:
         raise ValueError(f"axis needs at least one cell, got n={n}")
     if not hi > lo:
@@ -49,7 +45,7 @@ def graded_axis(lo: float, hi: float, n: int, ratio: float) -> np.ndarray:
     if ratio <= 0.0:
         raise ValueError(f"stretch ratio must be positive, got {ratio}")
     if abs(ratio - 1.0) < 1e-14:
-        return uniform_axis(lo, hi, n)
+        return np.linspace(float(lo), float(hi), n + 1)
     weights = ratio ** np.arange(n)
     widths = (hi - lo) * weights / weights.sum()
     coords = np.empty(n + 1)

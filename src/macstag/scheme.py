@@ -70,7 +70,6 @@ import numpy as np
 from .fields import PressureField, Trajectory, VelocityField, face_average
 from .grid import MacGrid
 from .linalg import SchemeError, SeparableSolver, SolverError, dot, solve_cgw
-from .mms import Separable
 from .operators import Operators
 from .projection import REFINEMENT_SWEEPS, Projector
 
@@ -154,10 +153,8 @@ class SchemeState:
     read by the momentum check. u_tilde_prev2 is the prediction before
     u_tilde_prev, read only by the prediction's initial guess, and gp,
     gp_prev are the gradients G p^n and G p^{n-1} of the prediction, the
-    energy terms and the momentum check. energy and gp_norm are
-    ||u^n||^2 / 2 and ||G p^n||, which the next step's energy terms read:
-    initialize computes them for level 0 (gp_norm is 0.0 there), and each
-    step for the level it makes.
+    energy terms and the momentum check. The next step forms the level's
+    ||u^n||^2 / 2 and ||G p^n|| from u and gp.
     """
 
     n: int
@@ -165,8 +162,6 @@ class SchemeState:
     u: np.ndarray
     p: PressureField
     gp: np.ndarray
-    energy: float
-    gp_norm: float
     dt: float = 0.0
     u_tilde_prev: np.ndarray | None = None
     u_tilde_prev2: np.ndarray | None = None
@@ -194,8 +189,8 @@ class ProjectionScheme:
     lie in (0, 1), and quad_order must be a whole number; a bad argument
     raises ValueError before any operator is built. quad_order is the Gauss
     points per transverse axis of the pointwise face means of plain callables
-    (fields.face_average); a TensorField or Separable field averages itself
-    exactly and takes no order. A grid graded beyond what the separable
+    (fields.face_average); a field with a face_average method supplies its
+    own means and takes no order. A grid graded beyond what the separable
     pressure solve resolves at poisson_tol raises SchemeError by the residual
     of one projection pass (_check_resolution), before the momentum solvers
     are built, and so does a LAPACK failure in either build. A failing step
@@ -256,16 +251,15 @@ class ProjectionScheme:
         w = self.ops.pack(u0, "initial field")  # interior faces only: the boundary values are dropped
         _require_finite(w, 0, "initialize", "initial data")
         u = self.projector.decompose(w)[0]
-        return SchemeState(n=0, t=0.0, u=u, p=PressureField(g), gp=np.zeros(self.ops.n_velocity),
-                           energy=0.5 * self.ops.inner(u, u), gp_norm=0.0)
+        return SchemeState(n=0, t=0.0, u=u, p=PressureField(g), gp=np.zeros(self.ops.n_velocity))
 
     # -- one step ------------------------------------------------------------
 
     def _forcing_field(self, forcing, t_mid):
-        """Face means of f(t_mid); a Separable forcing combines its parts' exact per-grid means."""
+        """Face means of f(t_mid); a forcing with a face_average(grid, t) method supplies its own."""
         if forcing is None:
             return VelocityField(self.grid)
-        if isinstance(forcing, Separable):
+        if hasattr(forcing, "face_average"):
             return forcing.face_average(self.grid, t_mid)
         return face_average(self.grid, lambda pts: forcing(t_mid, pts), order=self.quad_order)
 
@@ -351,9 +345,9 @@ class ProjectionScheme:
 
         # S utilde as the solver formed it for its last residuals, shared with the momentum check
         dissipation = dot(ut, pred.Su)
-        e_new, e_old = 0.5 * ops.inner(u_new, u_new), state.energy
+        e_new, e_old = 0.5 * ops.inner(u_new, u_new), 0.5 * ops.inner(state.u, state.u)
         gp_vec = ops.G @ p_new.data.ravel()
-        gp_new, gp_old = ops.norm(gp_vec), state.gp_norm
+        gp_new, gp_old = ops.norm(gp_vec), ops.norm(state.gp)
         coupling = ops.norm(ut - state.u)
         work = ops.inner(f, ut)
 
@@ -404,8 +398,6 @@ class ProjectionScheme:
             u_tilde_prev=ut,
             u_tilde_prev2=state.u_tilde_prev,
             gp_prev=state.gp,
-            energy=e_new,
-            gp_norm=gp_new,
         )
         return new_state, diag
 

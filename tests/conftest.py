@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from macstag.fields import VelocityField
 from macstag.grid import MacGrid
 
 # every property test replays the same examples on every run
@@ -48,6 +49,26 @@ def random_nonuniform_grid(rng, dim, max_cells=8, lo=0.0, hi=1.0):
             cuts = np.sort(rng.uniform(lo, hi, size=n - 1))
         axes.append(np.concatenate([[lo], cuts, [hi]]))
     return MacGrid(axes)
+
+
+class SelfAveragingField:
+    """A field from outside macstag.mms that supplies its own face means and has no pointwise values.
+
+    face_average(grid) returns fixed normal face values drawn from seed, and
+    face_average(grid, t), a forcing's form, the same scaled by 1 + t. asked
+    lists the arguments of every call.
+    """
+
+    def __init__(self, seed):
+        self.seed, self.asked = seed, []
+
+    def face_average(self, grid, *t):
+        self.asked.append((grid, *t))
+        rng = np.random.default_rng(self.seed)
+        return VelocityField(grid, [(1.0 + sum(t)) * rng.standard_normal(grid.face_shape(i)) for i in range(grid.dim)])
+
+    def __call__(self, *args):
+        raise AssertionError("a self-averaging field was evaluated pointwise")
 
 
 @pytest.fixture

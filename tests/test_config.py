@@ -2,6 +2,8 @@
 # Configuration parsing, layered precedence, and validation reporting.
 #
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -125,6 +127,8 @@ LIBRARY_GRID_RULES = {
     "graded-empty-extent": ("[domain]\nhi = 1 0\n[grid]\nkind = graded\nratio = 1.5\n",
                             lambda: graded_axis(0.0, 0.0, 8, 1.5), "axis 1: "),
     "ratio": ("[grid]\nkind = graded\nratio = -1\n", lambda: graded_axis(0.0, 1.0, 8, -1.0), "axis 0: "),
+    "lengths": ("[grid]\nn = 4 4 4\n",
+                lambda: dataclasses.replace(parse_config(None), grid_n=(4, 4, 4)).build_grid(), ""),
     "1d": ("[domain]\nlo = 0\nhi = 1\n[grid]\nn = 4\n", lambda: MacGrid([uniform_axis(0.0, 1.0, 4)]), ""),
     "4d": ("[domain]\nlo = 0 0 0 0\nhi = 1 1 1 1\n[grid]\nn = 2 2 2 2\n",
            lambda: MacGrid([uniform_axis(0.0, 1.0, 2)] * 4), ""),
@@ -150,6 +154,14 @@ def test_grid_rules_are_the_library_s(text, build, prefix):
         parse_config(None, text=text)
     (item,) = err.value.errors
     assert item.endswith(prefix + str(raised.value)), item
+
+
+def test_build_grid_checks_the_lengths_it_zips():
+    # a RunConfig made by hand gets the rule parse_config itemizes: 2D
+    # bounds with three cell counts are no 2D grid
+    cfg = dataclasses.replace(parse_config(None, text="[grid]\nn = 4 4\n"), grid_n=(4, 4, 4))
+    with pytest.raises(ValueError, match="^domain.lo, domain.hi and grid.n must agree in length, got 2/2/3$"):
+        cfg.build_grid()
 
 
 def test_unparsable_file_and_bad_calls():

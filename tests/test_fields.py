@@ -19,7 +19,7 @@ from macstag.fields import (
 )
 from macstag.grid import MacGrid, midpoint_refined, uniform_grid
 
-from conftest import random_nonuniform_grid
+from conftest import SelfAveragingField, random_nonuniform_grid
 
 
 def shear(pts):
@@ -203,6 +203,17 @@ FIELD_INPUT_CHECKS = {
 def test_field_input_checks(call, error, message):
     with pytest.raises(error, match=re.escape(message)):
         call(uniform_grid((0.0, 0.0), (1.0, 1.0), (4, 3)))
+
+
+def test_a_field_with_face_means_supplies_them():
+    # face_average asks any field with a face_average(grid) method for its
+    # own means, not only the manufactured ones, and evaluates nothing
+    g = uniform_grid((0.0, 0.0), (1.0, 1.0), (4, 3))
+    field = SelfAveragingField(0)
+    means = face_average(g, field)
+    assert field.asked == [(g,)]
+    for a, b in zip(means.components, field.face_average(g).components, strict=True):
+        np.testing.assert_array_equal(a, b)
 
 
 def test_gauss_rule_is_computed_once_per_order(monkeypatch):

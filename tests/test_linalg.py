@@ -91,6 +91,7 @@ class TestGMRES:
         # the reported residual comes from fresh matvecs
         assert_products_of_residual(res, d, S, N, b)
         assert res.residual == norm(res.residual_vector) / norm(b) <= 1e-13
+        assert repr(res) == f"SolveResult(iterations={res.iterations}, residual={res.residual:.3e})"
 
     @pytest.mark.parametrize("cap", [1, 7, 20, 21, 25, 41])
     def test_raises_on_iteration_cap(self, cap, monkeypatch):

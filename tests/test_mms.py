@@ -255,6 +255,7 @@ def test_registry():
     with pytest.raises(ValueError):
         mms_problem("channel")
     assert mms_problem("vortex3d").dim == 3
+    assert repr(mms_problem("rest2d")) == "ManufacturedProblem('rest2d', dim=2)"
 
 
 def evaluate_every_factor(terms, pts):
